@@ -12,16 +12,19 @@ touching the session layer; this package is that backend.
   wire frames between a client and the broker.  The broker never parses
   the inner frames: routed payloads stay opaque, so the privacy boundary
   of the wire protocol is preserved on the network path.
-* :mod:`repro.net.broker` -- the asyncio :class:`BrokerServer` routing
-  frames between named entities exactly like ``InMemoryTransport`` (FIFO
-  inboxes, ``"*"`` multicast fan-out, byte accounting), plus
-  ``python -m repro.net.broker``.
+* :mod:`repro.net.node` -- the asyncio :class:`Node`, the one kind of
+  forwarding server: it routes frames between named entities exactly
+  like ``InMemoryTransport`` (FIFO inboxes, ``"*"`` multicast fan-out,
+  byte accounting) when it is the root of the tree, and forwards to its
+  upstream when it is not.  ``python -m repro.net.broker`` (no upstream)
+  and ``python -m repro.net.relay`` (``--upstream``) are its two entry
+  points; :mod:`repro.net.relay` also re-exports the monitor clients.
 * :mod:`repro.net.transport` -- :class:`TcpTransport`, a synchronous
   ``Transport`` implementation over a background asyncio loop, so
   ``DisseminationService`` / ``SubscriberClient`` /
   ``IdentityManagerEndpoint`` run unchanged over sockets.
 * :mod:`repro.net.runtime` -- process/thread supervision: in-process
-  broker harness, endpoint pump loops, broker-quiescence waiting (the
+  node harness, endpoint pump loops, broker-quiescence waiting (the
   async analogue of :func:`repro.system.service.run_until_idle`), and a
   subprocess supervisor with graceful shutdown.
 * :mod:`repro.net.bootstrap` -- the scenario/bundle files that let
@@ -33,10 +36,10 @@ touching the session layer; this package is that backend.
 import importlib
 
 __all__ = [
-    "BrokerServer",
     "BrokerThread",
     "FrameDecoder",
     "FrameStream",
+    "Node",
     "ProcessSupervisor",
     "TcpTransport",
     "pump_until",
@@ -44,8 +47,8 @@ __all__ = [
 ]
 
 _EXPORTS = {
-    "BrokerServer": "repro.net.broker",
     "BrokerThread": "repro.net.runtime",
+    "Node": "repro.net.node",
     "ProcessSupervisor": "repro.net.runtime",
     "pump_until": "repro.net.runtime",
     "wait_until_quiet": "repro.net.runtime",

@@ -1,1094 +1,14 @@
-"""The asyncio broker: socket routing with in-memory-router semantics.
+"""``python -m repro.net.broker``: the root of the forwarding tree.
 
-:class:`BrokerServer` is ``InMemoryTransport`` behind a TCP listener --
-literally: it *contains* one, and every routing and accounting decision
-(per-entity FIFO inboxes, ``"*"`` multicast fan-out, byte accounting of
-each transmission) is delegated to it, so the network deployment and the
-single-process tests share one behaviour by construction.  The paper's
-bandwidth claims (O(l'N) broadcast frames, zero unicast on rekey) and the
-privacy-audit log therefore remain measurable on the real network path:
-clients fetch the accounting with a ``StatsRequest``.
-
-Connection lifecycle (protocol in :mod:`repro.net.protocol`):
-
-1. first frame must be :class:`~repro.net.protocol.Hello`; the name must
-   not be in use (one live connection per entity -- spoof-on-connect is
-   refused) and is answered with ``Welcome``;
-2. queued traffic for the entity (accumulated while offline) is pushed,
-   then new deliveries as they arrive, each as a ``NetDeliver`` frame;
-3. every routed frame's declared sender must equal the connection's
-   entity -- a client cannot forge another entity's outgoing traffic;
-4. any malformed frame, oversized length declaration, or protocol
-   violation drops the connection (a byte stream cannot be resynchronized
-   after garbage) without disturbing other connections or routed state.
-
-Disconnection keeps the entity's inbox: a reconnecting entity drains the
-backlog.  Deliveries pushed but unacked at disconnect time are forgotten
-(at-most-once delivery); per-entity inboxes are bounded by ``max_inbox``
-(oldest dropped first), so hostile or dead peers cannot grow broker
-memory without bound.  A *connected* peer that stops reading trips the
-slow-consumer policy instead: once its outbound backlog crosses the
-bound the broker disconnects it and counts the event
-(``slow_consumer_disconnects`` in stats), converting the stall into the
-already-bounded offline case.
-
-Relay federation: a connection may open with ``RelayHello`` instead of
-``Hello``, binding it as a downstream *relay link* (see
-:mod:`repro.net.relay`).  The root broker stays the single authority --
-entities below relays are admitted through ``RelayAttach`` against the
-same global name table, every frame a relay forwards up is routed and
-accounted here exactly as if the entity were directly connected, and
-broadcasts go down each relay link as one ``RelayBroadcast`` carrying a
-root-assigned sequence id for per-hop dedup.  Relays never receive key
-material: the link carries only opaque routed payloads.
-
-Run standalone::
+A broker is a :class:`~repro.net.node.Node` with no upstream; everything
+lives in :mod:`repro.net.node`.  Run standalone::
 
     python -m repro.net.broker --port 7812 [--port-file PATH]
-
-With ``--port 0`` the bound endpoint is printed on stdout as a
-machine-parseable ``ENDPOINT host:port`` line (and optionally written to
-``--port-file``), so supervisors can chain processes without port races.
 """
 
-from __future__ import annotations
+from repro.net.node import main
 
-import argparse
-import asyncio
-import logging
-import os
-import signal
-import sys
-from collections import deque
-from typing import Deque, Dict, Optional, Set, Tuple, Union
-
-from repro.errors import NetworkError, ReproError, SerializationError
-from repro.net._cli import write_port_file
-from repro.net.protocol import (
-    ENVELOPE_OVERHEAD,
-    MAX_NAME_LEN,
-    Ack,
-    Hello,
-    MetricsReport,
-    MetricsRequest,
-    NetBroadcast,
-    NetDeliver,
-    NetMessage,
-    RelayAttach,
-    RelayAttachReply,
-    RelayBroadcast,
-    RelayDetach,
-    RelayHello,
-    RelayStatsReply,
-    RelayStatsRequest,
-    RelayWelcome,
-    Shutdown,
-    StatsReply,
-    StatsRequest,
-    TrafficRecord,
-    Welcome,
-    decode_net_payload,
-)
-from repro.net.stream import FrameStream
-from repro.obs.metrics import (
-    MetricsRegistry,
-    merge_snapshots,
-    snapshot_from_json,
-    snapshot_to_json,
-)
-from repro.obs.trace import SpanWriter, tracing
-from repro.system.transport import BROADCAST, Delivery, InMemoryTransport
-from repro.wire.codec import DEFAULT_MAX_FRAME_PAYLOAD
-
-__all__ = ["BrokerServer", "main"]
-
-logger = logging.getLogger("repro.net.broker")
-
-#: Deliveries pushed per inbox poll (bounds per-connection burst size).
-PUSH_BATCH = 32
-
-
-class _Connection:
-    """Broker-side state for one live entity connection."""
-
-    __slots__ = ("entity", "stream", "in_flight", "mail", "pusher")
-
-    def __init__(self, entity: str, stream: FrameStream):
-        self.entity = entity
-        self.stream = stream
-        #: Deliveries pushed down this connection but not yet acked
-        #: (i.e. not yet processed by the remote endpoint).
-        self.in_flight = 0
-        self.mail = asyncio.Event()
-        self.pusher: Optional[asyncio.Task] = None
-
-
-class _RelayLink:
-    """Broker-side state for one downstream relay connection.
-
-    Unlike a leaf :class:`_Connection` (which drains a router inbox), a
-    relay link has its own bounded outbound queue: frames for *many*
-    entities share it, and overflow means the relay process itself has
-    stalled -- the slow-consumer policy drops the whole link rather than
-    queue without bound.
-    """
-
-    __slots__ = (
-        "relay_id", "stream", "outbound", "wake", "in_flight",
-        "sender_task", "entities", "closed", "last_metrics",
-    )
-
-    def __init__(self, relay_id: str, stream: FrameStream):
-        self.relay_id = relay_id
-        self.stream = stream
-        #: The latest metrics snapshot this relay pushed up (its whole
-        #: subtree, pre-merged relay-side); None until the first push.
-        self.last_metrics: Optional[dict] = None
-        #: (message, counted) pairs awaiting transmission.  ``counted``
-        #: marks routed units that participate in quiescence accounting
-        #: (NetDeliver/RelayBroadcast); control replies are uncounted.
-        self.outbound: Deque[Tuple[NetMessage, bool]] = deque()
-        self.wake = asyncio.Event()
-        #: Counted units queued/sent down this link but not yet acked by
-        #: the relay (which acks only once its whole subtree processed
-        #: them) -- incremented at *queue* time so a frame is never in
-        #: neither ``pending`` nor ``in_flight``.
-        self.in_flight = 0
-        self.sender_task: Optional[asyncio.Task] = None
-        #: Entity names attached below this link (global table mirror).
-        self.entities: Set[str] = set()
-        self.closed = False
-
-
-async def _send(stream: FrameStream, message: NetMessage) -> None:
-    await stream.send(message.TYPE_ID, message.payload_bytes())
-
-
-class BrokerServer:
-    """Routes wire frames between named entities over TCP."""
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        max_frame: int = DEFAULT_MAX_FRAME_PAYLOAD,
-        max_inbox: int = 10_000,
-        max_entities: int = 10_000,
-        handshake_timeout: float = 10.0,
-        max_log: int = 100_000,
-        max_backlog: int = 10_000,
-        max_relays: int = 256,
-        metrics_interval: float = 0.0,
-        obs_path: Optional[str] = None,
-    ):
-        self.host = host
-        self.port = port  # updated to the bound port by start()
-        self.max_frame = max_frame
-        self.max_inbox = max_inbox
-        #: Bound on distinct entity names (inboxes): together with
-        #: ``max_inbox`` and ``max_frame`` this caps total queued state, so
-        #: a connected peer cannot grow broker memory by spraying
-        #: deliveries at fabricated receiver names.
-        self.max_entities = max_entities
-        #: A connection must complete its Hello within this budget, or a
-        #: peer could park unlimited pre-authentication connections (each
-        #: holding a socket and buffers) that none of the entity bounds
-        #: ever see.
-        self.handshake_timeout = handshake_timeout
-        #: Accounting-log record bound: a long-running broker trims the
-        #: oldest records (flagged via ``log_complete=False`` in stats)
-        #: rather than growing per-delivery state forever.
-        self.max_log = max_log
-        #: Slow-consumer policy: a connected peer whose outbound backlog
-        #: (inbox for leaves, link queue for relays) crosses this bound
-        #: is disconnected and counted, never queued for without limit.
-        self.max_backlog = max_backlog
-        #: Bound on simultaneously connected downstream relay links.
-        self.max_relays = max_relays
-        #: Seconds between periodic metrics span records (0 = off).  The
-        #: broker is the federation root, so it has nowhere to push
-        #: reports *to*; its interval drives local ``obs.jsonl`` metrics
-        #: lines instead (relays additionally push up on theirs).
-        self.metrics_interval = metrics_interval
-        #: Per-instance registry: multiple brokers in one test process
-        #: must not share counters.
-        self.metrics = MetricsRegistry()
-        self._obs = SpanWriter(obs_path, "broker") if obs_path else None
-        self._metrics_task: Optional[asyncio.Task] = None
-        #: Routing + accounting: the same router the in-process tests use.
-        self.route = InMemoryTransport()
-        self.delivered_total = 0
-        self.dropped_total = 0
-        self.slow_consumer_disconnects = 0
-        self.relay_broadcasts_down = 0
-        self.bounced_requeues = 0
-        self._broadcast_seq = 0
-        self._log_trimmed = False
-        self._connections: Dict[str, _Connection] = {}
-        self._relays: Dict[str, _RelayLink] = {}
-        #: Entity name -> the relay link it is attached below.  A name in
-        #: this table is live (refused at Hello/RelayAttach) and its
-        #: root-side inbox stays empty: traffic routes down the link.
-        self._via_relay: Dict[str, _RelayLink] = {}
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._shutdown = asyncio.Event()
-
-    # -- lifecycle -----------------------------------------------------------
-
-    async def start(self) -> Tuple[str, int]:
-        """Bind and start serving; returns the (host, port) actually bound."""
-        self._server = await asyncio.start_server(
-            self._on_connect, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        if self.metrics_interval > 0 and self._obs is not None:
-            self._metrics_task = asyncio.get_running_loop().create_task(
-                self._metrics_loop()
-            )
-        logger.info("broker listening on %s:%d", self.host, self.port)
-        return self.host, self.port
-
-    async def serve_forever(self) -> None:
-        """Serve until :meth:`shutdown` (or a Shutdown frame) then close."""
-        if self._server is None:
-            await self.start()
-        await self._shutdown.wait()
-        await self.aclose()
-
-    def shutdown(self) -> None:
-        """Request a graceful stop (idempotent, callable from any task)."""
-        self._shutdown.set()
-
-    async def aclose(self) -> None:
-        """Stop accepting, drop every connection, cancel pushers."""
-        self._shutdown.set()
-        if self._metrics_task is not None:
-            self._metrics_task.cancel()
-            self._metrics_task = None
-        if self._obs is not None:
-            self._obs.metrics(self._metrics_snapshot())  # final flush
-            self._obs.close()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for conn in list(self._connections.values()):
-            if conn.pusher is not None:
-                conn.pusher.cancel()
-            await conn.stream.aclose()
-        self._connections.clear()
-        for link in list(self._relays.values()):
-            link.closed = True
-            if link.sender_task is not None:
-                link.sender_task.cancel()
-            await link.stream.aclose()
-        self._relays.clear()
-        self._via_relay.clear()
-
-    # -- per-connection handling ---------------------------------------------
-
-    async def _on_connect(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        # Envelope headroom: an application frame at exactly max_frame must
-        # survive NetDeliver wrapping; the routed payload itself is bounded
-        # separately in _require_payload.
-        stream = FrameStream(reader, writer, self.max_frame + ENVELOPE_OVERHEAD)
-        conn: Optional[_Connection] = None
-        link: Optional[_RelayLink] = None
-        try:
-            peer = await asyncio.wait_for(
-                self._handshake(stream), self.handshake_timeout
-            )
-            if peer is None:
-                return
-            if isinstance(peer, _RelayLink):
-                link = peer
-                await self._relay_read_loop(link)
-            else:
-                conn = peer
-                await self._read_loop(conn)
-        except asyncio.TimeoutError:
-            logger.warning(
-                "dropping connection %s: no Hello within %.1fs",
-                stream.peername(), self.handshake_timeout,
-            )
-        except (ReproError, ConnectionError, OSError) as exc:
-            # Hostile/garbage input or a vanished peer: drop this
-            # connection, never the broker.
-            who = "pre-hello"
-            if conn is not None:
-                who = conn.entity
-            elif link is not None:
-                who = "relay %s" % link.relay_id
-            logger.warning(
-                "dropping connection %s (%s): %s",
-                stream.peername(), who, exc,
-            )
-        finally:
-            if conn is not None:
-                self._unregister(conn)
-            if link is not None:
-                self._drop_relay_link(link, "connection closed")
-            await stream.aclose()
-
-    async def _handshake(
-        self, stream: FrameStream
-    ) -> Optional[Union[_Connection, _RelayLink]]:
-        first = await stream.recv()
-        if first is None:
-            return None  # connected and left; not an error
-        hello = decode_net_payload(*first)
-        if isinstance(hello, RelayHello):
-            return await self._relay_handshake(stream, hello)
-        if not isinstance(hello, Hello):
-            raise SerializationError(
-                "first frame must be Hello, got %s" % type(hello).__name__
-            )
-        entity = hello.entity
-        refusal = self._admission_refusal(entity)
-        if refusal is not None:
-            logger.warning("refusing hello from %s: %s", stream.peername(), refusal)
-            await _send(stream, Welcome(ok=False, entity=entity, reason=refusal))
-            return None
-        self.route.register(entity)
-        conn = _Connection(entity, stream)
-        self._connections[entity] = conn
-        try:
-            await _send(stream, Welcome(ok=True, entity=entity))
-        except BaseException:
-            # Covers the handshake deadline cancelling us mid-send: the
-            # name was already claimed above and must not stay bound to a
-            # connection the caller will never learn about.
-            self._unregister(conn)
-            raise
-        conn.pusher = asyncio.get_running_loop().create_task(self._push_loop(conn))
-        conn.mail.set()  # flush any backlog queued while offline
-        self.metrics.inc("broker.connect")
-        if self._obs is not None:
-            self._obs.span("connect", peer=entity)
-        logger.info("entity %r connected from %s", entity, stream.peername())
-        return conn
-
-    def _admission_refusal(self, entity: str) -> Optional[str]:
-        """Why ``entity`` may not come live now (None = admitted).
-
-        One rule for both admission paths -- direct Hello and
-        RelayAttach forwarded up a relay chain -- so a name can be live
-        on at most one connection anywhere in the federation tree.
-        """
-        if not entity:
-            return "entity name must be non-empty"
-        if len(entity) > MAX_NAME_LEN:
-            return "entity name of %d bytes exceeds %d" % (
-                len(entity), MAX_NAME_LEN,
-            )
-        if entity == BROADCAST:
-            return "entity name %r is reserved for multicast" % BROADCAST
-        if entity in self._connections or entity in self._via_relay:
-            # Spoof-on-connect: the name is bound to a live connection
-            # (directly here, or below some relay).
-            return "entity %r is already connected" % entity
-        if (
-            not self.route.registered(entity)
-            and self.route.entity_count() >= self.max_entities
-        ):
-            # The same bound _admit_entity applies to receivers: inboxes
-            # survive disconnects, so churning Hellos under fresh names
-            # must not mint unbounded broker state either.
-            return "entity bound (%d) reached" % self.max_entities
-        return None
-
-    async def _relay_handshake(
-        self, stream: FrameStream, hello: RelayHello
-    ) -> Optional[_RelayLink]:
-        relay_id = hello.relay_id
-        refusal = None
-        if not relay_id:
-            refusal = "relay id must be non-empty"
-        elif len(relay_id) > MAX_NAME_LEN:
-            refusal = "relay id of %d bytes exceeds %d" % (
-                len(relay_id), MAX_NAME_LEN,
-            )
-        elif relay_id == BROADCAST:
-            refusal = "relay id %r is reserved for multicast" % BROADCAST
-        elif relay_id in self._relays:
-            refusal = "relay %r is already connected" % relay_id
-        elif len(self._relays) >= self.max_relays:
-            refusal = "relay bound (%d) reached" % self.max_relays
-        if refusal is not None:
-            logger.warning(
-                "refusing relay hello from %s: %s", stream.peername(), refusal
-            )
-            await _send(
-                stream,
-                RelayWelcome(ok=False, relay_id=relay_id[:MAX_NAME_LEN],
-                             reason=refusal),
-            )
-            return None
-        link = _RelayLink(relay_id, stream)
-        self._relays[relay_id] = link
-        try:
-            # The root's path is empty: the connecting relay appends
-            # itself to form the path it hands its own downstreams.
-            await _send(stream, RelayWelcome(ok=True, relay_id=relay_id, path=()))
-        except BaseException:
-            self._drop_relay_link(link, "handshake interrupted")
-            raise
-        link.sender_task = asyncio.get_running_loop().create_task(
-            self._link_send_loop(link)
-        )
-        self.metrics.inc("broker.relay.connect")
-        if self._obs is not None:
-            self._obs.span("relay_connect", relay=relay_id)
-        logger.info(
-            "relay %r connected from %s", relay_id, stream.peername()
-        )
-        return link
-
-    def _unregister(self, conn: _Connection) -> None:
-        if self._connections.get(conn.entity) is conn:
-            del self._connections[conn.entity]
-        if conn.pusher is not None:
-            conn.pusher.cancel()
-        # in_flight pushes die with the connection (at-most-once); the
-        # entity's unpushed inbox survives for a reconnect.
-        self.metrics.inc("broker.disconnect")
-        logger.info("entity %r disconnected", conn.entity)
-
-    async def _read_loop(self, conn: _Connection) -> None:
-        while True:
-            frame = await conn.stream.recv()
-            if frame is None:
-                return
-            message = decode_net_payload(*frame)
-            if isinstance(message, NetDeliver):
-                self._require_sender(conn, message.sender)
-                self._require_payload(message.payload)
-                self._route_unicast(message)
-            elif isinstance(message, NetBroadcast):
-                self._require_sender(conn, message.sender)
-                self._require_payload(message.payload)
-                self._fan_broadcast(message)
-            elif isinstance(message, Ack):
-                conn.in_flight = max(0, conn.in_flight - message.count)
-            elif isinstance(message, StatsRequest):
-                await _send(conn.stream, self._stats(message.include_log))
-            elif isinstance(message, MetricsRequest):
-                await _send(
-                    conn.stream,
-                    MetricsReport(
-                        source="broker",
-                        snapshot=snapshot_to_json(self._metrics_snapshot()),
-                        trace=message.trace,
-                    ),
-                )
-            elif isinstance(message, Shutdown):
-                logger.info("shutdown requested by %r", conn.entity)
-                self.shutdown()
-                return
-            else:
-                raise SerializationError(
-                    "client may not send %s" % type(message).__name__
-                )
-
-    # -- relay links -----------------------------------------------------------
-
-    async def _relay_read_loop(self, link: _RelayLink) -> None:
-        """Dispatch frames a downstream relay forwards up.
-
-        The sender-spoof rule generalizes: a relay may only speak *for*
-        entities attached below it, so ``sender`` must be bound via this
-        very link -- with one deliberate exception.  A ``NetDeliver``
-        whose sender is *not* attached below the link is a **bounce**: a
-        frame this broker routed down that the subtree could no longer
-        deliver (its entity detached while the frame was in flight), now
-        returning behind the ``RelayDetach`` on the same FIFO link.  It
-        is requeued toward the entity's current location *without* a
-        second accounting record -- the bytes were accounted when first
-        routed, and the audit log must stay topology-independent.  (A
-        hostile relay could shape forgeries like bounces; the relay tier
-        is routing infrastructure, trusted exactly as far as the root
-        broker itself is for metadata -- never for content, which stays
-        self-protecting.)  ``RelayBroadcast`` travelling *up* is a
-        protocol violation -- no downstream node may inject multicast
-        traffic.
-        """
-        while True:
-            frame = await link.stream.recv()
-            if frame is None:
-                return
-            message = decode_net_payload(*frame)
-            if isinstance(message, NetDeliver):
-                self._require_payload(message.payload)
-                if self._via_relay.get(message.sender) is link:
-                    self._route_unicast(message)
-                else:
-                    self._requeue_bounced(message)
-            elif isinstance(message, NetBroadcast):
-                self._require_attached(link, message.sender)
-                self._require_payload(message.payload)
-                self._fan_broadcast(message)
-            elif isinstance(message, RelayAttach):
-                self._attach(link, message.entity)
-            elif isinstance(message, RelayDetach):
-                self._detach(link, message.entity)
-            elif isinstance(message, Ack):
-                link.in_flight = max(0, link.in_flight - message.count)
-            elif isinstance(message, RelayStatsRequest):
-                self._route_stats(message)
-            elif isinstance(message, MetricsReport):
-                # Periodic push from the relay: its whole subtree, already
-                # merged relay-side.  Kept (not forwarded) for the root
-                # aggregate a MetricsRequest answers.
-                link.last_metrics = snapshot_from_json(message.snapshot)
-                self.metrics.inc("broker.relay.metrics_reports")
-            elif isinstance(message, Shutdown):
-                logger.info("shutdown requested via relay %r", link.relay_id)
-                self.shutdown()
-                return
-            else:
-                raise SerializationError(
-                    "relay may not send %s" % type(message).__name__
-                )
-
-    def _require_attached(self, link: _RelayLink, sender: str) -> None:
-        if self._via_relay.get(sender) is not link:
-            raise SerializationError(
-                "relay %r forwarded traffic for unattached sender %r"
-                % (link.relay_id, sender)
-            )
-
-    def _requeue_bounced(self, message: NetDeliver) -> None:
-        """Requeue a frame a subtree returned undeliverable.
-
-        The ``RelayDetach`` that caused the bounce precedes it on the
-        FIFO link, so the stale binding is already gone: the frame goes
-        to the entity's root-side inbox (front -- it predates anything
-        queued since the detach) or down its *new* link if it reattached
-        elsewhere meanwhile.  No accounting, no ``delivered_total``: both
-        were recorded when the frame was first routed.
-        """
-        self.bounced_requeues += 1
-        self.metrics.inc("broker.bounce")
-        if not self._admit_entity(message.receiver):
-            return
-        link = self._via_relay.get(message.receiver)
-        if link is not None:
-            self._queue_to_link(link, message, counted=True)
-            return
-        self.route.requeue(
-            message.receiver,
-            [Delivery(sender=message.sender, receiver=message.receiver,
-                      kind=message.kind, payload=message.payload,
-                      note=message.note,
-                      trace=message.trace if any(message.trace) else b"")],
-        )
-        self._trim_inbox(message.receiver)
-        self._kick(message.receiver)
-
-    def _attach(self, link: _RelayLink, entity: str) -> None:
-        """Admit an entity that said Hello somewhere below ``link``."""
-        refusal = self._admission_refusal(entity)
-        if refusal is not None:
-            logger.warning(
-                "refusing attach of %r via relay %r: %s",
-                entity, link.relay_id, refusal,
-            )
-            self._queue_to_link(
-                link,
-                RelayAttachReply(ok=False, entity=entity[:MAX_NAME_LEN],
-                                 reason=refusal),
-                counted=False,
-            )
-            return
-        self.route.register(entity)
-        self._via_relay[entity] = link
-        link.entities.add(entity)
-        self._queue_to_link(
-            link, RelayAttachReply(ok=True, entity=entity), counted=False
-        )
-        # Flush-on-attach: the offline backlog queued at the root drains
-        # down the link, after the reply (the link queue is FIFO, so the
-        # entity sees Welcome before its backlog -- same order a direct
-        # reconnect observes).
-        for delivery in self.route.poll(entity, None):
-            self._queue_to_link(
-                link,
-                NetDeliver(
-                    sender=delivery.sender,
-                    receiver=delivery.receiver,
-                    kind=delivery.kind,
-                    note=delivery.note,
-                    payload=delivery.payload,
-                    trace=delivery.trace,
-                ),
-                counted=True,
-            )
-        if self._obs is not None:
-            self._obs.span("attach", peer=entity, relay=link.relay_id)
-        logger.info("entity %r attached via relay %r", entity, link.relay_id)
-
-    def _detach(self, link: _RelayLink, entity: str) -> None:
-        if self._via_relay.get(entity) is link:
-            del self._via_relay[entity]
-            link.entities.discard(entity)
-            # The inbox survives: traffic for the name queues at the
-            # root again (offline semantics) until it reattaches.
-            logger.info("entity %r detached from relay %r", entity, link.relay_id)
-
-    def _route_stats(self, message: RelayStatsRequest) -> None:
-        link = self._via_relay.get(message.entity)
-        if link is None:
-            return  # raced a detach; nobody is waiting anymore
-        reply = self._stats(message.include_log)
-        self._queue_to_link(
-            link,
-            RelayStatsReply(entity=message.entity, reply=reply.payload_bytes()),
-            counted=False,
-        )
-
-    def _queue_to_link(
-        self, link: _RelayLink, message: NetMessage, counted: bool
-    ) -> bool:
-        """Enqueue one frame down a relay link, enforcing the backlog bound."""
-        if link.closed:
-            return False
-        if len(link.outbound) >= self.max_backlog:
-            self.slow_consumer_disconnects += 1
-            self._drop_relay_link(
-                link,
-                "outbound backlog over %d frames (slow consumer)"
-                % self.max_backlog,
-            )
-            return False
-        link.outbound.append((message, counted))
-        if counted:
-            link.in_flight += 1
-        link.wake.set()
-        return True
-
-    def _drop_relay_link(self, link: _RelayLink, reason: str) -> None:
-        """Tear down a relay link and everything bound through it."""
-        if link.closed:
-            return
-        link.closed = True
-        if self._relays.get(link.relay_id) is link:
-            del self._relays[link.relay_id]
-        for entity in list(link.entities):
-            if self._via_relay.get(entity) is link:
-                del self._via_relay[entity]
-        link.entities.clear()
-        if link.sender_task is not None:
-            link.sender_task.cancel()
-        asyncio.get_running_loop().create_task(link.stream.aclose())
-        self.metrics.inc("broker.relay.drop")
-        logger.warning("dropping relay link %r: %s", link.relay_id, reason)
-
-    async def _link_send_loop(self, link: _RelayLink) -> None:
-        """Drain the link's outbound queue in order.
-
-        At-most-once on link death: unsent frames are dropped with the
-        link -- every entity they address just became unreachable, and
-        its name unbinds back to offline queueing at the root.
-        """
-        while True:
-            await link.wake.wait()
-            link.wake.clear()
-            while link.outbound:
-                message, counted = link.outbound[0]
-                try:
-                    await _send(link.stream, message)
-                except SerializationError:
-                    if counted:
-                        link.in_flight = max(0, link.in_flight - 1)
-                    self.dropped_total += 1
-                    logger.warning(
-                        "dropping undeliverable frame for relay %r "
-                        "(envelope over the cap)", link.relay_id,
-                    )
-                except (NetworkError, ConnectionError, OSError):
-                    return  # the read loop observes EOF and cleans up
-                link.outbound.popleft()
-
-    # -- routing ---------------------------------------------------------------
-
-    def _route_unicast(self, message: NetDeliver) -> None:
-        """Route one admitted unicast to a leaf inbox or down a relay link."""
-        if message.receiver == BROADCAST:
-            raise SerializationError(
-                "unicast frame addressed to %r" % BROADCAST
-            )
-        if not self._admit_entity(message.receiver):
-            return  # over the name bound: accounted as dropped
-        self.metrics.inc("broker.deliver")
-        if self._obs is not None:
-            self._obs.span(
-                "deliver", trace=message.trace, sender=message.sender,
-                receiver=message.receiver, kind=message.kind,
-                size=len(message.payload),
-            )
-        link = self._via_relay.get(message.receiver)
-        if link is None:
-            # tracing(): the router stamps the *ambient* trace onto the
-            # Delivery it queues, so the frame's id must be ambient here
-            # for the push loop to carry it onward.
-            with tracing(message.trace):
-                self.route.deliver(
-                    message.sender,
-                    message.receiver,
-                    message.kind,
-                    message.payload,
-                    note=message.note,
-                )
-            self.delivered_total += 1
-            self._trim_inbox(message.receiver)
-            self._kick(message.receiver)
-        else:
-            # Same accounting record as a direct delivery (the audit log
-            # must not depend on topology), but the bytes travel down the
-            # relay link instead of into a root-side inbox.
-            self.route.send(
-                message.sender, message.receiver, message.kind,
-                len(message.payload), note=message.note,
-            )
-            self.delivered_total += 1
-            self._trim_log()
-            self._queue_to_link(link, message, counted=True)
-
-    def _fan_broadcast(self, message: NetBroadcast) -> None:
-        """One multicast: root inboxes directly, one frame per relay link.
-
-        Relay-bound entities are excluded from local inbox delivery --
-        they receive the broadcast through their link's single
-        ``RelayBroadcast`` copy, keyed by a fresh sequence id so every
-        hop can dedup.  The accounting stays exactly one ``"*"`` record.
-        """
-        self.metrics.inc("broker.broadcast")
-        seq = None
-        if self._relays:
-            self._broadcast_seq += 1
-            seq = self._broadcast_seq
-        if self._obs is not None:
-            self._obs.span(
-                "broadcast", trace=message.trace, sender=message.sender,
-                kind=message.kind, size=len(message.payload), seq=seq,
-            )
-        exclude = set(self._via_relay)
-        before = self.route.pending()
-        with tracing(message.trace):
-            self.route.broadcast(
-                message.sender, message.kind, message.payload,
-                note=message.note, exclude=exclude,
-            )
-        self.delivered_total += self.route.pending() - before
-        for entity in self.route.entities():
-            if entity != message.sender and entity not in exclude:
-                self._trim_inbox(entity)
-                self._kick(entity)
-        if self._relays:
-            frame = RelayBroadcast(
-                seq=seq,
-                sender=message.sender,
-                kind=message.kind,
-                note=message.note,
-                payload=message.payload,
-                trace=message.trace,
-            )
-            for link in list(self._relays.values()):
-                if self._queue_to_link(link, frame, counted=True):
-                    self.delivered_total += 1
-                    self.relay_broadcasts_down += 1
-
-    @staticmethod
-    def _require_sender(conn: _Connection, sender: str) -> None:
-        if sender != conn.entity:
-            raise SerializationError(
-                "connection %r tried to send as %r" % (conn.entity, sender)
-            )
-
-    def _require_payload(self, payload: bytes) -> None:
-        """The *routed* frame must fit ``max_frame`` on its own, so every
-        admitted delivery survives re-wrapping toward any receiver name."""
-        if len(payload) > self.max_frame:
-            raise SerializationError(
-                "routed payload of %d bytes exceeds the %d-byte cap"
-                % (len(payload), self.max_frame)
-            )
-
-    def _admit_entity(self, receiver: str) -> bool:
-        """Allow routing to ``receiver``, creating its inbox if room.
-
-        ``route.deliver`` auto-registers unknown receivers; without this
-        gate a hostile-but-authenticated peer could mint one bounded inbox
-        per fabricated name, unbounded names.
-        """
-        if self.route.registered(receiver) or self.route.entity_count() < self.max_entities:
-            return True
-        self.dropped_total += 1
-        logger.warning(
-            "dropping delivery to %r: entity bound (%d) reached",
-            receiver, self.max_entities,
-        )
-        return False
-
-    def _trim_inbox(self, entity: str) -> None:
-        """Hold the per-entity queue bound by discarding the oldest.
-
-        For a *connected* entity an over-bound inbox means its pusher is
-        stuck behind a peer that stopped reading: the slow-consumer
-        policy disconnects it (counted in stats) so the stall degrades to
-        the ordinary bounded offline case instead of unbounded growth.
-        """
-        excess = self.route.pending(entity) - self.max_inbox
-        if excess > 0:
-            conn = self._connections.get(entity)
-            if conn is not None:
-                self.slow_consumer_disconnects += 1
-                logger.warning(
-                    "slow consumer %r: inbox over bound while connected, "
-                    "disconnecting", entity,
-                )
-                self._unregister(conn)
-                asyncio.get_running_loop().create_task(conn.stream.aclose())
-            self.route.poll(entity, excess)
-            self.dropped_total += excess
-            logger.warning("inbox %r over bound: dropped %d oldest", entity, excess)
-        self._trim_log()
-
-    def _trim_log(self) -> None:
-        log_excess = len(self.route.messages) - self.max_log
-        if log_excess > 0:
-            del self.route.messages[:log_excess]
-            self._log_trimmed = True
-
-    def _kick(self, entity: str) -> None:
-        conn = self._connections.get(entity)
-        if conn is not None:
-            conn.mail.set()
-
-    async def _push_loop(self, conn: _Connection) -> None:
-        """Drain the entity's router inbox down its connection, in order.
-
-        ``send`` awaits ``drain()``, so a slow consumer backpressures this
-        task while its inbox absorbs (bounded) backlog -- exactly the
-        failure containment a per-entity queue is for.
-        """
-        pending: list = []
-        try:
-            while True:
-                await conn.mail.wait()
-                conn.mail.clear()
-                while True:
-                    pending = self.route.poll(conn.entity, PUSH_BATCH)
-                    if not pending:
-                        break
-                    while pending:
-                        delivery = pending[0]
-                        conn.in_flight += 1  # before send: the ack may race it
-                        try:
-                            await _send(
-                                conn.stream,
-                                NetDeliver(
-                                    sender=delivery.sender,
-                                    receiver=delivery.receiver,
-                                    kind=delivery.kind,
-                                    note=delivery.note,
-                                    payload=delivery.payload,
-                                    trace=delivery.trace,
-                                ),
-                            )
-                        except SerializationError:
-                            # The routed payload fit under the inbound cap
-                            # but the outbound envelope (payload + routing
-                            # fields) does not.  Drop this one delivery and
-                            # keep the connection: the sender, not this
-                            # receiver, is at fault.
-                            conn.in_flight -= 1
-                            self.dropped_total += 1
-                            logger.warning(
-                                "dropping undeliverable frame for %r "
-                                "(envelope over the %d-byte cap)",
-                                conn.entity, self.max_frame,
-                            )
-                        except (NetworkError, ConnectionError, OSError):
-                            # Never transmitted: the whole remainder
-                            # (current delivery included) survives for a
-                            # reconnect.
-                            conn.in_flight -= 1
-                            self.route.requeue(conn.entity, pending)
-                            return
-                        pending.pop(0)
-        except asyncio.CancelledError:
-            # Cancelled by _unregister while a send was in flight: the
-            # current delivery may be partially written (at-most-once --
-            # forget it), but the rest was never touched and must not be
-            # silently lost.
-            self.route.requeue(conn.entity, pending[1:])
-            raise
-
-    # -- metrics -------------------------------------------------------------
-
-    def _metrics_snapshot(self) -> dict:
-        """The root subtree aggregate: own registry + every relay's last
-        pushed report.
-
-        Routing state and lifetime totals already tracked as plain
-        attributes are folded in as gauges at snapshot time (one source
-        of truth; no double bookkeeping on the hot path).
-        """
-        self.metrics.set_gauge("broker.pending", self.route.pending())
-        self.metrics.set_gauge(
-            "broker.in_flight",
-            sum(c.in_flight for c in self._connections.values())
-            + sum(link.in_flight for link in self._relays.values()),
-        )
-        self.metrics.set_gauge("broker.leaf_connections", len(self._connections))
-        self.metrics.set_gauge("broker.relay_links", len(self._relays))
-        self.metrics.set_gauge("broker.relay_entities", len(self._via_relay))
-        self.metrics.set_gauge("broker.delivered_total", self.delivered_total)
-        self.metrics.set_gauge("broker.dropped_total", self.dropped_total)
-        self.metrics.set_gauge(
-            "broker.slow_consumer_disconnects", self.slow_consumer_disconnects
-        )
-        self.metrics.set_gauge("broker.bounced_requeues", self.bounced_requeues)
-        self.metrics.set_gauge(
-            "broker.relay_broadcasts_down", self.relay_broadcasts_down
-        )
-        own = self.metrics.snapshot()
-        reports = [
-            link.last_metrics
-            for link in self._relays.values()
-            if link.last_metrics is not None
-        ]
-        if reports:
-            return merge_snapshots([own] + reports)
-        return own
-
-    async def _metrics_loop(self) -> None:
-        """Periodic ``obs.jsonl`` metrics lines (the root has no upstream
-        to push reports to)."""
-        while True:
-            await asyncio.sleep(self.metrics_interval)
-            self._obs.metrics(self._metrics_snapshot())
-
-    # -- stats ---------------------------------------------------------------
-
-    def _stats(self, include_log: bool) -> StatsReply:
-        log: tuple = ()
-        log_complete = not self._log_trimmed
-        if include_log:
-            # The reply must itself fit one frame: fill a byte budget from
-            # the newest record backwards and flag truncation rather than
-            # blow the cap (which would drop the requester's connection).
-            # The slack covers the fixed header, the counters, and the
-            # RelayStatsReply wrapper a forwarded reply rides in (both
-            # sides' streams allow ENVELOPE_OVERHEAD beyond max_frame,
-            # which absorbs the floor at tiny frame caps).
-            budget = max(self.max_frame - 512, self.max_frame // 2)
-            records = []
-            for m in reversed(self.route.messages):
-                record = TrafficRecord(m.sender, m.receiver, m.kind, m.size, m.note)
-                budget -= len(record.to_bytes())
-                if budget < 0:
-                    log_complete = False
-                    break
-                records.append(record)
-            log = tuple(reversed(records))
-        return StatsReply(
-            pending=self.route.pending(),
-            in_flight=(
-                sum(c.in_flight for c in self._connections.values())
-                + sum(link.in_flight for link in self._relays.values())
-            ),
-            delivered_total=self.delivered_total,
-            dropped=self.dropped_total,
-            log_complete=log_complete,
-            log=log,
-            counters=(
-                ("leaf_connections", len(self._connections)),
-                ("relay_links", len(self._relays)),
-                ("relay_entities", len(self._via_relay)),
-                ("relay_broadcasts_down", self.relay_broadcasts_down),
-                ("broadcast_seq", self._broadcast_seq),
-                ("slow_consumer_disconnects", self.slow_consumer_disconnects),
-                ("bounced_requeues", self.bounced_requeues),
-            ),
-        )
-
-
-# -- CLI ---------------------------------------------------------------------
-
-
-async def _amain(args: argparse.Namespace) -> int:
-    obs_path = None
-    if args.obs_dir:
-        obs_path = os.path.join(args.obs_dir, "obs.jsonl")
-    broker = BrokerServer(
-        args.host, args.port, max_frame=args.max_frame,
-        max_inbox=args.max_inbox, max_entities=args.max_entities,
-        handshake_timeout=args.handshake_timeout,
-        max_backlog=args.max_backlog, max_relays=args.max_relays,
-        metrics_interval=args.metrics_interval, obs_path=obs_path,
-    )
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        loop.add_signal_handler(signum, broker.shutdown)
-    host, port = await broker.start()
-    if args.port_file:
-        write_port_file(args.port_file, host, port)
-    # Machine-parseable first (supervisors/tests chain processes off this
-    # line -- essential with --port 0), human-readable second.
-    print("ENDPOINT %s:%d" % (host, port), flush=True)
-    print("broker listening on %s:%d" % (host, port), flush=True)
-    try:
-        await broker.serve_forever()
-    finally:
-        await broker.aclose()
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.net.broker",
-        description="Run the frame broker all networked entities connect to.",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0,
-                        help="TCP port (0 = ephemeral; see --port-file)")
-    parser.add_argument("--port-file", default=None,
-                        help="write the bound host:port here once listening")
-    parser.add_argument("--max-frame", type=int, default=DEFAULT_MAX_FRAME_PAYLOAD,
-                        help="maximum accepted frame payload in bytes")
-    parser.add_argument("--max-inbox", type=int, default=10_000,
-                        help="per-entity queued-delivery bound")
-    parser.add_argument("--max-entities", type=int, default=10_000,
-                        help="bound on distinct entity names (inboxes)")
-    parser.add_argument("--handshake-timeout", type=float, default=10.0,
-                        help="seconds a connection gets to send its Hello")
-    parser.add_argument("--max-backlog", type=int, default=10_000,
-                        help="per-connection outbound backlog bound "
-                             "(slow consumers are disconnected beyond it)")
-    parser.add_argument("--max-relays", type=int, default=256,
-                        help="bound on connected downstream relay links")
-    parser.add_argument("--metrics-interval", type=float, default=0.0,
-                        help="seconds between periodic metrics span records "
-                             "in obs.jsonl (0 = off; needs --obs-dir)")
-    parser.add_argument("--obs-dir", default=None,
-                        help="directory for the obs.jsonl span log "
-                             "(off when unset)")
-    parser.add_argument("-v", "--verbose", action="store_true")
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-        stream=sys.stderr,
-    )
-    try:
-        return asyncio.run(_amain(args))
-    except KeyboardInterrupt:
-        return 0
-
+__all__ = ["main"]
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -1,1163 +1,20 @@
-"""The relay node: keyless fan-out federation for the broker.
+"""``python -m repro.net.relay``: one keyless node below the root.
 
-A :class:`RelayServer` is the second server role of the networked
-deployment.  It maintains exactly one upstream link (toward the root
-:class:`~repro.net.broker.BrokerServer`, possibly through further
-relays) and accepts downstream connections from entities and from other
-relays, forming a tree rooted at the broker:
-
-.. code-block:: text
-
-    publisher ──┐
-    idmgr ──────┤ root broker ──link── relay r1 ──link── relay r2
-    sub-a ──────┘      │                  │                 │
-                  (direct leaves)      sub-b, sub-c      sub-d ...
-
-The relay is deliberately *dumb* -- the paper's dissemination model
-makes that possible.  Rekey and document traffic is zero-unicast
-broadcast of self-protecting packages, so the distribution tier needs no
-keys: a relay never parses a routed payload, holds no CSS or GKM state,
-and its entire per-entity knowledge is the name-to-connection binding it
-needs for routing.  Concretely:
-
-* **Everything from below is forwarded up unmodified.**  Registrations,
-  unicast, broadcast submissions and stats requests all travel to the
-  root, which remains the single authority for admission
-  (spoof-on-connect on one global name table, via ``RelayAttach``),
-  routing and byte accounting -- the audit log and ``snapshot()`` are
-  topology-independent by construction.
-* **Broadcasts from above fan out below.**  The root sends one
-  ``RelayBroadcast`` per link, carrying a root-assigned sequence id;
-  each hop keeps a bounded seen-set of ids and drops duplicates
-  (at-most-once per subtree even under replay), delivers one
-  ``NetDeliver`` copy to every locally attached entity except the
-  sender, and forwards the frame once to every downstream relay.
-* **Loop refusal, both sides.**  An upstream answers ``RelayHello`` with
-  its own root path; the connecting relay refuses the link if its id is
-  already on that path, and refuses downstream ``RelayHello`` naming any
-  id on its path.  A tree is the only shape that can come up.
-* **Acks propagate up only when the subtree is done.**  Each counted
-  unit received from upstream is acked after every downstream push
-  derived from it has been acked (a disconnecting subtree counts as
-  done: at-most-once).  The root's ``pending == 0 and in_flight == 0``
-  therefore still means the *whole tree* is quiet, and
-  ``wait_until_quiet`` works unchanged across any topology.
-* **Slow consumers are disconnected, not buffered forever.**  The same
-  bounded-outbound policy as the broker, counted in local stats.
-
-Local observability: a connection whose *first* frame is a plain
-``StatsRequest`` is a monitor -- it is answered from the relay's own
-counters (never entering the name table, so probing a relay cannot
-disturb admission or quiescence accounting).  :func:`request_local_stats`
-is the synchronous client for it.
-
-Run standalone::
+A relay is a :class:`~repro.net.node.Node` with an upstream; everything
+lives in :mod:`repro.net.node` (the monitor clients keep their import
+path here)::
 
     python -m repro.net.relay --relay-id r1 --upstream HOST:PORT --port 0
-
-With ``--port 0`` the bound endpoint is printed on stdout as a
-machine-parseable ``ENDPOINT host:port`` line (and optionally written to
-``--port-file``), so supervisors can chain relay processes without port
-races.  The relay exits when its upstream link closes, so shutting down
-the root broker cascades down the tree.
 """
 
-from __future__ import annotations
+from repro.net import node
+from repro.net.node import request_local_metrics, request_local_stats
 
-import argparse
-import asyncio
-import logging
-import os
-import signal
-import socket
-import sys
-from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
-
-from repro.errors import NetworkError, ReproError, SerializationError
-from repro.net.protocol import (
-    BROADCAST,
-    ENVELOPE_OVERHEAD,
-    MAX_NAME_LEN,
-    MAX_RELAY_PATH,
-    Ack,
-    Hello,
-    MetricsReport,
-    MetricsRequest,
-    NetBroadcast,
-    NetDeliver,
-    NetMessage,
-    RelayAttach,
-    RelayAttachReply,
-    RelayBroadcast,
-    RelayDetach,
-    RelayHello,
-    RelayStatsReply,
-    RelayStatsRequest,
-    RelayWelcome,
-    Shutdown,
-    StatsReply,
-    StatsRequest,
-    Welcome,
-    decode_net_payload,
-)
-from repro.net.stream import FrameDecoder, FrameStream, open_frame_stream
-from repro.obs.metrics import (
-    MetricsRegistry,
-    merge_snapshots,
-    snapshot_from_json,
-    snapshot_to_json,
-)
-from repro.obs.trace import SpanWriter
-from repro.wire.codec import DEFAULT_MAX_FRAME_PAYLOAD
-
-__all__ = [
-    "RelayServer", "request_local_stats", "request_local_metrics",
-    "main", "SEEN_CAP",
-]
-
-logger = logging.getLogger("repro.net.relay")
-
-#: Default bound on the per-relay broadcast-sequence seen-set.  Dedup
-#: only needs to cover ids that could still be in flight somewhere in
-#: the tree; thousands of outstanding broadcasts would long since have
-#: tripped backlog bounds, so a replayed id older than this window is
-#: refused by its (monotonic) distance from the live window in practice.
-SEEN_CAP = 4096
-
-
-class _Unit:
-    """One counted unit received from upstream, awaiting subtree acks.
-
-    ``outstanding`` counts downstream pushes derived from the unit that
-    are not yet acked; the unit is acked upstream exactly when it reaches
-    zero (a unit that fans out to nothing is acked immediately).
-    """
-
-    __slots__ = ("outstanding",)
-
-    def __init__(self) -> None:
-        self.outstanding = 0
-
-
-class _Down:
-    """Relay-side state for one downstream connection (entity or relay)."""
-
-    __slots__ = (
-        "kind", "name", "stream", "outbound", "wake", "tokens",
-        "entities", "sender_task", "closed", "last_metrics",
-    )
-
-    def __init__(self, kind: str, name: str, stream: FrameStream):
-        self.kind = kind  # "entity" | "relay"
-        self.name = name
-        self.stream = stream
-        #: For relay links: the latest metrics snapshot the downstream
-        #: relay pushed up (its whole subtree); None until the first push.
-        self.last_metrics: Optional[dict] = None
-        #: (message, counted) awaiting transmission, FIFO.
-        self.outbound: Deque[Tuple[NetMessage, bool]] = deque()
-        self.wake = asyncio.Event()
-        #: Upstream units backing the counted frames queued/sent on this
-        #: connection, in the same FIFO order; each downstream ack pops
-        #: one and may complete its unit.
-        self.tokens: Deque[_Unit] = deque()
-        #: For relay links: entity names bound through this link.
-        self.entities: Set[str] = set()
-        self.sender_task: Optional[asyncio.Task] = None
-        self.closed = False
-
-
-async def _send(stream: FrameStream, message: NetMessage) -> None:
-    await stream.send(message.TYPE_ID, message.payload_bytes())
-
-
-class RelayServer:
-    """One relay node: single upstream link, fan-out to downstreams."""
-
-    def __init__(
-        self,
-        relay_id: str,
-        upstream_host: str,
-        upstream_port: int,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        max_frame: int = DEFAULT_MAX_FRAME_PAYLOAD,
-        max_backlog: int = 10_000,
-        handshake_timeout: float = 10.0,
-        seen_cap: int = SEEN_CAP,
-        metrics_interval: float = 0.0,
-        obs_path: Optional[str] = None,
-    ):
-        self.relay_id = relay_id
-        self.upstream_host = upstream_host
-        self.upstream_port = upstream_port
-        self.host = host
-        self.port = port  # updated to the bound port by start()
-        self.max_frame = max_frame
-        self.max_backlog = max_backlog
-        self.handshake_timeout = handshake_timeout
-        self.seen_cap = seen_cap
-        #: Seconds between upstream MetricsReport pushes (0 = off).  Each
-        #: push carries this node's whole subtree, pre-merged, so the
-        #: root only ever aggregates its direct links.
-        self.metrics_interval = metrics_interval
-        #: Per-instance registry: multiple relays in one test process
-        #: must not share counters.
-        self.metrics = MetricsRegistry()
-        self._obs = (
-            SpanWriter(obs_path, "relay:%s" % relay_id) if obs_path else None
-        )
-        self._metrics_task: Optional[asyncio.Task] = None
-        #: Relay-id chain from the root down to (and including) this
-        #: node; set by the upstream handshake and handed to downstream
-        #: relays for loop refusal.
-        self.path: Tuple[str, ...] = ()
-        # -- local counters (the per-hop invariant surface) ------------------
-        self.broadcasts_down = 0  # RelayBroadcast frames accepted (fresh)
-        self.broadcast_deliveries = 0  # local entity copies fanned out
-        self.unicast_down = 0  # NetDeliver frames routed downward
-        self.forwarded_up = 0  # routed frames forwarded toward the root
-        self.bounced_up = 0  # downward frames returned (stale binding)
-        self.dupes_dropped = 0  # broadcast sequence ids deduped
-        self.slow_consumer_disconnects = 0
-        self.dropped_total = 0  # frames lost with dropped connections
-        self.delivered_total = 0  # counted frames queued downward
-        # -- connection state ------------------------------------------------
-        self._up: Optional[FrameStream] = None
-        self._up_task: Optional[asyncio.Task] = None
-        self._downs: Set[_Down] = set()
-        #: Entity name -> downstream connection (direct, or the relay
-        #: link below which it is attached).
-        self._bind: Dict[str, _Down] = {}
-        #: Attach requests forwarded up, awaiting the root's verdict:
-        #: entity -> FIFO of ("hello", (_Down, Future)) | ("link", _Down).
-        #: The upstream link is FIFO, so replies pop in request order.
-        self._pending: Dict[str, Deque[Tuple[str, object]]] = {}
-        self._seen: Set[int] = set()
-        self._seen_order: Deque[int] = deque()
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._shutdown = asyncio.Event()
-
-    # -- lifecycle -----------------------------------------------------------
-
-    async def start(self) -> Tuple[str, int]:
-        """Join the tree upstream, then bind the downstream listener.
-
-        Upstream first: a relay that cannot reach (or is refused by) its
-        upstream must fail fast rather than accept downstreams it can
-        never serve.  Returns the (host, port) actually bound.
-        """
-        stream = await open_frame_stream(
-            self.upstream_host, self.upstream_port,
-            self.max_frame + ENVELOPE_OVERHEAD,
-        )
-        try:
-            await _send(stream, RelayHello(relay_id=self.relay_id))
-            frame = await asyncio.wait_for(stream.recv(), self.handshake_timeout)
-            if frame is None:
-                raise NetworkError("upstream closed during the relay handshake")
-            welcome = decode_net_payload(*frame)
-            if not isinstance(welcome, RelayWelcome):
-                raise NetworkError(
-                    "upstream answered the relay handshake with %s"
-                    % type(welcome).__name__
-                )
-            if not welcome.ok:
-                raise NetworkError(
-                    "upstream refused relay %r: %s"
-                    % (self.relay_id, welcome.reason)
-                )
-            if self.relay_id in welcome.path:
-                # Loop refusal, connecting side: joining here would make
-                # this node its own ancestor.
-                raise NetworkError(
-                    "relay loop refused: %r is already on the upstream path %s"
-                    % (self.relay_id, "/".join(welcome.path))
-                )
-            if len(welcome.path) >= MAX_RELAY_PATH:
-                raise NetworkError(
-                    "relay chain of %d hops reached the %d-hop bound"
-                    % (len(welcome.path), MAX_RELAY_PATH)
-                )
-        except asyncio.TimeoutError:
-            await stream.aclose()
-            raise NetworkError(
-                "upstream did not answer the relay handshake within %.1fs"
-                % self.handshake_timeout
-            )
-        except BaseException:
-            await stream.aclose()
-            raise
-        self._up = stream
-        self.path = tuple(welcome.path) + (self.relay_id,)
-        self._server = await asyncio.start_server(
-            self._on_connect, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._up_task = asyncio.get_running_loop().create_task(
-            self._upstream_loop()
-        )
-        if self.metrics_interval > 0:
-            self._metrics_task = asyncio.get_running_loop().create_task(
-                self._metrics_loop()
-            )
-        logger.info(
-            "relay %r listening on %s:%d (path %s)",
-            self.relay_id, self.host, self.port, "/".join(self.path),
-        )
-        return self.host, self.port
-
-    async def serve_forever(self) -> None:
-        """Serve until :meth:`shutdown` (or upstream loss) then close."""
-        if self._server is None:
-            await self.start()
-        await self._shutdown.wait()
-        await self.aclose()
-
-    def shutdown(self) -> None:
-        """Request a graceful stop (idempotent, callable from any task)."""
-        self._shutdown.set()
-
-    async def aclose(self) -> None:
-        """Close the listener, the upstream link and every downstream."""
-        self._shutdown.set()
-        if self._metrics_task is not None:
-            self._metrics_task.cancel()
-            self._metrics_task = None
-        if self._obs is not None:
-            self._obs.metrics(self._metrics_snapshot())  # final flush
-            self._obs.close()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._up_task is not None and self._up_task is not asyncio.current_task():
-            self._up_task.cancel()
-        if self._up is not None:
-            await self._up.aclose()
-        for down in list(self._downs):
-            down.closed = True
-            if down.sender_task is not None:
-                down.sender_task.cancel()
-            await down.stream.aclose()
-        self._downs.clear()
-        self._bind.clear()
-        self._pending.clear()
-
-    # -- upstream ------------------------------------------------------------
-
-    async def _send_up(self, message: NetMessage) -> bool:
-        """Forward one frame toward the root; upstream loss ends the relay."""
-        if self._up is None or self._shutdown.is_set():
-            return False
-        try:
-            await _send(self._up, message)
-            return True
-        except (NetworkError, ConnectionError, OSError) as exc:
-            logger.warning("upstream send failed: %s", exc)
-            self.shutdown()
-            return False
-
-    async def _ack_up(self, count: int) -> None:
-        if count > 0:
-            await self._send_up(Ack(count=count))
-
-    async def _upstream_loop(self) -> None:
-        """Dispatch frames arriving from the root side."""
-        try:
-            while True:
-                frame = await self._up.recv()
-                if frame is None:
-                    logger.info(
-                        "upstream closed; relay %r shutting down", self.relay_id
-                    )
-                    return
-                message = decode_net_payload(*frame)
-                if isinstance(message, NetDeliver):
-                    await self._down_unicast(message)
-                elif isinstance(message, RelayBroadcast):
-                    await self._down_broadcast(message)
-                elif isinstance(message, RelayAttachReply):
-                    await self._attach_reply(message)
-                elif isinstance(message, RelayStatsReply):
-                    await self._stats_reply_down(message)
-                else:
-                    raise SerializationError(
-                        "upstream may not send %s" % type(message).__name__
-                    )
-        except asyncio.CancelledError:
-            raise
-        except (ReproError, ConnectionError, OSError) as exc:
-            logger.warning("upstream link failed: %s", exc)
-        finally:
-            self.shutdown()
-
-    async def _down_unicast(self, message: NetDeliver) -> None:
-        down = self._bind.get(message.receiver)
-        if down is None:
-            # Stale root routing (our RelayDetach raced this frame on the
-            # other direction of the link): bounce it back up.  The
-            # detach precedes this bounce on the FIFO upstream link, so
-            # the root re-routes from fresh state -- into the entity's
-            # offline inbox -- and no ping-pong loop can form.
-            self.bounced_up += 1
-            await self._send_up(message)
-            await self._ack_up(1)
-            return
-        self.unicast_down += 1
-        if self._obs is not None:
-            self._obs.span(
-                "deliver", trace=message.trace, sender=message.sender,
-                receiver=message.receiver, kind=message.kind,
-                size=len(message.payload),
-            )
-        unit = _Unit()
-        await self._push(down, message, unit)
-        if unit.outstanding == 0:
-            # Push refused (slow-consumer drop): the subtree is gone and
-            # the unit is done as far as the upstream is concerned.
-            await self._ack_up(1)
-
-    async def _down_broadcast(self, message: RelayBroadcast) -> None:
-        if message.seq in self._seen:
-            # Per-hop dedup: replayed or multiply-routed multicast.
-            self.dupes_dropped += 1
-            await self._ack_up(1)
-            return
-        self._seen.add(message.seq)
-        self._seen_order.append(message.seq)
-        while len(self._seen_order) > self.seen_cap:
-            self._seen.discard(self._seen_order.popleft())
-        self.broadcasts_down += 1
-        if self._obs is not None:
-            self._obs.span(
-                "broadcast", trace=message.trace, sender=message.sender,
-                kind=message.kind, seq=message.seq,
-                size=len(message.payload),
-            )
-        unit = _Unit()
-        for down in list(self._downs):
-            if down.kind == "entity":
-                if down.name == message.sender:
-                    continue  # the origin never receives its own multicast
-                copy: NetMessage = NetDeliver(
-                    sender=message.sender,
-                    receiver=down.name,
-                    kind=message.kind,
-                    note=message.note,
-                    payload=message.payload,
-                    trace=message.trace,
-                )
-                if await self._push(down, copy, unit):
-                    self.broadcast_deliveries += 1
-            else:
-                # One frame per downstream link, same sequence id: the
-                # next hop dedups and fans out for its own subtree.
-                await self._push(down, message, unit)
-        if unit.outstanding == 0:
-            await self._ack_up(1)
-
-    async def _attach_reply(self, message: RelayAttachReply) -> None:
-        entity = message.entity
-        queue = self._pending.get(entity)
-        if not queue:
-            # Nobody is waiting (the connection vanished mid-handshake).
-            # If the root admitted the name it now believes the entity
-            # lives here: undo, or the name would be wedged.
-            if message.ok:
-                await self._send_up(RelayDetach(entity=entity))
-            return
-        kind, waiter = queue.popleft()
-        if not queue:
-            del self._pending[entity]
-        if kind == "link":
-            link = waiter
-            if link.closed:
-                if message.ok:
-                    await self._send_up(RelayDetach(entity=entity))
-                return
-            if message.ok:
-                self._bind[entity] = link
-                link.entities.add(entity)
-            await self._push(link, message)
-            return
-        # kind == "hello": a directly connecting entity's handshake.
-        down, future = waiter
-        dead = future.done() or down.closed  # timed out or already gone
-        if message.ok and not dead:
-            self._bind[entity] = down
-            self._downs.add(down)
-            down.sender_task = asyncio.get_running_loop().create_task(
-                self._down_send_loop(down)
-            )
-            # Welcome goes through the same FIFO queue as the deliveries
-            # the root flushes right behind its reply, so the entity sees
-            # Welcome first -- the order a direct reconnect observes.
-            await self._push(down, Welcome(ok=True, entity=entity))
-            logger.info("entity %r attached (relay %r)", entity, self.relay_id)
-        elif message.ok and dead:
-            await self._send_up(RelayDetach(entity=entity))
-        if not future.done():
-            future.set_result(message)
-
-    async def _stats_reply_down(self, message: RelayStatsReply) -> None:
-        down = self._bind.get(message.entity)
-        if down is None:
-            return  # raced a detach; nobody is waiting anymore
-        if down.kind == "entity":
-            # Unwrap: the entity receives a plain StatsReply, identical
-            # to what a direct broker connection would have sent.
-            stats = decode_net_payload(StatsReply.TYPE_ID, message.reply)
-            await self._push(down, stats)
-        else:
-            await self._push(down, message)
-
-    # -- downstream connections ------------------------------------------------
-
-    async def _on_connect(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        stream = FrameStream(reader, writer, self.max_frame + ENVELOPE_OVERHEAD)
-        down: Optional[_Down] = None
-        try:
-            first = await asyncio.wait_for(stream.recv(), self.handshake_timeout)
-            if first is None:
-                return
-            message = decode_net_payload(*first)
-            if isinstance(message, Hello):
-                down = await self._entity_handshake(stream, message)
-                if down is None:
-                    return
-                await self._entity_loop(down)
-            elif isinstance(message, RelayHello):
-                down = await self._downstream_relay_handshake(stream, message)
-                if down is None:
-                    return
-                await self._relay_loop(down)
-            elif isinstance(message, StatsRequest):
-                # Monitor connection: answered from local counters only,
-                # without touching the name table or quiescence state.
-                await _send(stream, self.local_stats())
-                await self._monitor_loop(stream)
-            elif isinstance(message, MetricsRequest):
-                # Metrics monitor: same no-name-table path, answering
-                # with this hop's subtree aggregate.
-                await _send(stream, self._metrics_report(message.trace))
-                await self._monitor_loop(stream)
-            else:
-                raise SerializationError(
-                    "first frame must be Hello, RelayHello, StatsRequest"
-                    " or MetricsRequest, got %s" % type(message).__name__
-                )
-        except asyncio.TimeoutError:
-            logger.warning(
-                "dropping connection %s: no handshake within %.1fs",
-                stream.peername(), self.handshake_timeout,
-            )
-        except (ReproError, ConnectionError, OSError) as exc:
-            who = "pre-hello"
-            if down is not None:
-                who = "%s %s" % (down.kind, down.name)
-            logger.warning(
-                "dropping connection %s (%s): %s", stream.peername(), who, exc
-            )
-        finally:
-            if down is not None:
-                await self._drop_down(down, "connection closed")
-            await stream.aclose()
-
-    async def _entity_handshake(
-        self, stream: FrameStream, hello: Hello
-    ) -> Optional[_Down]:
-        """Forward the Hello up as RelayAttach; the root decides.
-
-        Only trivially malformed names are refused locally -- admission
-        stays a single-authority decision so an entity cannot bypass
-        spoof-on-connect by picking a different attach point.
-        """
-        entity = hello.entity
-        refusal = None
-        if not entity:
-            refusal = "entity name must be non-empty"
-        elif len(entity) > MAX_NAME_LEN:
-            refusal = "entity name of %d bytes exceeds %d" % (
-                len(entity), MAX_NAME_LEN,
-            )
-        elif entity == BROADCAST:
-            refusal = "entity name %r is reserved for multicast" % BROADCAST
-        if refusal is not None:
-            await _send(stream, Welcome(ok=False, entity=entity[:MAX_NAME_LEN],
-                                        reason=refusal))
-            return None
-        down = _Down("entity", entity, stream)
-        future = asyncio.get_running_loop().create_future()
-        self._pending.setdefault(entity, deque()).append(("hello", (down, future)))
-        if not await self._send_up(RelayAttach(entity=entity)):
-            down.closed = True
-            await _send(stream, Welcome(ok=False, entity=entity,
-                                        reason="relay upstream unavailable"))
-            return None
-        try:
-            reply = await asyncio.wait_for(future, self.handshake_timeout)
-        except asyncio.TimeoutError:
-            down.closed = True  # _attach_reply will detach if ok arrives late
-            await _send(stream, Welcome(ok=False, entity=entity,
-                                        reason="attach timed out"))
-            return None
-        if not reply.ok:
-            await _send(stream, Welcome(ok=False, entity=entity,
-                                        reason=reply.reason))
-            return None
-        # _attach_reply already bound us, started the sender task and
-        # queued the Welcome ahead of any flushed backlog.
-        return down
-
-    async def _downstream_relay_handshake(
-        self, stream: FrameStream, hello: RelayHello
-    ) -> Optional[_Down]:
-        relay_id = hello.relay_id
-        refusal = None
-        if not relay_id:
-            refusal = "relay id must be non-empty"
-        elif len(relay_id) > MAX_NAME_LEN:
-            refusal = "relay id of %d bytes exceeds %d" % (
-                len(relay_id), MAX_NAME_LEN,
-            )
-        elif relay_id == BROADCAST:
-            refusal = "relay id %r is reserved for multicast" % BROADCAST
-        elif relay_id in self.path:
-            # Loop refusal, accepting side: the connecting node is an
-            # ancestor of (or is) this relay.
-            refusal = "relay loop refused: %r is on the path %s" % (
-                relay_id, "/".join(self.path),
-            )
-        elif any(
-            d.kind == "relay" and d.name == relay_id for d in self._downs
-        ):
-            refusal = "relay %r is already connected" % relay_id
-        elif len(self.path) >= MAX_RELAY_PATH:
-            refusal = "relay chain of %d hops reached the %d-hop bound" % (
-                len(self.path), MAX_RELAY_PATH,
-            )
-        if refusal is not None:
-            logger.warning(
-                "refusing relay hello from %s: %s", stream.peername(), refusal
-            )
-            await _send(
-                stream,
-                RelayWelcome(ok=False, relay_id=relay_id[:MAX_NAME_LEN],
-                             reason=refusal),
-            )
-            return None
-        down = _Down("relay", relay_id, stream)
-        self._downs.add(down)
-        down.sender_task = asyncio.get_running_loop().create_task(
-            self._down_send_loop(down)
-        )
-        await _send(
-            stream, RelayWelcome(ok=True, relay_id=relay_id, path=self.path)
-        )
-        logger.info(
-            "downstream relay %r connected (relay %r)", relay_id, self.relay_id
-        )
-        return down
-
-    async def _entity_loop(self, down: _Down) -> None:
-        entity = down.name
-        while True:
-            frame = await down.stream.recv()
-            if frame is None:
-                return
-            message = decode_net_payload(*frame)
-            if isinstance(message, (NetDeliver, NetBroadcast)):
-                if message.sender != entity:
-                    raise SerializationError(
-                        "connection %r tried to send as %r"
-                        % (entity, message.sender)
-                    )
-                self._require_payload(message.payload)
-                self.forwarded_up += 1
-                await self._send_up(message)
-            elif isinstance(message, Ack):
-                await self._pop_tokens(down, message.count)
-            elif isinstance(message, StatsRequest):
-                await self._send_up(
-                    RelayStatsRequest(
-                        entity=entity, include_log=message.include_log
-                    )
-                )
-            elif isinstance(message, MetricsRequest):
-                # Answered locally: an entity attached here observes this
-                # hop's subtree aggregate (the root's view for entities
-                # attached at the root).
-                await self._push(
-                    down,
-                    MetricsReport(
-                        source=self.relay_id,
-                        snapshot=snapshot_to_json(self._metrics_snapshot()),
-                        trace=message.trace,
-                    ),
-                )
-            elif isinstance(message, Shutdown):
-                # The root decides; its shutdown cascades back down as
-                # upstream EOF on every relay.
-                await self._send_up(message)
-            else:
-                raise SerializationError(
-                    "client may not send %s" % type(message).__name__
-                )
-
-    async def _relay_loop(self, link: _Down) -> None:
-        while True:
-            frame = await link.stream.recv()
-            if frame is None:
-                return
-            message = decode_net_payload(*frame)
-            if isinstance(message, NetDeliver):
-                # Either legitimate up-traffic (sender bound below the
-                # link) or a bounce returning behind its RelayDetach; the
-                # root, holding the authoritative table, tells them
-                # apart.  Forwarded unmodified either way.
-                self._require_payload(message.payload)
-                self.forwarded_up += 1
-                await self._send_up(message)
-            elif isinstance(message, NetBroadcast):
-                if self._bind.get(message.sender) is not link:
-                    raise SerializationError(
-                        "relay %r forwarded multicast for unattached "
-                        "sender %r" % (link.name, message.sender)
-                    )
-                self._require_payload(message.payload)
-                self.forwarded_up += 1
-                await self._send_up(message)
-            elif isinstance(message, RelayAttach):
-                self._pending.setdefault(message.entity, deque()).append(
-                    ("link", link)
-                )
-                await self._send_up(message)
-            elif isinstance(message, RelayDetach):
-                if self._bind.get(message.entity) is link:
-                    del self._bind[message.entity]
-                    link.entities.discard(message.entity)
-                await self._send_up(message)
-            elif isinstance(message, Ack):
-                await self._pop_tokens(link, message.count)
-            elif isinstance(message, RelayStatsRequest):
-                await self._send_up(message)
-            elif isinstance(message, MetricsReport):
-                # Periodic push from the downstream relay: kept (not
-                # forwarded as-is) -- our own push upstream merges it in,
-                # so reports aggregate hop by hop toward the root.
-                link.last_metrics = snapshot_from_json(message.snapshot)
-            elif isinstance(message, RelayBroadcast):
-                # Multicast only ever travels downstream; from below it
-                # is a forged injection (or a loop the handshake should
-                # have refused) and the link is hostile.
-                raise SerializationError(
-                    "RelayBroadcast travelling upstream from relay %r"
-                    % link.name
-                )
-            elif isinstance(message, Shutdown):
-                await self._send_up(message)
-            else:
-                raise SerializationError(
-                    "relay may not send %s" % type(message).__name__
-                )
-
-    async def _monitor_loop(self, stream: FrameStream) -> None:
-        while True:
-            frame = await stream.recv()
-            if frame is None:
-                return
-            message = decode_net_payload(*frame)
-            if isinstance(message, StatsRequest):
-                await _send(stream, self.local_stats())
-            elif isinstance(message, MetricsRequest):
-                await _send(stream, self._metrics_report(message.trace))
-            else:
-                raise SerializationError(
-                    "monitor connection may only send StatsRequest "
-                    "or MetricsRequest"
-                )
-
-    def _require_payload(self, payload: bytes) -> None:
-        if len(payload) > self.max_frame:
-            raise SerializationError(
-                "routed payload of %d bytes exceeds the %d-byte cap"
-                % (len(payload), self.max_frame)
-            )
-
-    # -- push / ack bookkeeping ------------------------------------------------
-
-    async def _push(
-        self, down: _Down, message: NetMessage, unit: Optional[_Unit] = None
-    ) -> bool:
-        """Queue one frame downstream, enforcing the backlog bound.
-
-        ``unit`` marks a counted frame: its token joins the connection's
-        FIFO *before* any await, so a concurrent drop can never see a
-        token whose unit was not yet incremented.
-        """
-        if down.closed:
-            return False
-        if len(down.outbound) >= self.max_backlog:
-            self.slow_consumer_disconnects += 1
-            await self._drop_down(
-                down,
-                "outbound backlog over %d frames (slow consumer)"
-                % self.max_backlog,
-            )
-            return False
-        if unit is not None:
-            unit.outstanding += 1
-            down.tokens.append(unit)
-            down.outbound.append((message, True))
-            self.delivered_total += 1
-        else:
-            down.outbound.append((message, False))
-        down.wake.set()
-        return True
-
-    async def _pop_tokens(self, down: _Down, count: int) -> None:
-        """Apply a downstream Ack: complete units, propagate acks up."""
-        done = 0
-        for _ in range(min(count, len(down.tokens))):
-            unit = down.tokens.popleft()
-            unit.outstanding -= 1
-            if unit.outstanding == 0:
-                done += 1
-        await self._ack_up(done)
-
-    async def _drop_down(self, down: _Down, reason: str) -> None:
-        """Tear one downstream connection out of every table.
-
-        The subtree behind it is gone: its names detach upstream and all
-        its unacked tokens count as done (at-most-once delivery), so the
-        root's in-flight accounting drains instead of wedging.
-        """
-        if down.closed:
-            return
-        down.closed = True
-        self._downs.discard(down)
-        if down.sender_task is not None and (
-            down.sender_task is not asyncio.current_task()
-        ):
-            down.sender_task.cancel()
-        names: List[str] = []
-        if down.kind == "entity":
-            names = [down.name] if self._bind.get(down.name) is down else []
-        else:
-            names = sorted(
-                name for name in down.entities
-                if self._bind.get(name) is down
-            )
-        for name in names:
-            del self._bind[name]
-        down.entities.clear()
-        self.dropped_total += sum(
-            1 for _, counted in down.outbound if counted
-        )
-        down.outbound.clear()
-        done = 0
-        while down.tokens:
-            unit = down.tokens.popleft()
-            unit.outstanding -= 1
-            if unit.outstanding == 0:
-                done += 1
-        await down.stream.aclose()
-        for name in names:
-            await self._send_up(RelayDetach(entity=name))
-        await self._ack_up(done)
-        logger.info(
-            "dropped downstream %s %r: %s", down.kind, down.name, reason
-        )
-
-    async def _down_send_loop(self, down: _Down) -> None:
-        """Drain one downstream connection's outbound queue in order."""
-        while True:
-            await down.wake.wait()
-            down.wake.clear()
-            while down.outbound:
-                message, _counted = down.outbound[0]
-                try:
-                    await _send(down.stream, message)
-                except SerializationError:
-                    # Token FIFOs cannot survive a skipped counted frame
-                    # (acks would misalign), and an envelope over the cap
-                    # here means something upstream already violated its
-                    # bounds: drop the connection, not just the frame.
-                    await self._drop_down(
-                        down, "undeliverable frame (envelope over the cap)"
-                    )
-                    return
-                except (NetworkError, ConnectionError, OSError):
-                    return  # the read loop observes the close and cleans up
-                down.outbound.popleft()
-
-    # -- metrics ---------------------------------------------------------------
-
-    def _metrics_snapshot(self) -> dict:
-        """This node's subtree aggregate: own registry + the last report
-        pushed by every downstream relay link.
-
-        The hop's counter attributes fold in as gauges at snapshot time
-        (one source of truth); gauges *sum* under the merge, so at the
-        root e.g. ``relay.forwarded_up`` reads as the whole tree's
-        forwarding work.
-        """
-        self.metrics.set_gauge("relay.nodes", 1)
-        self.metrics.set_gauge(
-            "relay.pending", sum(len(d.outbound) for d in self._downs)
-        )
-        self.metrics.set_gauge(
-            "relay.in_flight", sum(len(d.tokens) for d in self._downs)
-        )
-        self.metrics.set_gauge(
-            "relay.entities_attached",
-            sum(1 for d in self._downs if d.kind == "entity"),
-        )
-        self.metrics.set_gauge(
-            "relay.downstream_relays",
-            sum(1 for d in self._downs if d.kind == "relay"),
-        )
-        self.metrics.set_gauge("relay.bound_names", len(self._bind))
-        self.metrics.set_gauge("relay.broadcasts_down", self.broadcasts_down)
-        self.metrics.set_gauge(
-            "relay.broadcast_deliveries", self.broadcast_deliveries
-        )
-        self.metrics.set_gauge("relay.unicast_down", self.unicast_down)
-        self.metrics.set_gauge("relay.forwarded_up", self.forwarded_up)
-        self.metrics.set_gauge("relay.bounced_up", self.bounced_up)
-        self.metrics.set_gauge("relay.dupes_dropped", self.dupes_dropped)
-        self.metrics.set_gauge(
-            "relay.slow_consumer_disconnects", self.slow_consumer_disconnects
-        )
-        self.metrics.set_gauge("relay.dropped_total", self.dropped_total)
-        self.metrics.set_gauge("relay.delivered_total", self.delivered_total)
-        own = self.metrics.snapshot()
-        reports = [
-            d.last_metrics
-            for d in self._downs
-            if d.kind == "relay" and d.last_metrics is not None
-        ]
-        if reports:
-            return merge_snapshots([own] + reports)
-        return own
-
-    def _metrics_report(self, trace: bytes = b"") -> MetricsReport:
-        return MetricsReport(
-            source=self.relay_id,
-            snapshot=snapshot_to_json(self._metrics_snapshot()),
-            trace=trace,
-        )
-
-    async def _metrics_loop(self) -> None:
-        """Push the subtree aggregate upstream every ``metrics_interval``
-        seconds (and mirror it into the local span log, if any)."""
-        while True:
-            await asyncio.sleep(self.metrics_interval)
-            snapshot = self._metrics_snapshot()
-            if self._obs is not None:
-                self._obs.metrics(snapshot)
-            self.metrics.inc("relay.metrics_pushes")
-            await self._send_up(
-                MetricsReport(
-                    source=self.relay_id, snapshot=snapshot_to_json(snapshot)
-                )
-            )
-
-    # -- local stats -----------------------------------------------------------
-
-    def local_stats(self) -> StatsReply:
-        """This hop's own counters (the per-hop invariant surface).
-
-        Deliberately *not* the root stats: a monitor asking a relay gets
-        the relay's view (no accounting log -- a relay keeps none, which
-        is the point), while an attached entity's ``StatsRequest`` is
-        forwarded up and answered by the root.
-        """
-        entity_conns = sum(1 for d in self._downs if d.kind == "entity")
-        relay_conns = sum(1 for d in self._downs if d.kind == "relay")
-        return StatsReply(
-            pending=sum(len(d.outbound) for d in self._downs),
-            in_flight=sum(len(d.tokens) for d in self._downs),
-            delivered_total=self.delivered_total,
-            dropped=self.dropped_total,
-            log_complete=True,
-            log=(),
-            counters=(
-                ("depth", len(self.path)),
-                ("entities_attached", entity_conns),
-                ("downstream_relays", relay_conns),
-                ("bound_names", len(self._bind)),
-                ("broadcasts_down", self.broadcasts_down),
-                ("broadcast_deliveries", self.broadcast_deliveries),
-                ("unicast_down", self.unicast_down),
-                ("forwarded_up", self.forwarded_up),
-                ("bounced_up", self.bounced_up),
-                ("dupes_dropped", self.dupes_dropped),
-                ("slow_consumer_disconnects", self.slow_consumer_disconnects),
-            ),
-        )
-
-
-def request_local_stats(
-    host: str, port: int, timeout: float = 10.0,
-    max_frame: int = DEFAULT_MAX_FRAME_PAYLOAD,
-) -> StatsReply:
-    """Synchronously fetch one relay's local counters (monitor client).
-
-    Opens a throwaway connection whose first frame is a plain
-    ``StatsRequest`` -- the relay's monitor path -- so sampling a hop
-    never registers a name or perturbs quiescence accounting.  Usable
-    from any thread (plain sockets, no asyncio).
-    """
-    try:
-        with socket.create_connection((host, port), timeout=timeout) as sock:
-            sock.settimeout(timeout)
-            sock.sendall(StatsRequest(include_log=False).encode())
-            decoder = FrameDecoder(max_frame + ENVELOPE_OVERHEAD)
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    raise NetworkError(
-                        "relay %s:%d closed before replying" % (host, port)
-                    )
-                frames = decoder.feed(chunk)
-                if frames:
-                    message = decode_net_payload(*frames[0])
-                    if not isinstance(message, StatsReply):
-                        raise NetworkError(
-                            "relay monitor answered with %s"
-                            % type(message).__name__
-                        )
-                    return message
-    except (ConnectionError, OSError, socket.timeout) as exc:
-        raise NetworkError(
-            "relay stats probe to %s:%d failed: %s" % (host, port, exc)
-        )
-
-
-def request_local_metrics(
-    host: str, port: int, timeout: float = 10.0,
-    max_frame: int = DEFAULT_MAX_FRAME_PAYLOAD,
-) -> dict:
-    """Synchronously fetch one relay's metrics snapshot (monitor client).
-
-    The metrics twin of :func:`request_local_stats`: a throwaway
-    connection whose first frame is a ``MetricsRequest``, answered with
-    the hop's subtree aggregate.  Returns the decoded snapshot dict.
-    """
-    try:
-        with socket.create_connection((host, port), timeout=timeout) as sock:
-            sock.settimeout(timeout)
-            sock.sendall(MetricsRequest().encode())
-            decoder = FrameDecoder(max_frame + ENVELOPE_OVERHEAD)
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    raise NetworkError(
-                        "relay %s:%d closed before replying" % (host, port)
-                    )
-                frames = decoder.feed(chunk)
-                if frames:
-                    message = decode_net_payload(*frames[0])
-                    if not isinstance(message, MetricsReport):
-                        raise NetworkError(
-                            "relay metrics monitor answered with %s"
-                            % type(message).__name__
-                        )
-                    return snapshot_from_json(message.snapshot)
-    except (ConnectionError, OSError, socket.timeout) as exc:
-        raise NetworkError(
-            "relay metrics probe to %s:%d failed: %s" % (host, port, exc)
-        )
-
-
-# -- CLI ---------------------------------------------------------------------
-
-
-async def _amain(args: argparse.Namespace) -> int:
-    from repro.net._cli import parse_endpoint, write_port_file
-
-    upstream_host, upstream_port = parse_endpoint(args.upstream)
-    obs_path = None
-    if args.obs_dir:
-        obs_path = os.path.join(args.obs_dir, "obs.jsonl")
-    relay = RelayServer(
-        args.relay_id, upstream_host, upstream_port,
-        args.host, args.port,
-        max_frame=args.max_frame, max_backlog=args.max_backlog,
-        handshake_timeout=args.handshake_timeout, seen_cap=args.seen_cap,
-        metrics_interval=args.metrics_interval, obs_path=obs_path,
-    )
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        loop.add_signal_handler(signum, relay.shutdown)
-    try:
-        host, port = await relay.start()
-    except NetworkError as exc:
-        print("relay failed to start: %s" % exc, file=sys.stderr, flush=True)
-        return 1
-    if args.port_file:
-        write_port_file(args.port_file, host, port)
-    # Machine-parseable first (supervisors chain relay processes off this
-    # line -- essential with --port 0), human-readable second.
-    print("ENDPOINT %s:%d" % (host, port), flush=True)
-    print(
-        "relay %s listening on %s:%d (upstream %s)"
-        % (args.relay_id, host, port, args.upstream),
-        flush=True,
-    )
-    try:
-        await relay.serve_forever()
-    finally:
-        await relay.aclose()
-    return 0
+__all__ = ["main", "request_local_metrics", "request_local_stats"]
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.net.relay",
-        description="Run one keyless relay node of the broker federation.",
-    )
-    parser.add_argument("--relay-id", required=True,
-                        help="this relay's unique id in the federation tree")
-    parser.add_argument("--upstream", required=True, metavar="HOST:PORT",
-                        help="the upstream broker or relay to join")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0,
-                        help="TCP port (0 = ephemeral; see --port-file and "
-                             "the ENDPOINT stdout line)")
-    parser.add_argument("--port-file", default=None,
-                        help="write the bound host:port here once listening")
-    parser.add_argument("--max-frame", type=int, default=DEFAULT_MAX_FRAME_PAYLOAD,
-                        help="maximum accepted frame payload in bytes")
-    parser.add_argument("--max-backlog", type=int, default=10_000,
-                        help="per-connection outbound backlog bound "
-                             "(slow consumers are disconnected beyond it)")
-    parser.add_argument("--handshake-timeout", type=float, default=10.0,
-                        help="seconds a connection gets to handshake")
-    parser.add_argument("--seen-cap", type=int, default=SEEN_CAP,
-                        help="broadcast-dedup seen-set bound")
-    parser.add_argument("--metrics-interval", type=float, default=0.0,
-                        help="seconds between upstream MetricsReport "
-                             "pushes (0 = off)")
-    parser.add_argument("--obs-dir", default=None,
-                        help="directory for the obs.jsonl span log "
-                             "(off when unset)")
-    parser.add_argument("-v", "--verbose", action="store_true")
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-        stream=sys.stderr,
-    )
-    try:
-        return asyncio.run(_amain(args))
-    except KeyboardInterrupt:
-        return 0
+    return node.main(argv, relay=True)
 
 
 if __name__ == "__main__":

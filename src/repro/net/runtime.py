@@ -14,9 +14,9 @@ Pieces, smallest to largest:
   across a settle interval.  Lazy acks (see
   :mod:`repro.net.transport`) make this sound: an endpoint that is
   still chewing on a batch holds ``in_flight`` above zero.
-* :class:`BrokerThread` -- an in-process broker on a background asyncio
-  thread, for tests and benchmarks that want real sockets without
-  subprocesses.
+* :class:`NodeThread` (``BrokerThread`` / ``RelayThread``) -- an
+  in-process forwarding node on a background asyncio thread, for tests
+  and benchmarks that want real sockets without subprocesses.
 * :class:`ProcessSupervisor` -- spawns the ``python -m repro.net.*``
   entity servers as OS processes and shuts them down gracefully
   (terminate, wait, kill stragglers).
@@ -35,10 +35,11 @@ import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError, ReproError, SystemError_
-from repro.net.broker import BrokerServer
+from repro.net.node import Node
 
 __all__ = [
     "BrokerThread",
+    "NodeThread",
     "ProcessSupervisor",
     "RelayThread",
     "StopRequested",
@@ -181,57 +182,10 @@ def wait_for_file(path: str, timeout: float = 30.0, poll: float = 0.05) -> str:
     raise SystemError_("file %r did not appear within %.1fs" % (path, timeout))
 
 
-class BrokerThread:
-    """A :class:`BrokerServer` on a dedicated asyncio thread.
+class NodeThread:
+    """A :class:`~repro.net.node.Node` on a dedicated asyncio thread.
 
     Gives tests/benchmarks real TCP sockets without subprocess overhead::
-
-        with BrokerThread() as broker:
-            transport = TcpTransport(broker.host, broker.port)
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, **broker_kw):
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="BrokerThread", daemon=True
-        )
-        self._thread.start()
-        self.broker = BrokerServer(host, port, **broker_kw)
-        future = asyncio.run_coroutine_threadsafe(self.broker.start(), self._loop)
-        try:
-            self.host, self.port = future.result(10.0)
-        except Exception:
-            self._stop_loop()
-            raise
-
-    @property
-    def endpoint(self) -> Tuple[str, int]:
-        return self.host, self.port
-
-    def _stop_loop(self) -> None:
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(10.0)
-
-    def stop(self) -> None:
-        try:
-            asyncio.run_coroutine_threadsafe(
-                self.broker.aclose(), self._loop
-            ).result(10.0)
-        finally:
-            self._stop_loop()
-
-    def __enter__(self) -> "BrokerThread":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-class RelayThread:
-    """A :class:`~repro.net.relay.RelayServer` on a dedicated asyncio thread.
-
-    The relay-tier counterpart of :class:`BrokerThread`, for tests that
-    chain hops in-process::
 
         with BrokerThread() as broker:
             with RelayThread("r1", broker.host, broker.port) as relay:
@@ -239,27 +193,16 @@ class RelayThread:
                 transport.set_attach_point("sub-0", relay.host, relay.port)
     """
 
-    def __init__(
-        self,
-        relay_id: str,
-        upstream_host: str,
-        upstream_port: int,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        **relay_kw,
-    ):
-        from repro.net.relay import RelayServer
-
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, **node_kw):
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
-            target=self._loop.run_forever, name="RelayThread-%s" % relay_id,
+            target=self._loop.run_forever,
+            name="NodeThread-%s" % (node_kw.get("relay_id") or "root"),
             daemon=True,
         )
         self._thread.start()
-        self.relay = RelayServer(
-            relay_id, upstream_host, upstream_port, host, port, **relay_kw
-        )
-        future = asyncio.run_coroutine_threadsafe(self.relay.start(), self._loop)
+        self.node = Node(host, port, **node_kw)
+        future = asyncio.run_coroutine_threadsafe(self.node.start(), self._loop)
         try:
             self.host, self.port = future.result(10.0)
         except Exception:
@@ -273,20 +216,44 @@ class RelayThread:
     def _stop_loop(self) -> None:
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(10.0)
+        if not self._thread.is_alive():  # (never close a loop still running)
+            # Releases the selector and the self-pipe: three descriptors
+            # per helper that otherwise live as long as the process.
+            self._loop.close()
 
     def stop(self) -> None:
+        if self._loop.is_closed():
+            return  # already stopped
         try:
             asyncio.run_coroutine_threadsafe(
-                self.relay.aclose(), self._loop
+                self.node.aclose(), self._loop
             ).result(10.0)
         finally:
             self._stop_loop()
 
-    def __enter__(self) -> "RelayThread":
+    def __enter__(self) -> "NodeThread":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+#: The root of a tree: a node with no upstream.
+BrokerThread = NodeThread
+
+
+def RelayThread(
+    relay_id: str,
+    upstream_host: str,
+    upstream_port: int,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    **node_kw,
+) -> NodeThread:
+    """A node below ``upstream_host:upstream_port``, for tests that chain
+    hops in-process."""
+    upstream = (upstream_host, upstream_port)
+    return NodeThread(host, port, relay_id=relay_id, upstream=upstream, **node_kw)
 
 
 class ProcessSupervisor:

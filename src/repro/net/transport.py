@@ -86,7 +86,7 @@ class _EntityConn:
 
 
 class TcpTransport:
-    """A synchronous ``Transport`` speaking to a :class:`BrokerServer`."""
+    """A synchronous ``Transport`` speaking to a root :class:`~repro.net.node.Node`."""
 
     def __init__(
         self,

@@ -76,23 +76,6 @@ class RegistrationOffer:
     token: IdentityToken
     css: bytes
 
-    def compose(self, aux, rng: Optional[random.Random] = None):
-        """Deprecated live-object registration path.
-
-        Composing an envelope directly against a subscriber-held ``aux``
-        object bypassed the wire boundary (and used to be monkey-patched
-        for traffic metering).  Registration is now driven by serialized
-        messages: see :class:`~repro.wire.sessions.PublisherRegistrationSession`
-        and the :class:`~repro.system.service.DisseminationService` /
-        :class:`~repro.system.service.SubscriberClient` facade.
-        """
-        raise RegistrationError(
-            "RegistrationOffer.compose() is deprecated: registration is now a "
-            "wire protocol.  Use repro.system.service.DisseminationService / "
-            "SubscriberClient (or the register_for_attribute / "
-            "register_all_attributes helpers) instead."
-        )
-
 
 class Publisher:
     """The content publisher."""

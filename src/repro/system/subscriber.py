@@ -25,7 +25,7 @@ from repro.gkm.acv import AcvBgkm
 from repro.gkm.buckets import BucketedHeader
 from repro.ocbe.base import OCBESetup
 from repro.system.identity import IdentityToken
-from repro.system.publisher import RegistrationOffer, SystemParams
+from repro.system.publisher import SystemParams
 
 __all__ = ["Subscriber", "TokenWallet"]
 
@@ -120,25 +120,6 @@ class Subscriber:
         """Every held token with its opening, sorted by tag (the snapshot
         view; like :meth:`wallet_for`, never crosses the wire)."""
         return [self._wallet[tag] for tag in self.attribute_tags()]
-
-    # -- registration (receiver side of Section V-B) ----------------------------
-
-    def accept_offer(self, offer: RegistrationOffer) -> bool:
-        """Deprecated live-object registration path.
-
-        The in-process offer/accept handshake was replaced by the wire
-        protocol: registration now runs as serialized messages through
-        :class:`~repro.wire.sessions.SubscriberRegistrationSession` (or the
-        high-level :class:`~repro.system.service.SubscriberClient`), and the
-        compatibility helpers ``repro.system.registration.register_for_attribute``
-        / ``register_all_attributes`` drive that for you.
-        """
-        raise RegistrationError(
-            "Subscriber.accept_offer() is deprecated: registration is now a "
-            "wire protocol.  Use repro.system.service.SubscriberClient / "
-            "DisseminationService (or the register_for_attribute / "
-            "register_all_attributes helpers) instead."
-        )
 
     # -- broadcast consumption ---------------------------------------------------
 

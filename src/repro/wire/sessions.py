@@ -1,9 +1,7 @@
 """Per-entity session state machines for the registration protocol.
 
-These classes replace the seed's live-object handshake
-(``Publisher.open_registration`` returning an offer the subscriber's
-``accept_offer`` called back into).  Both sides now consume and produce
-*bytes* -- framed wire messages from :mod:`repro.wire.messages` -- so the
+Registration is a conversation in *bytes*: both sides consume and
+produce framed wire messages from :mod:`repro.wire.messages` -- so the
 two entities can sit on opposite ends of any transport:
 
 * :class:`SubscriberRegistrationSession` drives ONE (token, condition)

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.errors import NetworkError
-from repro.net.relay import RelayServer, request_local_stats
+from repro.net.relay import request_local_stats
 from repro.net.runtime import (
     BrokerThread,
     ProcessSupervisor,
@@ -189,12 +189,14 @@ def test_relay_local_stats_expose_hop_counters(chain):
     assert shallow.log == () and shallow.log_complete
 
 
-def test_relay_process_never_imports_key_material():
-    """The keyless claim as an import boundary: a relay process must not
-    load crypto, GKM, policy or publisher code -- it cannot hold what it
-    never links."""
+@pytest.mark.parametrize("module", ["repro.net.relay", "repro.net.node"])
+def test_relay_process_never_imports_key_material(module):
+    """The keyless claim as an import boundary: a relay process -- and
+    the one node module behind every forwarding role -- must not load
+    crypto, GKM, policy or publisher code: it cannot hold what it never
+    links."""
     probe = (
-        "import sys; import repro.net.relay; "
+        "import sys; import %s; " % module +
         "bad = [m for m in sys.modules if any(t in m for t in ("
         "'crypto', 'gkm', 'policy', 'ocbe', 'publisher', 'subscriber', "
         "'documents'))]; "
@@ -215,10 +217,10 @@ def test_relay_dies_with_its_upstream():
         broker.stop()
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
-            if relay.relay._shutdown.is_set():
+            if relay.node._shutdown.is_set():
                 break
             time.sleep(0.01)
-        assert relay.relay._shutdown.is_set()
+        assert relay.node._shutdown.is_set()
     finally:
         relay.stop()
 
@@ -279,8 +281,8 @@ def test_deep_chain_loop_refusal_and_path():
     with BrokerThread() as broker:
         with RelayThread("r1", broker.host, broker.port) as r1:
             with RelayThread("r2", r1.host, r1.port) as r2:
-                assert r1.relay.path == ("r1",)
-                assert r2.relay.path == ("r1", "r2")
+                assert r1.node.path == ("r1",)
+                assert r2.node.path == ("r1", "r2")
                 # A relay that would close a cycle is refused on accept.
                 with pytest.raises(NetworkError, match="loop"):
                     RelayThread("r1", r2.host, r2.port)

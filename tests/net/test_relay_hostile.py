@@ -8,6 +8,7 @@ connection dropped -- never the tree -- and with the per-hop counters
 telling the truth about what was refused.
 """
 
+import contextlib
 import socket
 import threading
 import time
@@ -25,6 +26,8 @@ from repro.net.protocol import (
     RelayBroadcast,
     RelayHello,
     RelayWelcome,
+    StatsReply,
+    StatsRequest,
     Welcome,
     decode_net_payload,
 )
@@ -181,6 +184,42 @@ class TestForgedUpstreamTraffic:
                     assert local.counter("broadcasts_down") == 1
                     assert local.counter("dupes_dropped") == 1
                     assert local.counter("broadcast_deliveries") == 1
+                finally:
+                    carol.close()
+        finally:
+            fake.close()
+
+    def test_stale_seq_below_high_water_never_delivered(self):
+        """Sequence ids arrive strictly increasing on a FIFO link, so an
+        id *below* one already accepted -- never seen before, or long
+        evicted from any bounded window -- is a forgery or a replay and
+        must die at this hop exactly like a repeated one."""
+        fake = FakeUpstream()
+        try:
+            with RelayThread("r1", fake.host, fake.port) as relay:
+                carol = socket.create_connection((relay.host, relay.port), 5)
+                try:
+                    carol.sendall(Hello(entity="carol").encode())
+                    [frame] = read_frames(carol, 1)
+                    assert decode_net_payload(*frame).ok
+                    fake.wait_received(RelayAttach)
+                    fake.send(RelayBroadcast(
+                        seq=9, sender="pub", kind="pkg", note="",
+                        payload=b"genuine",
+                    ))
+                    fake.send(RelayBroadcast(
+                        seq=3, sender="pub", kind="pkg", note="",
+                        payload=b"forged-stale",
+                    ))
+                    frames = read_frames(carol, 2, timeout=1.0)
+                    assert [decode_net_payload(*f).payload for f in frames] == [
+                        b"genuine"
+                    ]
+                    carol.sendall(Ack(count=1).encode())
+                    assert len(fake.wait_received(Ack, count=2)) >= 2
+                    local = request_local_stats(relay.host, relay.port)
+                    assert local.counter("broadcasts_down") == 1
+                    assert local.counter("dupes_dropped") == 1
                 finally:
                     carol.close()
         finally:
@@ -373,6 +412,10 @@ class TestSlowConsumers:
                     assert poll_until(dropped), (
                         "broker never applied the slow-consumer policy"
                     )
+                    # One accounting rule at every depth: the counted
+                    # frames still queued for the dropped link are
+                    # counted dropped, not silently forgotten.
+                    assert transport.stats(via="pub").dropped >= 1
                 finally:
                     sock.close()
                 # The victim fell back to offline queueing at the root;
@@ -433,3 +476,178 @@ class TestSlowConsumers:
                     assert poll_until(settled)
                     local = request_local_stats(relay.host, relay.port)
                     assert local.counter("downstream_relays") == 0
+
+
+@contextlib.contextmanager
+def node_at(depth, **target_kw):
+    """Yield ``(target, root)``: the node under attack at ``depth`` and
+    the root of its tree (the same object at depth 0).  One ``Node``
+    serves both roles, so every hostile case below runs against both
+    from one body."""
+    if depth == 0:
+        with BrokerThread(**target_kw) as broker:
+            yield broker, broker
+    else:
+        with BrokerThread() as broker:
+            with RelayThread("r1", broker.host, broker.port, **target_kw) as relay:
+                yield relay, broker
+
+
+def assert_serves(target, root):
+    """The node still admits and routes: an entity attached at
+    ``target`` hears one attached at the root."""
+    with TcpTransport(root.host, root.port) as transport:
+        transport.set_attach_point("healthy-b", target.host, target.port)
+        transport.register("healthy-a")
+        transport.register("healthy-b")
+        transport.deliver("healthy-a", "healthy-b", "probe", b"ping")
+        assert poll_until(
+            lambda: [d.payload for d in transport.poll("healthy-b")] == [b"ping"]
+        )
+
+
+@pytest.mark.parametrize("depth", [0, 1], ids=["root", "relay"])
+class TestEveryDepth:
+    def test_silent_connection_is_dropped(self, depth):
+        """No first frame within the handshake budget: evicted, or parked
+        pre-authentication connections would bypass every bound."""
+        with node_at(depth, handshake_timeout=0.3) as (target, root):
+            sock = socket.create_connection((target.host, target.port), 5)
+            try:
+                began = time.monotonic()
+                assert_closed(sock, timeout=5.0)
+                assert time.monotonic() - began < 4.0
+            finally:
+                sock.close()
+            assert_serves(target, root)
+
+    def test_frames_before_hello_are_rejected(self, depth):
+        with node_at(depth) as (target, root):
+            sock = socket.create_connection((target.host, target.port), 5)
+            try:
+                sock.sendall(NetDeliver(
+                    sender="x", receiver="y", kind="k", note="", payload=b"p",
+                ).encode())
+                assert_closed(sock)
+            finally:
+                sock.close()
+            assert_serves(target, root)
+
+    @pytest.mark.parametrize(
+        "name, why",
+        [("e" * (MAX_NAME_LEN + 1), "exceeds"), ("*", "reserved"), ("", "non-empty")],
+        ids=["oversized", "reserved", "empty"],
+    )
+    def test_malformed_entity_name_refused(self, depth, name, why):
+        """The one name check behind every handshake: refused with a
+        reason before the name enters any table, at any depth."""
+        with node_at(depth) as (target, root):
+            sock = socket.create_connection((target.host, target.port), 5)
+            try:
+                sock.sendall(Hello(entity=name).encode())
+                [frame] = read_frames(sock, 1)
+                welcome = decode_net_payload(*frame)
+                assert isinstance(welcome, Welcome)
+                assert not welcome.ok and why in welcome.reason
+                assert_closed(sock)
+            finally:
+                sock.close()
+            local = request_local_stats(target.host, target.port)
+            assert local.counter("bound_names") == 0
+            assert_serves(target, root)
+
+    def test_slow_entity_is_disconnected_and_accounted(self, depth):
+        """An entity that stops reading trips its node's backlog bound:
+        that one connection is shed and counted, the tree drains to
+        in_flight 0 -- and what was still queued for it is accounted by
+        the depth's rule: parked in the offline inbox at the root (the
+        authority is right there), counted dropped below a relay."""
+        storm, payload = TestSlowConsumers.STORM, TestSlowConsumers.PAYLOAD
+        with node_at(depth, max_backlog=8) as (target, root):
+            with TcpTransport(root.host, root.port) as transport:
+                transport.register("pub")
+                victim = slow_socket(target.host, target.port)
+                try:
+                    victim.sendall(Hello(entity="victim").encode())
+                    [frame] = read_frames(victim, 1)
+                    assert decode_net_payload(*frame).ok
+                    # ... and never read another byte.
+                    for _ in range(storm):
+                        transport.broadcast("pub", "pkg", payload)
+
+                    def shed():
+                        local = request_local_stats(target.host, target.port)
+                        # ("pub" itself stays bound at the root.)
+                        return (
+                            local.counter("slow_consumer_disconnects") >= 1
+                            and local.counter("bound_names") == (0 if depth else 1)
+                        )
+
+                    assert poll_until(shed), "slow-consumer policy never applied"
+                finally:
+                    victim.close()
+                assert poll_until(
+                    lambda: transport.stats(via="pub").in_flight == 0
+                )
+                stats = transport.stats(via="pub")
+                local = request_local_stats(target.host, target.port)
+                if depth == 0:
+                    assert stats.counter("leaf_connections") == 1
+                    assert stats.pending >= 1 and stats.dropped == 0
+                else:
+                    assert stats.counter("relay_entities") == 0
+                    assert local.dropped >= 1
+
+    def test_backlog_queued_while_offline_is_owed_not_slow(self, depth):
+        """Frames the offline-inbox bound already held do not trip the
+        backlog bound when an attach moves them onto the connection: a
+        reconnect must drain its backlog, not be shed for having one."""
+        with contextlib.ExitStack() as stack:
+            # The bound under test is the root's: an attach flushes the
+            # backlog onto the root's queue for the leaf, or for the link.
+            root = target = stack.enter_context(BrokerThread(max_backlog=8))
+            if depth:
+                target = stack.enter_context(
+                    RelayThread("r1", root.host, root.port)
+                )
+            transport = stack.enter_context(TcpTransport(root.host, root.port))
+            transport.set_attach_point("late", target.host, target.port)
+            transport.register("pub")
+            for index in range(40):
+                transport.deliver("pub", "late", "k", bytes([index]))
+            assert poll_until(lambda: transport.stats(via="pub").pending == 40)
+            transport.register("late")
+            got = []
+            assert poll_until(
+                lambda: got.extend(transport.poll("late")) or len(got) == 40
+            )
+            assert [d.payload[0] for d in got] == list(range(40))
+            stats = transport.stats(via="pub")
+            assert stats.counter("slow_consumer_disconnects") == 0
+            assert stats.counter("relay_links") == depth
+
+    def test_monitor_first_frame_answers_from_local_counters(self, depth):
+        """A connection opening with a plain StatsRequest is a monitor:
+        answered from the node's own counters without registering a name
+        or moving in_flight -- at the root exactly as at a relay."""
+        with node_at(depth) as (target, root):
+            with TcpTransport(root.host, root.port) as transport:
+                transport.register("watcher")
+                before = transport.stats(via="watcher")
+                local = request_local_stats(target.host, target.port)
+                assert local.counter("depth") == depth
+                assert local.log == () and local.log_complete
+                # The monitor loop keeps answering on the same connection.
+                sock = socket.create_connection((target.host, target.port), 5)
+                try:
+                    for _ in range(2):
+                        sock.sendall(StatsRequest().encode())
+                        [frame] = read_frames(sock, 1)
+                        assert isinstance(decode_net_payload(*frame), StatsReply)
+                    after = transport.stats(via="watcher")
+                finally:
+                    sock.close()
+                for counter in ("leaf_connections", "relay_links", "relay_entities"):
+                    assert after.counter(counter) == before.counter(counter)
+                assert after.in_flight == before.in_flight == 0
+                assert after.pending == before.pending == 0

@@ -14,6 +14,7 @@ from repro.net.bootstrap import write_json
 from repro.net.runtime import (
     BrokerThread,
     ProcessSupervisor,
+    RelayThread,
     StopRequested,
     pump_until,
     wait_for_file,
@@ -49,6 +50,31 @@ class TestPumpUntil:
         stop = threading.Event()
         stop.set()
         assert pump_until([_NullEndpoint()], lambda: True, stop=stop) == 0
+
+
+def test_thread_helper_closes_its_event_loop():
+    """Stopping the helper releases the loop it created: the selector
+    and self-pipe descriptors must not accumulate across start/stop
+    cycles (the helpers back every loopback test and benchmark)."""
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    def cycle():
+        with BrokerThread() as broker:
+            with RelayThread("r1", broker.host, broker.port) as relay:
+                pass
+        return broker, relay
+
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd")
+    cycle()  # warm-up: lazily created module state settles first
+    before = open_fds()
+    for _ in range(5):
+        for helper in cycle():
+            assert helper._loop.is_closed()
+            assert not helper._thread.is_alive()
+    assert open_fds() == before
 
 
 class TestFrameCapSemantics:

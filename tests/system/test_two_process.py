@@ -157,25 +157,6 @@ def test_all_payloads_are_bytes_and_self_contained(world):
         assert encode_message(decode_message(bytes(payload), group)) == payload
 
 
-def test_deprecated_live_object_path_is_rejected(world):
-    """The seed's offer/accept handshake now fails loudly, pointing at the
-    wire API."""
-    idp, idmgr, transport, service, idmgr_ep, clients = world
-    carol = clients["carol"]
-    carol.request_token("role", assertion=idp.assert_attribute("carol", "role"))
-    run_until_idle([idmgr_ep, carol])
-
-    publisher = service.publisher
-    condition = publisher.conditions_for_attribute("role")[0]
-    offer = publisher.open_registration(
-        carol.subscriber.token_for("role"), condition
-    )
-    with pytest.raises(RegistrationError, match="wire protocol"):
-        offer.compose(None)
-    with pytest.raises(RegistrationError, match="wire protocol"):
-        carol.subscriber.accept_offer(offer)
-
-
 def test_negative_acks_do_not_wedge_the_client(world):
     """Two in-flight sessions, both rejected in one polled batch: both must
     complete as failures -- neither dropped nor leaked."""
