@@ -34,6 +34,7 @@ zero-unicast after *each* membership change, not just at the end.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 import shutil
@@ -45,8 +46,7 @@ from repro.errors import LoadScenarioError
 from repro.load import invariants
 from repro.load.metrics import LoadReport, MetricsCollector
 from repro.load.spec import GKM_FIELDS, LoadScenario, PhaseSpec, PublisherSpec
-from repro.obs.profile import profile_window, recorder_for, set_profiler
-from repro.obs.trace import set_span_writer, writer_for
+from repro.obs.profile import observing, profile_window
 from repro.store import SubscriberPersistence
 from repro.system.idmgr import IdentityManager
 from repro.system.idp import IdentityProvider
@@ -135,11 +135,8 @@ class LoadEngine:
         #: process-global stage writer too, so the store/gkm/wire hot
         #: paths emit duration spans without plumbing.
         self._obs_writer = None
-        self._prev_span_writer = None
-        self._installed_obs = False
-        self._profiler = None
-        self._prev_profiler = None
-        self._installed_profiler = False
+        #: Holds the telemetry scope ``start()`` enters until ``close()``.
+        self._telemetry = contextlib.ExitStack()
         #: The post-run :class:`repro.obs.analyze.Analysis`, for callers
         #: (benchmarks) that want the stitched traces themselves.
         self.last_analysis = None
@@ -226,19 +223,13 @@ class LoadEngine:
             self.idmgr, self.transport, name="idmgr",
             ocbe_workers=scenario.ocbe_workers,
         )
-        if self.obs_dir:
-            self._obs_writer = writer_for(
-                os.path.join(self.obs_dir, "engine"), "engine"
-            )
-            self._prev_span_writer = set_span_writer(self._obs_writer)
-            self._installed_obs = True
-            self.idmgr_ep.span_writer = self._obs_writer
-            for service in self.services.values():
-                service.span_writer = self._obs_writer
-        if self.profile_dir:
-            self._profiler = recorder_for(self.profile_dir, "engine")
-            self._prev_profiler = set_profiler(self._profiler)
-            self._installed_profiler = True
+        obs_dir = os.path.join(self.obs_dir, "engine") if self.obs_dir else None
+        self._obs_writer, _ = self._telemetry.enter_context(
+            observing(obs_dir, self.profile_dir, "engine")
+        )
+        self.idmgr_ep.span_writer = self._obs_writer
+        for service in self.services.values():
+            service.span_writer = self._obs_writer
         self.params = self.services[scenario.publishers[0].name].publisher.params
         self._started = True
         return self
@@ -345,16 +336,17 @@ class LoadEngine:
         timers, WAL/GKM costs); with the TCP driver ``root`` adds the
         broker's root aggregate (its own registry merged with whatever
         subtree reports relays have pushed), and each relay contributes
-        its local view via the monitor port.  The probe frames are
-        answered broker/relay-side directly -- they never enter the byte
-        accounting the invariants and phase metrics are computed over.
+        its subtree's view via the monitor port.  Both are the one
+        ``StatsRequest(metrics=True)`` -- control frames that never enter
+        the byte accounting the invariants and phase metrics are computed
+        over.
         """
         from repro.obs.metrics import get_registry
 
         samples: Dict[str, dict] = {"local": get_registry().snapshot()}
         if self.driver == "tcp":
-            # idmgr attaches at the root broker (only members get relay
-            # attach points), so this probe draws the *root* aggregate.
+            # Answered by the root whatever the asker's attach point;
+            # idmgr is the one entity no phase ever disconnects.
             samples["root"] = self.transport.metrics(via="idmgr")
             if self._relay_endpoints:
                 from repro.net.relay import request_local_metrics
@@ -381,24 +373,10 @@ class LoadEngine:
         if self._closed:
             return
         self._closed = True
-        # Restore whatever global writer/profiler the host process had:
+        # Restores whatever global writer/profiler the host process had:
         # tests run several engines per process, and an engine must not
         # leave its (closed) writer installed for the next one.
-        if self._installed_obs:
-            set_span_writer(self._prev_span_writer)
-            self._installed_obs = False
-        if self._installed_profiler:
-            set_profiler(self._prev_profiler)
-            self._installed_profiler = False
-        if self._profiler is not None:
-            self._profiler.write()
-            self._profiler = None
-        if self._obs_writer is not None:
-            from repro.obs.metrics import get_registry
-
-            self._obs_writer.metrics(get_registry().snapshot())
-            self._obs_writer.close()
-            self._obs_writer = None
+        self._telemetry.close()
         for service in getattr(self, "services", {}).values():
             service.close()
         idmgr_ep = getattr(self, "idmgr_ep", None)

@@ -14,9 +14,7 @@ from repro.net._cli import add_common_arguments, install_stop_signals, parse_end
 from repro.net.bootstrap import build_identity_stack, load_scenario, write_bundle
 from repro.net.runtime import pump_forever
 from repro.net.transport import TcpTransport
-from repro.obs.metrics import get_registry
-from repro.obs.profile import profile_window, recorder_for, set_profiler
-from repro.obs.trace import set_span_writer, writer_for
+from repro.obs.profile import observing, profile_window
 from repro.store import IdMgrPersistence
 from repro.system.service import IdentityManagerEndpoint
 
@@ -61,49 +59,40 @@ def main(argv=None) -> int:
 
     stop = install_stop_signals()
     host, port = parse_endpoint(args.broker)
-    obs = writer_for(args.data_dir, scenario["idmgr"])
-    # Install the process-global stage writer/profiler (restored below)
-    # so wal.* spans and the serve profile window land in our files.
-    previous_writer = set_span_writer(obs)
-    profiler = recorder_for(args.profile_dir, scenario["idmgr"])
-    previous_profiler = set_profiler(profiler)
     endpoint = None
-    try:
-        with TcpTransport(host, port) as transport:
-            workers = args.ocbe_workers
-            if workers is None:
-                workers = int(scenario.get("ocbe_workers", 0))
-            endpoint = IdentityManagerEndpoint(
-                idmgr, transport, name=scenario["idmgr"],
-                persistence=persistence, ocbe_workers=workers,
-            )
-            endpoint.span_writer = obs
-            if profiler is not None:
-                from repro.groups._native import BACKEND
+    # The telemetry scope makes wal.* spans and the serve profile window
+    # land in this process's files (and restores the host's on exit).
+    scope = observing(args.data_dir, args.profile_dir, scenario["idmgr"])
+    with scope as (obs, profiler):
+        try:
+            with TcpTransport(host, port) as transport:
+                workers = args.ocbe_workers
+                if workers is None:
+                    workers = int(scenario.get("ocbe_workers", 0))
+                endpoint = IdentityManagerEndpoint(
+                    idmgr, transport, name=scenario["idmgr"],
+                    persistence=persistence, ocbe_workers=workers,
+                )
+                endpoint.span_writer = obs
+                if profiler is not None:
+                    from repro.groups._native import BACKEND
 
-                profiler.annotate(math_backend=BACKEND, ocbe_workers=workers)
-            print("idmgr serving as %r on %s" % (endpoint.name, args.broker),
-                  flush=True)
-            errors = []
-            with profile_window("serve"):
-                pump_forever([endpoint], stop, errors=errors)
-            for error in errors:
-                print("absorbed: %s" % error, flush=True)
-            if endpoint.rejections:
-                print("rejected %d token requests" % len(endpoint.rejections),
+                    profiler.annotate(math_backend=BACKEND, ocbe_workers=workers)
+                print("idmgr serving as %r on %s" % (endpoint.name, args.broker),
                       flush=True)
-    finally:
-        if endpoint is not None:
-            endpoint.close()
-        set_span_writer(previous_writer)
-        set_profiler(previous_profiler)
-        if profiler is not None:
-            profiler.write()
-        if obs is not None:
-            obs.metrics(get_registry().snapshot())
-            obs.close()
-        if persistence is not None:
-            persistence.close()
+                errors = []
+                with profile_window("serve"):
+                    pump_forever([endpoint], stop, errors=errors)
+                for error in errors:
+                    print("absorbed: %s" % error, flush=True)
+                if endpoint.rejections:
+                    print("rejected %d token requests" % len(endpoint.rejections),
+                          flush=True)
+        finally:
+            if endpoint is not None:
+                endpoint.close()
+            if persistence is not None:
+                persistence.close()
     return 0
 
 

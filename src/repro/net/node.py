@@ -22,10 +22,13 @@ Everything else exists once, at every depth:
   ``RelayAttach``: admission is one root decision, so spoof-on-connect
   is global across attach points); ``RelayHello`` binds a downstream
   node (answered with this node's root *path*; both sides refuse a link
-  that would close a loop); a plain ``StatsRequest``/``MetricsRequest``
-  is a *monitor*, answered from local counters without entering any
-  table.  Anything else, or silence past ``handshake_timeout``, drops
-  the connection -- never the node.
+  that would close a loop); a plain ``StatsRequest`` is a *monitor*,
+  answered from local counters without entering any table.  Anything
+  else, or silence past ``handshake_timeout``, drops the connection --
+  never the node.
+* **One introspection answer**, ``_answer(request)``, for stats, log
+  and metrics alike: an attached entity is answered by the root
+  authority, a monitor by the hop it dialled.
 * **One bounded outbound FIFO and one send loop per connection**; a
   peer that stops reading is disconnected and counted at ``max_backlog``.
 * **Acks propagate up only when the subtree is done**: every counted
@@ -48,13 +51,14 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import logging
 import os
 import signal
 import socket
 import sys
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple, Type
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import (
     InvalidParameterError,
@@ -70,8 +74,6 @@ from repro.net.protocol import (
     MAX_RELAY_PATH,
     Ack,
     Hello,
-    MetricsReport,
-    MetricsRequest,
     NetBroadcast,
     NetDeliver,
     NetMessage,
@@ -80,8 +82,6 @@ from repro.net.protocol import (
     RelayBroadcast,
     RelayDetach,
     RelayHello,
-    RelayStatsReply,
-    RelayStatsRequest,
     RelayWelcome,
     Shutdown,
     StatsReply,
@@ -209,9 +209,8 @@ class _Root:
             await self._broadcast(message)
         elif isinstance(message, RelayAttach):
             await self._attach(message.entity)
-        elif isinstance(message, RelayStatsRequest):
-            stats = self.stats(message.include_log).payload_bytes()
-            await self.node._stats_reply_down(RelayStatsReply(message.entity, stats))
+        elif isinstance(message, StatsRequest):
+            await self.node._stats_reply_down(self.node._answer(message))
         elif isinstance(message, Shutdown):
             logger.info("shutdown requested")
             self.node.shutdown()
@@ -417,7 +416,7 @@ class _Root:
             del self.route.messages[:log_excess]
             self.log_trimmed = True
 
-    def stats(self, include_log: bool) -> StatsReply:
+    def stats(self, include_log: bool, reserve: int = 0) -> StatsReply:
         """The root's routing/accounting state (what an attached entity's
         ``StatsRequest`` is answered with, at any depth)."""
         node = self.node
@@ -427,11 +426,11 @@ class _Root:
             # The reply must itself fit one frame: fill a byte budget from
             # the newest record backwards and flag truncation rather than
             # blow the cap (which would drop the requester's connection).
-            # The slack covers the fixed header, the counters, and the
-            # RelayStatsReply wrapper the reply rides in (every stream
-            # allows ENVELOPE_OVERHEAD beyond max_frame, which absorbs
-            # the floor at tiny frame caps).
-            budget = max(node.max_frame - 512, node.max_frame // 2)
+            # The slack covers the fixed header, the counters and the
+            # routing field; ``reserve`` is whatever else rides in the
+            # same reply (every stream allows ENVELOPE_OVERHEAD beyond
+            # max_frame, which absorbs the floor at tiny frame caps).
+            budget = max(node.max_frame - 512, node.max_frame // 2) - reserve
             records = []
             for m in reversed(self.route.messages):
                 record = TrafficRecord(m.sender, m.receiver, m.kind, m.size, m.note)
@@ -695,7 +694,7 @@ class Node:
                     await self._down_broadcast(message)
                 elif isinstance(message, RelayAttachReply):
                     await self._attach_reply(message)
-                elif isinstance(message, RelayStatsReply):
+                elif isinstance(message, StatsReply):
                     await self._stats_reply_down(message)
                 else:
                     raise SerializationError(
@@ -807,16 +806,10 @@ class Node:
         if not future.done():
             future.set_result(message)
 
-    async def _stats_reply_down(self, message: RelayStatsReply) -> None:
-        down = self._bind.get(message.entity)
-        if down is None:
-            return  # raced a detach; nobody is waiting anymore
-        if down.kind == "entity":
-            # Unwrap: the entity receives a plain StatsReply, whatever
-            # its depth.
-            self._push(down, decode_net_payload(StatsReply.TYPE_ID, message.reply))
-        else:
-            self._push(down, message)
+    async def _stats_reply_down(self, reply: StatsReply) -> None:
+        down = self._bind.get(reply.entity)
+        if down is not None:  # else raced a detach; nobody is waiting
+            self._push(down, reply)
 
     # -- downstream connections ------------------------------------------------
 
@@ -837,12 +830,12 @@ class Node:
                 down = await self._entity_handshake(stream, message)
             elif isinstance(message, RelayHello):
                 down = await self._relay_handshake(stream, message)
-            elif isinstance(message, (StatsRequest, MetricsRequest)):
+            elif isinstance(message, StatsRequest):
                 await self._monitor_loop(stream, message)
             else:
                 raise SerializationError(
-                    "first frame must be Hello, RelayHello, StatsRequest"
-                    " or MetricsRequest, got %s" % type(message).__name__
+                    "first frame must be Hello, RelayHello or StatsRequest, got %s"
+                    % type(message).__name__
                 )
             if down is not None:
                 await self._read_loop(down)
@@ -957,12 +950,8 @@ class Node:
                 return
             message = decode_net_payload(*frame)
             if isinstance(message, (NetDeliver, NetBroadcast)):
-                bounce = link and isinstance(message, NetDeliver)
-                if not bounce and self._bind.get(message.sender) is not down:
-                    raise SerializationError(
-                        "%s %r tried to send as %r"
-                        % (down.kind, down.name, message.sender)
-                    )
+                if not (link and isinstance(message, NetDeliver)):
+                    self._require_sender(down, message.sender)
                 self._require_payload(message.payload)
                 self.forwarded_up += 1
                 await self._send_up(message, down)
@@ -973,15 +962,14 @@ class Node:
                 # upstream EOF on every node.
                 logger.info("shutdown requested via %s %r", down.kind, down.name)
                 await self._send_up(message)
-            elif not link and isinstance(message, StatsRequest):
-                # Answered by the root, so observability is attach-point
-                # blind; the reply comes back down wrapped for routing.
-                request = RelayStatsRequest(down.name, message.include_log)
-                await self._send_up(request)
-            elif not link and isinstance(message, MetricsRequest):
-                # Answered locally: an entity observes the subtree
-                # aggregate of the node it is attached to.
-                self._push(down, self._metrics_report(message.trace))
+            elif isinstance(message, StatsRequest):
+                # Answered by the root, so introspection is attach-point
+                # blind.  The first hop stamps the asker's name for the
+                # way back; every hop above holds it to the sender rule.
+                if not link and not message.entity:
+                    message = dataclasses.replace(message, entity=down.name)
+                self._require_sender(down, message.entity)
+                await self._send_up(message)
             elif link and isinstance(message, RelayAttach):
                 entity = message.entity
                 refusal = _name_refusal("entity name", entity)
@@ -996,18 +984,22 @@ class Node:
                     del self._bind[message.entity]
                     down.entities.discard(message.entity)
                 await self._send_up(message)
-            elif link and isinstance(message, RelayStatsRequest):
-                await self._send_up(message)
-            elif link and isinstance(message, MetricsReport):
+            elif link and isinstance(message, StatsReply) and not message.entity:
                 # Periodic push from the downstream node: kept (not
                 # forwarded as-is) -- our own snapshot merges it in, so
-                # reports aggregate hop by hop toward the root.
-                down.last_metrics = snapshot_from_json(message.snapshot)
-                self._count("relay.metrics_reports")
+                # reports aggregate hop by hop toward the root.  A blob
+                # over the cap or malformed costs the report, never the
+                # link: telemetry must not be able to cut the data path.
+                try:
+                    down.last_metrics = snapshot_from_json(message.metrics)
+                    self._count("relay.metrics_reports")
+                except SerializationError as exc:
+                    logger.warning("refusing report from relay %r: %s", down.name, exc)
             else:
-                # Including RelayBroadcast from a link: multicast only
-                # ever travels downstream; from below it is a forged
-                # injection (or a loop the handshake should have refused).
+                # Including RelayBroadcast, or a StatsReply addressed to
+                # an entity, from a link: both only ever travel
+                # downstream; from below they are forged injections (or a
+                # loop the handshake should have refused).
                 raise SerializationError(
                     "%s %r may not send %s"
                     % (down.kind, down.name, type(message).__name__)
@@ -1017,18 +1009,22 @@ class Node:
         """Serve a monitor: local counters only, never the name table or
         the quiescence state, so probing a node cannot disturb either."""
         while True:
-            if isinstance(message, StatsRequest):
-                await _send(stream, self.local_stats())
-            elif isinstance(message, MetricsRequest):
-                await _send(stream, self._metrics_report(message.trace))
-            else:
+            # (The sender rule again: no name is bound through a monitor.)
+            if not isinstance(message, StatsRequest) or message.entity:
                 raise SerializationError(
-                    "monitor connection may only send StatsRequest or MetricsRequest"
+                    "monitor connection may only send an unaddressed StatsRequest"
                 )
+            await _send(stream, self._answer(message))
             frame = await stream.recv()
             if frame is None:
                 return
             message = decode_net_payload(*frame)
+
+    def _require_sender(self, down: _Down, name: str) -> None:
+        if self._bind.get(name) is not down:
+            raise SerializationError(
+                "%s %r tried to send as %r" % (down.kind, down.name, name)
+            )
 
     def _require_payload(self, payload: bytes) -> None:
         """The *routed* frame must fit ``max_frame`` on its own, so every
@@ -1176,10 +1172,8 @@ class Node:
     def local_stats(self) -> StatsReply:
         """This hop's own counters (the per-hop invariant surface).
 
-        Deliberately *not* the root's accounting: a monitor asking a node
-        gets that node's view (no log -- a relay keeps none, which is the
-        point), while an attached entity's ``StatsRequest`` is forwarded
-        up and answered by the root authority.
+        Deliberately *not* the root's accounting: no log -- a relay
+        keeps none, which is the point.
         """
         return StatsReply(
             pending=sum(len(d.outbound) for d in self._downs),
@@ -1233,11 +1227,21 @@ class Node:
         reports = [d.last_metrics for d in self._downs if d.last_metrics is not None]
         return merge_snapshots([self.metrics.snapshot()] + reports)
 
-    def _metrics_report(self, trace: bytes = b"") -> MetricsReport:
-        return MetricsReport(
-            source=self.relay_id or "broker",
-            snapshot=snapshot_to_json(self._metrics_snapshot()),
-            trace=trace,
+    def _answer(self, request: StatsRequest) -> StatsReply:
+        """Every ``StatsReply`` this node sends is built here.
+
+        An attached entity (``request.entity``, stamped by its first hop
+        and only ever answered at the root) gets the root authority's
+        view; a monitor, or this node's own upstream push, this hop's.
+        ``metrics`` adds the subtree aggregate to either.
+        """
+        blob = snapshot_to_json(self._metrics_snapshot()) if request.metrics else b""
+        if request.entity:
+            reply = self._root.stats(request.include_log, reserve=len(blob))
+        else:
+            reply = self.local_stats()
+        return dataclasses.replace(
+            reply, entity=request.entity, metrics=blob, trace=request.trace
         )
 
     async def _metrics_loop(self) -> None:
@@ -1249,18 +1253,18 @@ class Node:
                 self._obs.metrics(self._metrics_snapshot())
             if self._up is not None:
                 self._count("metrics_pushes")
-                await self._send_up(self._metrics_report())
+                await self._send_up(self._answer(StatsRequest(metrics=True)))
 
 
-def _probe(
+def request_local_stats(
     host: str,
     port: int,
-    request: NetMessage,
-    reply_type: Type[NetMessage],
-    timeout: float,
-    max_frame: int,
-) -> NetMessage:
-    """One monitor round trip on a throwaway connection.
+    timeout: float = 10.0,
+    max_frame: int = DEFAULT_MAX_FRAME_PAYLOAD,
+    metrics: bool = False,
+) -> StatsReply:
+    """Synchronously fetch one node's local counters (and, with
+    ``metrics``, its subtree aggregate) on a throwaway connection.
 
     The request is the connection's *first* frame -- the node's monitor
     path -- so sampling a hop never registers a name or perturbs
@@ -1271,7 +1275,7 @@ def _probe(
     try:
         with socket.create_connection((host, port), timeout=timeout) as sock:
             sock.settimeout(timeout)
-            sock.sendall(request.encode())
+            sock.sendall(StatsRequest(metrics=metrics).encode())
             decoder = FrameDecoder(max_frame + ENVELOPE_OVERHEAD)
             while True:
                 chunk = sock.recv(65536)
@@ -1280,7 +1284,7 @@ def _probe(
                 frames = decoder.feed(chunk)
                 if frames:
                     message = decode_net_payload(*frames[0])
-                    if not isinstance(message, reply_type):
+                    if not isinstance(message, StatsReply):
                         raise NetworkError(
                             "node monitor answered with %s" % type(message).__name__
                         )
@@ -1289,27 +1293,15 @@ def _probe(
         raise NetworkError("monitor probe to %s failed: %s" % (where, exc)) from exc
 
 
-def request_local_stats(
-    host: str,
-    port: int,
-    timeout: float = 10.0,
-    max_frame: int = DEFAULT_MAX_FRAME_PAYLOAD,
-) -> StatsReply:
-    """Synchronously fetch one node's local counters (monitor client)."""
-    request = StatsRequest(include_log=False)
-    return _probe(host, port, request, StatsReply, timeout, max_frame)
-
-
 def request_local_metrics(
     host: str,
     port: int,
     timeout: float = 10.0,
     max_frame: int = DEFAULT_MAX_FRAME_PAYLOAD,
 ) -> dict:
-    """Synchronously fetch one node's metrics snapshot -- its subtree
-    aggregate -- as the decoded snapshot dict (monitor client)."""
-    report = _probe(host, port, MetricsRequest(), MetricsReport, timeout, max_frame)
-    return snapshot_from_json(report.snapshot)
+    """One node's subtree aggregate as the decoded snapshot dict."""
+    reply = request_local_stats(host, port, timeout, max_frame, metrics=True)
+    return snapshot_from_json(reply.metrics)
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -1395,7 +1387,7 @@ def main(argv=None, *, relay: bool = False) -> int:
         type=float,
         default=0.0,
         help="seconds between metrics rounds: an obs.jsonl record (with "
-        "--obs-dir) and, on a relay, a MetricsReport pushed upstream (0 = off)",
+        "--obs-dir) and, on a relay, a subtree report pushed upstream (0 = off)",
     )
     parser.add_argument("--obs-dir", help="directory for the obs.jsonl span log")
     parser.add_argument("-v", "--verbose", action="store_true")

@@ -21,12 +21,27 @@ downstream connection with :class:`RelayHello` instead of ``Hello``; the
 upstream answers :class:`RelayWelcome` carrying its *path* (the chain of
 relay ids from the root), which both sides check for loops.  Entities
 attaching below a relay are forwarded up as :class:`RelayAttach` so the
-root broker keeps the one global name table (spoof-on-connect stays a
+root keeps the one global name table (spoof-on-connect stays a
 single-authority decision); broadcasts travel down as
 :class:`RelayBroadcast` carrying a root-assigned sequence id that each
-hop dedups against a bounded seen-set.  Relays never unwrap routed
+hop checks against one high-water integer.  Relays never unwrap routed
 payloads -- the messages here carry names, labels and opaque bytes only,
 so a relay provably cannot hold keys or CSS state.
+
+Introspection is **one request and one report** at every depth.
+:class:`StatsRequest` asks; its ``entity`` field is stamped by the first
+hop from the name bound to the asking connection and forwarded up
+unchanged, so the root can route the answer.  :class:`StatsReply`
+answers: routing state, counters, optionally the accounting log
+(``include_log``) and optionally a :mod:`repro.obs.metrics` snapshot
+(``metrics``), routed back down by its ``entity`` as the same message at
+every hop -- no wrapping, no re-parse.  The rule is one line: *an
+attached entity is answered by the root authority, a monitor by the hop
+it dialled* -- for stats and metrics alike (a monitor is a connection
+whose first frame is a ``StatsRequest``).  The same ``StatsReply`` with
+``entity == ""`` travelling *up* a link is a relay's periodic subtree
+report (``--metrics-interval``); with a non-empty ``entity`` it only
+ever travels down.
 
 :class:`Ack` implements processed-message accounting for quiescence
 detection: a client acknowledges deliveries only after its endpoint has
@@ -42,12 +57,6 @@ sees the field, and a pre-trace frame decodes here with
 ``trace == ZERO_TRACE``.  Any other trailing length is refused as
 malformed.  Trace ids are opaque routing metadata (never payload
 bytes); :mod:`repro.obs` owns their semantics.
-
-:class:`MetricsRequest` / :class:`MetricsReport` carry point-in-time
-:mod:`repro.obs.metrics` snapshots (canonical JSON, size-capped):
-brokers answer requests with their subtree aggregate, relays push
-reports upstream on ``--metrics-interval`` and answer requests on
-their monitor port.
 """
 
 from __future__ import annotations
@@ -70,7 +79,6 @@ from repro.wire.codec import (
 __all__ = [
     "BROADCAST",
     "ENVELOPE_OVERHEAD",
-    "MAX_METRICS_SNAPSHOT",
     "MAX_NAME_LEN",
     "MAX_RELAY_PATH",
     "TRACE_LEN",
@@ -93,10 +101,6 @@ __all__ = [
     "RelayAttachReply",
     "RelayDetach",
     "RelayBroadcast",
-    "RelayStatsRequest",
-    "RelayStatsReply",
-    "MetricsRequest",
-    "MetricsReport",
     "NET_MESSAGE_TYPES",
     "decode_net_message",
     "decode_net_payload",
@@ -129,11 +133,6 @@ MAX_NAME_LEN = 128
 #: decode-side allocation and caps how deep a federation tree can grow;
 #: a path longer than this is refused as malformed.
 MAX_RELAY_PATH = 64
-
-#: Largest serialized metrics snapshot a :class:`MetricsReport` may
-#: carry (mirrors ``repro.obs.metrics.MAX_SNAPSHOT_BYTES``): telemetry
-#: is aggregate numbers, so anything bigger is hostile or broken.
-MAX_METRICS_SNAPSHOT = 1 << 20
 
 
 def pack_trace(trace: bytes) -> bytes:
@@ -343,23 +342,42 @@ class Ack(NetMessage):
 
 @dataclass(frozen=True)
 class StatsRequest(NetMessage):
-    """Client -> broker: report routing/accounting state."""
+    """Ask for routing/accounting state (and, with ``metrics``, a
+    metrics snapshot) -- the one introspection request.
+
+    ``entity`` is a routing field, not a question: the asker leaves it
+    empty, the first hop stamps the name bound to the asking connection
+    and every hop above forwards it unchanged, under the same sender
+    rule as routed traffic (a connection speaks only for names bound
+    through it).  A monitor's request keeps it empty.
+    """
 
     include_log: bool = False
+    metrics: bool = False
+    entity: str = ""
     trace: bytes = ZERO_TRACE
 
     TYPE_ID = 69
 
     def payload_bytes(self) -> bytes:
-        return pack_bool(self.include_log) + pack_trace(self.trace)
+        return (
+            pack_bool(self.include_log)
+            + pack_bool(self.metrics)
+            + pack_str(self.entity)
+            + pack_trace(self.trace)
+        )
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "StatsRequest":
         cursor = Cursor(payload)
         include_log = cursor.read_bool()
+        metrics = cursor.read_bool()
+        entity = cursor.read_str()
         trace = read_trace(cursor)
         cursor.expect_end()
-        return cls(include_log=include_log, trace=trace)
+        return cls(
+            include_log=include_log, metrics=metrics, entity=entity, trace=trace
+        )
 
 
 @dataclass(frozen=True)
@@ -394,19 +412,29 @@ class TrafficRecord:
 
 @dataclass(frozen=True)
 class StatsReply(NetMessage):
-    """Broker -> client: routing state + (optionally) the accounting log.
+    """The one introspection report: routing state, counters and
+    (optionally) the accounting log and a metrics snapshot.
 
-    * ``pending`` -- deliveries queued broker-side, not yet pushed;
+    * ``pending`` -- deliveries queued node-side, not yet pushed;
     * ``in_flight`` -- deliveries pushed to clients but not yet acked
       (i.e. not yet *processed* by the receiving endpoint);
     * ``delivered_total`` -- monotonic count of enqueued deliveries, so a
       caller can detect that traffic has genuinely stopped;
-    * ``dropped`` -- deliveries discarded to hold broker state bounds;
+    * ``dropped`` -- deliveries discarded to hold state bounds;
     * ``log_complete`` -- False when the accounting log was too large to
       fit one frame and only its newest suffix is included;
-    * ``counters`` -- named server-role counters (leaf vs relay link
-      counts, slow-consumer disconnects, relay hop totals).  A generic
-      name/value list so relay and broker stats share one reply shape.
+    * ``counters`` -- named counters of the answering view (the root
+      authority's, or one hop's local ones) as a name/value list, so
+      every view shares one reply shape;
+    * ``entity`` -- the asker the report is routed down to (copied from
+      the request).  Empty on a monitor's answer and on the subtree
+      report a relay pushes *up* its link every ``--metrics-interval``;
+    * ``metrics`` -- canonical :func:`repro.obs.metrics.snapshot_to_json`
+      bytes of the answerer's subtree aggregate, empty unless asked for.
+      Opaque here: ``snapshot_from_json`` caps the size (1 MiB) and
+      validates the shape before a snapshot enters any aggregate, so a
+      hostile blob costs its sender the report, never the link.
+      Telemetry only -- never payload bytes.
     """
 
     pending: int
@@ -416,6 +444,8 @@ class StatsReply(NetMessage):
     log_complete: bool = True
     log: Tuple[TrafficRecord, ...] = field(default_factory=tuple)
     counters: Tuple[Tuple[str, int], ...] = field(default_factory=tuple)
+    entity: str = ""
+    metrics: bytes = b""
     trace: bytes = ZERO_TRACE
 
     TYPE_ID = 70
@@ -441,6 +471,7 @@ class StatsReply(NetMessage):
         out += b"".join(
             pack_str(name) + pack_u32(value) for name, value in self.counters
         )
+        out += pack_str(self.entity) + pack_bytes(self.metrics)
         return out + pack_trace(self.trace)
 
     @classmethod
@@ -457,6 +488,8 @@ class StatsReply(NetMessage):
         counters = tuple(
             (cursor.read_str(), cursor.read_u32()) for _ in range(counter_count)
         )
+        entity = cursor.read_str()
+        metrics = cursor.read_bytes()
         trace = read_trace(cursor)
         cursor.expect_end()
         return cls(
@@ -467,6 +500,8 @@ class StatsReply(NetMessage):
             log_complete=log_complete,
             log=log,
             counters=counters,
+            entity=entity,
+            metrics=metrics,
             trace=trace,
         )
 
@@ -704,142 +739,6 @@ class RelayBroadcast(NetMessage):
         )
 
 
-@dataclass(frozen=True)
-class RelayStatsRequest(NetMessage):
-    """Relay -> upstream: a downstream entity asked for broker stats.
-
-    Wraps the entity's plain :class:`StatsRequest` with its name so the
-    root can route the reply back down the tree by entity binding.
-    """
-
-    entity: str
-    include_log: bool = False
-    trace: bytes = ZERO_TRACE
-
-    TYPE_ID = 78
-
-    def payload_bytes(self) -> bytes:
-        return (
-            pack_str(self.entity)
-            + pack_bool(self.include_log)
-            + pack_trace(self.trace)
-        )
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "RelayStatsRequest":
-        cursor = Cursor(payload)
-        entity = cursor.read_str()
-        include_log = cursor.read_bool()
-        trace = read_trace(cursor)
-        cursor.expect_end()
-        return cls(entity=entity, include_log=include_log, trace=trace)
-
-
-@dataclass(frozen=True)
-class RelayStatsReply(NetMessage):
-    """Root -> relay: stats for one asking entity, routed back down.
-
-    ``reply`` is a complete :class:`StatsReply` payload; the last-hop
-    relay unwraps it and hands the entity a plain ``StatsReply`` frame,
-    so clients see identical stats whether attached directly or through
-    relays.
-    """
-
-    entity: str
-    reply: bytes
-    trace: bytes = ZERO_TRACE
-
-    TYPE_ID = 79
-
-    def payload_bytes(self) -> bytes:
-        return (
-            pack_str(self.entity)
-            + pack_bytes(self.reply)
-            + pack_trace(self.trace)
-        )
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "RelayStatsReply":
-        cursor = Cursor(payload)
-        entity = cursor.read_str()
-        reply = cursor.read_bytes()
-        trace = read_trace(cursor)
-        cursor.expect_end()
-        return cls(entity=entity, reply=reply, trace=trace)
-
-
-@dataclass(frozen=True)
-class MetricsRequest(NetMessage):
-    """Client -> server: report a point-in-time metrics snapshot.
-
-    A broker answers with its root-aggregated subtree; a relay (on its
-    monitor port, same first-frame convention as ``StatsRequest``)
-    answers with its own subtree aggregate.  Purely observational -- a
-    server with no metrics enabled still answers with an empty
-    snapshot, so probes never need to know the server's configuration.
-    """
-
-    trace: bytes = ZERO_TRACE
-
-    TYPE_ID = 80
-
-    def payload_bytes(self) -> bytes:
-        return pack_trace(self.trace)
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "MetricsRequest":
-        cursor = Cursor(payload)
-        trace = read_trace(cursor)
-        cursor.expect_end()
-        return cls(trace=trace)
-
-
-@dataclass(frozen=True)
-class MetricsReport(NetMessage):
-    """A metrics snapshot on the move.
-
-    ``source`` names the producing node (entity name or relay id);
-    ``snapshot`` is canonical :func:`repro.obs.metrics.snapshot_to_json`
-    bytes, size-capped at decode and re-validated by
-    ``snapshot_from_json`` before it enters any aggregate.  Travels in
-    both directions: a relay *pushes* its subtree report upstream every
-    ``--metrics-interval`` seconds, and servers send it as the reply to
-    :class:`MetricsRequest`.  Telemetry only -- never payload bytes.
-    """
-
-    source: str
-    snapshot: bytes
-    trace: bytes = ZERO_TRACE
-
-    TYPE_ID = 81
-
-    def payload_bytes(self) -> bytes:
-        if len(self.snapshot) > MAX_METRICS_SNAPSHOT:
-            raise SerializationError(
-                "metrics snapshot of %d bytes exceeds the %d-byte cap"
-                % (len(self.snapshot), MAX_METRICS_SNAPSHOT)
-            )
-        return (
-            pack_str(self.source)
-            + pack_bytes(self.snapshot)
-            + pack_trace(self.trace)
-        )
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "MetricsReport":
-        cursor = Cursor(payload)
-        source = cursor.read_str()
-        snapshot = cursor.read_bytes()
-        if len(snapshot) > MAX_METRICS_SNAPSHOT:
-            raise SerializationError(
-                "metrics snapshot of %d bytes exceeds the %d-byte cap"
-                % (len(snapshot), MAX_METRICS_SNAPSHOT)
-            )
-        trace = read_trace(cursor)
-        cursor.expect_end()
-        return cls(source=source, snapshot=snapshot, trace=trace)
-
-
 NET_MESSAGE_TYPES: Dict[int, Type[NetMessage]] = {
     cls.TYPE_ID: cls
     for cls in (
@@ -857,10 +756,6 @@ NET_MESSAGE_TYPES: Dict[int, Type[NetMessage]] = {
         RelayAttachReply,
         RelayDetach,
         RelayBroadcast,
-        RelayStatsRequest,
-        RelayStatsReply,
-        MetricsRequest,
-        MetricsReport,
     )
 }
 

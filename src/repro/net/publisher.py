@@ -43,9 +43,7 @@ from repro.net.runtime import (
     wait_until_quiet,
 )
 from repro.net.transport import TcpTransport
-from repro.obs.metrics import get_registry
-from repro.obs.profile import profile_window, recorder_for, set_profiler
-from repro.obs.trace import set_span_writer, writer_for
+from repro.obs.profile import observing, profile_window
 from repro.store import PublisherPersistence
 from repro.system.service import DisseminationService
 
@@ -194,65 +192,56 @@ def main(argv=None) -> int:
 
     stop = install_stop_signals()
     host, port = parse_endpoint(args.broker)
-    obs = writer_for(args.data_dir, publisher.name)
-    # The global installs make stage() spans (ocbe.build, acv.solve,
-    # wal.*) and profile_window() land in this process's files; both are
-    # restored on the way out so embedders stay unaffected.
-    previous_writer = set_span_writer(obs)
-    profiler = recorder_for(args.profile_dir, publisher.name)
-    previous_profiler = set_profiler(profiler)
     service = None
-    try:
-        with TcpTransport(host, port) as transport:
-            workers = args.ocbe_workers
-            if workers is None:
-                workers = int(scenario.get("ocbe_workers", 0))
-            service = DisseminationService(
-                publisher, transport, persistence=persistence,
-                ocbe_workers=workers,
-            )
-            service.span_writer = obs
-            if profiler is not None:
-                from repro.groups._native import BACKEND
-
-                profiler.annotate(math_backend=BACKEND, ocbe_workers=workers)
-            print("publisher serving as %r on %s" % (publisher.name, args.broker),
-                  flush=True)
-            if args.serve:
-                if recovered_cells:
-                    # Rekey-on-recovery for the long-running shape too: the
-                    # first act after a crash is a fresh broadcast so the
-                    # recovered table's subscribers resume decrypting.
-                    for document in _scenario_documents(scenario):
-                        service.publish(document)
-                        print("rekey-on-recovery broadcast of %r" % document.name,
-                              flush=True)
-                with profile_window("serve"):
-                    pump_forever([service], stop)
-                return 0
-            try:
-                report = _run_lifecycle(
-                    args, scenario, bundle, service, transport, stop,
-                    recovered_cells=recovered_cells,
+    # The telemetry scope makes stage() spans (ocbe.build, acv.solve,
+    # wal.*) and profile_window() land in this process's files, and
+    # restores the host's on the way out so embedders stay unaffected.
+    scope = observing(args.data_dir, args.profile_dir, publisher.name)
+    with scope as (obs, profiler):
+        try:
+            with TcpTransport(host, port) as transport:
+                workers = args.ocbe_workers
+                if workers is None:
+                    workers = int(scenario.get("ocbe_workers", 0))
+                service = DisseminationService(
+                    publisher, transport, persistence=persistence,
+                    ocbe_workers=workers,
                 )
-            except StopRequested:
-                print("stop signal received; exiting without a report", flush=True)
-                return 0
-            if args.report:
-                write_json(args.report, report)
-            print(json.dumps(report, indent=2, sort_keys=True), flush=True)
-    finally:
-        if service is not None:
-            service.close()
-        set_span_writer(previous_writer)
-        set_profiler(previous_profiler)
-        if profiler is not None:
-            profiler.write()
-        if obs is not None:
-            obs.metrics(get_registry().snapshot())
-            obs.close()
-        if persistence is not None:
-            persistence.close()
+                service.span_writer = obs
+                if profiler is not None:
+                    from repro.groups._native import BACKEND
+
+                    profiler.annotate(math_backend=BACKEND, ocbe_workers=workers)
+                print("publisher serving as %r on %s" % (publisher.name, args.broker),
+                      flush=True)
+                if args.serve:
+                    if recovered_cells:
+                        # Rekey-on-recovery for the long-running shape too: the
+                        # first act after a crash is a fresh broadcast so the
+                        # recovered table's subscribers resume decrypting.
+                        for document in _scenario_documents(scenario):
+                            service.publish(document)
+                            print("rekey-on-recovery broadcast of %r" % document.name,
+                                  flush=True)
+                    with profile_window("serve"):
+                        pump_forever([service], stop)
+                    return 0
+                try:
+                    report = _run_lifecycle(
+                        args, scenario, bundle, service, transport, stop,
+                        recovered_cells=recovered_cells,
+                    )
+                except StopRequested:
+                    print("stop signal received; exiting without a report", flush=True)
+                    return 0
+                if args.report:
+                    write_json(args.report, report)
+                print(json.dumps(report, indent=2, sort_keys=True), flush=True)
+        finally:
+            if service is not None:
+                service.close()
+            if persistence is not None:
+                persistence.close()
     return 0
 
 

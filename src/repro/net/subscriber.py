@@ -31,8 +31,7 @@ from repro.net.bootstrap import (
 )
 from repro.net.runtime import StopRequested, pump_until, wait_for_file
 from repro.net.transport import TcpTransport
-from repro.obs.metrics import get_registry
-from repro.obs.trace import set_span_writer, writer_for
+from repro.obs.profile import observing
 from repro.store import SubscriberPersistence
 from repro.system.service import SubscriberClient
 
@@ -75,37 +74,32 @@ def main(argv=None) -> int:
 
     stop = install_stop_signals()
     host, port = parse_endpoint(args.broker)
-    obs = writer_for(args.data_dir, subscriber.nym)
-    # Global install (restored below) so the decrypt/wal stage spans of
-    # this process land in its obs.jsonl alongside the hop events.
-    previous_writer = set_span_writer(obs)
-    try:
-        with TcpTransport(host, port) as transport:
-            client = SubscriberClient(
-                subscriber,
-                transport,
-                publisher_name=publisher_for_user(scenario, args.user),
-                idmgr_name=scenario["idmgr"],
-                history_limit=args.history_limit,
-                persistence=persistence,
-                # A recovered CSS is a completed registration; a fresh run
-                # (or no data dir) must run every OCBE exchange.
-                reuse_css=persistence is not None and persistence.recovered,
-            )
-            client.span_writer = obs
-            print("subscriber %r connected as nym %r"
-                  % (args.user, subscriber.nym), flush=True)
-            return _run_lifecycle(
-                args, scenario, bundle, subscriber, client, transport, stop,
-                attributes,
-            )
-    finally:
-        set_span_writer(previous_writer)
-        if obs is not None:
-            obs.metrics(get_registry().snapshot())
-            obs.close()
-        if persistence is not None:
-            persistence.close()
+    # The telemetry scope makes the decrypt/wal stage spans of this
+    # process land in its obs.jsonl alongside the hop events.
+    with observing(args.data_dir, None, subscriber.nym) as (obs, _):
+        try:
+            with TcpTransport(host, port) as transport:
+                client = SubscriberClient(
+                    subscriber,
+                    transport,
+                    publisher_name=publisher_for_user(scenario, args.user),
+                    idmgr_name=scenario["idmgr"],
+                    history_limit=args.history_limit,
+                    persistence=persistence,
+                    # A recovered CSS is a completed registration; a fresh run
+                    # (or no data dir) must run every OCBE exchange.
+                    reuse_css=persistence is not None and persistence.recovered,
+                )
+                client.span_writer = obs
+                print("subscriber %r connected as nym %r"
+                      % (args.user, subscriber.nym), flush=True)
+                return _run_lifecycle(
+                    args, scenario, bundle, subscriber, client, transport, stop,
+                    attributes,
+                )
+        finally:
+            if persistence is not None:
+                persistence.close()
 
 
 def _run_lifecycle(args, scenario, bundle, subscriber, client, transport, stop,

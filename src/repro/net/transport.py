@@ -39,8 +39,6 @@ from repro.net.protocol import (
     ENVELOPE_OVERHEAD,
     Ack,
     Hello,
-    MetricsReport,
-    MetricsRequest,
     NetBroadcast,
     NetDeliver,
     NetMessage,
@@ -63,7 +61,7 @@ class _EntityConn:
     """One entity's connection: stream, local inbox, ack bookkeeping."""
 
     __slots__ = ("entity", "stream", "inbox", "owed_acks", "ack_exempt",
-                 "reader", "stats_q", "metrics_q", "alive", "error")
+                 "reader", "stats_q", "alive", "error")
 
     def __init__(self, entity: str, stream: FrameStream):
         self.entity = entity
@@ -80,7 +78,6 @@ class _EntityConn:
         self.ack_exempt = 0
         self.reader: Optional[asyncio.Task] = None
         self.stats_q: "queue.Queue[StatsReply]" = queue.Queue()
-        self.metrics_q: "queue.Queue[MetricsReport]" = queue.Queue()
         self.alive = True
         self.error: Optional[str] = None
 
@@ -199,8 +196,6 @@ class TcpTransport:
                     )
                 elif isinstance(message, StatsReply):
                     conn.stats_q.put(message)
-                elif isinstance(message, MetricsReport):
-                    conn.metrics_q.put(message)
                 else:
                     conn.error = "unexpected %s from broker" % type(message).__name__
                     return
@@ -397,10 +392,6 @@ class TcpTransport:
         with self._lock:
             self._attach[entity] = (host, port)
 
-    def attach_point(self, entity: str) -> Tuple[str, int]:
-        """Where ``entity`` connects: its relay, or the root endpoint."""
-        return self._attach.get(entity, (self.host, self.port))
-
     def disconnect(self, entity: str) -> None:
         """Close one entity's broker connection and forget it locally.
 
@@ -418,16 +409,19 @@ class TcpTransport:
             with self._lock:
                 conn = self._conns.pop(entity, None)
                 self._reconnect_at.pop(entity, None)
-            if conn is None:
-                return
-            if conn.reader is not None:
-                self._loop.call_soon_threadsafe(conn.reader.cancel)
-            try:
-                asyncio.run_coroutine_threadsafe(
-                    conn.stream.aclose(), self._loop
-                ).result(self.timeout)
-            except concurrent.futures.TimeoutError:
-                pass  # best-effort: the reader's teardown also closes it
+            if conn is not None:
+                self._teardown(conn)
+
+    def _teardown(self, conn: _EntityConn) -> None:
+        """Stop one connection's reader and close its socket."""
+        if conn.reader is not None:
+            self._loop.call_soon_threadsafe(conn.reader.cancel)
+        try:
+            asyncio.run_coroutine_threadsafe(
+                conn.stream.aclose(), self._loop
+            ).result(self.timeout)
+        except concurrent.futures.TimeoutError:
+            pass  # best-effort: the reader's teardown also closes it
 
     def entities(self) -> List[str]:
         """Locally registered entity names."""
@@ -440,15 +434,18 @@ class TcpTransport:
             return len(conn.inbox) if conn else 0
         return sum(len(conn.inbox) for conn in self._conns.values())
 
-    def connection_error(self, entity: str) -> Optional[str]:
-        """Why ``entity``'s connection died, or None while healthy."""
-        return self._conn(entity).error
-
-    def stats(self, include_log: bool = False, via: Optional[str] = None) -> StatsReply:
-        """Fetch the broker's routing/accounting state.
+    def stats(
+        self,
+        include_log: bool = False,
+        via: Optional[str] = None,
+        metrics: bool = False,
+    ) -> StatsReply:
+        """Fetch the root's routing/accounting state.
 
         ``via`` names the entity whose connection carries the request
-        (default: any registered entity).  A reply whose accounting log
+        (default: any registered entity); the root answers whatever the
+        entity's attach point.  ``metrics`` adds the root's metrics
+        snapshot to the reply.  A reply whose accounting log
         was truncated to fit one frame (``log_complete=False``) is still
         returned -- the counters are exact either way -- but the
         truncation is surfaced as a :class:`UserWarning` and a
@@ -461,7 +458,8 @@ class TcpTransport:
         conn = self._conn(names[0])
         while not conn.stats_q.empty():  # drop stale replies
             conn.stats_q.get_nowait()
-        self._run(self._send(conn, StatsRequest(include_log=include_log)))
+        request = StatsRequest(include_log=include_log, metrics=metrics)
+        self._run(self._send(conn, request))
         try:
             reply = conn.stats_q.get(timeout=self.timeout)
         except queue.Empty as exc:
@@ -478,25 +476,9 @@ class TcpTransport:
         return reply
 
     def metrics(self, via: Optional[str] = None) -> dict:
-        """Fetch the broker's metrics snapshot (root subtree aggregate).
-
-        Mirrors :meth:`stats`: ``via`` names the entity whose connection
-        carries the ``MetricsRequest``; the broker answers with one
-        ``MetricsReport`` whose snapshot merges its own registry with
-        the latest report pushed by each attached relay subtree.
-        """
-        names = [via] if via is not None else self.entities()
-        if not names:
-            raise NetworkError("metrics needs at least one registered entity")
-        conn = self._conn(names[0])
-        while not conn.metrics_q.empty():  # drop stale replies
-            conn.metrics_q.get_nowait()
-        self._run(self._send(conn, MetricsRequest(trace=current_trace())))
-        try:
-            report = conn.metrics_q.get(timeout=self.timeout)
-        except queue.Empty as exc:
-            raise NetworkError("broker metrics request timed out") from exc
-        return snapshot_from_json(report.snapshot)
+        """The root aggregate (its own registry merged with the latest
+        report pushed by each relay subtree) as a snapshot dict."""
+        return snapshot_from_json(self.stats(metrics=True, via=via).metrics)
 
     def snapshot(self) -> InMemoryTransport:
         """The broker's accounting log, replayed into an in-memory router.
@@ -539,17 +521,14 @@ class TcpTransport:
                     self._flush_acks(conn)
                 except NetworkError:
                     pass
-                if conn.reader is not None:
-                    self._loop.call_soon_threadsafe(conn.reader.cancel)
-                try:
-                    asyncio.run_coroutine_threadsafe(
-                        conn.stream.aclose(), self._loop
-                    ).result(self.timeout)
-                except concurrent.futures.TimeoutError:
-                    pass  # closing is best-effort; the loop stops below
+                self._teardown(conn)
             self._closed = True
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(self.timeout)
+        if not self._thread.is_alive():  # (never close a loop still running)
+            # Releases the selector and the self-pipe, which otherwise
+            # live as long as the process.
+            self._loop.close()
 
     def __enter__(self) -> "TcpTransport":
         return self

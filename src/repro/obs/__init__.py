@@ -11,7 +11,7 @@ load -- may import it; never the other way around.
   fixed bucket edges, and the thread-safe per-process
   :class:`~repro.obs.metrics.MetricsRegistry` whose snapshots are
   deterministic and JSON-round-trippable (the unit every
-  ``MetricsReport`` frame and subtree aggregation works in).
+  ``StatsReply.metrics`` field and subtree aggregation works in).
 * :mod:`repro.obs.trace` -- compact 16-byte trace ids propagated on
   wire frames, the per-thread/per-task trace context, and the
   :class:`~repro.obs.trace.SpanWriter` appending per-hop span records

@@ -13,7 +13,7 @@ Design constraints (see DESIGN.md "Observability"):
   thread with arbitrary caller threads; every mutation takes the
   registry lock, and a snapshot is a consistent point-in-time copy.
 * **Hostile-input safe.**  Snapshots cross process boundaries inside
-  ``MetricsReport`` frames; :func:`snapshot_from_json` validates shape,
+  ``StatsReply`` frames; :func:`snapshot_from_json` validates shape,
   sizes and types before anything enters an aggregate, raising
   :class:`~repro.errors.SerializationError` -- never ``KeyError`` or
   ``MemoryError`` -- on garbage.

@@ -40,13 +40,17 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+from repro.obs.metrics import get_registry
+from repro.obs.trace import SpanWriter, set_span_writer, writer_for
 
 __all__ = [
     "ProfileRecorder",
     "get_profiler",
     "main",
     "merge_profiles",
+    "observing",
     "profile_window",
     "recorder_for",
     "set_profiler",
@@ -225,6 +229,34 @@ def profile_window(stage: str):
         return
     with recorder.window(stage):
         yield
+
+
+@contextmanager
+def observing(
+    obs_dir: Optional[str], profile_dir: Optional[str], entity: str
+) -> Iterator[Tuple[Optional[SpanWriter], Optional[ProfileRecorder]]]:
+    """One process's (or engine's) telemetry scope: install
+    ``writer_for(obs_dir)`` and ``recorder_for(profile_dir)`` as the
+    process globals so stage spans and profile windows land in this
+    entity's files; on the way out restore whatever the host had, write
+    the profile and flush a final registry snapshot into the span log --
+    the entity-side end of the collection path.  Yields
+    ``(writer, recorder)``, either ``None`` when its directory is unset.
+    """
+    writer = writer_for(obs_dir, entity)
+    recorder = recorder_for(profile_dir, entity)
+    previous_writer = set_span_writer(writer)
+    previous_recorder = set_profiler(recorder)
+    try:
+        yield writer, recorder
+    finally:
+        set_span_writer(previous_writer)
+        set_profiler(previous_recorder)
+        if recorder is not None:
+            recorder.write()
+        if writer is not None:
+            writer.metrics(get_registry().snapshot())
+            writer.close()
 
 
 # -- merging and the CLI ----------------------------------------------------

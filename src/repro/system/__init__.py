@@ -19,8 +19,8 @@ the :class:`~repro.system.service.DisseminationService` /
 :class:`~repro.system.service.IdentityManagerEndpoint` endpoints drive the
 session state machines, and the transport's accounting log lets tests and
 examples audit precisely what the publisher observes.
-:mod:`~repro.system.registration` keeps the seed's one-call registration
-helpers as shims over that machinery.
+:mod:`~repro.system.registration` is the one-call in-process driver of
+that machinery (EHR workload, examples, system tests).
 
 Exports resolve lazily (PEP 562), like the package root's: an eager
 ``from repro.system.service import ...`` here would close a cycle with

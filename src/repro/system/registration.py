@@ -1,4 +1,4 @@
-"""Compatibility helpers driving the wire-protocol registration.
+"""One-call registration over the wire protocol.
 
 The paper's privacy practice (Section V-B / Example 3): a Sub registers
 its identity token for **every** condition whose attribute name matches
@@ -6,15 +6,18 @@ the token's tag -- including mutually exclusive ones -- so the Pub cannot
 infer from registration behaviour which condition the Sub actually
 satisfies.
 
-These helpers preserve the seed API (`register_for_attribute` /
-`register_all_attributes`) but are now thin shims over the wire protocol:
-they stand up a :class:`~repro.system.service.DisseminationService` and a
+`register_for_attribute` / `register_all_attributes` are the in-process
+driver for that practice, used by the EHR workload, the examples and the
+system tests: they stand up a
+:class:`~repro.system.service.DisseminationService` and a
 :class:`~repro.system.service.SubscriberClient` on a shared
 :class:`~repro.system.transport.InMemoryTransport` and pump frames until
 the exchange quiesces.  Every inter-entity interaction crosses the
-transport as serialized bytes -- the seed's ``offer.compose``
-monkey-patch metering is gone because the transport now *routes* the real
-messages and accounts them as a side effect.
+transport as serialized bytes, so the transport *routes* the real
+messages and accounts them as a side effect.  (A long-lived endpoint
+calls :meth:`SubscriberClient.register_all_attributes` on its own client
+instead; this module is the same exchange for callers that hold only a
+``Publisher`` and a ``Subscriber``.)
 """
 
 from __future__ import annotations

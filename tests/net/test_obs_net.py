@@ -9,61 +9,15 @@ import pytest
 
 from repro.errors import SerializationError
 from repro.net.protocol import (
-    NET_MESSAGE_TYPES,
     TRACE_LEN,
     ZERO_TRACE,
-    Ack,
-    Hello,
-    MetricsReport,
-    MetricsRequest,
-    NetBroadcast,
-    NetDeliver,
-    RelayAttach,
-    RelayAttachReply,
-    RelayBroadcast,
-    RelayDetach,
-    RelayHello,
-    RelayStatsReply,
-    RelayStatsRequest,
-    RelayWelcome,
-    Shutdown,
-    StatsReply,
-    StatsRequest,
-    TrafficRecord,
-    Welcome,
     decode_net_message,
     pack_trace,
 )
 from repro.obs.trace import new_trace_id, tracing
+from tests.net.samples import SAMPLES
 
 TRACE = bytes(range(1, TRACE_LEN + 1))
-
-SAMPLES = [
-    Hello(entity="pn-0001"),
-    Welcome(ok=True, entity="pn-0001"),
-    NetDeliver(sender="a", receiver="b", kind="k", note="n", payload=b"p"),
-    NetBroadcast(sender="pub", kind="pkg", note="doc", payload=b"body"),
-    Ack(count=3),
-    StatsRequest(include_log=True),
-    StatsReply(pending=1, in_flight=2, delivered_total=3,
-               log=(TrafficRecord("a", "b", "k", 9, "n"),)),
-    Shutdown(),
-    RelayHello(relay_id="r1"),
-    RelayWelcome(ok=True, relay_id="r1", path=("root",)),
-    RelayAttach(entity="pn-0042"),
-    RelayAttachReply(ok=True, entity="pn-0042"),
-    RelayDetach(entity="pn-0042"),
-    RelayBroadcast(seq=7, sender="pub", kind="pkg", note="doc", payload=b"x"),
-    RelayStatsRequest(entity="pn-0042", include_log=True),
-    RelayStatsReply(entity="pn-0042", reply=b"\x01\x02"),
-    MetricsRequest(),
-    MetricsReport(source="r1", snapshot=b'{"counters":{}}'),
-]
-
-
-def test_samples_cover_every_frame_type():
-    """The round-trip matrix below really does hit every net frame."""
-    assert {type(m) for m in SAMPLES} == set(NET_MESSAGE_TYPES.values())
 
 
 @pytest.mark.parametrize("message", SAMPLES, ids=lambda m: type(m).__name__)

@@ -169,6 +169,11 @@ def test_stats_through_relay_are_root_stats(chain):
     assert via_relay.log == via_root.log
     assert via_relay.counter("relay_links") == 1
     assert via_relay.counter("relay_entities") == 1
+    # Metrics ride the same request, so they are attach-point blind too:
+    # carol, two links down, gets the root aggregate -- not r2's subtree.
+    aggregate = transport.metrics(via="carol")
+    assert aggregate == transport.metrics(via="alice")
+    assert aggregate["gauges"]["broker.relay_entities"] == 1
 
 
 def test_relay_local_stats_expose_hop_counters(chain):

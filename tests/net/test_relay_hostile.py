@@ -31,10 +31,11 @@ from repro.net.protocol import (
     Welcome,
     decode_net_payload,
 )
-from repro.net.relay import request_local_stats
+from repro.net.relay import request_local_metrics, request_local_stats
 from repro.net.runtime import BrokerThread, RelayThread
 from repro.net.stream import FrameDecoder
 from repro.net.transport import TcpTransport
+from repro.obs.metrics import MAX_SNAPSHOT_BYTES
 
 
 def read_frames(sock, count, timeout=5.0):
@@ -651,3 +652,94 @@ class TestEveryDepth:
                     assert after.counter(counter) == before.counter(counter)
                 assert after.in_flight == before.in_flight == 0
                 assert after.pending == before.pending == 0
+
+    def test_stats_request_for_an_unbound_name_is_refused(self, depth):
+        """The routing field is under the one sender rule: a connection
+        asks only for names bound through it.  An entity naming another
+        entity, and a link naming an entity attached elsewhere, each lose
+        their connection -- and the named victim never sees a reply."""
+        with node_at(depth) as (target, root):
+            with TcpTransport(root.host, root.port) as transport:
+                transport.set_attach_point("victim", target.host, target.port)
+                transport.register("victim")
+                entity = socket.create_connection((target.host, target.port), 5)
+                link = socket.create_connection((target.host, target.port), 5)
+                try:
+                    entity.sendall(Hello(entity="mallory").encode())
+                    link.sendall(RelayHello(relay_id="evil").encode())
+                    for sock in (entity, link):
+                        [frame] = read_frames(sock, 1)
+                        assert decode_net_payload(*frame).ok
+                        sock.sendall(StatsRequest(entity="victim").encode())
+                        assert_closed(sock)
+                finally:
+                    entity.close()
+                    link.close()
+                # Nothing was routed to the victim's connection, which
+                # still asks -- and is answered -- for itself.
+                assert transport._conns["victim"].stats_q.empty()
+                assert transport.stats(via="victim").in_flight == 0
+            assert_serves(target, root)
+
+    def test_addressed_stats_reply_travelling_up_drops_the_link(self, depth):
+        """A StatsReply naming an entity only ever travels *down*; from
+        below it is a forged answer aimed at someone else's connection
+        (same posture as RelayBroadcast from below)."""
+        with node_at(depth) as (target, root):
+            with TcpTransport(root.host, root.port) as transport:
+                transport.set_attach_point("victim", target.host, target.port)
+                transport.register("victim")
+                sock = socket.create_connection((target.host, target.port), 5)
+                try:
+                    sock.sendall(RelayHello(relay_id="evil").encode())
+                    [frame] = read_frames(sock, 1)
+                    assert decode_net_payload(*frame).ok
+                    forged = StatsReply(
+                        pending=0, in_flight=0, delivered_total=0, entity="victim"
+                    )
+                    sock.sendall(forged.encode())
+                    assert_closed(sock)
+                finally:
+                    sock.close()
+                assert transport._conns["victim"].stats_q.empty()
+            local = request_local_stats(target.host, target.port)
+            assert local.counter("downstream_relays") == 0
+            assert_serves(target, root)
+
+    def test_over_cap_metrics_report_is_dropped_not_the_link(self, depth):
+        """Telemetry cannot cut the data path: a pushed report whose
+        metrics blob is over the snapshot cap (or malformed) is refused
+        with a typed error and forgotten; the link that carried it keeps
+        serving, and a well-formed report after it is merged."""
+        with node_at(depth) as (target, root):
+            sock = socket.create_connection((target.host, target.port), 5)
+            try:
+                sock.sendall(RelayHello(relay_id="chatty").encode())
+                [frame] = read_frames(sock, 1)
+                assert decode_net_payload(*frame).ok
+
+                def push(blob):
+                    report = StatsReply(
+                        pending=0, in_flight=0, delivered_total=0, metrics=blob
+                    )
+                    sock.sendall(report.encode())
+
+                def merged():
+                    # (A real relay target counts itself: relay.nodes == depth.)
+                    snapshot = request_local_metrics(target.host, target.port)
+                    return snapshot["gauges"].get("relay.nodes", 0) - depth
+
+                push(b" " * (MAX_SNAPSHOT_BYTES + 1))
+                push(b"not json")
+                push(b"")
+                # Still a link: the node answers an attach through it.
+                sock.sendall(RelayAttach(entity="below").encode())
+                [frame] = read_frames(sock, 1)
+                reply = decode_net_payload(*frame)
+                assert isinstance(reply, RelayAttachReply) and reply.ok
+                assert merged() == 0
+                push(b'{"gauges":{"relay.nodes":3}}')
+                assert poll_until(lambda: merged() == 3)
+            finally:
+                sock.close()
+            assert_serves(target, root)

@@ -77,6 +77,37 @@ def test_thread_helper_closes_its_event_loop():
     assert open_fds() == before
 
 
+def test_transport_closes_its_event_loop():
+    """Same leak, client side: ``TcpTransport.close()`` releases the
+    loop its constructor created, and stays idempotent."""
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    def cycle(broker):
+        transport = TcpTransport(broker.host, broker.port)
+        transport.register("probe")
+        transport.close()
+        transport.close()
+        return transport
+
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd")
+    with BrokerThread() as broker:
+        cycle(broker)  # warm-up: lazily created module state settles first
+        before = open_fds()
+        for _ in range(5):
+            transport = cycle(broker)
+            assert transport._loop.is_closed()
+            assert not transport._thread.is_alive()
+        # (The in-process broker closes its end of each connection a
+        # moment after the client does.)
+        deadline = time.monotonic() + 5.0
+        while open_fds() != before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert open_fds() == before
+
+
 class TestFrameCapSemantics:
     def test_payload_at_cap_routes_to_any_receiver_name(self):
         """The envelope headroom guarantee: a payload exactly at max_frame
