@@ -242,11 +242,8 @@ def expand_message(h: HashFunction, data: bytes, out_len: int) -> bytes:
     """Expand ``data`` into ``out_len`` bytes with counter-mode hashing."""
     if out_len < 0:
         raise InvalidParameterError("out_len must be >= 0")
-    blocks = []
-    counter = 0
-    while sum(len(b) for b in blocks) < out_len:
-        blocks.append(h.digest(struct.pack(">I", counter) + data))
-        counter += 1
+    count = -(-out_len // h.digest_size)
+    blocks = [h.digest(struct.pack(">I", counter) + data) for counter in range(count)]
     return b"".join(blocks)[:out_len]
 
 

@@ -37,11 +37,9 @@ def hkdf_expand(
         raise InvalidParameterError("HKDF output too long for one expand")
     blocks = []
     prev = b""
-    counter = 1
-    while sum(len(b) for b in blocks) < length:
+    for counter in range(1, -(-length // h.digest_size) + 1):
         prev = hmac_digest(prk, prev + info + bytes([counter]), h)
         blocks.append(prev)
-        counter += 1
     return b"".join(blocks)[:length]
 
 

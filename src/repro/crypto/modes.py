@@ -11,6 +11,7 @@ from repro.crypto.aes import AES
 from repro.errors import DecryptionError, InvalidParameterError
 
 __all__ = [
+    "xor_bytes",
     "ctr_keystream",
     "ctr_xor",
     "cbc_encrypt",
@@ -21,14 +22,35 @@ __all__ = [
 
 _BLOCK = 16
 
+# Keystreams of at least this many blocks come from the vectorised kernel
+# (:meth:`AES.encrypt_counter_blocks`); shorter ones from ``encrypt_block``.
+# Measured: the kernel costs about 58 us for anything up to 8 blocks, the
+# scalar path about 30 us per block, so they tie at 2 blocks.  The constant is
+# twice that: the kernel's fixed cost is ~110 numpy calls, which vary more from
+# host to host than bytecode does, the one-block OCBE envelopes stay on the
+# reference path either way, and a 3-block message (nothing sends one) gives up
+# 34 us at most (DESIGN.md, "Bulk AES-CTR and the key-state table").
+_BULK_MIN_BLOCKS = 4
+
+
+def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """XOR two equal-length byte strings (as two big integers, at C speed)."""
+    if len(a) != len(b):
+        raise InvalidParameterError("xor_bytes needs equal lengths")
+    mixed = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return mixed.to_bytes(len(a), "big")
+
 
 def ctr_keystream(cipher: AES, nonce: bytes, length: int) -> bytes:
     """Generate ``length`` keystream bytes from a 16-byte initial counter."""
     if len(nonce) != _BLOCK:
         raise InvalidParameterError("CTR nonce/counter must be 16 bytes")
     counter = int.from_bytes(nonce, "big")
+    blocks = -(-length // _BLOCK)
+    if blocks >= _BULK_MIN_BLOCKS:
+        return cipher.encrypt_counter_blocks(counter, blocks)[:length]
     out = bytearray()
-    while len(out) < length:
+    for _ in range(blocks):
         out += cipher.encrypt_block(counter.to_bytes(_BLOCK, "big"))
         counter = (counter + 1) % (1 << 128)
     return bytes(out[:length])
@@ -36,8 +58,7 @@ def ctr_keystream(cipher: AES, nonce: bytes, length: int) -> bytes:
 
 def ctr_xor(cipher: AES, nonce: bytes, data: bytes) -> bytes:
     """CTR-mode transform (encryption and decryption are identical)."""
-    stream = ctr_keystream(cipher, nonce, len(data))
-    return bytes(a ^ b for a, b in zip(data, stream))
+    return xor_bytes(data, ctr_keystream(cipher, nonce, len(data)))
 
 
 def pkcs7_pad(data: bytes) -> bytes:
@@ -64,7 +85,7 @@ def cbc_encrypt(cipher: AES, iv: bytes, plaintext: bytes) -> bytes:
     out = bytearray()
     prev = iv
     for offset in range(0, len(padded), _BLOCK):
-        block = bytes(a ^ b for a, b in zip(padded[offset : offset + _BLOCK], prev))
+        block = xor_bytes(padded[offset : offset + _BLOCK], prev)
         prev = cipher.encrypt_block(block)
         out += prev
     return bytes(out)
@@ -80,6 +101,6 @@ def cbc_decrypt(cipher: AES, iv: bytes, ciphertext: bytes) -> bytes:
     prev = iv
     for offset in range(0, len(ciphertext), _BLOCK):
         block = ciphertext[offset : offset + _BLOCK]
-        out += bytes(a ^ b for a, b in zip(cipher.decrypt_block(block), prev))
+        out += xor_bytes(cipher.decrypt_block(block), prev)
         prev = block
     return pkcs7_unpad(bytes(out))

@@ -23,6 +23,7 @@ from repro.documents.package import BroadcastPackage, ConfigHeader
 from repro.errors import DecryptionError, RegistrationError
 from repro.gkm.acv import AcvBgkm
 from repro.gkm.buckets import BucketedHeader
+from repro.obs.trace import stage
 from repro.ocbe.base import OCBESetup
 from repro.system.identity import IdentityToken
 from repro.system.publisher import SystemParams
@@ -140,16 +141,16 @@ class Subscriber:
             if all(key in self.css_store for key in condition_keys):
                 css = tuple(self.css_store[key] for key in condition_keys)
                 if isinstance(header.acv, BucketedHeader):
-                    key_ints = [
-                        self._gkm.derive(bucket, css)
-                        for bucket in header.acv.buckets
-                    ]
+                    acvs = header.acv.buckets
                 else:
-                    key_ints = [self._gkm.derive(header.acv, css)]
-                candidates.extend(
-                    self._gkm.export_key(key_int, self.params.key_len)
-                    for key_int in key_ints
-                )
+                    acvs = (header.acv,)
+                with stage("acv.derive", candidates=len(acvs)):
+                    candidates.extend(
+                        self._gkm.export_key(
+                            self._gkm.derive(acv, css), self.params.key_len
+                        )
+                        for acv in acvs
+                    )
         return candidates
 
     def receive(self, package: BroadcastPackage) -> Dict[str, bytes]:
@@ -164,14 +165,18 @@ class Subscriber:
             keys_by_config[header.config_id] = self._derive_config_key(header)
         plaintexts: Dict[str, bytes] = {}
         for sub in package.subdocuments:
-            for key in keys_by_config.get(sub.config_id, []):
-                try:
-                    plaintexts[sub.name] = self.params.cipher.decrypt(
-                        key, sub.ciphertext
-                    )
-                    break
-                except DecryptionError:
-                    continue
+            keys = keys_by_config.get(sub.config_id)
+            if not keys:
+                continue
+            with stage("cipher", candidates=len(keys), size=len(sub.ciphertext)):
+                for key in keys:
+                    try:
+                        plaintexts[sub.name] = self.params.cipher.decrypt(
+                            key, sub.ciphertext
+                        )
+                        break
+                    except DecryptionError:
+                        continue
         return plaintexts
 
     def __repr__(self) -> str:

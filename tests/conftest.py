@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.crypto.aes import AES
 from repro.crypto.pedersen import PedersenParams
 from repro.groups import get_group
 from repro.mathx.field import PrimeField
@@ -38,6 +39,22 @@ def pytest_collection_modifyitems(items):
 def rng() -> random.Random:
     """Deterministic RNG; reseeded per test."""
     return random.Random(0x5EED)
+
+
+@pytest.fixture
+def key_setups(monkeypatch):
+    """The key length of every ``AES.__init__`` call made during the test
+    (one entry per key schedule), counted the way ``perf/tracing.py`` counts
+    ``crypto.aes_key_setups``: by wrapping the constructor."""
+    calls = []
+    original = AES.__init__
+
+    def counting(self, key):
+        calls.append(len(key))
+        original(self, key)
+
+    monkeypatch.setattr(AES, "__init__", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")
