@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.bench.runner import avg_time, format_table
 from repro.gkm.acv import FAST_FIELD
 from repro.gkm.buckets import BucketedAcvBgkm
 from repro.workloads.generator import make_css_rows
@@ -17,13 +18,16 @@ POPULATION = 256
 
 
 @pytest.mark.parametrize("bucket_size", [32, 128, POPULATION])
-def test_bucketed_generation(benchmark, bucket_size):
+def test_bucketed_generation(bucket_size):
     rng = random.Random(bucket_size)
     rows = make_css_rows(POPULATION, rng=rng)
     bucketed = BucketedAcvBgkm(bucket_size=bucket_size, field=FAST_FIELD)
-    benchmark.pedantic(
-        lambda: bucketed.generate(rows, rng=rng), rounds=2, iterations=1
-    )
+    m = avg_time(lambda: bucketed.generate(rows, rng=rng), rounds=2)
+    print()
+    print(format_table(
+        "A3 bucketed ACV generation, N=%d" % POPULATION,
+        ["bucket size", "mean ms"], [[bucket_size, m.mean_ms]],
+    ))
 
 
 def test_bucketing_preserves_correctness_and_size_tradeoff():

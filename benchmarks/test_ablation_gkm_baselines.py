@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.bench.runner import avg_time, format_table
 from repro.gkm import (
     AcPolyGkm,
     AcvBroadcastGkm,
@@ -45,19 +46,27 @@ def build(name):
 
 
 @pytest.mark.parametrize("name", list(FACTORIES))
-def test_rekey(benchmark, name):
+def test_rekey(name):
     scheme, _, rng = build(name)
-    benchmark.pedantic(lambda: scheme.rekey(rng), rounds=3, iterations=1)
+    m = avg_time(lambda: scheme.rekey(rng), rounds=3)
+    print()
+    print(format_table(
+        "A1 publisher rekey, n=%d" % N_MEMBERS,
+        ["scheme", "mean ms"], [[name, m.mean_ms]],
+    ))
 
 
 @pytest.mark.parametrize("name", list(FACTORIES))
-def test_derive(benchmark, name):
+def test_derive(name):
     scheme, secrets, rng = build(name)
     key, broadcast = scheme.rekey(rng)
-    result = benchmark.pedantic(
-        lambda: scheme.derive(secrets[7], broadcast), rounds=3, iterations=1
-    )
-    assert result == key
+    assert scheme.derive(secrets[7], broadcast) == key
+    m = avg_time(lambda: scheme.derive(secrets[7], broadcast), rounds=3)
+    print()
+    print(format_table(
+        "A1 subscriber derivation, n=%d" % N_MEMBERS,
+        ["scheme", "mean ms"], [[name, m.mean_ms]],
+    ))
 
 
 def test_broadcast_size_ordering():

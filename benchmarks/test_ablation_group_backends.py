@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.bench.runner import avg_time, format_table
 from repro.crypto.pedersen import PedersenParams
 from repro.groups import get_group
 from repro.ocbe.base import OCBESetup
@@ -19,31 +20,36 @@ from repro.ocbe.predicates import EqPredicate
 BACKENDS = ["schnorr-256", "nist-p192", "nist-p256", "paper-genus2"]
 
 
+def _timed(title, backend, fn):
+    m = avg_time(fn, rounds=3)
+    print()
+    print(format_table("A2 " + title, ["backend", "mean ms"],
+                       [[backend, m.mean_ms]]))
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_pedersen_commit(benchmark, backend):
+def test_pedersen_commit(backend):
     rng = random.Random(5)
     params = PedersenParams(get_group(backend))
-    benchmark.pedantic(
-        lambda: params.commit(123456789, rng=rng), rounds=3, iterations=1
-    )
+    _timed("Pedersen commit", backend,
+           lambda: params.commit(123456789, rng=rng))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_eq_ocbe_compose(benchmark, backend):
+def test_eq_ocbe_compose(backend):
     rng = random.Random(6)
     setup = OCBESetup(pedersen=PedersenParams(get_group(backend)))
     commitment, _ = setup.pedersen.commit(28, rng=rng)
     sender = EqOCBESender(setup, EqPredicate(28), rng)
-    benchmark.pedantic(
-        lambda: sender.compose(commitment, None, b"payload"), rounds=3, iterations=1
-    )
+    _timed("EQ-OCBE compose", backend,
+           lambda: sender.compose(commitment, None, b"payload"))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_scalar_multiplication(benchmark, backend):
+def test_scalar_multiplication(backend):
     """The primitive everything above reduces to."""
     rng = random.Random(7)
     group = get_group(backend)
     g = group.generator()
     k = group.random_scalar(rng)
-    benchmark.pedantic(lambda: g ** k, rounds=3, iterations=1)
+    _timed("scalar multiplication", backend, lambda: g ** k)

@@ -7,7 +7,7 @@ pure kernel must use the word-sized prime too for apples-to-apples).
 
 import random
 
-
+from repro.bench.runner import avg_time, format_table
 from repro.mathx.field import PrimeField
 from repro.mathx.linalg import _rref_numpy, _rref_python
 
@@ -23,18 +23,22 @@ def _rows(seed):
     ]
 
 
-def test_numpy_kernel(benchmark):
+def _timed(kernel, rounds):
     rows = _rows(1)
-    benchmark.pedantic(
-        lambda: _rref_numpy(rows, SIZE + 1, FIELD.p), rounds=3, iterations=1
-    )
+    m = avg_time(lambda: kernel(rows, SIZE + 1, FIELD.p), rounds=rounds)
+    print()
+    print(format_table(
+        "A4 RREF of a %d x %d matrix" % (SIZE - 20, SIZE + 1),
+        ["kernel", "mean ms"], [[kernel.__name__, m.mean_ms]],
+    ))
 
 
-def test_python_kernel(benchmark):
-    rows = _rows(1)
-    benchmark.pedantic(
-        lambda: _rref_python(rows, SIZE + 1, FIELD.p), rounds=2, iterations=1
-    )
+def test_numpy_kernel():
+    _timed(_rref_numpy, rounds=3)
+
+
+def test_python_kernel():
+    _timed(_rref_python, rounds=2)
 
 
 def test_kernels_equivalent():

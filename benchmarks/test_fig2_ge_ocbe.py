@@ -1,62 +1,47 @@
 """Figure 2: GE-OCBE per-step cost vs the bit length l.
 
 Paper trend: all three steps grow linearly in l (about 900 ms total at
-l = 40 on their genus-2/C++ stack).  We sweep l on the EC backend (same
-O(l) scalar-multiplication structure); the genus-2 point at l = 10 pins
-the faithful backend's cost.
+l = 40 on their genus-2/C++ stack).  ``repro.bench.figures.fig2`` sweeps
+l on the EC backend (same O(l) scalar-multiplication structure); the
+genus-2 point at l = 10 pins the faithful backend's cost.
 """
 
 import pytest
 
-from repro.ocbe.ge import GeOCBEReceiver, GeOCBESender
-from repro.ocbe.predicates import GePredicate
+from repro.bench.figures import fig2
 
-MESSAGE = b"conditional-subscription-secret!"
 ELLS = [5, 20, 40]
 
 
-def _parts(setup, ell, rng):
-    predicate = GePredicate(3, ell)
-    x = 37 if ell > 5 else 7
-    commitment, r = setup.pedersen.commit(x, rng=rng)
-    receiver = GeOCBEReceiver(setup, predicate, x, r, commitment, rng)
-    aux = receiver.commitment_message()
-    sender = GeOCBESender(setup, predicate, rng)
-    envelope = sender.compose(commitment, aux, MESSAGE)
-    return predicate, x, r, commitment, receiver, aux, sender, envelope
+@pytest.fixture(scope="module")
+def series():
+    rows = fig2(ells=ELLS, group_name="nist-p192", rounds=3, verbose=True)
+    return {row["ell"]: row for row in rows}
+
+
+def _grows_with_ell(series, ell, step):
+    """The step costs more at ``ell`` than at the smallest swept l."""
+    assert series[ell][step] > 0
+    if ell > ELLS[0]:
+        assert series[ell][step] > series[ELLS[0]][step]
 
 
 @pytest.mark.parametrize("ell", ELLS)
-def test_create_commitments_sub(benchmark, ell, ec_setup, rng):
-    predicate, x, r, commitment, *_ = _parts(ec_setup, ell, rng)
-
-    def step():
-        receiver = GeOCBEReceiver(ec_setup, predicate, x, r, commitment, rng)
-        return receiver.commitment_message()
-
-    benchmark.pedantic(step, rounds=3, iterations=1)
+def test_create_commitments_sub(series, ell):
+    _grows_with_ell(series, ell, "create_commitments_ms")
 
 
 @pytest.mark.parametrize("ell", ELLS)
-def test_compose_envelope_pub(benchmark, ell, ec_setup, rng):
-    _, _, _, commitment, _, aux, sender, _ = _parts(ec_setup, ell, rng)
-    benchmark.pedantic(
-        lambda: sender.compose(commitment, aux, MESSAGE), rounds=3, iterations=1
-    )
+def test_compose_envelope_pub(series, ell):
+    _grows_with_ell(series, ell, "compose_envelope_ms")
 
 
 @pytest.mark.parametrize("ell", ELLS)
-def test_open_envelope_sub(benchmark, ell, ec_setup, rng):
-    _, _, _, _, receiver, _, _, envelope = _parts(ec_setup, ell, rng)
-    result = benchmark.pedantic(
-        lambda: receiver.open(envelope), rounds=3, iterations=1
-    )
-    assert result == MESSAGE
+def test_open_envelope_sub(series, ell):
+    _grows_with_ell(series, ell, "open_envelope_ms")
 
 
-def test_genus2_faithful_point(benchmark, genus2_setup, rng):
+def test_genus2_faithful_point():
     """One faithful genus-2 datapoint (l=10) for cross-backend scaling."""
-    _, _, _, commitment, _, aux, sender, _ = _parts(genus2_setup, 10, rng)
-    benchmark.pedantic(
-        lambda: sender.compose(commitment, aux, MESSAGE), rounds=1, iterations=1
-    )
+    (row,) = fig2(ells=(10,), group_name="paper-genus2", rounds=1, verbose=True)
+    assert row["compose_envelope_ms"] > 0

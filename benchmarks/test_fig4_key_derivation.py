@@ -1,31 +1,38 @@
 """Figure 4: subscriber key-derivation time vs N.
 
 Paper trend: a few milliseconds, linear in N (N+1 hashes + one inner
-product), essentially independent of the subscriber fraction.
+product), essentially independent of the subscriber fraction.  Driven
+through ``repro.bench.figures.fig4``.
 """
-
-import random
 
 import pytest
 
-from repro.gkm.acv import FAST_FIELD, PAPER_FIELD, AcvBgkm
-from repro.workloads.generator import user_configuration_rows
+from repro.bench.figures import fig4
+from repro.gkm.acv import PAPER_FIELD
+
+MAX_USERS = [100, 500, 1000]
+ROUNDS = 20
 
 
-@pytest.mark.parametrize("max_users", [100, 500, 1000])
-def test_key_derivation_fast_field(benchmark, max_users):
-    rng = random.Random(max_users)
-    gkm = AcvBgkm(FAST_FIELD)
-    rows, capacity = user_configuration_rows(max_users, 0.25, rng=rng)
-    key, header = gkm.generate(rows, n_max=capacity, rng=rng)
-    result = benchmark(lambda: gkm.derive(header, rows[0]))
-    assert result == key
+@pytest.fixture(scope="module")
+def series():
+    rows = fig4(
+        max_users=MAX_USERS, fractions=(0.25,), rounds=ROUNDS, verbose=True
+    )
+    return {row["max_users"]: row["25%"] for row in rows}
 
 
-def test_key_derivation_paper_field_n500(benchmark):
-    rng = random.Random(1)
-    gkm = AcvBgkm(PAPER_FIELD)
-    rows, capacity = user_configuration_rows(500, 0.25, rng=rng)
-    key, header = gkm.generate(rows, n_max=capacity, rng=rng)
-    result = benchmark(lambda: gkm.derive(header, rows[0]))
-    assert result == key
+@pytest.mark.parametrize("max_users", MAX_USERS)
+def test_key_derivation_fast_field(series, max_users):
+    assert series[max_users] > 0
+    index = MAX_USERS.index(max_users)
+    if index:  # linear in N: more users, more hashes
+        assert series[max_users] > series[MAX_USERS[index - 1]]
+
+
+def test_key_derivation_paper_field_n500():
+    (row,) = fig4(
+        max_users=(500,), fractions=(0.25,), field=PAPER_FIELD, rounds=ROUNDS,
+        verbose=True,
+    )
+    assert 0 < row["25%"] < 1000  # "a few milliseconds" there; < 1 s here

@@ -6,15 +6,15 @@ under the ``gkm`` strategy knob, cold (cache disabled -- the honest
 elimination cost) and warm (the (member-row set, epoch) ACV build cache
 across consecutive publishes of an unchanged table).
 
-Emits ``BENCH_gkm_bucketed_rekey.json``, the artifact CI's bench-gate
-tracks: per-N cold publish means for both strategies plus the warm
+Prints per-N cold publish means for both strategies plus the warm
 cache-hit mean, and the exact broadcast sizes (the bucketed trade-off:
-~B^2 faster elimination for a slightly larger header).
+~B^2 faster elimination for a slightly larger header), and asserts the
+ordering bucketed < dense and cached < bucketed at every N.
 """
 
 import random
 
-from repro.bench.runner import avg_time, emit_bench_json, format_table
+from repro.bench.runner import avg_time, format_table
 from repro.documents.model import Document
 from repro.gkm.acv import FAST_FIELD
 from repro.gkm.buckets import BucketedHeader
@@ -51,17 +51,15 @@ def _build_publisher(n, gkm, acv_cache):
 
 
 def test_bucketed_publish_path_beats_dense():
-    measurements = {}
-    bytes_counts = {}
     rows = []
     for n in POPULATIONS:
         cold = {}
+        package_bytes = {}
         for gkm in ("dense", "bucketed"):
             publisher = _build_publisher(n, gkm, acv_cache=False)
             cold[gkm] = avg_time(lambda p=publisher: p.publish(DOC), rounds=2)
-            measurements["%s_n%d" % (gkm, n)] = cold[gkm]
             package = publisher.publish(DOC)
-            bytes_counts["%s_n%d_package" % (gkm, n)] = package.byte_size()
+            package_bytes[gkm] = package.byte_size()
             if gkm == "bucketed":
                 acv = package.headers[0].acv
                 assert isinstance(acv, BucketedHeader)
@@ -72,13 +70,11 @@ def test_bucketed_publish_path_beats_dense():
         warm_pub.publish(DOC)  # populate the cache
         warm = avg_time(lambda: warm_pub.publish(DOC), rounds=3)
         assert warm_pub.acv_cache_stats()["hits"] >= 3
-        measurements["dense_n%d_cached" % n] = warm
         rows.append([
             n, cold["dense"].mean_ms, cold["bucketed"].mean_ms,
             cold["dense"].mean / max(cold["bucketed"].mean, 1e-9),
             warm.mean_ms,
-            bytes_counts["dense_n%d_package" % n],
-            bytes_counts["bucketed_n%d_package" % n],
+            package_bytes["dense"], package_bytes["bucketed"],
         ])
         # The tentpole claim, on the publish path itself: the bucketed
         # strategy is strictly faster than one dense elimination at
@@ -93,16 +89,3 @@ def test_bucketed_publish_path_beats_dense():
          "dense B", "bucketed B"],
         rows,
     ))
-    path = emit_bench_json(
-        "gkm_bucketed_rekey",
-        op="publish-path-rekey",
-        params={
-            "populations": list(POPULATIONS),
-            "gkm_field": "fast",
-            "bucket_policy": "auto",
-            "seed": SEED,
-        },
-        measurements=measurements,
-        bytes_counts=bytes_counts,
-    )
-    print("wrote %s" % path)

@@ -7,7 +7,7 @@ The engine itself asserts the paper's invariants after every phase
 (revoked members locked out, current members derive the epoch key,
 rekeys generate zero unicast), so a passing run *is* the correctness
 claim; this file adds the driver-equivalence assertion (byte-identical
-protocol traffic over TCP) and emits the BENCH_load_*.json trajectory.
+protocol traffic over TCP) and prints each run's per-phase table.
 
 Also measures the churn hot path optimisation: revoking k members as a
 batch followed by ONE publish (one ACV matrix build) versus the naive
@@ -16,7 +16,7 @@ revoke-publish loop (k matrix builds).
 
 import random
 
-from repro.bench.runner import avg_time, emit_bench_json, format_table
+from repro.bench.runner import avg_time, format_table
 from repro.documents.model import Document
 from repro.gkm.acv import FAST_FIELD
 from repro.groups import get_group
@@ -27,11 +27,9 @@ from repro.system.idp import IdentityProvider
 from repro.system.publisher import Publisher
 
 
-def _emit_report(report, bench_name):
+def _print_report(report):
     print()
     print(report.format())
-    path = report.emit_bench(bench_name)
-    print("wrote %s" % path)
 
 
 def test_churn_scenario_over_both_drivers():
@@ -44,12 +42,12 @@ def test_churn_scenario_over_both_drivers():
     assert len(churn) >= 3
 
     memory = run_scenario(scenario, driver="memory")
-    _emit_report(memory, "load_churn_memory")
+    _print_report(memory)
 
     # The TCP run supervises the broker as its own OS process: every
     # frame of the churn crosses a real process boundary.
     tcp = run_scenario(scenario, driver="tcp", broker="process")
-    _emit_report(tcp, "load_churn_tcp")
+    _print_report(tcp)
 
     # Driver equivalence: identical protocol traffic, byte for byte.
     assert tcp.bytes_by_kind() == memory.bytes_by_kind()
@@ -67,14 +65,10 @@ def test_bucketed_churn_rekey_beats_dense():
     N=64 spends strictly less wall time in the publish-path rekey than
     the dense baseline, with every invariant (incl. the bucket-layout
     audit) asserted after each phase by the engine itself.
-
-    Emits ``BENCH_load_churn_bucketed_memory.json`` alongside the dense
-    ``BENCH_load_churn_memory.json`` the sibling test writes, so the
-    artifact history carries both sides of the curve.
     """
     dense_report = run_scenario(churn_scenario(), driver="memory")
     split_report = run_scenario(bucketed(churn_scenario()), driver="memory")
-    _emit_report(split_report, "load_churn_bucketed_memory")
+    _print_report(split_report)
 
     print("rekey publish wall: dense %.1f ms, bucketed %.1f ms"
           % (dense_report.rekey_publish_s * 1e3,
@@ -157,14 +151,6 @@ def test_batched_revoke_rekey_is_one_matrix_build():
              batched_m.minimum * 1e3, batched_m.maximum * 1e3],
         ],
     ))
-    path = emit_bench_json(
-        "load_rekey_batching",
-        op="revoke-storm-rekey",
-        params={"n_members": N_MEMBERS, "k_revoked": K_REVOKED,
-                "gkm_field": "fast"},
-        measurements={"naive_per_revoke": naive_m, "batched": batched_m},
-    )
-    print("wrote %s" % path)
 
     # Both end in the same table; the batched path must be decisively
     # cheaper (k matrix builds vs one, so roughly k-fold).

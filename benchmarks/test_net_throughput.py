@@ -144,25 +144,6 @@ class TestNetThroughput:
         )
         print("registration bytes  in-memory %8d   loopback TCP %8d"
               % (mem_bytes, net_bytes))
-        from repro.bench.runner import Measurement, emit_bench_json
-
-        emit_bench_json(
-            "net_throughput",
-            op="registration+broadcast",
-            params={"n_subscribers": N_SUBS, "attribute_bits": ATTRIBUTE_BITS},
-            measurements={
-                "register_inmemory": Measurement(
-                    mem_register, mem_register, mem_register, 1),
-                "register_tcp": Measurement(
-                    tcp_register, tcp_register, tcp_register, 1),
-                "broadcast_inmemory": Measurement(
-                    mem_broadcast, mem_broadcast, mem_broadcast, 1),
-                "broadcast_tcp": Measurement(
-                    tcp_broadcast, tcp_broadcast, tcp_broadcast, 1),
-            },
-            bytes_counts={"registration_inmemory": mem_bytes,
-                          "registration_tcp": net_bytes},
-        )
         assert abs(net_bytes - mem_bytes) <= 0.02 * mem_bytes
         # Broadcast stays one multicast transmission on the network too.
         assert len([m for m in network.messages

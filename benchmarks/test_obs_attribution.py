@@ -15,9 +15,6 @@ the analyzer to the numbers the harness exists to produce:
   functions (the elliptic-curve inner loop, in practice), because "the
   join wave is slow" is only actionable as "``_jac_double`` is 40% of
   it".
-
-Emits ``BENCH_obs_attribution.json`` and ``BENCH_profile_ocbe.json``
-so both tables become trend artifacts CI watches across PRs.
 """
 
 import tempfile
@@ -26,12 +23,10 @@ from repro.load import churn_scenario, run_scenario, with_relays
 from repro.obs.analyze import (
     OTHER_STAGE,
     TRANSIT_STAGE,
-    _emit_bench as emit_attribution_bench,
     analyze_paths,
     format_attribution,
 )
 from repro.obs.profile import (
-    _emit_bench as emit_profile_bench,
     discover_profiles,
     merge_profiles,
     top_functions,
@@ -62,8 +57,6 @@ def test_churn_attribution_and_profile():
         print()
         print(format_attribution(
             table, "churn-relay%d publish attribution" % RELAY_DEPTH))
-        path = emit_attribution_bench("obs_attribution", analysis, table)
-        print("wrote %s" % path)
 
         # Every process's clock folded into one frame, and nearly every
         # publish trace stitched end to end across it.
@@ -102,5 +95,3 @@ def test_churn_attribution_and_profile():
         for key, calls, tot, _cum in top:
             assert key.count(":") >= 2  # basename:lineno:function, no args
             assert calls >= 1 and tot >= 0.0
-        path = emit_profile_bench("profile_ocbe", merged, 10)
-        print("wrote %s" % path)

@@ -1,10 +1,11 @@
 """The observability overhead gate (nightly slow tier).
 
-Runs the builtin smoke scenario over real TCP sockets twice -- once with
-the full observability stack enabled (every WAL fsync timed, every
-decrypt counted, every phase sampled, *and* causal span parenting
-writing duration records to an ``obs_dir``) and once with all of it
-disabled -- and gates the difference:
+Runs the builtin smoke scenario over real TCP sockets in interleaved
+pairs -- one leg with the full observability stack enabled (every WAL
+fsync timed, every decrypt counted, every phase sampled, *and* causal
+span parenting writing duration records to an ``obs_dir``), one with all
+of it disabled, alternating which leg goes first so host drift lands on
+both sides -- and gates the difference:
 
 * wall overhead of instrumentation must stay within 5% (plus a small
   absolute epsilon so a sub-second scenario cannot fail on scheduler
@@ -16,18 +17,16 @@ disabled -- and gates the difference:
   the wire at all (the analyzer infers cross-process edges from hop
   timestamps).  Observability must not change what the bandwidth
   experiments measure.
-
-Emits ``BENCH_obs_overhead.json`` so the on/off ratio is a trend CI can
-watch across PRs.
 """
 
 import tempfile
 
-from repro.bench.runner import Measurement, emit_bench_json, format_table
+from repro.bench.runner import format_table
 from repro.load import run_scenario, smoke_scenario
 from repro.obs.metrics import get_registry
 
-ROUNDS = 2
+#: Pairs of (off, on) runs; each leg's minimum is over this many walls.
+ROUNDS = 8
 #: Allowed instrumentation cost: 5% relative plus 50 ms absolute (the
 #: smoke scenario settles in about a second; a pure ratio would gate on
 #: scheduler jitter, not on instrumentation).
@@ -55,59 +54,36 @@ def _run_once(enabled: bool):
         registry.reset()
 
 
-def _measure(enabled: bool):
-    walls = []
-    reports = []
-    for _ in range(ROUNDS):
-        report = _run_once(enabled)
-        walls.append(report.wall_s)
-        reports.append(report)
-    return (
-        Measurement(
-            mean=sum(walls) / len(walls),
-            minimum=min(walls),
-            maximum=max(walls),
-            rounds=len(walls),
-        ),
-        reports,
-    )
-
-
 def test_obs_overhead_within_budget():
-    off_m, off_reports = _measure(enabled=False)
-    on_m, on_reports = _measure(enabled=True)
+    reports = {False: [], True: []}
+    for round_no in range(ROUNDS):
+        first = bool(round_no % 2)  # alternate which leg leads the pair
+        for enabled in (first, not first):
+            reports[enabled].append(_run_once(enabled))
+    off_reports, on_reports = reports[False], reports[True]
+    off_walls = [report.wall_s for report in off_reports]
+    on_walls = [report.wall_s for report in on_reports]
+    off_min, on_min = min(off_walls), min(on_walls)
 
     print()
     print(format_table(
-        "smoke scenario over TCP, metrics registry on vs off",
+        "smoke scenario over TCP, observability on vs off "
+        "(%d interleaved pairs)" % ROUNDS,
         ["registry", "mean ms", "min ms", "max ms"],
         [
-            ["off", off_m.mean_ms, off_m.minimum * 1e3, off_m.maximum * 1e3],
-            ["on", on_m.mean_ms, on_m.minimum * 1e3, on_m.maximum * 1e3],
+            [label, sum(walls) / len(walls) * 1e3, min(walls) * 1e3,
+             max(walls) * 1e3]
+            for label, walls in (("off", off_walls), ("on", on_walls))
         ],
     ))
-    path = emit_bench_json(
-        "obs_overhead",
-        op="obs-on-vs-off",
-        params={"scenario": "smoke", "driver": "tcp", "rounds": ROUNDS},
-        measurements={"metrics_off": off_m, "metrics_on": on_m},
-        extra={
-            "overhead_ratio": (
-                on_m.minimum / off_m.minimum if off_m.minimum else 0.0
-            ),
-            "frames_per_phase": [
-                p.frames for p in on_reports[0].phases
-            ],
-        },
-    )
-    print("wrote %s" % path)
+    print("overhead ratio (min on / min off): %.3f" % (on_min / off_min))
 
     # Gate on the minimum (the stable estimator under scheduler noise).
-    assert on_m.minimum <= off_m.minimum * (1 + REL_OVERHEAD) + ABS_EPSILON_S, (
+    assert on_min <= off_min * (1 + REL_OVERHEAD) + ABS_EPSILON_S, (
         "instrumentation overhead %.1f ms exceeds %d%% + %d ms of the "
         "%.1f ms baseline"
-        % ((on_m.minimum - off_m.minimum) * 1e3, REL_OVERHEAD * 100,
-           ABS_EPSILON_S * 1e3, off_m.minimum * 1e3)
+        % ((on_min - off_min) * 1e3, REL_OVERHEAD * 100,
+           ABS_EPSILON_S * 1e3, off_min * 1e3)
     )
 
     # With no metrics interval configured, the accounted protocol traffic

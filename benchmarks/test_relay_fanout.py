@@ -9,8 +9,8 @@ sit).  Two experiments pin that:
 * ``test_fanout_latency_vs_depth`` -- raw transport, N=256 subscribers
   all attached at the deepest relay of a depth-1/2/3 chain, measuring
   storm completion wall time.  The acceptance number: depth-3 completes
-  within 2x depth-1.  Emits ``BENCH_relay_fanout.json`` (the fast CI
-  job runs this file directly; the nightly slow tier repeats it).
+  within 2x depth-1 (the fast CI job runs this file directly; the
+  nightly slow tier repeats it).
 
 * ``test_deep_chain_churn_at_scale`` -- the full churn scenario
   (registration, revoke storms, flap waves; bucketed GKM) at N=256
@@ -23,7 +23,7 @@ sit).  Two experiments pin that:
 
 import time
 
-from repro.bench.runner import Measurement, emit_bench_json
+from repro.bench.runner import Measurement
 from repro.load import bucketed, churn_scenario, run_scenario, with_relays
 from repro.net.relay import request_local_stats
 from repro.net.runtime import BrokerThread, RelayThread, wait_until_quiet
@@ -124,21 +124,6 @@ def test_fanout_latency_vs_depth():
         m = timings[depth]
         print("  depth %d: min %7.1fms  mean %7.1fms"
               % (depth, m.minimum * 1e3, m.mean_ms))
-    path = emit_bench_json(
-        "relay_fanout",
-        op="broadcast-storm-completion",
-        params={"n_subscribers": N_SUBS, "rounds": ROUNDS,
-                "storms": STORMS, "payload": len(PAYLOAD),
-                "depths": list(DEPTHS)},
-        measurements={
-            "depth%d" % depth: timings[depth] for depth in DEPTHS
-        },
-        # Deterministic by construction (and depth-independent): what one
-        # completed storm delivers.  The bytes-only fallback gate can
-        # compare this exactly on any hardware.
-        bytes_counts={"delivered_per_storm": ROUNDS * N_SUBS * len(PAYLOAD)},
-    )
-    print("wrote %s" % path)
 
     # The acceptance number: two extra hops cost two extra loopback
     # frame forwards for the *inbound* frame only -- the N-subscriber
@@ -165,8 +150,6 @@ def test_deep_chain_churn_at_scale():
     tcp = run_scenario(chained, driver="tcp")
     print()
     print(tcp.format())
-    path = tcp.emit_bench("load_churn_relay_tcp")
-    print("wrote %s" % path)
 
     memory = run_scenario(base, driver="memory")
 

@@ -10,15 +10,14 @@ causes).  Three recovery shapes are measured --
 * ``cold_reregistration`` -- no durable state: every subscriber runs the
   full wire registration again.
 
--- and emitted as ``BENCH_store_recovery.json`` via the shared
-machine-readable reporter, so the recovery-cost trajectory is trackable
-across PRs next to the wall-clock tables this file prints.
+-- printed as a wall-clock table with the on-disk sizes, and asserted:
+both recoveries must beat cold re-registration.
 """
 
 import os
 import random
 
-from repro.bench.runner import avg_time, emit_bench_json, format_table
+from repro.bench.runner import avg_time, format_table
 from repro.gkm.acv import FAST_FIELD
 from repro.groups import get_group
 from repro.policy.acp import parse_policy
@@ -132,20 +131,7 @@ def test_recovery_vs_cold_reregistration(tmp_path):
              snapshot_load.minimum * 1e3, snapshot_load.maximum * 1e3],
         ],
     ))
-
-    path = emit_bench_json(
-        "store_recovery",
-        op="publisher-recovery",
-        params={"n_subscribers": N_SUBS, "group": "nist-p192",
-                "gkm_field": "fast", "conditions_per_sub": 1},
-        measurements={
-            "cold_reregistration": cold,
-            "wal_replay": wal_replay,
-            "snapshot_load": snapshot_load,
-        },
-        bytes_counts={"wal": wal_bytes, "snapshot": snapshot_bytes},
-    )
-    print("wrote %s" % path)
+    print("on disk: WAL %d B, snapshot %d B" % (wal_bytes, snapshot_bytes))
 
     # The whole point of the subsystem: recovery beats re-registration.
     assert wal_replay.mean < cold.mean

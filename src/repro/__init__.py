@@ -22,8 +22,8 @@ A from-scratch Python reproduction of Shang, Nabeel, Paci & Bertino,
   scenario specs, in-memory/TCP drivers, per-phase lockout/derivation/
   zero-unicast invariant checks, ``python -m repro.load``;
 * **documents / policy / workloads / bench** -- segmentation, the policy
-  language, the EHR scenario and the evaluation harness (with the
-  ``BENCH_*.json`` emitter and ``python -m repro.bench.compare`` gate).
+  language, the EHR scenario and the paper's evaluation harness (one
+  driver per table/figure; system performance is measured by ``perf/``).
 
 Quickstart::
 

@@ -2,8 +2,9 @@
 
 :mod:`repro.bench.figures` has one driver per evaluation artifact
 (``table2``, ``fig2`` ... ``fig6``); each returns structured rows and can
-print the same series the paper plots.  ``benchmarks/`` wraps these in
-pytest-benchmark targets; ``examples``/EXPERIMENTS.md use them directly.
+print the same series the paper plots.  ``benchmarks/`` calls them and
+asserts the paper's trends; ``examples/reproduce_evaluation.py`` prints
+them.  System performance is ``perf/``'s job (``BENCHMARK.json``).
 """
 
 from repro.bench.runner import Measurement, avg_time, format_table

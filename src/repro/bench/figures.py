@@ -44,7 +44,11 @@ DEFAULT_FRACTIONS = (0.25, 0.50, 0.75, 1.00)
 
 
 def _setup(group_name: str) -> OCBESetup:
-    return OCBESetup(pedersen=PedersenParams(get_group(group_name)))
+    setup = OCBESetup(pedersen=PedersenParams(get_group(group_name)))
+    # The paper's numbers are steady-state per-step costs: build the
+    # fixed-base tables now, or the first swept point pays for them.
+    setup.pedersen.precompute_now()
+    return setup
 
 
 def table2(

@@ -1,28 +1,14 @@
-"""Small timing utilities shared by the figure drivers, plus the
-machine-readable ``BENCH_<name>.json`` emitter that makes the perf
-trajectory trackable across PRs (CI uploads the files as artifacts)."""
+"""Small timing utilities shared by the figure drivers and every printed
+table in the repo: repeat-and-average timing and a fixed-width table."""
 
 from __future__ import annotations
 
-import json
-import os
-import re
+import gc
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
-from repro.errors import BenchError, InvalidParameterError
-
-__all__ = [
-    "Measurement",
-    "avg_time",
-    "bench_output_dir",
-    "emit_bench_json",
-    "format_table",
-]
-
-#: Bench names become file names (``BENCH_<name>.json``): keep them flat.
-_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
+__all__ = ["Measurement", "avg_time", "format_table"]
 
 
 @dataclass(frozen=True)
@@ -41,96 +27,28 @@ class Measurement:
 
 
 def avg_time(fn: Callable[[], object], rounds: int = 3) -> Measurement:
-    """Average wall-clock time of ``fn`` over ``rounds`` calls."""
+    """Average wall-clock time of ``fn`` over ``rounds`` calls.
+
+    The cyclic collector is paused while timing, as :mod:`timeit` does: a
+    full pass over a test session's heap costs tens of milliseconds.
+    """
     times: List[float] = []
-    for _ in range(max(rounds, 1)):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(max(rounds, 1)):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+    finally:
+        if collecting:
+            gc.enable()
     return Measurement(
         mean=sum(times) / len(times),
         minimum=min(times),
         maximum=max(times),
         rounds=len(times),
     )
-
-
-def bench_output_dir() -> str:
-    """Where ``BENCH_*.json`` files land.
-
-    ``REPRO_BENCH_DIR`` overrides (CI sets it to the artifact directory);
-    the default is the current working directory, so a local
-    ``pytest benchmarks/`` run leaves its results next to the checkout.
-    """
-    return os.environ.get("REPRO_BENCH_DIR", ".")
-
-
-def emit_bench_json(
-    name: str,
-    op: str,
-    params: Dict[str, object],
-    measurements: Dict[str, Measurement],
-    bytes_counts: Optional[Dict[str, int]] = None,
-    extra: Optional[Dict[str, object]] = None,
-) -> str:
-    """Write one benchmark's result as ``BENCH_<name>.json``; returns the path.
-
-    The schema is deliberately flat and stable: ``op`` names what was
-    measured, ``params`` the knobs, ``measurements`` maps each measured
-    variant to its wall-time statistics (seconds), ``bytes`` any size
-    observations.  Comparing two PRs is ``python -m repro.bench.compare``
-    over two directories.
-
-    Re-emitting an existing ``name`` atomically replaces the previous
-    file: the newest run of a benchmark is its result.  Invalid inputs
-    raise :class:`~repro.errors.InvalidParameterError`; output paths that
-    cannot be created or written raise :class:`~repro.errors.BenchError`
-    (never a bare ``OSError`` half way through a partial file).
-    """
-    if not _NAME_RE.match(name):
-        raise InvalidParameterError(
-            "bench name %r is not a safe file-name component" % name
-        )
-    payload: Dict[str, object] = {
-        "name": name,
-        "op": op,
-        "params": dict(params),
-        "measurements": {
-            label: {
-                "mean_s": m.mean,
-                "min_s": m.minimum,
-                "max_s": m.maximum,
-                "rounds": m.rounds,
-            }
-            for label, m in measurements.items()
-        },
-    }
-    if bytes_counts:
-        payload["bytes"] = dict(bytes_counts)
-    if extra:
-        payload.update(extra)
-    try:
-        # Serialize up front: a params dict holding a live object must be a
-        # typed error before anything touches the filesystem, not a
-        # TypeError from inside json.dump over a half-written file.
-        encoded = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(
-            "bench %r payload is not JSON-serializable: %s" % (name, exc)
-        ) from exc
-    out_dir = bench_output_dir()
-    path = os.path.join(out_dir, "BENCH_%s.json" % name)
-    tmp = path + ".tmp"
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(encoded)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise BenchError(
-            "cannot write bench result %r under %r: %s" % (name, out_dir, exc)
-        ) from exc
-    return path
 
 
 def format_table(

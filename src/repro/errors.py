@@ -120,11 +120,6 @@ class SnapshotMismatchError(StoreError):
     applied to (wrong entity name, different policy set, ...)."""
 
 
-class BenchError(ReproError):
-    """The benchmark harness could not record a result (unwritable output
-    directory, a result file that cannot be replaced, ...)."""
-
-
 class LoadScenarioError(ReproError):
     """A load scenario could not be run as specified (malformed spec,
     a phase operating on members that do not exist, driver misuse)."""

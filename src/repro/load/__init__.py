@@ -6,12 +6,12 @@ describes publishers, attribute mixes and a phase script; a
 :class:`~repro.load.engine.LoadEngine` runs it over the in-memory or
 the TCP driver; :mod:`~repro.load.invariants` asserts lockout,
 derivation and zero-unicast after every phase; and the
-:class:`~repro.load.metrics.LoadReport` lands in the
-``BENCH_<name>.json`` trajectory that CI's bench-gate compares.
+:class:`~repro.load.metrics.LoadReport` carries the per-phase walls,
+byte accounting and attribution (``--report PATH`` writes it as JSON).
 
 Run one from the shell::
 
-    python -m repro.load --builtin smoke --driver memory --bench
+    python -m repro.load --builtin smoke --driver memory
 
 See DESIGN.md ("Load & churn engine") for the scenario schema.
 """

@@ -2,8 +2,8 @@
 
 Examples::
 
-    # the CI smoke run, in-process, emitting BENCH_load_smoke.json
-    python -m repro.load --builtin smoke --driver memory --bench
+    # the CI smoke run, in-process, writing the full report JSON
+    python -m repro.load --builtin smoke --driver memory --report smoke.json
 
     # the churn scenario over real sockets with the broker as its own
     # OS process
@@ -53,11 +53,6 @@ def main(argv=None) -> int:
                              "(default: a private temp dir, removed after)")
     parser.add_argument("--timeout", type=float, default=120.0,
                         help="per-settle deadline in seconds")
-    parser.add_argument("--bench", action="store_true",
-                        help="emit BENCH_load_<name>.json via "
-                             "repro.bench.runner (REPRO_BENCH_DIR)")
-    parser.add_argument("--bench-name", default=None,
-                        help="override the emitted bench name")
     parser.add_argument("--report", default=None,
                         help="also write the full report JSON here")
     parser.add_argument("--obs-dir", default=None,
@@ -109,9 +104,6 @@ def main(argv=None) -> int:
         with open(args.report, "w", encoding="utf-8") as handle:
             json.dump(report.to_payload(), handle, indent=2, sort_keys=True)
             handle.write("\n")
-    if args.bench:
-        path = report.emit_bench(args.bench_name)
-        print("wrote %s" % path)
     return 0
 
 

@@ -3,9 +3,9 @@
 The engine marks the broker accounting before each phase and hands the
 delta (plus wall time and membership counters) to a
 :class:`MetricsCollector`; :class:`LoadReport` renders the collected
-phases as the usual fixed-width table and emits them through
-:func:`repro.bench.runner.emit_bench_json`, so a load run lands in the
-same ``BENCH_<name>.json`` trajectory CI's bench-gate compares.
+phases as the usual fixed-width table and, through
+:meth:`LoadReport.to_payload`, as the JSON document
+``python -m repro.load --report PATH`` writes.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.runner import Measurement, emit_bench_json, format_table
+from repro.bench.runner import format_table
 from repro.obs.metrics import estimate_quantiles
 from repro.system.transport import BROADCAST, Message
 
@@ -257,52 +257,3 @@ class LoadReport:
             "wall_s": self.wall_s,
             "phases": [phase.to_payload() for phase in self.phases],
         }
-
-    def emit_bench(self, name: Optional[str] = None) -> str:
-        """Write ``BENCH_<name>.json`` (default name ``load_<scenario>``).
-
-        Per-phase wall times become the ``measurements`` (one round
-        each: a load phase is a trajectory point, not a microbenchmark);
-        per-kind byte totals become the deterministic ``bytes`` section
-        the bench-gate can compare exactly.
-        """
-        measurements = {
-            phase.label: Measurement(
-                mean=phase.wall_s,
-                minimum=phase.wall_s,
-                maximum=phase.wall_s,
-                rounds=1,
-            )
-            for phase in self.phases
-        }
-        for phase in self.phases:
-            # The publisher-side rekey cost per phase, tracked separately
-            # so the dense-vs-bucketed trajectory is gateable on the
-            # matrix-build number alone.
-            measurements["%s:rekey-publish" % phase.label] = Measurement(
-                mean=phase.rekey_publish_s,
-                minimum=phase.rekey_publish_s,
-                maximum=phase.rekey_publish_s,
-                rounds=1,
-            )
-        measurements["total"] = Measurement(
-            mean=self.wall_s, minimum=self.wall_s, maximum=self.wall_s, rounds=1
-        )
-        measurements["rekey_publish_total"] = Measurement(
-            mean=self.rekey_publish_s,
-            minimum=self.rekey_publish_s,
-            maximum=self.rekey_publish_s,
-            rounds=1,
-        )
-        bytes_counts = self.bytes_by_kind()
-        bytes_counts["total"] = sum(
-            phase.bytes_total for phase in self.phases
-        )
-        return emit_bench_json(
-            name or "load_%s" % self.scenario,
-            op="load-scenario",
-            params=dict(self.params, driver=self.driver),
-            measurements=measurements,
-            bytes_counts=bytes_counts,
-            extra={"phases": [phase.to_payload() for phase in self.phases]},
-        )

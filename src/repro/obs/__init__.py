@@ -19,8 +19,7 @@ load -- may import it; never the other way around.
   refuses bytes-typed fields so payloads and key material cannot leak
   into telemetry by construction).
 * :mod:`repro.obs.report` -- ``python -m repro.obs.report``: validate
-  (``--check``), summarize, and export ``BENCH_obs_*`` trend JSON from
-  collected ``obs.jsonl`` streams.
+  (``--check``) and summarize collected ``obs.jsonl`` streams.
 * :mod:`repro.obs.analyze` -- ``python -m repro.obs.analyze``: stitch
   the per-process span logs into causal trace trees, correct clock
   skew from hop timestamp pairs, and attribute end-to-end latency to

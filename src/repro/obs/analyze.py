@@ -47,9 +47,7 @@ must stay importable from a keyless relay-tier process.
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -835,39 +833,6 @@ def format_top(analysis: Analysis, count: int) -> str:
     return "\n".join(lines)
 
 
-def _emit_bench(name: str, analysis: Analysis, table: dict) -> str:
-    from repro.bench.runner import Measurement, emit_bench_json
-
-    measurements = {}
-    walls = [t.wall_s for t in analysis.publish_traces] or [0.0]
-    measurements["publish_wall"] = Measurement(
-        mean=sum(walls) / len(walls), minimum=min(walls),
-        maximum=max(walls), rounds=len(walls),
-    )
-    for stage_name, cut in table.get("stages", {}).items():
-        if stage_name == OTHER_STAGE:
-            continue
-        count = max(1, int(cut["count"]))
-        measurements["stage_" + stage_name.replace(".", "_")] = Measurement(
-            mean=cut["total_s"] / count, minimum=cut["p50_s"],
-            maximum=cut["p99_s"], rounds=count,
-        )
-    return emit_bench_json(
-        name,
-        op="obs.attribution",
-        params={
-            "files": len(analysis.files),
-            "publish_traces": len(analysis.publish_traces),
-        },
-        measurements=measurements,
-        extra={
-            "attribution": table,
-            "stitched_fraction": analysis.stitched_fraction,
-            "problems": len(analysis.problems),
-        },
-    )
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.analyze",
@@ -887,8 +852,6 @@ def main(argv=None) -> int:
     parser.add_argument("--min-coverage", type=float, default=0.0,
                         help="--check: minimum attributed fraction of "
                              "publish wall (default: not gated)")
-    parser.add_argument("--bench", metavar="NAME", default=None,
-                        help="also emit BENCH_<NAME>.json trend data")
     parser.add_argument("--top", type=int, default=0, metavar="N",
                         help="print the N slowest fully-stitched traces "
                              "with per-hop breakdowns")
@@ -925,8 +888,6 @@ def main(argv=None) -> int:
         ))
         for problem in analysis.problems[:20]:
             print("  " + str(problem))
-    if args.bench:
-        print("wrote %s" % _emit_bench(args.bench, analysis, table))
 
     if args.check:
         failed = False

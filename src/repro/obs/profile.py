@@ -22,9 +22,8 @@ and an inner/concurrent window simply runs unprofiled (counted as a
 skip) instead of crashing the serving loop.
 
 ``python -m repro.obs.profile`` merges the per-entity ``profile_*.json``
-files of a run, prints the top functions per stage, and emits
-``BENCH_<NAME>.json`` (the CI artifact is ``BENCH_profile_ocbe.json``)
-naming where the join-wave CPU actually goes.
+files of a run and prints the top functions per stage, naming where
+the join-wave CPU actually goes.
 
 Like every ``repro.obs`` module this imports no crypto and must stay
 importable from a keyless relay-tier process.
@@ -346,38 +345,6 @@ def top_functions(
     return rows[:count]
 
 
-def _emit_bench(name: str, merged: dict, top: int) -> str:
-    from repro.bench.runner import Measurement, emit_bench_json
-
-    measurements = {}
-    extra_stages = {}
-    for stage, cut in sorted(merged["stages"].items()):
-        windows = max(1, int(cut["windows"]))
-        measurements["window_" + stage.replace(".", "_")] = Measurement(
-            mean=cut["wall_s"] / windows, minimum=0.0,
-            maximum=cut["wall_s"], rounds=windows,
-        )
-        extra_stages[stage] = {
-            "windows": cut["windows"],
-            "wall_s": cut["wall_s"],
-            "top": [
-                {"function": key, "calls": calls,
-                 "tottime_s": tot, "cumtime_s": cum}
-                for key, calls, tot, cum in top_functions(merged, stage, top)
-            ],
-        }
-    params = {"entities": len(merged["entities"])}
-    for key, values in sorted(merged.get("meta", {}).items()):
-        params[key] = values[0] if len(values) == 1 else ",".join(values)
-    return emit_bench_json(
-        name,
-        op="obs.profile",
-        params=params,
-        measurements=measurements,
-        extra={"stages": extra_stages, "skipped": merged["skipped"]},
-    )
-
-
 def main(argv=None) -> int:
     from repro.bench.runner import format_table
 
@@ -390,8 +357,6 @@ def main(argv=None) -> int:
                         help="profile_*.json files or directories to scan")
     parser.add_argument("--top", type=int, default=10, metavar="N",
                         help="functions per stage to print (default 10)")
-    parser.add_argument("--bench", metavar="NAME", default=None,
-                        help="also emit BENCH_<NAME>.json trend data")
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero when no profiled stage is found")
     args = parser.parse_args(argv)
@@ -414,8 +379,6 @@ def main(argv=None) -> int:
         ))
     for path in merged["skipped"]:
         print("SKIPPED %s" % path)
-    if args.bench:
-        print("wrote %s" % _emit_bench(args.bench, merged, args.top))
     if args.check and not merged["stages"]:
         print("CHECK FAILED: no profiled stages under %s" % (args.paths,))
         return 1

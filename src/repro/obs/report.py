@@ -14,9 +14,6 @@ Three modes compose:
 * ``--check`` -- CI gate: exit non-zero when any line is malformed or
   no span was found at all (instrumentation that silently writes
   nothing must fail the gate, not pass it);
-* ``--bench NAME`` -- additionally emit ``BENCH_<NAME>.json`` via
-  :func:`repro.bench.runner.emit_bench_json` so trace latency is a
-  trend CI can track across PRs like any other benchmark;
 * ``--top N`` -- delegate to :mod:`repro.obs.analyze` and print the N
   slowest fully-stitched traces with their per-hop breakdown, for
   eyeballing outliers after a soak run.
@@ -117,7 +114,7 @@ def discover(paths: Iterable[str]) -> List[str]:
 
 
 def summarize(spans: List[dict]) -> dict:
-    """Aggregate spans into the summary the text/bench outputs render."""
+    """Aggregate spans into the summary the text output renders."""
     by_entity_event: Dict[Tuple[str, str], int] = {}
     traces: Dict[str, List[dict]] = {}
     for span in spans:
@@ -209,28 +206,6 @@ def _histogram_rows(spans: List[dict]) -> List[list]:
     return rows
 
 
-def _emit_bench(name: str, files: List[str], summary: dict) -> str:
-    from repro.bench.runner import Measurement, emit_bench_json
-
-    durations = [row["duration"] for row in summary["traces"]] or [0.0]
-    measurement = Measurement(
-        mean=sum(durations) / len(durations),
-        minimum=min(durations),
-        maximum=max(durations),
-        rounds=len(durations),
-    )
-    return emit_bench_json(
-        name,
-        op="obs.trace.latency",
-        params={"files": len(files), "spans": summary["spans"]},
-        measurements={"trace_wall": measurement},
-        extra={
-            "traces": len(summary["traces"]),
-            "cross_process_traces": summary["cross_process_traces"],
-        },
-    )
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report",
@@ -242,8 +217,6 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero on malformed lines or when no "
                              "span was found (the CI gate)")
-    parser.add_argument("--bench", metavar="NAME", default=None,
-                        help="also emit BENCH_<NAME>.json trend data")
     parser.add_argument("--top", type=int, default=0, metavar="N",
                         help="print the N slowest fully-stitched traces "
                              "with per-hop breakdowns")
@@ -274,8 +247,6 @@ def main(argv=None) -> int:
         print(format_top(analyze_paths(args.paths or ["."]), args.top))
     for problem in bad:
         print("MALFORMED %s" % problem)
-    if args.bench:
-        print("wrote %s" % _emit_bench(args.bench, files, summary))
 
     if args.check:
         if bad:

@@ -20,6 +20,20 @@ class TestRunner:
         assert m.rounds == 3
         assert m.mean_ms == m.mean * 1000
 
+    def test_avg_time_floors_rounds(self):
+        measurement = avg_time(lambda: None, rounds=0)
+        assert measurement.rounds == 1
+        assert measurement.minimum <= measurement.mean <= measurement.maximum
+
+    def test_avg_time_pauses_the_collector_and_restores_it(self):
+        import gc
+
+        states = []
+        assert gc.isenabled()
+        avg_time(lambda: states.append(gc.isenabled()), rounds=2)
+        assert states == [False, False]
+        assert gc.isenabled()
+
     def test_format_table(self):
         text = format_table("T", ["a", "bb"], [[1, 2.5], ["x", "y"]])
         assert "T" in text and "bb" in text and "2.500" in text

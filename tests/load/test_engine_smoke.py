@@ -14,9 +14,11 @@ from repro.load import (
     LoadEngine,
     LoadScenario,
     PhaseSpec,
+    builtin_scenario,
     feed_publisher,
     run_scenario,
 )
+from repro.load.__main__ import main
 from repro.system.transport import BROADCAST
 
 
@@ -88,22 +90,28 @@ def test_memory_broadcasts_accounted_once(memory_engine):
     assert all(m.receiver == BROADCAST for m in broadcasts)
 
 
-def test_bench_emission(memory_engine, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-    path = memory_engine.report.emit_bench()
-    payload = json.loads((tmp_path / "BENCH_load_tiny.json").read_text())
-    assert path.endswith("BENCH_load_tiny.json")
-    assert payload["op"] == "load-scenario"
-    assert payload["params"]["driver"] == "memory"
-    assert set(payload["measurements"]) == {
-        "00_join", "01_revoke", "02_flap", "03_broadcast", "total",
-        "00_join:rekey-publish", "01_revoke:rekey-publish",
-        "02_flap:rekey-publish", "03_broadcast:rekey-publish",
-        "rekey_publish_total",
-    }
-    assert payload["measurements"]["rekey_publish_total"]["mean_s"] > 0
-    assert payload["bytes"]["total"] > 0
-    assert len(payload["phases"]) == 4
+def test_cli_report_carries_phases_and_pins_smoke_bytes(tmp_path, capsys):
+    """``--report`` writes every per-phase number the table prints, and
+    the builtin ``smoke`` scenario's accounted traffic is pinned: a PR
+    that says "bytes identical to parent" means this total."""
+    path = tmp_path / "smoke.json"
+    assert main(["--builtin", "smoke", "--driver", "memory",
+                 "--report", str(path)]) == 0
+    capsys.readouterr()
+    payload = json.loads(path.read_text())
+    assert payload["scenario"] == "smoke" and payload["driver"] == "memory"
+    for phase in payload["phases"]:
+        assert phase["wall_s"] > 0
+        assert phase["rekey_publish_s"] >= 0
+        assert sum(phase["bytes_by_kind"].values()) == phase["bytes_total"]
+    per_phase = [phase["bytes_total"] for phase in payload["phases"]]
+    assert per_phase == [31890, 725, 2993, 13263, 1610]
+    assert sum(per_phase) == 50_481
+
+
+def test_smoke_bucketed_bytes_pinned():
+    report = run_scenario(builtin_scenario("smoke-bucketed"), driver="memory")
+    assert sum(phase.bytes_total for phase in report.phases) == 52_213
 
 
 def test_tcp_run_matches_memory_traffic(memory_engine):

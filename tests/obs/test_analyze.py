@@ -350,17 +350,6 @@ def test_cli_check_fails_below_min_coverage(tmp_path, capsys):
     assert "CHECK FAILED" in capsys.readouterr().out
 
 
-def test_cli_bench_emission(tmp_path, monkeypatch):
-    _publish_fixture(tmp_path)
-    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path / "bench"))
-    assert main([str(tmp_path), "--bench", "obs_attribution"]) == 0
-    payload = json.loads(
-        (tmp_path / "bench" / "BENCH_obs_attribution.json").read_text()
-    )
-    assert payload["attribution"]["traces"] == 1
-    assert "publish_wall" in payload["measurements"]
-
-
 def test_analyze_and_profile_import_no_crypto():
     """The keyless-relay import boundary extends to the analysis tier:
     stitching span logs and merging profiles must not load key

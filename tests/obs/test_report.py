@@ -1,6 +1,4 @@
-"""``python -m repro.obs.report``: validation, summary, gate, trend."""
-
-import json
+"""``python -m repro.obs.report``: validation, summary, gate."""
 
 import pytest
 
@@ -111,20 +109,6 @@ def test_main_check_fails_on_no_spans(tmp_path, capsys):
 def test_main_without_check_tolerates_malformed(tmp_path):
     (tmp_path / "obs.jsonl").write_text("garbage\n")
     assert main([str(tmp_path)]) == 0
-
-
-def test_main_emits_bench_trend(tmp_path, capsys, monkeypatch):
-    _write_world(tmp_path)
-    bench_dir = tmp_path / "bench"
-    bench_dir.mkdir()
-    monkeypatch.setenv("REPRO_BENCH_DIR", str(bench_dir))
-    assert main([str(tmp_path), "--bench", "obs_trace"]) == 0
-    payload = json.loads((bench_dir / "BENCH_obs_trace.json").read_text())
-    assert payload["op"] == "obs.trace.latency"
-    assert payload["params"]["spans"] == 5
-    assert payload["traces"] == 2
-    assert payload["cross_process_traces"] == 1
-    assert payload["measurements"]["trace_wall"]["rounds"] == 2
 
 
 def test_module_entrypoint_runs(tmp_path):
