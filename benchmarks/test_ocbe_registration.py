@@ -4,14 +4,11 @@ Registration is the system's throughput wall: every joining Sub costs
 the Pub one OCBE envelope per matching condition, and each envelope is a
 handful of fixed-base exponentiations.  This file measures a full join
 wave end to end over the wire stack (token issuance, registration
-frames, envelope builds, receiver opens) in three configurations --
+frames, envelope builds, receiver opens) in two configurations --
 
-* ``serial_naive``   -- fixed-base tables disabled: every ``g^x`` walks
-  the generic square-and-multiply ladder (the pre-acceleration shape);
-* ``serial_fast``    -- fixed-base windowed tables (the default);
-* ``pool_fast``      -- tables plus the ``--ocbe-workers`` process pool
-  (only a win on multi-core runners; single-core machines record it
-  without asserting a speedup).
+* ``naive`` -- fixed-base tables disabled: every ``g^x`` walks the
+  generic square-and-multiply ladder (the pre-acceleration shape);
+* ``fast``  -- fixed-base windowed tables (the default);
 
 -- and asserts the >= 2x floor of the tables.  Wire bytes are
 deterministic in the seed; the quick case pins them exactly.
@@ -20,13 +17,11 @@ The quick case (small N) runs per push in the fast-tier workflow step;
 the N=500 wave runs nightly with the rest of the slow tier.
 """
 
-import multiprocessing
 import random
 
 from repro.bench.runner import avg_time, format_table
 from repro.gkm.acv import FAST_FIELD
 from repro.groups import get_group
-from repro.groups._native import BACKEND
 from repro.policy.acp import parse_policy
 from repro.system.idmgr import IdentityManager
 from repro.system.idp import IdentityProvider
@@ -56,7 +51,7 @@ def _legacy_compose_with(self, commitment, aux, message, drawn):
     """The seed's bitwise build: two full pows per bit, no sharing.
 
     Reproduces the pre-acceleration arithmetic exactly (``(c_i)^y`` and
-    ``(c_i g^{-1})^y`` computed independently) so ``serial_naive`` is
+    ``(c_i g^{-1})^y`` computed independently) so ``naive`` is
     the honest before-this-PR baseline, not a half-accelerated hybrid.
     """
     from typing import List, Tuple
@@ -136,40 +131,35 @@ def _build_world(n_subs, conditions_per_sub=2):
     return pub, subscribers
 
 
-def _wave(n_subs, workers, conditions_per_sub=2):
+def _wave(n_subs, conditions_per_sub=2):
     """One full join wave; returns the transport for byte accounting."""
     pub, subscribers = _build_world(n_subs, conditions_per_sub)
     transport = InMemoryTransport()
-    service = DisseminationService(pub, transport, ocbe_workers=workers)
-    try:
-        clients = [
-            SubscriberClient(sub, transport, pub.name) for sub in subscribers
-        ]
-        for client in clients:
-            client.register_all_attributes()
-        run_until_idle([service, *clients])
-        assert pub.table.cell_count() == n_subs * conditions_per_sub
-        for sub in subscribers:
-            assert "level >= 40" in sub.css_store
-    finally:
-        service.close()
+    service = DisseminationService(pub, transport)
+    clients = [
+        SubscriberClient(sub, transport, pub.name) for sub in subscribers
+    ]
+    for client in clients:
+        client.register_all_attributes()
+    run_until_idle([service, *clients])
+    assert pub.table.cell_count() == n_subs * conditions_per_sub
+    for sub in subscribers:
+        assert "level >= 40" in sub.css_store
     return transport
 
 
 def test_registration_quick(monkeypatch):
     """Per-push microbenchmark: a small wave, naive vs accelerated."""
     n_subs, conds = 8, 2
-    workers = 2 if multiprocessing.cpu_count() > 1 else 1
 
     _disable_acceleration(monkeypatch)
-    naive = avg_time(lambda: _wave(n_subs, 0, conds), rounds=1)
+    naive = avg_time(lambda: _wave(n_subs, conds), rounds=1)
     monkeypatch.undo()
 
     transports = []
     fast = avg_time(
-        lambda: transports.append(_wave(n_subs, 0, conds)), rounds=2
+        lambda: transports.append(_wave(n_subs, conds)), rounds=2
     )
-    pooled = avg_time(lambda: _wave(n_subs, workers, conds), rounds=1)
     transport = transports[0]
 
     print()
@@ -177,10 +167,8 @@ def test_registration_quick(monkeypatch):
         "OCBE registration wave, N=%d x %d conditions" % (n_subs, conds),
         ["configuration", "mean ms", "speedup vs naive"],
         [
-            ["serial, tables off", naive.mean_ms, 1.0],
-            ["serial, tables on", fast.mean_ms, naive.mean / fast.mean],
-            ["pool x%d, tables on" % workers, pooled.mean_ms,
-             naive.mean / pooled.mean],
+            ["tables off", naive.mean_ms, 1.0],
+            ["tables on", fast.mean_ms, naive.mean / fast.mean],
         ],
     ))
 
@@ -199,51 +187,39 @@ def test_registration_quick(monkeypatch):
 def test_registration_wave_64x2(monkeypatch):
     """Nightly 64-subscriber wave: the churn-scale join, before/after."""
     n_subs, conds = 64, 2
-    cpus = multiprocessing.cpu_count()
-    workers = min(4, cpus)
 
     _disable_acceleration(monkeypatch)
-    naive = avg_time(lambda: _wave(n_subs, 0, conds), rounds=1)
+    naive = avg_time(lambda: _wave(n_subs, conds), rounds=1)
     monkeypatch.undo()
 
-    fast = avg_time(lambda: _wave(n_subs, 0, conds), rounds=1)
-    pooled = avg_time(lambda: _wave(n_subs, workers, conds), rounds=1)
+    fast = avg_time(lambda: _wave(n_subs, conds), rounds=1)
 
     print()
     print(format_table(
         "OCBE registration wave, N=%d x %d conditions" % (n_subs, conds),
         ["configuration", "mean ms", "speedup vs naive"],
         [
-            ["serial, tables off", naive.mean_ms, 1.0],
-            ["serial, tables on", fast.mean_ms, naive.mean / fast.mean],
-            ["pool x%d, tables on" % workers, pooled.mean_ms,
-             naive.mean / pooled.mean],
+            ["tables off", naive.mean_ms, 1.0],
+            ["tables on", fast.mean_ms, naive.mean / fast.mean],
         ],
     ))
 
     assert naive.mean / fast.mean >= 2.0
-    if cpus >= 4:
-        # The pool only helps with real cores underneath; the combined
-        # claim (tables + workers) is gated where it can hold.
-        assert naive.mean / pooled.mean >= 3.0
 
 
 def test_registration_wave_n500():
     """Nightly N=500 join wave: the paper-scale shape, in wall seconds."""
     n_subs, conds = 500, 2
-    workers = min(4, multiprocessing.cpu_count())
 
-    wave = avg_time(lambda: _wave(n_subs, workers, conds), rounds=1)
+    wave = avg_time(lambda: _wave(n_subs, conds), rounds=1)
 
     print()
     print(format_table(
         "OCBE registration wave, N=%d x %d conditions" % (n_subs, conds),
         ["configuration", "wall s"],
-        [["pool x%d, tables on" % workers, wave.mean]],
+        [["tables on", wave.mean]],
     ))
 
-    # The tentpole target: a 500-subscriber wave in single-digit
-    # seconds on the nightly runner (gmpy2 + real cores); pure-Python
-    # single-core machines get a looser absolute backstop.
-    bound = 10.0 if BACKEND == "gmpy2" and workers >= 2 else 120.0
-    assert wave.mean < bound
+    # An absolute backstop sized for pure-Python arithmetic on one
+    # core, the slowest configuration the suite runs on.
+    assert wave.mean < 120.0

@@ -96,7 +96,7 @@ class PedersenParams:
         return self._pow(1, self.h, exponent)
 
     def precompute_now(self) -> None:
-        """Force-build both tables (e.g. in a worker-pool initializer)."""
+        """Force-build both tables (e.g. ahead of a timed region)."""
         self._tables[0] = shared_table(self.g)
         self._tables[1] = shared_table(self.h)
 

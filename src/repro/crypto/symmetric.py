@@ -67,9 +67,9 @@ class SymmetricCipher(abc.ABC):
 
         ``nonce`` defaults to a fresh CSPRNG draw.  Callers that manage
         their own randomness streams (the OCBE senders, which draw every
-        envelope's random choices up front so the arithmetic can run in
-        worker processes) pass an explicit ``NONCE_LEN``-byte value; it
-        must never repeat under the same key.
+        envelope's random choices up front so the arithmetic is a pure
+        function of the draw) pass an explicit ``NONCE_LEN``-byte value;
+        it must never repeat under the same key.
         """
 
     @abc.abstractmethod
@@ -113,8 +113,9 @@ class AesCtrHmacCipher(SymmetricCipher):
         self._lock = threading.Lock()
 
     def __reduce__(self):
-        # Only the configuration crosses a pickle boundary (the OCBE worker
-        # pool ships its setup's cipher): a copy starts with nothing remembered.
+        # Only the configuration crosses a pickle boundary: the table holds
+        # derived key material (and a lock), which must never be serialized;
+        # a copy starts with nothing remembered.
         return (type(self), (self.aes_key_size, self.h))
 
     def __repr__(self) -> str:

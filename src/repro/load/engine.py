@@ -216,12 +216,10 @@ class LoadEngine:
             for policy in spec.parsed_policies():
                 publisher.add_policy(policy)
             self.services[spec.name] = DisseminationService(
-                publisher, self.transport,
-                ocbe_workers=scenario.ocbe_workers,
+                publisher, self.transport
             )
         self.idmgr_ep = IdentityManagerEndpoint(
-            self.idmgr, self.transport, name="idmgr",
-            ocbe_workers=scenario.ocbe_workers,
+            self.idmgr, self.transport, name="idmgr"
         )
         obs_dir = os.path.join(self.obs_dir, "engine") if self.obs_dir else None
         self._obs_writer, _ = self._telemetry.enter_context(
@@ -377,11 +375,6 @@ class LoadEngine:
         # tests run several engines per process, and an engine must not
         # leave its (closed) writer installed for the next one.
         self._telemetry.close()
-        for service in getattr(self, "services", {}).values():
-            service.close()
-        idmgr_ep = getattr(self, "idmgr_ep", None)
-        if idmgr_ep is not None:
-            idmgr_ep.close()
         for member in self.members.values():
             if member.persistence is not None:
                 member.persistence.close()

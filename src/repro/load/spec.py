@@ -26,7 +26,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.documents.model import Document
@@ -294,10 +294,6 @@ class LoadScenario:
     #: named stages + transit by :mod:`repro.obs.analyze` for the run to
     #: pass (engine runs with an ``obs_dir`` only); 0 disables the gate.
     min_attribution_coverage: float = 0.0
-    #: OCBE worker-pool size for the publisher/IdMgr registration path;
-    #: 0 = serial.  Replies are delivery-ordered either way, so this
-    #: changes wall-clock only, never the transcript.
-    ocbe_workers: int = 0
     #: Publisher-side ACV build cache (exact-hit recombine + incremental
     #: join extension).  Disabling it forces every publish to re-solve the
     #: access matrix from scratch -- the differential baseline the
@@ -336,12 +332,6 @@ class LoadScenario:
             raise InvalidParameterError(
                 "min_attribution_coverage must be a number in [0, 1]"
             )
-        if (
-            not isinstance(self.ocbe_workers, int)
-            or isinstance(self.ocbe_workers, bool)
-            or self.ocbe_workers < 0
-        ):
-            raise InvalidParameterError("ocbe_workers must be an int >= 0")
         if not isinstance(self.acv_cache, bool):
             raise InvalidParameterError("acv_cache must be a bool")
         if not self.publishers:
@@ -413,7 +403,6 @@ class LoadScenario:
             "capacity_slack": self.capacity_slack,
             "metrics_interval": self.metrics_interval,
             "min_attribution_coverage": self.min_attribution_coverage,
-            "ocbe_workers": self.ocbe_workers,
             "acv_cache": self.acv_cache,
             "publishers": [
                 {
@@ -462,6 +451,14 @@ class LoadScenario:
     @classmethod
     def from_payload(cls, payload: dict) -> "LoadScenario":
         try:
+            # The top-level keys are exactly the dataclass fields; a key
+            # this version does not know (a typo, a retired option) must
+            # not silently run with a default.
+            unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+            if unknown:
+                raise InvalidParameterError(
+                    "unknown load scenario key %r" % unknown[0]
+                )
             publishers = tuple(
                 PublisherSpec(
                     name=p["name"],
@@ -515,7 +512,6 @@ class LoadScenario:
                 min_attribution_coverage=payload.get(
                     "min_attribution_coverage", 0.0
                 ),
-                ocbe_workers=payload.get("ocbe_workers", 0),
                 acv_cache=payload.get("acv_cache", True),
             )
         except (KeyError, TypeError) as exc:

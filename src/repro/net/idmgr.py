@@ -33,15 +33,7 @@ def main(argv=None) -> int:
                              "directory (readable by python -m "
                              "repro.obs.profile); function names only, "
                              "never argument values")
-    parser.add_argument("--ocbe-workers", type=int, default=None, metavar="N",
-                        help="run token commitments on a pool of N worker "
-                             "processes (issuance order is preserved; a "
-                             "crashed pool degrades to serial); omit to "
-                             "follow the scenario's 'ocbe_workers' field "
-                             "(default serial)")
     args = parser.parse_args(argv)
-    if args.ocbe_workers is not None and args.ocbe_workers < 0:
-        parser.error("--ocbe-workers must be >= 0")
 
     scenario = load_scenario(args.scenario)
     idp, idmgr, nyms, assertions = build_identity_stack(scenario)
@@ -59,25 +51,21 @@ def main(argv=None) -> int:
 
     stop = install_stop_signals()
     host, port = parse_endpoint(args.broker)
-    endpoint = None
     # The telemetry scope makes wal.* spans and the serve profile window
     # land in this process's files (and restores the host's on exit).
     scope = observing(args.data_dir, args.profile_dir, scenario["idmgr"])
     with scope as (obs, profiler):
         try:
             with TcpTransport(host, port) as transport:
-                workers = args.ocbe_workers
-                if workers is None:
-                    workers = int(scenario.get("ocbe_workers", 0))
                 endpoint = IdentityManagerEndpoint(
                     idmgr, transport, name=scenario["idmgr"],
-                    persistence=persistence, ocbe_workers=workers,
+                    persistence=persistence,
                 )
                 endpoint.span_writer = obs
                 if profiler is not None:
                     from repro.groups._native import BACKEND
 
-                    profiler.annotate(math_backend=BACKEND, ocbe_workers=workers)
+                    profiler.annotate(math_backend=BACKEND)
                 print("idmgr serving as %r on %s" % (endpoint.name, args.broker),
                       flush=True)
                 errors = []
@@ -89,8 +77,6 @@ def main(argv=None) -> int:
                     print("rejected %d token requests" % len(endpoint.rejections),
                           flush=True)
         finally:
-            if endpoint is not None:
-                endpoint.close()
             if persistence is not None:
                 persistence.close()
     return 0

@@ -158,17 +158,9 @@ def main(argv=None) -> int:
                              "per bucket (0 = the auto ceil(sqrt(m)) "
                              "policy); omit to follow the scenario's 'gkm' "
                              "fields (default dense)")
-    parser.add_argument("--ocbe-workers", type=int, default=None, metavar="N",
-                        help="build OCBE registration envelopes on a pool "
-                             "of N worker processes (replies stay in "
-                             "delivery order; a crashed pool degrades to "
-                             "serial); omit to follow the scenario's "
-                             "'ocbe_workers' field (default serial)")
     args = parser.parse_args(argv)
     if args.gkm_buckets is not None and args.gkm_buckets < 0:
         parser.error("--gkm-buckets must be >= 0")
-    if args.ocbe_workers is not None and args.ocbe_workers < 0:
-        parser.error("--ocbe-workers must be >= 0")
 
     scenario = load_scenario(args.scenario)
     wait_for_file(args.bundle, timeout=args.timeout)
@@ -192,7 +184,6 @@ def main(argv=None) -> int:
 
     stop = install_stop_signals()
     host, port = parse_endpoint(args.broker)
-    service = None
     # The telemetry scope makes stage() spans (ocbe.build, acv.solve,
     # wal.*) and profile_window() land in this process's files, and
     # restores the host's on the way out so embedders stay unaffected.
@@ -200,18 +191,14 @@ def main(argv=None) -> int:
     with scope as (obs, profiler):
         try:
             with TcpTransport(host, port) as transport:
-                workers = args.ocbe_workers
-                if workers is None:
-                    workers = int(scenario.get("ocbe_workers", 0))
                 service = DisseminationService(
-                    publisher, transport, persistence=persistence,
-                    ocbe_workers=workers,
+                    publisher, transport, persistence=persistence
                 )
                 service.span_writer = obs
                 if profiler is not None:
                     from repro.groups._native import BACKEND
 
-                    profiler.annotate(math_backend=BACKEND, ocbe_workers=workers)
+                    profiler.annotate(math_backend=BACKEND)
                 print("publisher serving as %r on %s" % (publisher.name, args.broker),
                       flush=True)
                 if args.serve:
@@ -238,8 +225,6 @@ def main(argv=None) -> int:
                     write_json(args.report, report)
                 print(json.dumps(report, indent=2, sort_keys=True), flush=True)
         finally:
-            if service is not None:
-                service.close()
             if persistence is not None:
                 persistence.close()
     return 0

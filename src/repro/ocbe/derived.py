@@ -16,7 +16,12 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.crypto.pedersen import PedersenCommitment
-from repro.errors import DecryptionError, PredicateError, SerializationError
+from repro.errors import (
+    DecryptionError,
+    PredicateError,
+    ProtocolStateError,
+    SerializationError,
+)
 from repro.groups.base import CyclicGroup
 from repro.ocbe.base import Envelope, OCBESetup
 from repro.ocbe.ge import BitCommitMessage, BitwiseEnvelope, GeOCBEReceiver, GeOCBESender
@@ -213,7 +218,7 @@ class NeOCBESender:
         )
 
     def draw_randomness(self):
-        """Draw both halves' randomness in the serial compose order."""
+        """Draw both halves' randomness, GT half first."""
         return (
             self._gt.draw_randomness() if self._gt is not None else None,
             self._lt.draw_randomness() if self._lt is not None else None,
@@ -237,6 +242,8 @@ class NeOCBESender:
         drawn,
     ) -> NeEnvelope:
         """Deterministic disjunction build from pre-drawn randomness."""
+        if not isinstance(aux, NeCommitMessage):
+            raise ProtocolStateError("NE-OCBE expects a NeCommitMessage")
         gt_drawn, lt_drawn = drawn
         return NeEnvelope(
             gt_envelope=(

@@ -76,11 +76,11 @@ class EqOCBESender:
         """Draw this envelope's random choices from the sender's RNG.
 
         Splitting the draw from the (deterministic) arithmetic lets the
-        registration path consume the RNG in delivery order while the
-        arithmetic runs in a worker pool -- parallel builds then produce
-        frames byte-identical to the serial path.  The cipher nonce is
-        part of the draw for the same reason: ``compose_with`` must be a
-        pure function of ``drawn``.
+        registration path consume the RNG in delivery order whatever
+        later happens to the arithmetic (batching, multi-scalar
+        multiplication), so a seeded transcript replays byte for byte.
+        The cipher nonce is part of the draw for the same reason:
+        ``compose_with`` must be a pure function of ``drawn``.
         """
         y = self.setup.random_scalar(self._rng)
         nonce = self.setup.random_bytes(NONCE_LEN, self._rng)

@@ -147,9 +147,9 @@ class _BitwiseSenderBase:
 
         Draw order is ``y``, then the shares, then the cipher nonce; the
         nonce is drawn here rather than inside ``encrypt`` so that
-        ``compose_with`` is a pure function of ``drawn``.  The split lets
-        the registration path draw in delivery order and run the
-        arithmetic in a worker pool without changing a single frame.
+        ``compose_with`` is a pure function of ``drawn``: a seeded
+        transcript replays byte for byte however the arithmetic is
+        later scheduled or batched.
         """
         y = self.setup.random_scalar(self._rng)
         digest_size = self.setup.hash_fn.digest_size
@@ -176,7 +176,10 @@ class _BitwiseSenderBase:
         drawn,
     ) -> BitwiseEnvelope:
         """Deterministic envelope build from pre-drawn randomness."""
-        if aux is None or len(aux.commitments) != self.predicate.ell:
+        if (
+            not isinstance(aux, BitCommitMessage)
+            or len(aux.commitments) != self.predicate.ell
+        ):
             raise ProtocolStateError(
                 "expected %d bit commitments" % self.predicate.ell
             )

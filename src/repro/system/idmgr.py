@@ -27,15 +27,15 @@ __all__ = ["IdentityManager", "PendingIssue"]
 
 @dataclass
 class PendingIssue:
-    """A validated token issuance whose commitment may still be in flight.
+    """A validated token issuance whose arithmetic is still to run.
 
     Produced by :meth:`IdentityManager.begin_issue` /
     :meth:`~IdentityManager.begin_decoy_issue`: the assertion is already
     verified and every random draw (``x`` for decoys, the blinding ``r``,
     the signing RNG stream) already taken, so the remaining work --
-    computing ``g^x h^r``, signing, journaling -- is deterministic and
-    the commitment can run on a worker pool.  ``finish_issue`` must be
-    called in delivery order: that is where the token is journaled.
+    computing ``g^x h^r``, signing, journaling -- is deterministic.
+    ``finish_issue`` must be called in delivery order: that is where
+    the token is journaled.
     """
 
     nym: str
@@ -44,8 +44,6 @@ class PendingIssue:
     r: int
     decoy: bool
     rng: Optional[random.Random]
-    future: object = None
-    pool: object = None
 
 
 class IdentityManager:
@@ -164,20 +162,18 @@ class IdentityManager:
         """
         return self.finish_issue(self.begin_issue(nym, assertion, rng=rng))
 
-    # -- two-phase issuance (the parallel endpoint path) ----------------------
+    # -- two-phase issuance (draw, then deterministic arithmetic) -------------
 
     def begin_issue(
         self,
         nym: str,
         assertion: AttributeAssertion,
         rng: Optional[random.Random] = None,
-        pool=None,
     ) -> PendingIssue:
         """Validate the assertion and draw all randomness (delivery order).
 
-        With ``pool`` the commitment ``g^x h^r`` starts on a worker
-        immediately; :meth:`finish_issue` waits for it (or rebuilds it
-        inline if the pool died), signs, and journals.
+        :meth:`finish_issue` computes the commitment ``g^x h^r``, signs,
+        and journals.
         """
         idp = self._trusted_idps.get(assertion.issuer)
         if idp is None:
@@ -185,14 +181,13 @@ class IdentityManager:
         if not idp.verify(assertion):
             raise SignatureError("invalid IdP signature on assertion")
         x = encode_value(assertion.value)
-        return self._begin(nym, assertion.name, x, decoy=False, rng=rng, pool=pool)
+        return self._begin(nym, assertion.name, x, decoy=False, rng=rng)
 
     def begin_decoy_issue(
         self,
         nym: str,
         tag: str,
         rng: Optional[random.Random] = None,
-        pool=None,
     ) -> PendingIssue:
         """Decoy-value counterpart of :meth:`begin_issue`."""
         use_rng = rng or self._rng
@@ -200,7 +195,7 @@ class IdentityManager:
             x = (1 << 200) + use_rng.getrandbits(50)
         else:
             x = (1 << 200) + secrets.randbits(50)
-        return self._begin(nym, tag, x, decoy=True, rng=rng, pool=pool)
+        return self._begin(nym, tag, x, decoy=True, rng=rng)
 
     def _begin(
         self,
@@ -209,13 +204,12 @@ class IdentityManager:
         x: int,
         decoy: bool,
         rng: Optional[random.Random],
-        pool,
     ) -> PendingIssue:
         # Like the publisher's registration offers, each token gets its
         # own RNG stream seeded from the master here (in delivery order):
         # the blinding and signing nonce are then independent of how many
-        # issuances are in flight, so pooled and serial runs issue
-        # byte-identical tokens.
+        # issuances are in flight, so a seeded run issues the same token
+        # bytes however begin/finish calls interleave.
         use_rng = rng or self._rng
         if use_rng is not None:
             token_rng: Optional[random.Random] = random.Random(
@@ -225,21 +219,13 @@ class IdentityManager:
         else:
             token_rng = None
             r = secrets.randbelow(self.pedersen.order)
-        future = None
-        if pool is not None and not pool.broken:
-            future = pool.submit_commit(x, r)
         return PendingIssue(
-            nym=nym, tag=tag, x=x, r=r, decoy=decoy, rng=token_rng,
-            future=future, pool=pool,
+            nym=nym, tag=tag, x=x, r=r, decoy=decoy, rng=token_rng
         )
 
     def finish_issue(self, pending: PendingIssue) -> Tuple[IdentityToken, int, int]:
         """Complete a :class:`PendingIssue`: commit, sign, record, journal."""
-        commitment = None
-        if pending.future is not None:
-            commitment = pending.pool.result(pending.future)
-        if commitment is None:
-            commitment = self.pedersen.commit(pending.x, pending.r)[0]
+        commitment = self.pedersen.commit(pending.x, pending.r)[0]
         signature = self._keys.sign(
             token_signing_bytes(pending.nym, pending.tag, commitment),
             rng=pending.rng,

@@ -284,8 +284,8 @@ class Publisher:
         # Each offer's sender draws from its own RNG stream, seeded from
         # the master RNG here -- at offer creation, in strict arrival
         # order.  Envelope randomness then no longer depends on the order
-        # envelopes are *built* in, which is what makes the worker-pool
-        # prefetch frame-identical to the serial path for seeded runs.
+        # envelopes are *built* in (aux frames of concurrent subscribers
+        # interleave freely), so a seeded run replays frame for frame.
         sender_rng = (
             random.Random(self._rng.getrandbits(64))
             if self._rng is not None

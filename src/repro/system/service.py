@@ -31,7 +31,6 @@ from repro.errors import (
     ProtocolStateError,
     RegistrationError,
     ReproError,
-    SerializationError,
     SystemError_,
 )
 from repro.obs.metrics import get_registry
@@ -138,8 +137,6 @@ class _Endpoint:
         the nested decrypt/OCBE/WAL stages).
         """
         deliveries = self.transport.poll(self.name, limit)
-        if deliveries:
-            self._before_batch(deliveries)
         for index, delivery in enumerate(deliveries):
             try:
                 with tracing(delivery.trace):
@@ -160,48 +157,17 @@ class _Endpoint:
                 raise
         return len(deliveries)
 
-    def _before_batch(self, deliveries: Sequence[Delivery]) -> None:
-        """Hook: called once per polled batch before any frame is handled.
-
-        Endpoints with a worker pool use it to start independent
-        CPU-bound work for the whole batch; handlers then consume the
-        results in delivery order.  The default does nothing.
-        """
-
     def _handle_delivery(self, delivery: Delivery) -> None:
         raise NotImplementedError
 
 
 class DisseminationService(_Endpoint):
-    """The publisher's network endpoint.
+    """The publisher's network endpoint."""
 
-    ``ocbe_workers > 0`` builds OCBE envelopes on a
-    :class:`~repro.ocbe.parallel.OcbeWorkerPool` (opt-in; replies stay
-    in delivery order and, for seeded publishers, byte-identical to the
-    serial path).  Call :meth:`close` to tear the pool down.
-    """
-
-    def __init__(
-        self, publisher, transport: Transport, persistence=None,
-        ocbe_workers: int = 0,
-    ):
+    def __init__(self, publisher, transport: Transport, persistence=None):
         super().__init__(publisher.name, transport, persistence)
         self.publisher = publisher
-        self.ocbe_pool = None
-        if ocbe_workers:
-            from repro.ocbe.parallel import OcbeWorkerPool
-
-            self.ocbe_pool = OcbeWorkerPool(publisher.ocbe_setup, ocbe_workers)
-        self.session = PublisherRegistrationSession(publisher, pool=self.ocbe_pool)
-
-    def _before_batch(self, deliveries: Sequence[Delivery]) -> None:
-        if self.ocbe_pool is not None:
-            self.session.prefetch(deliveries)
-
-    def close(self) -> None:
-        """Release endpoint resources (currently: the OCBE worker pool)."""
-        if self.ocbe_pool is not None:
-            self.ocbe_pool.close()
+        self.session = PublisherRegistrationSession(publisher)
 
     def _handle_delivery(self, delivery: Delivery) -> None:
         if _frame_type(delivery.payload) is BroadcastMessage:
@@ -547,88 +513,23 @@ class IdentityManagerEndpoint(_Endpoint):
     """
 
     def __init__(
-        self, idmgr, transport: Transport, name: str = "idmgr", persistence=None,
-        ocbe_workers: int = 0,
+        self, idmgr, transport: Transport, name: str = "idmgr", persistence=None
     ):
         super().__init__(name, transport, persistence)
         self.idmgr = idmgr
         #: ``[(requester nym, attribute, reason), ...]`` of refused requests.
         self.rejections: List[tuple] = []
-        self.ocbe_pool = None
-        if ocbe_workers:
-            from repro.ocbe.parallel import CommitPoolSetup, OcbeWorkerPool
-
-            self.ocbe_pool = OcbeWorkerPool(
-                CommitPoolSetup(idmgr.params), ocbe_workers
-            )
-        # id(delivery) -> ("ok", PendingIssue) | ("err", exception), staged
-        # by _before_batch and consumed by _handle_delivery so token
-        # commitments overlap while grants still go out in delivery order
-        # (entries survive a mid-batch requeue; randomness is drawn once).
-        self._staged_issues: dict = {}
-
-    def close(self) -> None:
-        """Release endpoint resources (currently: the commitment pool)."""
-        if self.ocbe_pool is not None:
-            self.ocbe_pool.close()
-
-    def _before_batch(self, deliveries: Sequence[Delivery]) -> None:
-        pool = self.ocbe_pool
-        if pool is None:
-            return
-        staged = self._staged_issues
-        current: dict = {}
-        for delivery in deliveries:
-            mark = id(delivery)
-            if mark in staged:
-                current[mark] = staged[mark]
-                continue
-            payload = delivery.payload
-            if len(payload) < 4 or payload[3] != TokenRequest.TYPE_ID:
-                continue
-            try:
-                message = decode_message(payload, self.idmgr.group)
-            except SerializationError:
-                continue  # _handle_delivery raises the precise error
-            if not isinstance(message, TokenRequest):
-                continue
-            try:
-                if message.decoy:
-                    pending = self.idmgr.begin_decoy_issue(
-                        message.nym, message.attribute, pool=pool
-                    )
-                else:
-                    if message.assertion is None:
-                        raise RegistrationError(
-                            "non-decoy token request needs an assertion"
-                        )
-                    pending = self.idmgr.begin_issue(
-                        message.nym, message.assertion, pool=pool
-                    )
-            except SystemError_ as exc:
-                # Recorded at *handle* time, in delivery order, exactly
-                # like the serial path would.
-                current[mark] = ("err", exc)
-            else:
-                current[mark] = ("ok", pending)
-        self._staged_issues = current
 
     def _handle_delivery(self, delivery: Delivery) -> None:
         if _frame_type(delivery.payload) is BroadcastMessage:
             return  # multicast traffic on a shared channel; skip the parse
-        entry = self._staged_issues.pop(id(delivery), None)
         message = decode_message(delivery.payload, self.idmgr.group)
         if not isinstance(message, TokenRequest):
             raise ProtocolStateError(
                 "identity manager cannot handle %s" % type(message).__name__
             )
         try:
-            if entry is not None:
-                kind, value = entry
-                if kind == "err":
-                    raise value
-                token, x, r = self.idmgr.finish_issue(value)
-            elif message.decoy:
+            if message.decoy:
                 token, x, r = self.idmgr.issue_decoy_token(
                     message.nym, message.attribute
                 )

@@ -182,77 +182,13 @@ class PublisherRegistrationSession:
     and never follow up with ``AuxCommitments`` cannot grow memory without
     bound.  An evicted registration simply draws a negative ack when its
     aux finally arrives, and the client may retry.
-
-    With ``pool`` (an :class:`~repro.ocbe.parallel.OcbeWorkerPool`) the
-    endpoint calls :meth:`prefetch` on each polled batch: every
-    ``AuxCommitments`` frame with a live offer has its envelope's
-    randomness drawn immediately (in delivery order, from the offer's
-    own derived RNG stream) and its deterministic arithmetic submitted
-    to the pool, so independent builds overlap while replies still go
-    out in delivery order.  A broken pool degrades to inline builds from
-    the already-drawn randomness -- same frames, just slower.
     """
 
-    def __init__(self, publisher, max_pending: int = 4096, pool=None):
+    def __init__(self, publisher, max_pending: int = 4096):
         self.publisher = publisher
         self.max_pending = max_pending
-        self.pool = pool
         self._group = publisher.params.pedersen.group
         self._pending: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
-        # (nym, condition key) -> FIFO of (offer, future-or-None, drawn),
-        # one entry per prefetched aux frame, popped by _on_aux in the
-        # same delivery order prefetch() pushed them.
-        self._prefetched: dict = {}
-        # id()s of Delivery objects already prefetched: a handler raising
-        # mid-batch requeues the remainder, and a requeued frame must not
-        # draw its randomness twice when the next poll sees it again.
-        self._prefetch_seen: dict = {}
-
-    def prefetch(self, deliveries) -> None:
-        """Kick off pool builds for a polled batch (no-op without a pool)."""
-        pool = self.pool
-        if pool is None or pool.broken:
-            return
-        seen = self._prefetch_seen
-        current: dict = {}
-        for delivery in deliveries:
-            mark = id(delivery)
-            if mark in seen:
-                current[mark] = True
-                continue
-            payload = delivery.payload
-            # O(1) type peek (same frame layout contract as the service
-            # facade's _frame_type); false positives fail decode below.
-            if len(payload) < 4 or payload[3] != AuxCommitments.TYPE_ID:
-                continue
-            current[mark] = True
-            try:
-                message = decode_message(payload, self._group)
-            except SerializationError:
-                continue  # handle() will produce the precise error
-            if delivery.sender is not None and message.nym != delivery.sender:
-                continue  # handle() rejects it; never build for a hijack
-            offer = self._pending.get((message.nym, message.condition_key))
-            if offer is None:
-                continue
-            drawn = offer.sender.draw_randomness()
-            future = pool.submit_compose(
-                offer.condition.predicate(
-                    self.publisher.params.attribute_bits
-                ),
-                offer.token.commitment,
-                message.aux,
-                offer.css,
-                drawn,
-            )
-            self._prefetched.setdefault(
-                (message.nym, message.condition_key), []
-            ).append((offer, future, drawn))
-            if pool.broken:
-                break  # submission failed; the entry still carries `drawn`
-        # Keep only ids still in flight: requeued frames reappear in the
-        # next batch, everything else was handled (or dropped) already.
-        self._prefetch_seen = current
 
     def handle(self, data: bytes, sender: Optional[str] = None) -> List[bytes]:
         """Process one subscriber frame; return the reply frames.
@@ -316,22 +252,8 @@ class PublisherRegistrationSession:
             nym=request.nym, condition_key=request.condition_key, ok=True
         ).encode()
 
-    def _pop_prefetched(self, key) -> Optional[tuple]:
-        """Next prefetched (offer, future, drawn) for ``key``, if any."""
-        entries = self._prefetched.get(key)
-        if not entries:
-            return None
-        entry = entries.pop(0)
-        if not entries:
-            del self._prefetched[key]
-        return entry
-
     def _on_aux(self, message: AuxCommitments) -> bytes:
         key = (message.nym, message.condition_key)
-        # The prefetch entry is positionally paired with this frame: pop
-        # it even when the offer is gone (negative-ack path) or was
-        # replaced by a re-request (the stale build must not be used).
-        entry = self._pop_prefetched(key)
         offer = self._pending.pop(key, None)
         if offer is None:
             return RegistrationAck(
@@ -343,28 +265,15 @@ class PublisherRegistrationSession:
         try:
             with stage("ocbe.build", condition=message.condition_key):
                 with get_registry().timer("ocbe.envelope_build_seconds"):
-                    envelope = None
-                    if entry is not None and entry[0] is offer:
-                        _, future, drawn = entry
-                        if future is not None:
-                            envelope = self.pool.result(future)
-                        if envelope is None:
-                            # Pool degraded: rebuild inline from the
-                            # randomness drawn at prefetch time, so the
-                            # emitted frame is unchanged.
-                            envelope = offer.sender.compose_with(
-                                offer.token.commitment, message.aux,
-                                offer.css, drawn,
-                            )
-                    else:
-                        envelope = offer.sender.compose(
-                            offer.token.commitment, message.aux, offer.css
-                        )
+                    envelope = offer.sender.compose(
+                        offer.token.commitment, message.aux, offer.css
+                    )
             get_registry().inc("ocbe.envelopes")
-        except (OCBEError, SerializationError, AttributeError, TypeError) as exc:
-            # AttributeError/TypeError cover a well-formed frame carrying the
-            # wrong OCBE variant for this condition (e.g. a bare None aux for
-            # a bitwise predicate) -- remote input must never crash the Pub.
+        except (OCBEError, SerializationError) as exc:
+            # Covers a well-formed frame carrying the wrong OCBE variant
+            # for this condition (e.g. a bare None aux for a bitwise
+            # predicate): each sender's compose_with type-checks the aux
+            # first.  Anything else raised in there is a bug, not input.
             return RegistrationAck(
                 nym=message.nym,
                 condition_key=message.condition_key,

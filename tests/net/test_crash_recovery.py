@@ -185,107 +185,3 @@ def test_publisher_sigkill_recovery_zero_unicast(tmp_path):
             assert {m.kind for m in recovery_window} == {"broadcast-package"}
             assert all(m.receiver == BROADCAST for m in recovery_window)
             assert len(recovery_window) == 2  # multicast: accounted once each
-
-
-def test_pooled_publisher_sigkill_recovery(tmp_path):
-    """SIGKILL a publisher with a *live worker pool*; restart serially.
-
-    Workers never journal -- every durable write happens in the parent
-    -- so killing a pooled publisher mid-lifecycle must leave exactly
-    the same recoverable store as killing a serial one: the restarted
-    (serial) process re-registers every served cell from disk.
-    """
-    scenario_path = str(tmp_path / "scenario.json")
-    bundle_path = str(tmp_path / "bundle.json")
-    data_dir = str(tmp_path / "pub-data")
-    report_path = str(tmp_path / "publisher.json")
-    write_json(scenario_path, SCENARIO)
-    scenario = load_scenario(scenario_path)
-
-    idp, idmgr, nyms, assertions = build_identity_stack(scenario)
-    write_bundle(bundle_path, scenario, idmgr, nyms, assertions)
-    bundle = read_bundle(bundle_path)
-
-    with BrokerThread() as broker:
-        broker_at = "%s:%d" % (broker.host, broker.port)
-        with TcpTransport(broker.host, broker.port) as transport:
-            idmgr_ep = IdentityManagerEndpoint(
-                idmgr, transport, name=scenario["idmgr"]
-            )
-            clients = {}
-            for user in sorted(scenario["users"]):
-                subscriber = build_subscriber(scenario, bundle, user)
-                clients[user] = SubscriberClient(
-                    subscriber, transport,
-                    publisher_name=scenario["publisher"],
-                    idmgr_name=scenario["idmgr"],
-                )
-            endpoints = [idmgr_ep, *clients.values()]
-
-            publisher1 = _spawn_publisher(
-                broker_at, scenario_path, bundle_path, data_dir,
-                "--serve", "--ocbe-workers", "2",
-            )
-            try:
-                for user, client in clients.items():
-                    for attribute in sorted(scenario["users"][user]):
-                        client.request_token(
-                            attribute, assertion=bundle.assertions[user][attribute]
-                        )
-                pump_until(
-                    endpoints,
-                    lambda: all(
-                        set(c.subscriber.attribute_tags())
-                        == set(scenario["users"][u])
-                        for u, c in clients.items()
-                    ),
-                    timeout=TIMEOUT,
-                )
-                for client in clients.values():
-                    client.register_all_attributes()
-                pump_until(
-                    endpoints,
-                    lambda: all(
-                        not c.registering()
-                        and all(r for r in c.results.values())
-                        for c in clients.values()
-                    ),
-                    timeout=TIMEOUT,
-                )
-                transport.flush_acks()
-            finally:
-                # SIGKILL with the pool still up: no teardown path runs
-                # in the parent or the workers.
-                publisher1.kill()
-                publisher1.wait(10)
-            assert publisher1.returncode == -signal.SIGKILL
-
-            publisher2 = _spawn_publisher(
-                broker_at, scenario_path, bundle_path, data_dir,
-                report=report_path,
-            )
-            try:
-                # The lifecycle mode broadcasts twice (publish + rekey
-                # re-publish); the publisher only exits once the broker
-                # goes quiet, which needs both packages pumped.
-                pump_until(
-                    endpoints,
-                    lambda: all(
-                        len(c.packages) >= 2 for c in clients.values()
-                    ),
-                    timeout=TIMEOUT,
-                )
-                transport.flush_acks()
-                assert publisher2.wait(TIMEOUT) == 0
-            finally:
-                if publisher2.poll() is None:
-                    publisher2.kill()
-                    publisher2.wait(10)
-
-            wait_for_file(report_path, timeout=10)
-            with open(report_path, encoding="utf-8") as handle:
-                report = json.load(handle)
-            expected = expected_registrations(scenario)
-            assert report["recovered_cells"] == expected
-            assert report["table_cells_registered"] == expected
-            assert clients["carol"].broadcasts[0]["Clinical"] == b"MRI fine."

@@ -4,7 +4,7 @@ The cipher-level rules (insert after verify, the LRU bound, threads,
 pickling) are in ``tests/crypto/test_symmetric.py``; here the key-schedule
 count is taken where it matters -- one publish delivered to every member
 of an in-memory :class:`DisseminationService` -- the OCBE setup is shown
-to cross a pickle boundary (the worker pool's) with an empty table, and
+to cross a pickle boundary with an empty table and no key bytes, and
 the ``decrypt`` stage is shown to split into ``acv.derive`` and ``cipher``.
 """
 

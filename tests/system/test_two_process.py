@@ -267,33 +267,92 @@ def test_pending_registrations_are_bounded(world):
 
 
 def test_variant_mismatched_aux_draws_negative_ack(world):
-    """A well-formed AuxCommitments carrying the wrong OCBE variant (None
-    aux for a bitwise predicate) must produce a negative ack, not crash."""
+    """A well-formed AuxCommitments carrying the wrong OCBE variant for its
+    condition (e.g. None aux for a bitwise predicate) must produce a
+    negative ack, not crash -- for every predicate family crossed with
+    every aux variant, plus a bit-commitment list of the wrong length."""
     idp, idmgr, transport, service, idmgr_ep, clients = world
-    from repro.wire.messages import AuxCommitments, RegistrationAck, decode_message
+    from repro.ocbe.base import receiver_for
+    from repro.ocbe.predicates import GePredicate, NePredicate
+    from repro.wire.messages import (
+        AuxCommitments,
+        RegistrationAck,
+        RegistrationRequest,
+        decode_message,
+    )
+
+    publisher = service.publisher
+    group = publisher.params.pedersen.group
+    # One condition per family (the world's own "level >= 50" is GE),
+    # each with the one aux variant (below) that belongs to it.
+    families = {
+        "level = 40": "none",
+        "level >= 50": "bit",
+        "level <= 60": "bit",
+        "level > 10": "bit",
+        "level < 90": "bit",
+        "level != 7": "ne",
+    }
+    for index, key in enumerate(sorted(set(families) - {"level >= 50"})):
+        publisher.add_policy(parse_policy(key, ["extra%d" % index], "report"))
 
     erin = clients["erin"]
     erin.request_token("level", assertion=idp.assert_attribute("erin", "level"))
     run_until_idle([idmgr_ep, erin])
     nym = erin.subscriber.nym
-    token = erin.subscriber.token_for("level")
-    from repro.wire.messages import RegistrationRequest
+    wallet = erin.subscriber.wallet_for("level")
 
-    transport.deliver(
-        nym, service.name, RegistrationRequest.KIND,
-        RegistrationRequest(nym=nym, condition_key="level >= 50", token=token).encode(),
-    )
-    service.pump()
-    transport.poll(nym)  # discard the positive ack
-    transport.deliver(
-        nym, service.name, AuxCommitments.KIND,
-        AuxCommitments(nym=nym, condition_key="level >= 50", aux=None).encode(),
-    )
-    service.pump()  # must not raise
-    replies = transport.poll(nym)
-    group = service.publisher.params.pedersen.group
-    ack = decode_message(replies[0].payload, group)
-    assert isinstance(ack, RegistrationAck) and not ack.ok
+    def commitments(predicate):
+        return receiver_for(
+            erin.subscriber.ocbe_setup, predicate, wallet.x, wallet.r,
+            wallet.token.commitment, random.Random(3),
+        ).commitment_message()
+
+    bits = publisher.params.attribute_bits
+    variants = {
+        "none": None,
+        "bit": commitments(GePredicate(50, bits)),
+        "ne": commitments(NePredicate(7, bits)),
+        "bit-short": commitments(GePredicate(50, bits - 1)),
+    }
+    assert len(variants["bit"].commitments) == bits
+
+    def exchange(key, aux):
+        """Open a registration for ``key``, answer it with ``aux``."""
+        transport.deliver(
+            nym, service.name, RegistrationRequest.KIND,
+            RegistrationRequest(
+                nym=nym, condition_key=key, token=wallet.token
+            ).encode(),
+        )
+        service.pump()
+        transport.poll(nym)  # discard the positive ack
+        transport.deliver(
+            nym, service.name, AuxCommitments.KIND,
+            AuxCommitments(nym=nym, condition_key=key, aux=aux).encode(),
+        )
+        service.pump()  # must not raise
+        (reply,) = transport.poll(nym)
+        return decode_message(reply.payload, group)
+
+    mismatched = 0
+    for key, own in families.items():
+        for label, aux in variants.items():
+            if label == own:
+                continue
+            mismatched += 1
+            reply = exchange(key, aux)
+            assert isinstance(reply, RegistrationAck), (key, label)
+            assert not reply.ok and "auxiliary" in reply.reason, (key, label)
+    assert mismatched == 6 * 3
+
+    # Eighteen rejections later the publisher still serves: the honest
+    # client registers for all six conditions (erin's level is 40).
+    erin.register_all_attributes()
+    run_until_idle([service, erin])
+    assert erin.results["level"] == {
+        key: key != "level >= 50" for key in families
+    }
 
 
 def test_variant_mismatched_envelope_fails_one_session_only(world):

@@ -1,9 +1,16 @@
 """The package's public API surface: imports, exports, error hierarchy."""
 
+import os
+import re
+
 import pytest
 
 import repro
 from repro import errors
+
+PYPROJECT = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml"
+)
 
 
 class TestExports:
@@ -13,6 +20,18 @@ class TestExports:
 
     def test_version(self):
         assert repro.__version__.count(".") == 2
+        # The one declared packaging version (pyproject.toml) is the same.
+        with open(PYPROJECT, encoding="utf-8") as handle:
+            text = handle.read()
+        try:
+            import tomllib
+        except ImportError:  # Python 3.10
+            declared = re.search(
+                r'^\[project\]$.*?^version = "([^"]+)"$', text, re.M | re.S
+            ).group(1)
+        else:
+            declared = tomllib.loads(text)["project"]["version"]
+        assert declared == repro.__version__
 
     def test_docstring_quickstart_works(self):
         from repro.workloads import build_hospital
