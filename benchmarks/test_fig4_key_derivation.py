@@ -30,6 +30,19 @@ def test_key_derivation_fast_field(series, max_users):
         assert series[max_users] > series[MAX_USERS[index - 1]]
 
 
+def test_key_derivation_keeps_growing_on_one_instance():
+    """t(N=400) >= 2 x t(N=100) with every derivation timed on the same
+    ``AcvBgkm``: the subscriber's KEV memo must never become state of that
+    object, or this figure turns into a cache-hit benchmark."""
+    sweeps = [
+        fig4(max_users=(100, 400), fractions=(0.25,), rounds=ROUNDS)
+        for _ in range(3)
+    ]
+    t100 = min(rows[0]["25%"] for rows in sweeps)
+    t400 = min(rows[1]["25%"] for rows in sweeps)
+    assert t400 >= 2 * t100
+
+
 def test_key_derivation_paper_field_n500():
     (row,) = fig4(
         max_users=(500,), fractions=(0.25,), field=PAPER_FIELD, rounds=ROUNDS,

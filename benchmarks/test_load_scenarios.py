@@ -65,23 +65,38 @@ def test_bucketed_churn_rekey_beats_dense():
     N=64 spends strictly less wall time in the publish-path rekey than
     the dense baseline, with every invariant (incl. the bucket-layout
     audit) asserted after each phase by the engine itself.
+
+    Best of three interleaved runs per side, in total and per phase: the
+    walls compared are ~5-10 ms per phase, the host is shared (it only
+    ever adds time, in bursts), and since the Eq. 2 row kernel halved the
+    hashing that was most of the dense build at this size the lead is
+    ~1.3x rather than ~2x -- one run per side would gate on the
+    neighbours.
     """
-    dense_report = run_scenario(churn_scenario(), driver="memory")
-    split_report = run_scenario(bucketed(churn_scenario()), driver="memory")
+    dense_runs, split_runs = [], []
+    for _ in range(3):
+        dense_runs.append(run_scenario(churn_scenario(), driver="memory"))
+        split_runs.append(run_scenario(bucketed(churn_scenario()), driver="memory"))
+    dense_report, split_report = dense_runs[0], split_runs[0]
     _print_report(split_report)
 
+    def best(reports, label=None):
+        if label is None:
+            return min(r.rekey_publish_s for r in reports)
+        return min(
+            p.rekey_publish_s for r in reports for p in r.phases if p.label == label
+        )
+
     print("rekey publish wall: dense %.1f ms, bucketed %.1f ms"
-          % (dense_report.rekey_publish_s * 1e3,
-             split_report.rekey_publish_s * 1e3))
+          % (best(dense_runs) * 1e3, best(split_runs) * 1e3))
     # Strictly below the dense baseline: in total, and in every revoke
     # phase (where the membership change invalidates the ACV cache and
     # the elimination actually reruns).  Pure broadcast phases hit the
     # cache under BOTH strategies, so neither side pays a matrix there.
-    assert split_report.rekey_publish_s < dense_report.rekey_publish_s
-    dense_phases = {p.label: p for p in dense_report.phases}
+    assert best(split_runs) < best(dense_runs)
     for phase in split_report.phases:
         if phase.kind == "revoke":
-            assert phase.rekey_publish_s < dense_phases[phase.label].rekey_publish_s
+            assert best(split_runs, phase.label) < best(dense_runs, phase.label)
 
     # Same membership trajectory on both sides (same seed, same spec).
     assert [p.members_alive for p in split_report.phases] == [

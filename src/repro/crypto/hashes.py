@@ -15,6 +15,10 @@ Two families live here:
   canonical encoding explicit -- every part is length-prefixed so distinct
   tuples can never collide by concatenation ambiguity -- and reduce into
   ``F_q`` with doubled output length to keep the modular bias negligible.
+  :func:`row_hasher` is the same function for one fixed CSS tuple and many
+  nonces: it absorbs the shared prefix once and is what the ACV code
+  calls; ``hash_concat`` stays as the one-shot reference it is tested
+  against.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "hash_to_int",
     "hash_to_range",
     "hash_concat",
+    "row_hasher",
     "expand_message",
 ]
 
@@ -70,7 +75,8 @@ class HashFunction:
 
     def __reduce__(self):
         # Digest callables may be lambdas; named instances pickle by name
-        # so OCBE setups can cross a spawn boundary to worker processes.
+        # so whatever holds one (an OCBE setup, a cipher, system
+        # parameters) can be pickled.
         if _REGISTRY.get(self.name) is not self:
             raise TypeError(
                 "only registered named HashFunction instances are picklable; "
@@ -219,6 +225,11 @@ pure_sha1 = HashFunction("pure-sha1", 20, PureSha1.hash)
 
 _REGISTRY = {h.name: h for h in (sha256, sha1, pure_sha256, pure_sha1)}
 
+#: The hashlib constructor behind an instance, for callers that absorb a
+#: shared prefix once (:func:`row_hasher`).  Keyed by the instance, not its
+#: name: an ad-hoc ``HashFunction("sha256", ...)`` may hash differently.
+_INCREMENTAL = {sha256: hashlib.sha256, sha1: hashlib.sha1}
+
 
 def get_hash(name: str) -> HashFunction:
     """Look up a named hash instance (also the unpickle constructor)."""
@@ -283,3 +294,49 @@ def hash_concat(
         buf += struct.pack(">I", len(raw))
         buf += raw
     return hash_to_range(h, bytes(buf), modulus)
+
+
+def row_hasher(
+    h: HashFunction, parts: Sequence[BytesLike], modulus: int
+) -> Callable[[BytesLike], int]:
+    """Eq. 2 along one matrix row: ``z -> hash_concat(h, parts + [z], modulus)``.
+
+    A row of the access matrix (and a subscriber's KEV) hashes one fixed
+    CSS tuple against every nonce, so everything but the last part is
+    shared.  For the hashlib-backed instances the shared prefix
+    ``counter || LP(part_1) || ... || LP(part_k)`` is absorbed once per
+    counter block of the expansion and each value costs a state copy plus
+    the nonce; any other :class:`HashFunction` only offers one-shot
+    ``digest`` and falls back to it.  The values are those of
+    :func:`hash_concat` either way.
+    """
+    if modulus < 2:
+        raise InvalidParameterError("modulus must be >= 2")
+    prefix = b"".join(struct.pack(">I", len(raw)) + raw for raw in map(bytes, parts))
+    new = _INCREMENTAL.get(h)
+    if new is None:
+
+        def one_shot(z: BytesLike) -> int:
+            z = bytes(z)
+            return hash_to_range(h, prefix + struct.pack(">I", len(z)) + z, modulus)
+
+        return one_shot
+
+    bits = 2 * modulus.bit_length()
+    nbytes = (bits + 7) // 8
+    excess = nbytes * 8 - bits
+    states = [
+        new(struct.pack(">I", counter) + prefix)
+        for counter in range(-(-nbytes // h.digest_size))
+    ]
+
+    def from_prefix_state(z: BytesLike) -> int:
+        tail = struct.pack(">I", len(z)) + z
+        blocks = []
+        for state in states:
+            state = state.copy()
+            state.update(tail)
+            blocks.append(state.digest())
+        return (int.from_bytes(b"".join(blocks)[:nbytes], "big") >> excess) % modulus
+
+    return from_prefix_state

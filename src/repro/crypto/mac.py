@@ -15,8 +15,9 @@ from repro.crypto.hashes import HashFunction, default_hash
 
 __all__ = ["hmac_digest", "constant_time_equal"]
 
-_IPAD = 0x36
-_OPAD = 0x5C
+# key XOR ipad / opad over a whole block is one table lookup per byte.
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
 def hmac_digest(
@@ -28,8 +29,8 @@ def hmac_digest(
     if len(key) > block:
         key = h.digest(key)
     key = key.ljust(block, b"\x00")
-    inner = h.digest(bytes(k ^ _IPAD for k in key) + message)
-    return h.digest(bytes(k ^ _OPAD for k in key) + inner)
+    inner = h.digest(key.translate(_IPAD) + message)
+    return h.digest(key.translate(_OPAD) + inner)
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:

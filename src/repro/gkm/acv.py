@@ -32,7 +32,7 @@ import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.crypto.hashes import HashFunction, default_hash, hash_concat
+from repro.crypto.hashes import HashFunction, default_hash, row_hasher
 from repro.crypto.kdf import derive_key
 from repro.errors import (
     CapacityError,
@@ -172,12 +172,11 @@ class AcvHeader:
             # more than the payload could possibly encode.
             if n_z * z_len > len(data):
                 raise SerializationError("nonce count exceeds payload")
-            zs = []
-            for _ in range(n_z):
-                if offset + z_len > len(data):
-                    raise SerializationError("truncated nonce")
-                zs.append(data[offset : offset + z_len])
-                offset += z_len
+            end = offset + n_z * z_len
+            if end > len(data):
+                raise SerializationError("truncated nonce")
+            zs = tuple(data[i : i + z_len] for i in range(offset, end, z_len))
+            offset = end
             (n_x,) = struct.unpack_from(">I", data, offset)
             offset += 4
             if n_x > 8 * len(data) + 64:
@@ -195,16 +194,21 @@ class AcvHeader:
                 elif token == 1:
                     (count,) = struct.unpack_from(">H", data, offset)
                     offset += 2
-                    if offset + count * q_len > len(data):
+                    end = offset + count * q_len
+                    if end > len(data):
                         raise SerializationError("literal run exceeds payload")
-                    for _ in range(count):
-                        x.append(int.from_bytes(data[offset : offset + q_len], "big"))
-                        offset += q_len
+                    x.extend(
+                        [
+                            int.from_bytes(data[i : i + q_len], "big")
+                            for i in range(offset, end, q_len)
+                        ]
+                    )
+                    offset = end
                 else:
                     raise SerializationError("bad RLE token %d" % token)
             if len(x) != n_x:
                 raise SerializationError("X over-run")
-            return cls(q=q, x=tuple(x), zs=tuple(zs))
+            return cls(q=q, x=tuple(x), zs=zs)
         except (IndexError, struct.error) as exc:
             raise SerializationError("truncated ACV header") from exc
 
@@ -244,10 +248,8 @@ class AcvBgkm:
         h = self.hash_fn
         data = []
         for css_tuple in rows:
-            parts = [bytes(c) for c in css_tuple]
-            data.append(
-                [1] + [hash_concat(h, parts + [z], q) for z in zs]
-            )
+            a = row_hasher(h, css_tuple, q)
+            data.append([1] + [a(z) for z in zs])
         return Matrix(self.field, data)
 
     def generate(
@@ -386,12 +388,25 @@ class AcvBgkm:
     # -- subscriber side -----------------------------------------------------
 
     def key_extraction_vector(
-        self, header: AcvHeader, css: Sequence[bytes]
+        self,
+        header: AcvHeader,
+        css: Sequence[bytes],
+        memo: Optional[List[Optional[int]]] = None,
     ) -> Tuple[int, ...]:
         """The subscriber's KEV ``(1, a_1, ..., a_N)`` for its CSS tuple.
 
         Entries multiplying a zero coordinate of ``X`` are skipped (left 0),
         which both mirrors the compressed broadcast and speeds derivation.
+
+        ``memo`` is the caller's record of the Eq. 2 values it already
+        holds for exactly this ``(css, header.q, header.zs)``: one slot per
+        nonce, ``None`` where ``a_j`` was never needed.  Known slots are
+        used as they are and the ones computed here are written back, so
+        the same header seen again costs no hash at all.  This object
+        keeps no such record itself -- Figure 4 times :meth:`derive` in a
+        loop on one instance and must keep measuring N hashes -- and
+        whether a memo still belongs to a header is the caller's decision
+        (:class:`~repro.system.subscriber.Subscriber` compares nonces).
 
         The arity/modulus checks live here (not only in :meth:`derive`)
         because the bucketed candidate scan calls this directly with
@@ -402,24 +417,33 @@ class AcvBgkm:
             raise KeyDerivationError("header X has wrong arity")
         if header.q < 2:
             raise KeyDerivationError("header modulus is not a valid field")
-        q = header.q
-        h = self.hash_fn
-        parts = [bytes(c) for c in css]
-        kev = [1] + [0] * header.capacity
-        for j, z in enumerate(header.zs):
-            if header.x[j + 1] != 0:
-                kev[j + 1] = hash_concat(h, parts + [z], q)
-        return tuple(kev)
+        if memo is None:
+            memo = [None] * header.capacity
+        elif len(memo) != header.capacity:
+            raise InvalidParameterError("KEV memo does not match the header")
+        kev = [a if x_j else 0 for a, x_j in zip(memo, header.x[1:])]
+        if None in kev:
+            a = row_hasher(self.hash_fn, css, header.q)
+            for j, z in enumerate(header.zs):
+                if kev[j] is None:
+                    kev[j] = memo[j] = a(z)
+        return (1, *kev)
 
-    def derive(self, header: AcvHeader, css: Sequence[bytes]) -> int:
+    def derive(
+        self,
+        header: AcvHeader,
+        css: Sequence[bytes],
+        memo: Optional[List[Optional[int]]] = None,
+    ) -> int:
         """Derive ``K = KEV . X`` (Section V-C "Decryption Key Derivation").
 
         The result is only the *correct* key when the CSS tuple matches a
         qualified row; otherwise it is an unpredictable field element --
         callers detect failure through authenticated decryption.
+        ``memo`` is passed through to :meth:`key_extraction_vector`.
         """
         q = header.q
-        kev = self.key_extraction_vector(header, css)
+        kev = self.key_extraction_vector(header, css, memo)
         return sum(a * b for a, b in zip(kev, header.x)) % q
 
     def export_key(self, key: int, key_len: int = 16) -> bytes:
@@ -493,16 +517,14 @@ class AcvFactorization:
             self.capacity + added_capacity
         )
         fresh = _draw_nonces(added_capacity, width, rng)
-        for z in fresh:
-            column = [
-                hash_concat(h, [bytes(c) for c in row] + [z], q) for row in self.rows
-            ]
-            self._rref.extend_column(column)
+        if fresh:
+            hashers = [row_hasher(h, row, q) for row in self.rows]
+            for z in fresh:
+                self._rref.extend_column([a(z) for a in hashers])
         self.zs = self.zs + fresh
         for row in new_rows:
-            parts = [bytes(c) for c in row]
-            matrix_row = [1] + [hash_concat(h, parts + [z], q) for z in self.zs]
-            self._rref.extend_row(matrix_row)
+            a = row_hasher(h, row, q)
+            self._rref.extend_row([1] + [a(z) for z in self.zs])
             self.rows.append(tuple(row))
         self._basis = None
 

@@ -11,24 +11,36 @@ the CSSs it managed to extract during registration.  Receiving a broadcast
 * authenticated decryption confirms the key (a Sub that *thinks* it
   qualifies but holds a stale/garbage CSS just fails and tries the next
   policy).
+
+The KEV entries depend on the CSSs and the nonces only, and the nonces
+change only when the membership does, so a Sub remembers them between
+broadcasts (:data:`KEV_MEMO_ENTRIES`): an unchanged configuration costs a
+nonce comparison and the inner product instead of ``N`` hashes.
 """
 
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.documents.package import BroadcastPackage, ConfigHeader
 from repro.errors import DecryptionError, RegistrationError
-from repro.gkm.acv import AcvBgkm
+from repro.gkm.acv import AcvBgkm, AcvHeader
 from repro.gkm.buckets import BucketedHeader
 from repro.obs.trace import stage
 from repro.ocbe.base import OCBESetup
 from repro.system.identity import IdentityToken
 from repro.system.publisher import SystemParams
 
-__all__ = ["Subscriber", "TokenWallet"]
+__all__ = ["Subscriber", "TokenWallet", "KEV_MEMO_ENTRIES"]
+
+#: How many (configuration, CSS tuple) pairs a Sub keeps KEV entries for,
+#: least recently used first out.  An honest package needs one per policy
+#: the Sub satisfies; the bound is for a hostile one whose policy lists
+#: name the Sub's condition keys in thousands of combinations.
+KEV_MEMO_ENTRIES = 64
 
 
 @dataclass
@@ -61,6 +73,13 @@ class Subscriber:
             key_len=params.key_len,
         )
         self._rng = rng
+        #: (config id, CSS tuple) -> {(q, nonces): Eq. 2 values, ``None``
+        #: where not yet needed} for the ACVs of the last header seen under
+        #: that key.  Derived from what the Sub holds anyway (its CSSs, the
+        #: public nonces), so it is rebuilt on demand and never journaled.
+        self._kev_memo: "OrderedDict[tuple, Dict[tuple, List[Optional[int]]]]" = (
+            OrderedDict()
+        )
         #: Optional durability hook (:mod:`repro.store.persist`): wallet
         #: entries and extracted CSSs announce themselves here so a crashed
         #: subscriber process resumes without re-running OCBE transfers.
@@ -144,14 +163,43 @@ class Subscriber:
                     acvs = header.acv.buckets
                 else:
                     acvs = (header.acv,)
+                memos = self._kev_memos(header.config_id, css, acvs)
                 with stage("acv.derive", candidates=len(acvs)):
                     candidates.extend(
                         self._gkm.export_key(
-                            self._gkm.derive(acv, css), self.params.key_len
+                            self._gkm.derive(acv, css, memo), self.params.key_len
                         )
-                        for acv in acvs
+                        for acv, memo in zip(acvs, memos)
                     )
         return candidates
+
+    def _kev_memos(
+        self, config_id: str, css: Tuple[bytes, ...], acvs: Sequence[AcvHeader]
+    ) -> List[List[Optional[int]]]:
+        """The Eq. 2 memo to derive each of ``acvs`` with, kept for next time.
+
+        An ACV whose modulus and nonces equal one of the last header's
+        continues that one's memo (per bucket, wherever the bucket moved);
+        any other starts empty.  What the last header had and this one
+        lacks is dropped, so a rekey with fresh nonces -- every revoke and
+        every join that re-solves -- replaces the entry wholesale.
+        """
+        key = (config_id, css)
+        last = self._kev_memo.get(key, {})
+        current: Dict[tuple, List[Optional[int]]] = {}
+        memos = []
+        for acv in acvs:
+            nonces = (acv.q, acv.zs)
+            memo = current.get(nonces)
+            if memo is None:
+                memo = last.get(nonces) or [None] * acv.capacity
+                current[nonces] = memo
+            memos.append(memo)
+        self._kev_memo[key] = current
+        self._kev_memo.move_to_end(key)
+        while len(self._kev_memo) > KEV_MEMO_ENTRIES:
+            self._kev_memo.popitem(last=False)
+        return memos
 
     def receive(self, package: BroadcastPackage) -> Dict[str, bytes]:
         """Decrypt every subdocument this Sub is authorized for.

@@ -71,6 +71,24 @@ class TestDrivers:
         )
         assert rows[0]["100%"] > 0
 
+    def test_fig4_keeps_growing_with_n_on_one_instance(self):
+        # fig4 times ``gkm.derive(header, css)`` in a loop on ONE AcvBgkm:
+        # the paper's curve is N hashes per derivation.  The KEV memo is a
+        # Subscriber's, handed in explicitly; were it ever moved into
+        # AcvBgkm this loop would time cache hits (the exact-count guard is
+        # tests/gkm/test_acv.py::TestKevMemo).  Best of five sweeps: a
+        # shared host only ever adds time.
+        sweeps = [
+            fig4(
+                max_users=(100, 400), fractions=(0.25,), field=FAST_FIELD,
+                rounds=5, rng=random.Random(8),
+            )
+            for _ in range(5)
+        ]
+        t100 = min(rows[0]["25%"] for rows in sweeps)
+        t400 = min(rows[1]["25%"] for rows in sweeps)
+        assert t400 >= 2 * t100
+
     def test_fig5_size_grows_with_fraction(self):
         rows = fig5(
             max_users=(60,), fractions=(0.25, 1.0), rng=random.Random(4)

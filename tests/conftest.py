@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.crypto.aes import AES
+from repro.crypto.hashes import HashFunction
 from repro.crypto.pedersen import PedersenParams
 from repro.groups import get_group
 from repro.mathx.field import PrimeField
@@ -55,6 +57,21 @@ def key_setups(monkeypatch):
 
     monkeypatch.setattr(AES, "__init__", counting)
     return calls
+
+
+@pytest.fixture
+def counting_hash():
+    """``(hash, calls)``: SHA-256 under an unregistered name, appending to
+    ``calls`` on every digest.  At the field sizes the tests use one Eq. 2
+    value is one digest, so ``len(calls)`` around a GKM call is the number
+    of matrix / KEV entries it computed."""
+    calls = []
+
+    def digest(data):
+        calls.append(len(data))
+        return hashlib.sha256(data).digest()
+
+    return HashFunction("counting-sha256", 32, digest), calls
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,14 @@
 """Tests for hash functions and hash-to-field helpers."""
 
 import hashlib
+import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.hashes import (
+    HashFunction,
     PureSha1,
     PureSha256,
     default_hash,
@@ -16,6 +18,7 @@ from repro.crypto.hashes import (
     hash_to_range,
     pure_sha1,
     pure_sha256,
+    row_hasher,
     sha1,
     sha256,
 )
@@ -146,3 +149,73 @@ class TestHashConcat:
             assert hash_concat(h, parts_a, q) != hash_concat(h, parts_b, q)
         else:
             assert hash_concat(h, parts_a, q) == hash_concat(h, parts_b, q)
+
+
+#: Not in the registry and not hashlib-backed as far as the kernel can
+#: tell: it must take the one-shot fallback and still agree.
+_ADHOC = HashFunction("adhoc-md5", 16, lambda data: hashlib.md5(data).digest())
+#: Same name as a registered instance, different function: the kernel must
+#: not mistake it for the hashlib-backed ``sha256``.
+_IMPOSTOR = HashFunction("sha256", 32, lambda data: hashlib.sha256(data + b"!").digest())
+
+ROW_HASHES = [sha256, sha1, pure_sha256, pure_sha1, _ADHOC, _IMPOSTOR]
+
+
+class TestRowHasher:
+    """The prefix-state Eq. 2 kernel equals ``hash_concat``, value for value."""
+
+    @settings(max_examples=100)
+    @given(
+        parts=st.lists(st.binary(max_size=24), min_size=0, max_size=4),
+        nonces=st.lists(st.binary(min_size=1, max_size=32), min_size=1, max_size=4),
+        # 2 .. 521 bits: up to 131 output bytes, i.e. 5 SHA-256 / 7 SHA-1 /
+        # 9 MD5 counter blocks, and the shift that trims a bit count which
+        # is not a multiple of eight.
+        modulus=st.one_of(
+            st.integers(2, 2**16),
+            st.integers(1, 521).map(lambda bits: (1 << bits) - 1).filter(lambda q: q > 1),
+            st.integers(2, 2**521),
+        ),
+    )
+    def test_equals_hash_concat(self, parts, nonces, modulus):
+        for h in ROW_HASHES:
+            a = row_hasher(h, parts, modulus)
+            for z in nonces:
+                assert a(z) == hash_concat(h, parts + [z], modulus)
+                assert a(bytearray(z)) == a(z)
+
+    @pytest.mark.parametrize("h", ROW_HASHES, ids=lambda h: repr(h))
+    def test_paper_and_fast_fields(self, h):
+        parts = [b"css-one", b"", b"css-three"]
+        for q in (1073741827, 604462909807314587353111):
+            a = row_hasher(h, parts, q)
+            for z in (b"\x00" * 4, b"nonce", bytes(range(32))):
+                assert a(z) == hash_concat(h, parts + [z], q)
+
+    def test_accepts_any_sequence_of_byteslike_parts(self):
+        q = 1073741827
+        expected = hash_concat(sha256, [b"r1", b"r2", b"z"], q)
+        assert row_hasher(sha256, (b"r1", b"r2"), q)(b"z") == expected
+        assert row_hasher(sha256, [bytearray(b"r1"), memoryview(b"r2")], q)(b"z") == expected
+
+    def test_one_hasher_is_reusable_and_order_free(self):
+        q = 604462909807314587353111
+        a = row_hasher(sha1, [b"css"], q)
+        nonces = [bytes([i]) * 5 for i in range(20)]
+        forward = [a(z) for z in nonces]
+        assert [a(z) for z in reversed(nonces)] == forward[::-1]
+        assert forward == [hash_concat(sha1, [b"css", z], q) for z in nonces]
+
+    def test_rejects_tiny_modulus(self):
+        for h in (sha256, _ADHOC):
+            with pytest.raises(InvalidParameterError):
+                row_hasher(h, [b"css"], 1)
+
+    @pytest.mark.parametrize("h", [sha256, sha1, pure_sha256, pure_sha1])
+    def test_registered_hashes_still_pickle_by_name(self, h):
+        assert pickle.loads(pickle.dumps(h)) is h
+
+    @pytest.mark.parametrize("h", [_ADHOC, _IMPOSTOR])
+    def test_unregistered_hashes_still_refuse_to_pickle(self, h):
+        with pytest.raises(TypeError):
+            pickle.dumps(h)

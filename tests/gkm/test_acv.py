@@ -1,5 +1,6 @@
 """Tests for the ACV-BGKM core."""
 
+import hashlib
 import random
 import struct
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.hashes import hash_concat, sha1, sha256
 from repro.errors import (
     CapacityError,
     InvalidParameterError,
@@ -137,10 +139,121 @@ class TestKevStructure:
             if header.x[j] == 0:
                 assert kev[j] == 0
 
+    def test_kev_entries_are_eq2(self, gkm, rng):
+        rows = make_rows(rng, 4)
+        _, header = gkm.generate(rows, n_max=6, rng=rng)
+        kev = gkm.key_extraction_vector(header, rows[1])
+        for j, z in enumerate(header.zs, 1):
+            if header.x[j]:
+                assert kev[j] == hash_concat(
+                    gkm.hash_fn, list(rows[1]) + [z], header.q
+                )
+
     def test_export_key_deterministic(self, gkm):
         assert gkm.export_key(12345) == gkm.export_key(12345)
         assert gkm.export_key(12345) != gkm.export_key(12346)
         assert len(gkm.export_key(1, key_len=24)) == 24
+
+
+class TestKevMemo:
+    """The optional memo argument: explicit, filled in place, never kept."""
+
+    def test_memo_is_filled_and_then_spares_every_hash(self, rng, counting_hash):
+        h, calls = counting_hash
+        gkm = AcvBgkm(FAST_FIELD, h, compress_terms=None)
+        rows = make_rows(rng, 5)
+        key, header = gkm.generate(rows, n_max=8, rng=rng)
+        memo = [None] * header.capacity
+        del calls[:]
+        assert gkm.derive(header, rows[0], memo) == key
+        assert len(calls) == sum(1 for x_j in header.x[1:] if x_j) == 8
+        assert None not in memo
+        assert gkm.derive(header, rows[0], memo) == key
+        assert gkm.key_extraction_vector(header, rows[0], memo) == (
+            gkm.key_extraction_vector(header, rows[0])
+        )
+        assert len(calls) == 8 + 8  # only the memo-less reference call hashed
+
+    def test_only_missing_coordinates_are_computed(self, rng, counting_hash):
+        h, calls = counting_hash
+        gkm = AcvBgkm(FAST_FIELD, h, compress_terms=1)
+        rows = make_rows(rng, 2)
+        fact = gkm.factorize(rows, [bytes([j]) * 4 for j in range(12)])
+        memo = [None] * 12
+        seen = set()
+        for _ in range(6):  # same nonces, a different sparse X each time
+            key, header = gkm.rekey_from_factorization(fact, rng=rng)
+            needed = {j for j, x_j in enumerate(header.x[1:]) if x_j}
+            del calls[:]
+            assert gkm.derive(header, rows[1], memo) == key
+            assert len(calls) == len(needed - seen)
+            seen |= needed
+            assert {j for j, a in enumerate(memo) if a is not None} == seen
+        assert len(seen) < 12  # coordinates never multiplied were never hashed
+
+    def test_instance_keeps_nothing_between_calls(self, rng, counting_hash):
+        h, calls = counting_hash
+        gkm = AcvBgkm(FAST_FIELD, h, compress_terms=None)
+        rows = make_rows(rng, 3)
+        _, header = gkm.generate(rows, n_max=5, rng=rng)
+        before = dict(vars(gkm))
+        del calls[:]
+        for _ in range(3):
+            gkm.derive(header, rows[0])
+        assert len(calls) == 3 * 5
+        assert vars(gkm) == before
+
+    def test_wrong_length_memo_is_refused(self, gkm, rng):
+        rows = make_rows(rng, 2)
+        _, header = gkm.generate(rows, n_max=4, rng=rng)
+        with pytest.raises(InvalidParameterError, match="memo"):
+            gkm.derive(header, rows[0], [None] * 3)
+
+    def test_hostile_header_fails_before_touching_the_memo(self, gkm):
+        memo = [None, None]
+        short = AcvHeader(q=FAST_FIELD.p, x=(1,), zs=(b"aaaa", b"bbbb"))
+        with pytest.raises(KeyDerivationError, match="arity"):
+            gkm.derive(short, [b"css"], memo)
+        bad_q = AcvHeader(q=1, x=(1, 2, 3), zs=(b"aaaa", b"bbbb"))
+        with pytest.raises(KeyDerivationError, match="modulus"):
+            gkm.derive(bad_q, [b"css"], memo)
+        assert memo == [None, None]
+
+
+#: SHA-256 over a seeded generate / generate_with_factorization / extend /
+#: rekey_from_factorization / build_matrix transcript (header bytes, keys,
+#: matrix entries), computed at the commit before the row-hashing kernel
+#: replaced the per-entry ``hash_concat`` calls.
+_TRANSCRIPTS = {
+    ("fast", "sha256"): "397e3342f89a1342263b2886f81eebb17629c38e4f17493a6fb64de7e0d5a498",
+    ("fast", "sha1"): "60260de3d6b3583e0824ee21bfbc9a4e250026ec0582d9507c45e3ccf64dd3d0",
+    ("paper", "sha256"): "45b150265da1652cfd25366f12ab7ba530a5a72b6c82cf95ab325a75dcd3daad",
+    ("paper", "sha1"): "4ca54b4cbdfb84c2efaf412b774baa5924eab9ff7575be66946ab35921242c24",
+}
+
+
+@pytest.mark.parametrize("field_name,h", [
+    ("fast", sha256), ("fast", sha1), ("paper", sha256), ("paper", sha1),
+])
+def test_publisher_side_bytes_unchanged_by_the_row_kernel(field_name, h):
+    field = {"fast": FAST_FIELD, "paper": PAPER_FIELD}[field_name]
+    rng = random.Random(2010)
+    gkm = AcvBgkm(field, h)
+    rows = [
+        (b"css-%d" % i, b"second-%d" % i) if i % 3 else (b"only-%d" % i,)
+        for i in range(12)
+    ]
+    out = hashlib.sha256()
+    key, header = gkm.generate(rows, n_max=16, rng=rng)
+    out.update(header.to_bytes() + b"%d" % key)
+    key, header, fact = gkm.generate_with_factorization(rows[:8], n_max=10, rng=rng)
+    out.update(header.to_bytes() + b"%d" % key)
+    fact.extend(rows[8:], added_capacity=3, rng=rng)
+    key, header = gkm.rekey_from_factorization(fact, rng=rng)
+    out.update(header.to_bytes() + b"%d" % key)
+    matrix = gkm.build_matrix(rows, header.zs)
+    out.update(repr([list(map(int, r)) for r in matrix.rows]).encode())
+    assert out.hexdigest() == _TRANSCRIPTS[field_name, h.name]
 
 
 class TestHeaderSerialization:
