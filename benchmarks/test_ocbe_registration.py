@@ -6,12 +6,15 @@ handful of fixed-base exponentiations.  This file measures a full join
 wave end to end over the wire stack (token issuance, registration
 frames, envelope builds, receiver opens) in two configurations --
 
-* ``naive`` -- fixed-base tables disabled: every ``g^x`` walks the
-  generic square-and-multiply ladder (the pre-acceleration shape);
-* ``fast``  -- fixed-base windowed tables (the default);
+* ``naive`` -- the seed's arithmetic: fixed-base tables disabled, every
+  exponentiation (``g^x``, ``c_i^y``, each of the receiver's ``eta``
+  powers) on the binary double-and-add ladder, inverses by the extended
+  Euclid (the references in ``tests/groups/reference.py``);
+* ``fast``  -- the library as it ships (tables, NAF kernel, shared
+  ``eta`` chain);
 
--- and asserts the >= 2x floor of the tables.  Wire bytes are
-deterministic in the seed; the quick case pins them exactly.
+-- and asserts the >= 2x floor.  Wire bytes are deterministic in the
+seed; the quick case pins them exactly.
 
 The quick case (small N) runs per push in the fast-tier workflow step;
 the N=500 wave runs nightly with the rest of the slow tier.
@@ -90,16 +93,28 @@ def _legacy_compose_with(self, commitment, aux, message, drawn):
     )
 
 
+def _per_bit_powers(base, exponents):
+    """The seed's receiver: one full exponentiation of ``eta`` per bit."""
+    return [base ** e for e in exponents]
+
+
 def _disable_acceleration(monkeypatch):
-    """Restore the seed's arithmetic: no tables, no shared-pow algebra."""
+    """Restore the seed's arithmetic: no tables, no shared-pow algebra,
+    binary double-and-add for every variable-base power and the
+    extended-Euclid inverse."""
     from repro.crypto import pedersen, schnorr_sig
+    from repro.groups import _native, elliptic
     from repro.ocbe import ge
+    from tests.groups.reference import binary_pow, egcd_modinv
 
     monkeypatch.setattr(pedersen, "shared_table", _NaiveTable)
     monkeypatch.setattr(
         schnorr_sig, "generator_table", lambda group: _NaiveTable(group.generator())
     )
-    monkeypatch.setattr(ge, "FixedBaseTable", _NaiveTable)
+    monkeypatch.setattr(elliptic.ECPoint, "__pow__", binary_pow)
+    monkeypatch.setattr(elliptic, "modinv", egcd_modinv)
+    monkeypatch.setattr(_native, "modinv", egcd_modinv)
+    monkeypatch.setattr(ge, "same_base_powers", _per_bit_powers)
     monkeypatch.setattr(
         ge._BitwiseSenderBase, "compose_with", _legacy_compose_with
     )

@@ -13,7 +13,7 @@ protocol layer; the genus-2 backend reproduces the paper's exact setup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import GroupError, InvalidParameterError, NotOnCurveError
 from repro.groups import _native
@@ -25,6 +25,36 @@ __all__ = ["CurveParams", "EllipticCurveGroup", "ECPoint"]
 
 _INFINITY_BYTE = b"\x00"
 _UNCOMPRESSED_BYTE = b"\x04"
+
+#: Digit width of the signed recoding in ``ECPoint.__pow__``.  Digits are
+#: odd with ``|d| < 2**(w-1)``, so the four odd multiples ``P .. 7P`` cover
+#: them, and every nonzero digit is followed by at least ``w - 1`` zeros.
+NAF_WIDTH = 4
+
+
+def naf_digits(e: int, width: int) -> List[Tuple[int, int]]:
+    """The width-``width`` non-adjacent form of ``e >= 0``.
+
+    ``(position, digit)`` pairs, least significant first, with
+    ``e == sum(digit << position)``, every digit odd and
+    ``|digit| < 2**(width - 1)``.  Runs of zeros are skipped whole, so the
+    loop runs once per nonzero digit, not once per bit.
+    """
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    digits = []
+    position = 0
+    while e:
+        zeros = (e & -e).bit_length() - 1
+        e >>= zeros
+        position += zeros
+        digit = e & mask
+        if digit >= half:
+            digit -= 1 << width
+        digits.append((position, digit))
+        e = (e - digit) >> width  # e - digit is 0 mod 2**width
+        position += width
+    return digits
 
 
 @dataclass(frozen=True)
@@ -200,6 +230,92 @@ class EllipticCurveGroup(CyclicGroup):
         # the two backends byte-identical by construction.
         return (int(x * zinv2 % p), int(y * zinv2 * zinv % p))
 
+    def _jac_batch_to_affine(
+        self, points: List[Tuple[int, int, int]]
+    ) -> List[Optional[Tuple[int, int]]]:
+        """Affine forms of many Jacobian points for one modular inversion.
+
+        Montgomery's trick: invert the product of all ``Z`` once, then peel
+        each ``1/Z`` off it with two multiplications.  The identity
+        (``Z = 0``) maps to ``None`` and is left out of the product.
+        Coordinates stay in the backend's integer type; callers building
+        an :class:`ECPoint` convert them with ``int()``.
+        """
+        p = self._pn
+        prefix = []
+        acc = _native.mpz(1)
+        for _, _, z in points:
+            if z:
+                acc = acc * z % p
+            prefix.append(acc)
+        inv = _native.invert(acc, p)  # 1 / prefix[i], walking i downwards
+        affine: List[Optional[Tuple[int, int]]] = [None] * len(points)
+        for i in range(len(points) - 1, -1, -1):
+            x, y, z = points[i]
+            if not z:
+                continue
+            zinv = inv * (prefix[i - 1] if i else 1) % p
+            inv = inv * z % p
+            zinv2 = zinv * zinv % p
+            affine[i] = (x * zinv2 % p, y * zinv2 * zinv % p)
+        return affine
+
+    def _jac_walk(
+        self, steps: Iterable[Tuple[int, Optional[Tuple[int, int]]]]
+    ) -> Tuple[int, int, int]:
+        """Run a Jacobian accumulator, starting at the identity, through
+        ``(doublings, point)`` steps: double it ``doublings`` times, then
+        add the affine ``point`` (``None`` adds nothing).
+
+        The one loop behind every exponentiation kernel: ``__pow__`` (a
+        NAF ladder), :class:`~repro.groups.precompute.FixedBaseTable` and
+        the same-base and recombination helpers there (sums, no
+        doublings).  Doublings run inline; each addition is *mixed*
+        (``Z2 = 1`` saves four multiplications against a full Jacobian
+        addition), and the equal-X cases -- doubling, cancellation: met
+        on small orders, or when the points were chosen to meet, as
+        commitments off the wire can be -- fall back to
+        :meth:`_jac_double` and the identity.  Keeping the loop in one
+        frame avoids a Python call per group operation.
+        """
+        p = self._pn
+        an = self._an
+        one = _native.mpz(1)
+        ax = ay = one
+        az = _native.mpz(0)
+        for doublings, point in steps:
+            for _ in range(doublings):
+                yy = ay * ay % p
+                s = 4 * ax * yy % p
+                zz = az * az % p
+                m = (3 * ax * ax + an * zz * zz) % p
+                x3 = (m * m - 2 * s) % p
+                ay, az = (m * (s - x3) - 8 * yy * yy) % p, 2 * ay * az % p
+                ax = x3
+            if point is None:
+                continue
+            x2, y2 = point
+            if not az:
+                ax, ay, az = x2, y2, one
+                continue
+            z1z1 = az * az % p
+            u2 = x2 * z1z1 % p
+            s2 = y2 * z1z1 * az % p
+            if ax == u2:
+                if ay != s2:
+                    ax, ay, az = one, one, _native.mpz(0)
+                else:
+                    ax, ay, az = self._jac_double((ax, ay, az))
+                continue
+            h = (u2 - ax) % p
+            r = (s2 - ay) % p
+            h2 = h * h % p
+            h3 = h2 * h % p
+            u1h2 = ax * h2 % p
+            x3 = (r * r - h3 - 2 * u1h2) % p
+            ax, ay, az = x3, (r * (u1h2 - x3) - ay * h3) % p, h * az % p
+        return (ax, ay, az)
+
 
 class ECPoint(GroupElement):
     """A point on an :class:`EllipticCurveGroup` (None = point at infinity)."""
@@ -259,24 +375,36 @@ class ECPoint(GroupElement):
         return ECPoint(self._group, (x, (-y) % self._group.params.p))
 
     def __pow__(self, exponent: int) -> "ECPoint":
-        """Scalar multiplication via Jacobian double-and-add."""
+        """Scalar multiplication: a left-to-right width-4 NAF ladder.
+
+        The odd multiples ``P, 3P, 5P, 7P`` and their negatives are
+        normalised to affine with one batch inversion, so the ladder costs
+        one inline doubling per bit and one mixed addition per nonzero
+        digit: about ``bits / 5`` additions, where binary double-and-add
+        needs ``bits / 2`` full ones.
+        """
         g = self._group
         e = exponent % g.params.n
         if e == 0 or self.xy is None:
             return ECPoint(g, None)
-        acc: Tuple[int, int, int] = (1, 1, 0)
-        base: Tuple[int, int, int] = (
-            _native.mpz(self.xy[0]),
-            _native.mpz(self.xy[1]),
-            1,
-        )
-        while e:
-            if e & 1:
-                acc = g._jac_add(acc, base)
-            base = g._jac_double(base)
-            e >>= 1
-        affine = g._jac_to_affine(acc)
-        return ECPoint(g, affine)
+        p = g._pn
+        base = (_native.mpz(self.xy[0]), _native.mpz(self.xy[1]), _native.mpz(1))
+        twice = g._jac_double(base)
+        odd = [base]
+        for _ in range((1 << (NAF_WIDTH - 2)) - 1):
+            odd.append(g._jac_add(odd[-1], twice))
+        table = {}
+        for i, point in enumerate(g._jac_batch_to_affine(odd)):
+            table[2 * i + 1] = point
+            table[-2 * i - 1] = None if point is None else (point[0], -point[1] % p)
+        digits = naf_digits(e, NAF_WIDTH)
+        steps = []
+        previous = digits[-1][0]
+        for position, digit in reversed(digits):
+            steps.append((previous - position, table[digit]))
+            previous = position
+        steps.append((previous, None))
+        return ECPoint(g, g._jac_to_affine(g._jac_walk(steps)))
 
     def is_identity(self) -> bool:
         return self.xy is None

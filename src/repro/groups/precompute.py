@@ -22,23 +22,36 @@ per-session state -- and are **never serialized**: recovery rebuilds
 them from the group parameters, and :meth:`FixedBaseTable.__reduce__`
 enforces that invariant by refusing to pickle.
 
-For elliptic-curve groups the accumulation loop runs inline here in
-Jacobian coordinates with mixed (affine-table) additions, rather than
-delegating to ``ECPoint.__mul__``: table rows are affine (``Z = 1``),
-which saves four field multiplications per addition, and keeping the
-loop in one frame removes the per-operation Python call overhead that
-dominated the profiled join wave.
+For elliptic-curve groups the accumulation runs in Jacobian coordinates
+with mixed (affine-table) additions, in the group's one accumulator loop
+(``EllipticCurveGroup._jac_walk``) rather than through
+``ECPoint.__mul__``: table rows are affine (``Z = 1``), which saves four
+field multiplications per addition, and no Python call is made per
+addition.
+
+Two helpers for the bitwise OCBE protocols share that loop.
+:func:`same_base_powers` computes the receiver's ``l`` powers of one
+ephemeral base from a single doubling chain -- a table that lives for
+one call and holds nothing after it -- and :func:`recombines_to` runs
+the sender's ``prod c_i^{2^i}`` check without a single inversion.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.groups._native import invert, mpz
+from repro.groups._native import mpz
 from repro.groups.base import CyclicGroup, GroupElement
-from repro.groups.elliptic import ECPoint
+from repro.groups.elliptic import ECPoint, naf_digits
 
-__all__ = ["FixedBaseTable", "fixed_base_table", "generator_table", "window_size"]
+__all__ = [
+    "FixedBaseTable",
+    "fixed_base_table",
+    "generator_table",
+    "recombines_to",
+    "same_base_powers",
+    "window_size",
+]
 
 
 def window_size(order_bits: int) -> int:
@@ -79,12 +92,11 @@ class FixedBaseTable:
         self._ec_rows = None
         if base.is_identity():
             return  # every power is the identity; pow short-circuits
-        if isinstance(base, ECPoint) and self._order > (1 << self.window):
+        if isinstance(base, ECPoint):
             # EC fast path: build in Jacobian coordinates with a single
             # Montgomery batch inversion, store affine rows pre-wrapped
-            # for the native backend.  Prime order > 2**w guarantees no
-            # entry is the identity (its exponent j * 2**(w*i) is never
-            # divisible by the order), so every entry has affine coords.
+            # for the native backend.  An entry that is the identity
+            # (only on orders <= 2**w) is stored as None and adds nothing.
             self._ec_rows = self._build_ec(base, base.group, bits)
         else:
             self._rows = self._build_generic(base, bits)
@@ -105,7 +117,6 @@ class FixedBaseTable:
 
     def _build_ec(self, base: ECPoint, group, bits: int) -> List[List[Tuple]]:
         span = 1 << self.window
-        p = group._pn
         jac: List[Tuple] = []
         start = (mpz(base.xy[0]), mpz(base.xy[1]), mpz(1))
         for _ in range((bits + self.window - 1) // self.window):
@@ -116,21 +127,8 @@ class FixedBaseTable:
                 jac.append(acc)
             for _ in range(self.window):  # start *= 2**window
                 start = group._jac_double(start)
-        # Montgomery batch normalization: one modular inversion for the
-        # whole table instead of one per entry.
-        prefix = []
-        acc = mpz(1)
-        for _, _, z in jac:
-            acc = acc * z % p
-            prefix.append(acc)
-        inv = invert(acc, p)
-        affine: List[Tuple] = [None] * len(jac)
-        for i in range(len(jac) - 1, -1, -1):
-            x, y, z = jac[i]
-            zinv = inv * (prefix[i - 1] if i else 1) % p
-            inv = inv * z % p
-            zinv2 = zinv * zinv % p
-            affine[i] = (x * zinv2 % p, y * zinv2 * zinv % p)
+        # One modular inversion for the whole table, not one per entry.
+        affine = group._jac_batch_to_affine(jac)
         entries_per_row = span - 1
         return [
             affine[i : i + entries_per_row]
@@ -159,46 +157,21 @@ class FixedBaseTable:
         return acc if acc is not None else self.base.group.identity()
 
     def _pow_ec(self, e: int) -> ECPoint:
-        """Inline Jacobian accumulation over affine table rows.
-
-        Mixed addition (``Z2 = 1``) against precomputed affine entries;
-        the rare equal-X cases (doubling, cancellation) fall back to the
-        group's own kernels for correctness on small test orders.
-        """
+        """One mixed addition of an affine table entry per nonzero
+        digit, no doublings (:meth:`EllipticCurveGroup._jac_walk`)."""
         group = self.base.group
-        p = group._pn
         rows = self._ec_rows
         w = self.window
         mask = self._mask
-        ax = ay = mpz(1)
-        az = mpz(0)
+        steps = []
         i = 0
         while e:
             digit = e & mask
             if digit:
-                x2, y2 = rows[i][digit - 1]
-                if not az:
-                    ax, ay, az = x2, y2, mpz(1)
-                else:
-                    z1z1 = az * az % p
-                    u2 = x2 * z1z1 % p
-                    s2 = y2 * z1z1 * az % p
-                    if ax == u2:
-                        if ay != s2:
-                            ax, ay, az = mpz(1), mpz(1), mpz(0)
-                        else:
-                            ax, ay, az = group._jac_double((ax, ay, az))
-                    else:
-                        h = (u2 - ax) % p
-                        r = (s2 - ay) % p
-                        h2 = h * h % p
-                        h3 = h2 * h % p
-                        u1h2 = ax * h2 % p
-                        x3 = (r * r - h3 - 2 * u1h2) % p
-                        ax, ay, az = x3, (r * (u1h2 - x3) - ay * h3) % p, h * az % p
+                steps.append((0, rows[i][digit - 1]))
             e >>= w
             i += 1
-        return ECPoint(group, group._jac_to_affine((ax, ay, az)))
+        return ECPoint(group, group._jac_to_affine(group._jac_walk(steps)))
 
     def __reduce__(self):
         raise TypeError(
@@ -240,3 +213,67 @@ def shared_table(base: GroupElement) -> FixedBaseTable:
 def generator_table(group: CyclicGroup) -> FixedBaseTable:
     """Process-wide cached table for the group's canonical generator."""
     return shared_table(group.generator())
+
+
+def same_base_powers(
+    base: GroupElement, exponents: Sequence[int]
+) -> List[GroupElement]:
+    """``[base ** e for e in exponents]``, sharing one doubling chain.
+
+    On a curve the chain ``2**k * base`` (``k`` up to the order's bit
+    length) is built once and batch-normalised with one inversion; each
+    power is then the sum of ``+-chain[k]`` over the width-2 NAF digits of
+    its exponent -- about ``bits / 3`` mixed additions and no doublings --
+    and all the sums share one more batch inversion.  Other groups
+    exponentiate one by one.
+    """
+    if not exponents or not isinstance(base, ECPoint) or base.is_identity():
+        return [base ** e for e in exponents]
+    group = base.group
+    n = group.order
+    p = group._pn
+    jac = [(mpz(base.xy[0]), mpz(base.xy[1]), mpz(1))]
+    for _ in range(n.bit_length()):  # the NAF of e < n has <= bits + 1 digits
+        jac.append(group._jac_double(jac[-1]))
+    chain = group._jac_batch_to_affine(jac)
+    negated = [None if xy is None else (xy[0], -xy[1] % p) for xy in chain]
+    sums = [
+        group._jac_walk(
+            (0, chain[k] if digit > 0 else negated[k])
+            for k, digit in naf_digits(e % n, 2)
+        )
+        for e in exponents
+    ]
+    return [
+        ECPoint(group, None if xy is None else (int(xy[0]), int(xy[1])))
+        for xy in group._jac_batch_to_affine(sums)
+    ]
+
+
+def recombines_to(elements: Sequence[GroupElement], target: GroupElement) -> bool:
+    """Whether ``prod elements[i] ** (2**i) == target`` (``elements``
+    non-empty), by Horner's rule from the last element down.
+
+    On a curve the accumulator stays in Jacobian coordinates -- one
+    doubling and one mixed addition per element -- and is compared with
+    the affine target projectively (``X == x Z**2``, ``Y == y Z**3``), so
+    the check costs no inversion.  Other groups, and elements from more
+    than one group, go through the group operation.
+    """
+    group = target.group
+    if not (
+        isinstance(target, ECPoint)
+        and all(isinstance(c, ECPoint) and c.group == group for c in elements)
+    ):
+        acc = elements[-1]
+        for element in reversed(elements[:-1]):
+            acc = acc * acc * element
+        return acc == target
+    # Doubling the initial identity is a no-op, so every step may double.
+    x, y, z = group._jac_walk((1, c.xy) for c in reversed(elements))
+    if target.xy is None or not z:
+        return target.xy is None and not z
+    p = group._pn
+    tx, ty = target.xy
+    zz = z * z % p
+    return x == tx * zz % p and y == ty * zz * z % p

@@ -8,6 +8,7 @@ rational points on the genus-2 curve).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence, Tuple
 
 from repro.errors import InvalidParameterError, NoSquareRootError, NotInvertibleError
@@ -43,15 +44,19 @@ def egcd(a: int, b: int) -> Tuple[int, int, int]:
 def modinv(a: int, m: int) -> int:
     """Multiplicative inverse of ``a`` modulo ``m``.
 
-    Raises :class:`NotInvertibleError` when ``gcd(a, m) != 1``.
+    Raises :class:`NotInvertibleError` when ``gcd(a, m) != 1``.  The
+    built-in three-argument ``pow`` computes the same value as
+    ``egcd(a % m, m)`` (the inverse is unique) in native code.
     """
     if m <= 0:
         raise InvalidParameterError("modulus must be positive, got %r" % m)
-    a %= m
-    g, x, _ = egcd(a, m)
-    if g != 1:
-        raise NotInvertibleError("%d has no inverse modulo %d (gcd=%d)" % (a, m, g))
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        a %= m
+        raise NotInvertibleError(
+            "%d has no inverse modulo %d (gcd=%d)" % (a, m, math.gcd(a, m))
+        ) from None
 
 
 def crt(residues: Sequence[int], moduli: Sequence[int]) -> Tuple[int, int]:

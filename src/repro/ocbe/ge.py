@@ -24,11 +24,12 @@ import secrets
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.crypto.modes import xor_bytes
 from repro.crypto.pedersen import PedersenCommitment
 from repro.crypto.symmetric import NONCE_LEN
 from repro.errors import PredicateError, ProtocolStateError
 from repro.groups.base import CyclicGroup, GroupElement
-from repro.groups.precompute import FixedBaseTable
+from repro.groups.precompute import recombines_to, same_base_powers
 from repro.ocbe.base import Envelope, OCBESetup
 from repro.ocbe.predicates import GePredicate
 from repro.wire.codec import (
@@ -186,11 +187,9 @@ class _BitwiseSenderBase:
         params = self.setup.pedersen
         hash_fn = self.setup.hash_fn
 
-        # Check c * g^{-x0} (or mirror) == prod c_i^{2^i} via Horner.
-        acc = aux.commitments[-1].value
-        for i in range(self.predicate.ell - 2, -1, -1):
-            acc = acc * acc * aux.commitments[i].value
-        if acc != self._check_target(commitment):
+        # Check c * g^{-x0} (or mirror) == prod c_i^{2^i}.
+        values = [c_i.value for c_i in aux.commitments]
+        if not recombines_to(values, self._check_target(commitment)):
             raise ProtocolStateError("bit commitments do not recombine to c")
 
         y, key_shares, nonce = drawn
@@ -206,7 +205,7 @@ class _BitwiseSenderBase:
             row = []
             for sigma in (sigma0, sigma0 * gy_inv):
                 pad = hash_fn.digest(b"repro/ocbe/bit" + sigma.to_bytes())
-                row.append(bytes(a ^ b for a, b in zip(pad, k_i)))
+                row.append(xor_bytes(pad, k_i))
             bit_ciphers.append((row[0], row[1]))
 
         key = self.setup.envelope_key(b"".join(key_shares))
@@ -295,21 +294,17 @@ class _BitwiseReceiverBase:
         if len(envelope.bit_ciphers) != self.predicate.ell:
             raise ProtocolStateError("envelope arity mismatch")
         hash_fn = self.setup.hash_fn
-        if self.predicate.ell >= 4:
-            # l same-base exponentiations of eta: an ephemeral narrow
-            # table amortizes within a single open() call.
-            eta_pow = FixedBaseTable(envelope.eta, window=3).pow
-        else:
-            eta_pow = envelope.eta.__pow__
+        if any(
+            len(c) != hash_fn.digest_size for pair in envelope.bit_ciphers for c in pair
+        ):
+            raise ProtocolStateError("envelope bit cipher has the wrong length")
+        sigmas = same_base_powers(envelope.eta, self._bit_blindings)
         shares: List[bytes] = []
-        for i in range(self.predicate.ell):
-            sigma = eta_pow(self._bit_blindings[i])
+        for sigma, d_i, pair in zip(sigmas, self._bit_values, envelope.bit_ciphers):
             pad = hash_fn.digest(b"repro/ocbe/bit" + sigma.to_bytes())
-            d_i = self._bit_values[i]
             # A cheating-free receiver uses its bit; an unqualified one has a
             # non-bit d_0 and necessarily picks a wrong opening.
-            cipher_bytes = envelope.bit_ciphers[i][d_i if d_i in (0, 1) else 0]
-            shares.append(bytes(a ^ b for a, b in zip(pad, cipher_bytes)))
+            shares.append(xor_bytes(pad, pair[d_i if d_i in (0, 1) else 0]))
         key = self.setup.envelope_key(b"".join(shares))
         return self.setup.cipher.decrypt(key, envelope.ciphertext)
 

@@ -7,11 +7,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GroupError, InvalidParameterError, NotOnCurveError
-from repro.groups.elliptic import CurveParams, EllipticCurveGroup
+from repro.groups.elliptic import CurveParams, EllipticCurveGroup, naf_digits
 from repro.groups.params import NIST_P192, NIST_P256, SECP256K1
 from repro.mathx.primes import is_prime
+from tests.groups.reference import TOY_CURVES, binary_pow
 
 ALL_CURVES = [NIST_P192, NIST_P256, SECP256K1]
+KERNEL_CURVES = ALL_CURVES + TOY_CURVES
+
+
+def _naf_carry_runs(bits):
+    """Exponents whose width-4 NAF carries the most: runs of ones, and
+    repeated nibbles just either side of the digit bound."""
+    runs = [(1 << k) - 1 for k in (3, 4, 5, 8, 9, bits - 1, bits)]
+    for nibble in (0x7, 0x9, 0xF, 0xB):
+        runs.append(int(("%x" % nibble) * max(1, bits // 4), 16))
+    return runs
+
+
+def _edge_exponents(n):
+    bits = n.bit_length()
+    exponents = [0, 1, 2, 7, 8, 15, 16, n - 1, n, n + 1, -1, -n, 2 * n + 5]
+    for k in sorted({1, 2, 3, 4, 5, 8, bits // 2, bits - 1, bits, bits + 1}):
+        exponents += [(1 << k) - 1, (1 << k) + 1]
+    return exponents + _naf_carry_runs(bits)
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +116,72 @@ class TestGroupLaw:
     def test_truediv(self, p192):
         g = p192.generator()
         assert (g ** 5) / (g ** 2) == g ** 3
+
+
+class TestNafKernel:
+    """``ECPoint.__pow__`` (width-4 NAF ladder) against the binary
+    double-and-add reference in ``tests/groups/reference.py``."""
+
+    @pytest.mark.parametrize("params", TOY_CURVES, ids=lambda p: p.name)
+    def test_toy_curve_parameters(self, params):
+        group = EllipticCurveGroup(params)
+        g = group.generator()
+        assert is_prime(params.n)
+        assert binary_pow(g, params.n).is_identity()
+
+    @pytest.mark.parametrize("params", KERNEL_CURVES, ids=lambda p: p.name)
+    def test_edge_exponents(self, params):
+        group = EllipticCurveGroup(params)
+        base = binary_pow(group.generator(), 0xC0FFEE)
+        for e in _edge_exponents(params.n):
+            mine = base ** e
+            assert mine == binary_pow(base, e), "exponent %d" % e
+            assert mine.xy is None or all(type(c) is int for c in mine.xy)
+
+    @pytest.mark.parametrize(
+        "params", [c for c in TOY_CURVES if c.n < 20], ids=lambda p: p.name
+    )
+    def test_every_base_and_exponent_of_a_tiny_curve(self, params):
+        group = EllipticCurveGroup(params)
+        g = group.generator()
+        for k in range(params.n):
+            base = binary_pow(g, k)
+            for e in range(-2 * params.n, 2 * params.n + 1):
+                assert base ** e == binary_pow(base, e), (k, e)
+
+    @pytest.mark.parametrize("params", KERNEL_CURVES, ids=lambda p: p.name)
+    def test_identity_base(self, params):
+        identity = EllipticCurveGroup(params).identity()
+        for e in (0, 1, 7, params.n - 1, params.n + 1, -1):
+            assert (identity ** e).is_identity()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        params=st.sampled_from(KERNEL_CURVES),
+        k=st.integers(1, 2**64),
+        e=st.one_of(
+            st.integers(-(2**300), 2**300),
+            st.builds(
+                lambda k, sign: (1 << k) + sign,
+                st.integers(0, 300),
+                st.sampled_from([-1, 0, 1]),
+            ),
+            st.integers(3, 300).map(lambda k: (1 << k) - 1 - (1 << (k - 2))),
+        ),
+    )
+    def test_matches_binary_ladder(self, params, k, e):
+        group = EllipticCurveGroup(params)
+        base = binary_pow(group.generator(), k)
+        assert base ** e == binary_pow(base, e)
+
+    @settings(max_examples=200, deadline=None)
+    @given(e=st.integers(0, 2**300), width=st.integers(2, 6))
+    def test_naf_digits(self, e, width):
+        digits = naf_digits(e, width)
+        assert sum(d << pos for pos, d in digits) == e
+        assert all(d % 2 and abs(d) < 1 << (width - 1) for _, d in digits)
+        gaps = [b[0] - a[0] for a, b in zip(digits, digits[1:])]
+        assert all(gap >= width for gap in gaps)
 
 
 class TestPointsAndEncoding:

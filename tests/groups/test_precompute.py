@@ -20,17 +20,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import GroupError
 from repro.groups import get_group
 from repro.groups import _native
+from repro.groups.elliptic import EllipticCurveGroup
 from repro.groups.precompute import (
     FixedBaseTable,
     fixed_base_table,
     generator_table,
+    recombines_to,
+    same_base_powers,
     shared_table,
     window_size,
 )
+from tests.groups.reference import TOY_CURVES, binary_pow
 
 GROUPS = ["nist-p192", "nist-p256", "secp256k1", "toy-schnorr", "paper-genus2"]
+#: The backends the helpers below run on: the three curves take the
+#: Jacobian path, the Schnorr group the group-operation fallback.
+HELPER_GROUPS = ["nist-p192", "nist-p256", "secp256k1", "toy-schnorr"]
 
 
 def _edge_exponents(order, window):
@@ -97,6 +105,105 @@ class TestProperties:
             assert table.window == w
             e = 0xDEADBEEF
             assert table.pow(e) == base ** e
+
+
+@pytest.mark.parametrize("params", TOY_CURVES, ids=lambda p: p.name)
+def test_table_on_toy_curves(params):
+    """Orders <= 2**w put the identity in the table; it adds nothing."""
+    group = EllipticCurveGroup(params)
+    base = group.generator()
+    for window in (1, 2, 3, 5):
+        table = FixedBaseTable(base, window=window)
+        for e in range(-params.n, 3 * params.n, max(1, params.n // 50)):
+            assert table.pow(e) == binary_pow(base, e), (window, e)
+
+
+def _exponent_lists(order):
+    rng = random.Random(0x5A3E)
+    return [
+        [],
+        [0],
+        [order, 2 * order],
+        [7, 7, 7],
+        [1, 2, order - 1, order + 1, 3 * order + 5, -1],
+        [rng.randrange(order) for _ in range(8)],
+        [rng.randrange(4 * order) for _ in range(8)],
+    ]
+
+
+class TestSameBasePowers:
+    @pytest.mark.parametrize("name", HELPER_GROUPS)
+    def test_equals_one_power_at_a_time(self, name):
+        group = get_group(name)
+        eta = group.random_element(random.Random(0xE7A))
+        for exponents in _exponent_lists(group.order):
+            powers = same_base_powers(eta, exponents)
+            assert powers == [eta ** r for r in exponents], exponents
+            assert [p.to_bytes() for p in powers] == [
+                (eta ** r).to_bytes() for r in exponents
+            ]
+
+    @pytest.mark.parametrize("params", TOY_CURVES, ids=lambda p: p.name)
+    def test_toy_curves(self, params):
+        group = EllipticCurveGroup(params)
+        eta = group.generator()
+        exponents = list(range(-params.n, 3 * params.n, max(1, params.n // 50)))
+        assert same_base_powers(eta, exponents) == [
+            binary_pow(eta, r) for r in exponents
+        ]
+
+    def test_identity_base(self):
+        identity = get_group("nist-p192").identity()
+        assert all(p.is_identity() for p in same_base_powers(identity, [0, 1, 5]))
+
+    def test_coordinates_are_python_ints(self):
+        eta = get_group("nist-p192").random_element(random.Random(3))
+        for power in same_base_powers(eta, [1, 2, 3]):
+            assert all(type(c) is int for c in power.xy)
+
+
+def _horner(elements):
+    acc = elements[-1]
+    for element in reversed(elements[:-1]):
+        acc = acc * acc * element
+    return acc
+
+
+class TestRecombinesTo:
+    @pytest.mark.parametrize("name", HELPER_GROUPS)
+    def test_agrees_with_the_group_operation(self, name):
+        group = get_group(name)
+        rng = random.Random(0x4E2)
+        g = group.generator()
+        for length in (1, 2, 8):
+            elements = [group.random_element(rng) for _ in range(length)]
+            product = _horner(elements)
+            assert recombines_to(elements, product)
+            assert not recombines_to(elements, product * g)
+            assert not recombines_to(elements, group.identity())
+
+    @pytest.mark.parametrize("name", ["nist-p192", "toy-schnorr"])
+    def test_identities_doubling_and_cancellation(self, name):
+        group = get_group(name)
+        c = group.random_element(random.Random(0xCA9))
+        identity = group.identity()
+        cases = [
+            [identity],
+            [identity, identity, c],
+            [c * c, c],  # Horner meets c^2 + c^2: the doubling case
+            [(c * c).inverse(), c],  # c^2 - c^2: cancels to the identity
+            [c, identity, (c ** 4).inverse()],
+        ]
+        for elements in cases:
+            product = _horner(elements)
+            assert recombines_to(elements, product)
+            assert not recombines_to(elements, product * group.generator())
+
+    def test_elements_from_another_curve_are_refused(self):
+        p192 = get_group("nist-p192").generator()
+        p256 = get_group("nist-p256").generator()
+        with pytest.raises(GroupError):
+            recombines_to([p192, p256], p192)
 
 
 class TestLifecycle:

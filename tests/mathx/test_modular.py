@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import InvalidParameterError, NoSquareRootError, NotInvertibleError
 from repro.mathx.modular import crt, egcd, legendre_symbol, modinv, modsqrt
+from tests.groups.reference import egcd_modinv
 
 
 class TestEgcd:
@@ -60,6 +61,42 @@ class TestModinv:
         inv = modinv(a, p)
         assert (a * inv) % p == 1
         assert 0 <= inv < p
+
+    @given(a=st.integers(-(2**200), 2**200), m=st.integers(1, 2**200))
+    def test_equals_extended_euclid(self, a, m):
+        _assert_same_as_extended_euclid(a, m)
+
+    @pytest.mark.parametrize(
+        "a, m",
+        [
+            (-3, 7),
+            (-1, 2**192 - 2**64 - 1),
+            (10**30 + 1, 7),
+            (5, 1),
+            (0, 1),
+            (-5, 1),
+            (6, 9),
+            (-6, 9),
+            (0, 11),
+            (22, 11),
+            (2**64, 2**70),
+        ],
+    )
+    def test_edges_equal_extended_euclid(self, a, m):
+        _assert_same_as_extended_euclid(a, m)
+
+
+def _assert_same_as_extended_euclid(a, m):
+    """Same value as the extended-Euclid reference, or the same typed
+    error with the same message (the reduced ``a`` and the gcd)."""
+    try:
+        expected = egcd_modinv(a, m)
+    except NotInvertibleError as error:
+        with pytest.raises(NotInvertibleError, match=r"\(gcd=\d+\)$") as raised:
+            modinv(a, m)
+        assert str(raised.value) == str(error)
+    else:
+        assert modinv(a, m) == expected
 
 
 class TestCrt:

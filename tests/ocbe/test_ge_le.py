@@ -1,11 +1,14 @@
 """Tests for the bitwise GE- and LE-OCBE protocols."""
 
 import random
+import sys
 
 import pytest
 
 from repro.errors import DecryptionError, PredicateError, ProtocolStateError
 from repro.crypto.pedersen import PedersenParams
+from repro.groups import _native, get_group
+from repro.mathx import modular
 from repro.ocbe.base import OCBESetup, run_ocbe
 from repro.ocbe.ge import GeOCBEReceiver, GeOCBESender
 from repro.ocbe.le import LeOCBEReceiver, LeOCBESender
@@ -147,6 +150,86 @@ class TestProtocolMechanics:
         predicate = GePredicate(5, 8)
         commitment, r = ec_setup.pedersen.commit(9, rng=rng)
         assert run_ocbe(ec_setup, predicate, 9, r, commitment, MESSAGE, rng) == MESSAGE
+
+
+    def test_envelope_bit_cipher_length_checked(self, ec_setup, rng):
+        """A bit cipher of the wrong length is a malformed envelope (typed),
+        whichever opening the receiver's bit would select."""
+        predicate = GePredicate(3, 6)
+        commitment, r = ec_setup.pedersen.commit(9, rng=rng)
+        sender = GeOCBESender(ec_setup, predicate, rng)
+        receiver = GeOCBEReceiver(ec_setup, predicate, 9, r, commitment, rng)
+        envelope = sender.compose(commitment, receiver.commitment_message(), MESSAGE)
+        for position in range(6):
+            for side in (0, 1):
+                ciphers = [list(pair) for pair in envelope.bit_ciphers]
+                ciphers[position][side] = ciphers[position][side][:-1]
+                damaged = type(envelope)(
+                    eta=envelope.eta,
+                    bit_ciphers=tuple(tuple(pair) for pair in ciphers),
+                    ciphertext=envelope.ciphertext,
+                )
+                with pytest.raises(ProtocolStateError):
+                    receiver.open(damaged)
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """Every field inversion made during the test: a call of the group
+    backend's ``invert`` (``_jac_to_affine``, batch normalisation) or of
+    ``modinv`` from anywhere else (the affine ``ECPoint.__mul__``).  The
+    pure-Python ``invert``'s own call to ``modinv`` is not counted twice,
+    so the count is the same with and without gmpy2."""
+    calls = []
+
+    def counted(original):
+        def wrapper(*args):
+            calls.append(args)
+            return original(*args)
+
+        return wrapper
+
+    originals = {"invert": _native.invert, "modinv": modular.modinv}
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith("repro"):
+            continue
+        for attr, original in originals.items():
+            if module is _native and attr == "modinv":
+                continue
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counted(original))
+    return calls
+
+
+def test_ge_round_inversion_count(inversions):
+    """Field inversions in one seeded GE compose and open at l = 8.
+
+    Compose: 3 fixed-base pows (``g^{-x0}``, ``h^y``, ``g^y``) and the
+    ``c g^{-x0}`` product, 1 each; 8 ``c_i^y`` at 2 each (the NAF kernel's
+    odd-multiple table, then the result); 8 ``sigma * g^{-y}`` products,
+    1 each; the recombination check none -- it runs in Jacobian
+    coordinates.  Open: 2, the ``eta`` doubling chain and the 8 powers,
+    each batch-normalised at once.  At the parent commit the check cost
+    the 14 affine Horner steps one inversion each, ``c_i^y`` one each
+    and the open 9 (a window-3 table for ``eta`` plus one per power):
+    ``(34, 9)``.
+    """
+    setup = OCBESetup(pedersen=PedersenParams(get_group("nist-p192")))
+    setup.pedersen.precompute_now()
+    predicate = GePredicate(40, 8)
+    commitment, r = setup.pedersen.commit(61, rng=random.Random(0x1A7))
+    receiver = GeOCBEReceiver(
+        setup, predicate, 61, r, commitment, rng=random.Random(8)
+    )
+    aux = receiver.commitment_message()
+    sender = GeOCBESender(setup, predicate, rng=random.Random(9))
+
+    del inversions[:]
+    envelope = sender.compose(commitment, aux, MESSAGE)
+    composed = len(inversions)
+    del inversions[:]
+    assert receiver.open(envelope) == MESSAGE
+    assert (composed, len(inversions)) == (28, 2)
 
 
 class TestObliviousness:
