@@ -11,20 +11,17 @@ import random
 import pytest
 
 from repro.bench.runner import avg_time, format_table
-from repro.gkm import (
-    AcPolyGkm,
-    AcvBroadcastGkm,
-    FAST_FIELD,
-    LkhGkm,
-    MarkerBroadcastGkm,
-    NaiveGkm,
-    SecureLockGkm,
-)
+from tests.gkm.baselines.acpoly import AcPolyGkm
+from tests.gkm.baselines.acv import AcvBroadcastGkm
+from tests.gkm.baselines.lkh import LkhGkm
+from tests.gkm.baselines.marker import MarkerBroadcastGkm
+from tests.gkm.baselines.naive import NaiveGkm
+from tests.gkm.baselines.secure_lock import SecureLockGkm
 
 N_MEMBERS = 64
 
 FACTORIES = {
-    "acv-bgkm": lambda: AcvBroadcastGkm(field=FAST_FIELD),
+    "acv-bgkm": AcvBroadcastGkm,
     "marker": MarkerBroadcastGkm,
     "secure-lock": SecureLockGkm,
     "lkh": LkhGkm,

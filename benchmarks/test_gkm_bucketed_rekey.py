@@ -2,9 +2,9 @@
 
 ``benchmarks/test_ablation_buckets.py`` measures the raw Section VIII-C
 scheme; this file measures what PR 5 wired up: ``Publisher.publish``
-under the ``gkm`` strategy knob, cold (cache disabled -- the honest
-elimination cost) and warm (the (member-row set, epoch) ACV build cache
-across consecutive publishes of an unchanged table).
+under the ``gkm`` strategy knob, cold (every build cache lookup
+misses -- the honest elimination cost) and warm (the member-row-keyed
+ACV build cache across consecutive publishes of an unchanged table).
 
 Prints per-N cold publish means for both strategies plus the warm
 cache-hit mean, and the exact broadcast sizes (the bucketed trade-off:
@@ -23,6 +23,7 @@ from repro.policy.acp import parse_policy
 from repro.system.idmgr import IdentityManager
 from repro.system.idp import IdentityProvider
 from repro.system.publisher import Publisher
+from tests.gkm.scratch import from_scratch
 
 POPULATIONS = (64, 256, 512)
 SEED = 0xB0CA
@@ -30,7 +31,7 @@ SEED = 0xB0CA
 DOC = Document.of("doc", {"body": b"bulletin body"})
 
 
-def _build_publisher(n, gkm, acv_cache):
+def _build_publisher(n, gkm):
     rng = random.Random(SEED)
     group = get_group("nist-p192")
     idp = IdentityProvider("hr", group, rng=rng)
@@ -38,7 +39,7 @@ def _build_publisher(n, gkm, acv_cache):
     idmgr.trust_idp(idp)
     publisher = Publisher(
         "pub", idmgr.params, idmgr.public_key, gkm_field=FAST_FIELD,
-        attribute_bits=8, rng=rng, gkm=gkm, acv_cache=acv_cache,
+        attribute_bits=8, rng=rng, gkm=gkm,
     )
     publisher.add_policy(parse_policy("clr >= 40", ["body"], "doc"))
     table_rng = random.Random(SEED + 1)
@@ -56,9 +57,10 @@ def test_bucketed_publish_path_beats_dense():
         cold = {}
         package_bytes = {}
         for gkm in ("dense", "bucketed"):
-            publisher = _build_publisher(n, gkm, acv_cache=False)
-            cold[gkm] = avg_time(lambda p=publisher: p.publish(DOC), rounds=2)
-            package = publisher.publish(DOC)
+            publisher = _build_publisher(n, gkm)
+            with from_scratch():
+                cold[gkm] = avg_time(lambda p=publisher: p.publish(DOC), rounds=2)
+                package = publisher.publish(DOC)
             package_bytes[gkm] = package.byte_size()
             if gkm == "bucketed":
                 acv = package.headers[0].acv
@@ -66,7 +68,7 @@ def test_bucketed_publish_path_beats_dense():
                 assert len(acv.buckets) > 1
         # Warm: consecutive publishes of an unchanged table hit the ACV
         # build cache and skip the elimination entirely.
-        warm_pub = _build_publisher(n, "dense", acv_cache=True)
+        warm_pub = _build_publisher(n, "dense")
         warm_pub.publish(DOC)  # populate the cache
         warm = avg_time(lambda: warm_pub.publish(DOC), rounds=3)
         assert warm_pub.acv_cache_stats()["hits"] >= 3

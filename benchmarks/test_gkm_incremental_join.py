@@ -6,8 +6,9 @@ configuration's :class:`~repro.gkm.acv.AcvFactorization`, a membership
 not the O(m^3) elimination (plus the O(m*n) hash matrix rebuild) the
 from-scratch path pays.  This file measures that through the REAL
 publish path at N=256: the incremental leg joins a member, calls the
-pure-join cache notification and publishes; the scratch leg
-(``acv_cache=False``) does the same joins with a full solve each time.
+pure-join cache notification and publishes; the scratch leg (every
+build cache lookup misses) does the same joins with a full solve each
+time.
 
 The quick leg asserts the >= 3x floor and that both paths publish a
 byte-identical-size package (pinned: 2240 B at N=256 + 8 joins).  The
@@ -27,6 +28,7 @@ from repro.policy.acp import parse_policy
 from repro.system.idmgr import IdentityManager
 from repro.system.idp import IdentityProvider
 from repro.system.publisher import Publisher
+from tests.gkm.scratch import from_scratch
 
 POPULATION = 256
 JOINS = 8
@@ -35,7 +37,7 @@ SEED = 0x10C2
 DOC = Document.of("doc", {"body": b"bulletin body"})
 
 
-def _build_publisher(n, acv_cache):
+def _build_publisher(n):
     rng = random.Random(SEED)
     group = get_group("nist-p192")
     idp = IdentityProvider("hr", group, rng=rng)
@@ -43,7 +45,7 @@ def _build_publisher(n, acv_cache):
     idmgr.trust_idp(idp)
     publisher = Publisher(
         "pub", idmgr.params, idmgr.public_key, gkm_field=FAST_FIELD,
-        attribute_bits=8, rng=rng, gkm="dense", acv_cache=acv_cache,
+        attribute_bits=8, rng=rng, gkm="dense",
     )
     publisher.add_policy(parse_policy("clr >= 40", ["body"], "doc"))
     table_rng = random.Random(SEED + 1)
@@ -69,7 +71,7 @@ def _join_and_publish(publisher, counter, incremental):
 
 
 def test_incremental_join_quick():
-    incr = _build_publisher(POPULATION, acv_cache=True)
+    incr = _build_publisher(POPULATION)
     incr.publish(DOC)  # warm: seed the factorization for the base rows
     counter = [0]
     incr_time = avg_time(
@@ -84,17 +86,20 @@ def test_incremental_join_quick():
     assert stats["misses"] == JOINS + 1, stats
     incr_bytes = incr.publish(DOC).byte_size()
 
-    scratch = _build_publisher(POPULATION, acv_cache=False)
-    scratch.publish(DOC)  # parity with the incremental leg's warm-up
-    counter = [0]
-    scratch_time = avg_time(
-        lambda: _join_and_publish(scratch, counter, incremental=False),
-        rounds=JOINS,
-    )
-    assert scratch.acv_cache_stats()["extends"] == 0
+    scratch = _build_publisher(POPULATION)
+    with from_scratch():
+        scratch.publish(DOC)  # parity with the incremental leg's warm-up
+        counter = [0]
+        scratch_time = avg_time(
+            lambda: _join_and_publish(scratch, counter, incremental=False),
+            rounds=JOINS,
+        )
+        scratch_bytes = scratch.publish(DOC).byte_size()
+    stats = scratch.acv_cache_stats()
+    assert stats["hits"] == stats["extends"] == 0 and stats["misses"] > 0
     # Seeded draws: the package size is exact, and the incremental path
     # must not change it.
-    assert incr_bytes == scratch.publish(DOC).byte_size() == 2240
+    assert incr_bytes == scratch_bytes == 2240
 
     speedup = scratch_time.mean / max(incr_time.mean, 1e-9)
 
@@ -118,11 +123,10 @@ def test_warm_churn_end_to_end_n256():
 
     ``warm_churn_scenario(subscribers=256)`` interleaves joins and
     broadcasts on warm publishers, so every post-wave rekey must ride
-    the ``acv.update`` path; the from-scratch twin (``acv_cache=False``)
-    must deliver byte-identical plaintexts while never extending.
+    the ``acv.update`` path; the from-scratch twin (every build cache
+    lookup misses) must deliver byte-identical plaintexts while never
+    extending.
     """
-    import dataclasses
-
     from repro.load.engine import LoadEngine
     from repro.load.scenarios import warm_churn_scenario
 
@@ -146,17 +150,13 @@ def test_warm_churn_end_to_end_n256():
             return docs, stats
 
     warm_docs, warm_stats = run(scenario)
-    cold_docs, cold_stats = run(
-        dataclasses.replace(
-            scenario, name="warm-churn-scratch", acv_cache=False
-        ).validate()
-    )
+    with from_scratch():
+        cold_docs, cold_stats = run(scenario)
     assert warm_docs == cold_docs
     extends = {name: stats["extends"] for name, stats in warm_stats.items()}
     assert all(count > 0 for count in extends.values()), extends
     assert all(
-        stats == {"hits": 0, "misses": 0, "extends": 0, "epoch": 0,
-                  "entries": 0}
+        stats["hits"] == stats["extends"] == 0 and stats["misses"] > 0
         for stats in cold_stats.values()
     ), cold_stats
 

@@ -5,7 +5,7 @@ A from-scratch Python reproduction of Shang, Nabeel, Paci & Bertino,
 (ICDE 2010 / CERIAS TR 2009-27):
 
 * **ACV-BGKM** (:mod:`repro.gkm`) -- the paper's broadcast group key
-  management scheme plus the baselines it is evaluated against;
+  management scheme, dense and bucketed (Section VIII-C);
 * **OCBE** (:mod:`repro.ocbe`) -- oblivious commitment-based envelopes for
   =, !=, >=, <=, >, < predicates over Pedersen commitments;
 * **groups** (:mod:`repro.groups`) -- Schnorr, elliptic-curve and the
@@ -54,7 +54,6 @@ _EXPORTS = {
     "document_from_xml": "repro.documents",
     "AcvBgkm": "repro.gkm",
     "AcvHeader": "repro.gkm",
-    "BucketedAcvBgkm": "repro.gkm",
     "default_group": "repro.groups",
     "get_group": "repro.groups",
     "list_groups": "repro.groups",
@@ -95,7 +94,6 @@ __all__ = [
     "__version__",
     "AcvBgkm",
     "AcvHeader",
-    "BucketedAcvBgkm",
     "BroadcastPackage",
     "Document",
     "Subdocument",

@@ -1,39 +1,22 @@
-"""Group key management (GKM) schemes.
+"""Group key management (GKM): ACV-BGKM.
 
 The paper's contribution is **ACV-BGKM** (:mod:`repro.gkm.acv`): broadcast
 group key management through access control vectors, where a subscriber
 derives the group key from public values and its conditional subscription
 secrets, and rekeying is a pure re-publish (no unicast).
 
-Alongside it this package implements every scheme the paper positions
-itself against, enabling the ablation benchmarks:
-
-* :mod:`repro.gkm.buckets` -- the Section VIII-C scalability variant
-  (subscribers split into buckets, one ACV each, same key);
-* :mod:`repro.gkm.marker` -- the anonymous reviewer's XOR/marker scheme of
-  Section VIII-D (including its key-reuse weakness, demonstrated in tests);
-* :mod:`repro.gkm.secure_lock` -- Chiou & Chen's CRT secure lock [19];
-* :mod:`repro.gkm.lkh` -- a logical-key-hierarchy tree (Wong-Lam style
-  [17], [18]) with O(log n) rekey messages;
-* :mod:`repro.gkm.acpoly` -- Zou et al.'s access control polynomial [14];
-* :mod:`repro.gkm.naive` -- the "simplistic approach" of Section VIII-B
-  (per-subscriber unicast key delivery).
-
-All flat-membership schemes implement the common
-:class:`~repro.gkm.base.BroadcastGkm` interface so benchmarks can sweep
-them uniformly; ACV-BGKM additionally exposes its policy-aware core API.
+* :mod:`repro.gkm.acv` -- the scheme itself (Section V-C): matrix, null
+  space, header codec, key derivation, and the carried factorization
+  incremental joins extend;
+* :mod:`repro.gkm.buckets` -- the Section VIII-C bucketed header (one ACV
+  per bucket, same key) and the auto bucket-size policy;
+* :mod:`repro.gkm.strategy` -- the publish-path builders: the dense and
+  bucketed strategies over the ACV build cache, the only code that builds
+  headers for a publisher.
 """
 
-from repro.gkm.acv import (
-    FAST_FIELD,
-    PAPER_FIELD,
-    AcvBgkm,
-    AcvBroadcastGkm,
-    AcvHeader,
-)
-from repro.gkm.acpoly import AcPolyGkm
-from repro.gkm.base import BroadcastGkm, RekeyBroadcast
-from repro.gkm.buckets import BucketedAcvBgkm, BucketedBroadcastGkm, BucketedHeader
+from repro.gkm.acv import FAST_FIELD, PAPER_FIELD, AcvBgkm, AcvHeader
+from repro.gkm.buckets import BucketedHeader
 from repro.gkm.strategy import (
     GKM_STRATEGIES,
     AcvBuildCache,
@@ -42,19 +25,12 @@ from repro.gkm.strategy import (
     build_strategy,
     decode_keying_header,
 )
-from repro.gkm.lkh import LkhGkm
-from repro.gkm.marker import MarkerBgkm, MarkerBroadcastGkm, MarkerHeader
-from repro.gkm.naive import NaiveGkm
-from repro.gkm.secure_lock import SecureLockGkm
 
 __all__ = [
     "AcvBgkm",
     "AcvHeader",
-    "AcvBroadcastGkm",
     "PAPER_FIELD",
     "FAST_FIELD",
-    "BucketedAcvBgkm",
-    "BucketedBroadcastGkm",
     "BucketedHeader",
     "GKM_STRATEGIES",
     "AcvBuildCache",
@@ -62,13 +38,4 @@ __all__ = [
     "DenseGkmStrategy",
     "build_strategy",
     "decode_keying_header",
-    "BroadcastGkm",
-    "RekeyBroadcast",
-    "MarkerBgkm",
-    "MarkerHeader",
-    "MarkerBroadcastGkm",
-    "SecureLockGkm",
-    "LkhGkm",
-    "AcPolyGkm",
-    "NaiveGkm",
 ]

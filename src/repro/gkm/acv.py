@@ -41,14 +41,12 @@ from repro.errors import (
     KeyDerivationError,
     SerializationError,
 )
-from repro.gkm.base import BroadcastGkm, RekeyBroadcast
 from repro.mathx.field import PrimeField
 from repro.mathx.linalg import Matrix, RrefFactorization
 
 __all__ = [
     "AcvHeader",
     "AcvBgkm",
-    "AcvBroadcastGkm",
     "AcvFactorization",
     "PAPER_FIELD",
     "FAST_FIELD",
@@ -536,49 +534,3 @@ class AcvFactorization:
                 raise GKMError("null space unexpectedly trivial")
             self._basis = basis
         return self._basis
-
-
-class AcvBroadcastGkm(BroadcastGkm):
-    """Flat-membership adapter: one member = one single-CSS row.
-
-    Lets ACV-BGKM compete in the baseline benchmarks that treat a group as
-    a set of (id, secret) members without policy structure.
-    """
-
-    name = "acv-bgkm"
-
-    def __init__(
-        self,
-        field: PrimeField = PAPER_FIELD,
-        capacity: Optional[int] = None,
-        hash_fn: Optional[HashFunction] = None,
-        key_len: int = 16,
-    ):
-        super().__init__()
-        self._core = AcvBgkm(field, hash_fn)
-        self.capacity = capacity
-        self.key_len = key_len
-        self._last_header: Optional[AcvHeader] = None
-
-    def rekey(self, rng: Optional[random.Random] = None) -> Tuple[bytes, RekeyBroadcast]:
-        rows = [(secret,) for _, secret in sorted(self._members.items())]
-        n_max = self.capacity
-        if n_max is not None and n_max < len(rows):
-            raise CapacityError("more members than configured capacity")
-        key_int, header = self._core.generate(rows, n_max=n_max, rng=rng)
-        self._last_header = header
-        key = self._core.export_key(key_int, self.key_len)
-        return key, RekeyBroadcast(
-            scheme=self.name, payload=header.to_bytes(), parts=header
-        )
-
-    def derive(self, secret: bytes, broadcast: RekeyBroadcast) -> bytes:
-        header = (
-            broadcast.parts
-            if isinstance(broadcast.parts, AcvHeader)
-            else AcvHeader.from_bytes(broadcast.payload)
-        )
-        key_int = self._core.derive(header, (secret,))
-        if key_int == 0:
-            raise KeyDerivationError("derived the zero element")
-        return self._core.export_key(key_int, self.key_len)

@@ -1,4 +1,4 @@
-"""Bucketized ACV-BGKM (the Section VIII-C scalability strategy).
+"""Bucketized ACV-BGKM headers (the Section VIII-C scalability strategy).
 
 Solving ``A Y = 0`` is cubic in the capacity ``N``, so for very large
 subscriber populations the paper proposes splitting subscribers into
@@ -8,35 +8,26 @@ derive from the header of their bucket; bucket assignment can follow any
 criterion (the paper mentions policies or physical locations -- here it is
 simply row order, which is what the cost model depends on).
 
-Generation across buckets is embarrassingly parallel in the paper's C++
-system; this implementation keeps it sequential but the per-bucket cubic
-cost, which the ablation benchmark measures, is the point being
-reproduced:  ``B`` buckets of size ``N/B`` cost ``B * (N/B)^3 = N^3/B^2``.
+This module holds the wire form and the bucket-size policy; the build is
+:class:`~repro.gkm.strategy.BucketedGkmStrategy`.  Generation across
+buckets is embarrassingly parallel in the paper's C++ system; this
+implementation keeps it sequential but the per-bucket cubic cost, which
+the ablation benchmark measures, is the point being reproduced:  ``B``
+buckets of size ``N/B`` cost ``B * (N/B)^3 = N^3/B^2``.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
-from repro.crypto.hashes import HashFunction
-from repro.errors import (
-    CapacityError,
-    InvalidParameterError,
-    KeyDerivationError,
-    SerializationError,
-)
-from repro.gkm.acv import PAPER_FIELD, AcvBgkm, AcvHeader
-from repro.gkm.base import BroadcastGkm, RekeyBroadcast
-from repro.mathx.field import PrimeField
+from repro.errors import SerializationError
+from repro.gkm.acv import AcvHeader
 
 __all__ = [
     "BucketedHeader",
-    "BucketedAcvBgkm",
-    "BucketedBroadcastGkm",
     "MAX_BUCKETS",
     "auto_bucket_size",
 ]
@@ -117,196 +108,6 @@ class BucketedHeader:
 def auto_bucket_size(row_count: int) -> int:
     """The no-configuration bucket-size policy: ``ceil(sqrt(m))`` rows per
     bucket, balancing the per-bucket cubic cost against header fan-out.
-
-    The single definition shared by the publish-path strategy and the
-    flat adapter, so the layout two components compute for one table can
-    never diverge."""
+    :class:`~repro.gkm.strategy.BucketedGkmStrategy` applies it for a
+    configured bucket size of ``0``."""
     return max(1, math.isqrt(max(row_count - 1, 0)) + 1)
-
-
-class BucketedAcvBgkm:
-    """ACV-BGKM with per-bucket vectors and a shared key."""
-
-    def __init__(
-        self,
-        bucket_size: int,
-        field: PrimeField = PAPER_FIELD,
-        hash_fn: Optional[HashFunction] = None,
-    ):
-        if bucket_size < 1:
-            raise InvalidParameterError("bucket_size must be >= 1")
-        self.bucket_size = bucket_size
-        self._core = AcvBgkm(field, hash_fn)
-
-    @property
-    def field(self) -> PrimeField:
-        """The underlying F_q."""
-        return self._core.field
-
-    def generate(
-        self,
-        rows: Sequence[Sequence[bytes]],
-        rng: Optional[random.Random] = None,
-        n_max: Optional[int] = None,
-    ) -> Tuple[int, BucketedHeader]:
-        """Split ``rows`` into buckets; same ``K``, one ACV each.
-
-        The trick making a shared ``K`` possible: generate the first bucket
-        normally, then for the remaining buckets solve with the *given* key
-        by adding ``K`` into a fresh null-space vector of that bucket's
-        matrix.  ``n_max`` is a *per-bucket* capacity (it must cover the
-        largest bucket; ``None`` = each bucket's Eq.-1 minimum).
-        """
-        chunks = [
-            rows[i : i + self.bucket_size]
-            for i in range(0, max(len(rows), 1), self.bucket_size)
-        ] or [[]]
-        key: Optional[int] = None
-        headers: List[AcvHeader] = []
-        for chunk in chunks:
-            if key is None:
-                key, header = self._core.generate(list(chunk), n_max=n_max, rng=rng)
-            else:
-                header = self.generate_for_key(list(chunk), key, rng=rng, n_max=n_max)
-            headers.append(header)
-        assert key is not None
-        return key, BucketedHeader(buckets=tuple(headers))
-
-    def generate_for_key(
-        self,
-        rows: Sequence[Sequence[bytes]],
-        key: int,
-        rng: Optional[random.Random] = None,
-        n_max: Optional[int] = None,
-    ) -> AcvHeader:
-        """An ACV header binding an *existing* key to ``rows``.
-
-        Also used by the Section VIII-D comparison: one matrix, several
-        independent ACVs for different keys over the same user base.
-        """
-        fresh_key, header = self._core.generate(list(rows), n_max=n_max, rng=rng)
-        x = list(header.x)
-        # Replace the embedded fresh key with the shared one.
-        x[0] = (x[0] - fresh_key + key) % self._core.field.p
-        return AcvHeader(q=header.q, x=tuple(x), zs=header.zs)
-
-    def derive(
-        self, header: BucketedHeader, css: Sequence[bytes], bucket: Optional[int] = None
-    ) -> int:
-        """Derive from the subscriber's bucket (or scan all buckets).
-
-        When ``bucket`` is None every bucket is tried and the first
-        non-zero result wins only if the caller verifies it downstream;
-        since wrong buckets yield random elements, callers that do not
-        know their bucket index must authenticate (as the document layer
-        does).  Tests use explicit indices.
-        """
-        if bucket is not None:
-            if not 0 <= bucket < len(header.buckets):
-                raise KeyDerivationError("bucket index out of range")
-            return self._core.derive(header.buckets[bucket], css)
-        if not header.buckets:
-            raise KeyDerivationError("empty bucketed header")
-        return self._core.derive(header.buckets[0], css)
-
-    def derive_candidates(
-        self, header: BucketedHeader, css: Sequence[bytes]
-    ) -> List[int]:
-        """Candidate keys from every bucket (caller authenticates)."""
-        return [self._core.derive(b, css) for b in header.buckets]
-
-
-class BucketedBroadcastGkm(BroadcastGkm):
-    """Flat-membership adapter over the bucketed scheme.
-
-    The differential-testing twin of :class:`~repro.gkm.acv.AcvBroadcastGkm`:
-    one member = one single-CSS row, rows in sorted member order, buckets
-    assigned by row order.  ``bucket_size=None`` selects the auto policy
-    ``ceil(sqrt(m))`` the publish path uses.  ``capacity`` is a
-    *per-bucket* column count, the same semantics as the publish-path
-    strategy's explicit capacity: it must cover the largest bucket, and
-    padding columns hide the exact bucket fill the way the dense
-    adapter's capacity hides the member count.
-
-    ``derive`` resolves the member's bucket through the assignment
-    recorded for *that broadcast* at ``rekey`` time (the adapter is
-    publisher-side state, like ``AcvBroadcastGkm``), so deriving from an
-    older broadcast uses the layout it was actually built with -- parity
-    with the dense adapter, which works for any past header.  The
-    history is bounded (:attr:`MAX_ASSIGNMENTS` rekeys, oldest evicted);
-    a broadcast beyond it, or one this adapter never produced, raises
-    :class:`KeyDerivationError` rather than guessing a bucket.  An
-    unknown secret falls into bucket 0 and yields an unpredictable field
-    element -- the same soft failure mode as the dense adapter, which
-    the differential harness asserts.
-    """
-
-    #: Rekey broadcasts whose bucket assignment is kept for ``derive``.
-    MAX_ASSIGNMENTS = 64
-
-    name = "bucketed-acv-bgkm"
-
-    def __init__(
-        self,
-        bucket_size: Optional[int] = None,
-        field: PrimeField = PAPER_FIELD,
-        capacity: Optional[int] = None,
-        hash_fn: Optional[HashFunction] = None,
-        key_len: int = 16,
-    ):
-        super().__init__()
-        if bucket_size is not None and bucket_size < 1:
-            raise InvalidParameterError("bucket_size must be >= 1 or None (auto)")
-        self.bucket_size = bucket_size
-        self.capacity = capacity
-        self.key_len = key_len
-        self._core = AcvBgkm(field, hash_fn)
-        #: payload bytes -> {secret: bucket index}, insertion-ordered so
-        #: the oldest rekey's assignment is evicted first.
-        self._assignments: dict = {}
-
-    def _resolve_bucket_size(self, member_count: int) -> int:
-        if self.bucket_size is not None:
-            return self.bucket_size
-        return auto_bucket_size(member_count)
-
-    def rekey(self, rng: Optional[random.Random] = None) -> Tuple[bytes, RekeyBroadcast]:
-        ordered = sorted(self._members.items())
-        rows = [(secret,) for _, secret in ordered]
-        size = self._resolve_bucket_size(len(rows))
-        if self.capacity is not None and self.capacity < min(size, len(rows)):
-            raise CapacityError(
-                "per-bucket capacity %d below the bucket size %d"
-                % (self.capacity, min(size, len(rows)))
-            )
-        scheme = BucketedAcvBgkm(size, self._core.field, self._core.hash_fn)
-        key_int, header = scheme.generate(rows, rng=rng, n_max=self.capacity)
-        payload = header.to_bytes()
-        if len(self._assignments) >= self.MAX_ASSIGNMENTS:
-            self._assignments.pop(next(iter(self._assignments)))
-        self._assignments[payload] = {
-            secret: index // size for index, (_, secret) in enumerate(ordered)
-        }
-        key = self._core.export_key(key_int, self.key_len)
-        return key, RekeyBroadcast(
-            scheme=self.name, payload=payload, parts=header
-        )
-
-    def derive(self, secret: bytes, broadcast: RekeyBroadcast) -> bytes:
-        header = (
-            broadcast.parts
-            if isinstance(broadcast.parts, BucketedHeader)
-            else BucketedHeader.from_bytes(broadcast.payload)
-        )
-        bucket_of = self._assignments.get(broadcast.payload)
-        if bucket_of is None:
-            raise KeyDerivationError(
-                "no recorded bucket assignment for this broadcast"
-            )
-        bucket = bucket_of.get(secret, 0)
-        if bucket >= len(header.buckets):
-            raise KeyDerivationError("assigned bucket missing from header")
-        key_int = self._core.derive(header.buckets[bucket], (secret,))
-        if key_int == 0:
-            raise KeyDerivationError("derived the zero element")
-        return self._core.export_key(key_int, self.key_len)

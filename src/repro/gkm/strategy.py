@@ -118,7 +118,7 @@ class AcvBuildCache:
         if max_entries < 1:
             raise InvalidParameterError("max_entries must be >= 1")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[tuple, Tuple[Tuple[bytes, ...], Tuple[int, ...], Optional[AcvFactorization]]]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, Tuple[Tuple[bytes, ...], Tuple[int, ...], AcvFactorization]]" = OrderedDict()
         self.epoch = 0
         self.hits = 0
         self.misses = 0
@@ -142,8 +142,8 @@ class AcvBuildCache:
     ) -> Optional[Tuple[AcvFactorization, List[Tuple[bytes, ...]]]]:
         """Pop the best join-delta base for ``(rows, n_max)``.
 
-        Most-recently-used first, an entry qualifies when it carries a
-        factorization, holds a nonempty *strict sub-multiset* of ``rows``
+        Most-recently-used first, an entry qualifies when it holds a
+        nonempty *strict sub-multiset* of ``rows``
         and its capacity fits inside ``n_max`` (capacity only ever grows
         -- shrinking would drop nonces that published headers already
         used).  Returns ``(factorization, missing_rows)``; the entry is
@@ -155,20 +155,17 @@ class AcvBuildCache:
         needed = Counter(rows)
         for key in reversed(self._entries):
             old_rows, old_n = key
-            entry = self._entries[key]
-            if entry[2] is None or not old_rows:
-                continue
-            if len(old_rows) >= len(rows) or old_n > n_max:
+            if not old_rows or len(old_rows) >= len(rows) or old_n > n_max:
                 continue
             missing = needed.copy()
             missing.subtract(old_rows)
             if any(count < 0 for count in missing.values()):
                 continue
-            self._entries.pop(key)
+            fact = self._entries.pop(key)[2]
             self.extends += 1
             get_registry().inc("gkm.acv_cache.extend")
             extra = [row for row, count in missing.items() for _ in range(count)]
-            return entry[2], extra
+            return fact, extra
         return None
 
     def store(
@@ -177,7 +174,7 @@ class AcvBuildCache:
         n_max: int,
         zs: Tuple[bytes, ...],
         y: Tuple[int, ...],
-        factorization: Optional[AcvFactorization] = None,
+        factorization: AcvFactorization,
     ) -> None:
         key = (rows, n_max)
         if key not in self._entries and len(self._entries) >= self.max_entries:
@@ -215,7 +212,7 @@ def _draw_key(p: int, rng: Optional[random.Random]) -> int:
 class _CachedAcvBuilder:
     """Shared per-chunk build step: cache hit -> recombine, miss -> solve."""
 
-    def __init__(self, core: AcvBgkm, cache: Optional[AcvBuildCache]):
+    def __init__(self, core: AcvBgkm, cache: AcvBuildCache):
         self.core = core
         self.cache = cache
 
@@ -242,7 +239,7 @@ class _CachedAcvBuilder:
         """
         p = self.core.field.p
         rows_key = tuple(rows)
-        if self.cache is not None and use_cache:
+        if use_cache:
             cached = self.cache.lookup(rows_key, n_max)
             if cached is not None:
                 zs, y = cached
@@ -268,17 +265,12 @@ class _CachedAcvBuilder:
                 return key, header
         with stage("acv.solve", rows=len(rows)):
             with get_registry().timer("gkm.acv_solve_seconds"):
-                if self.cache is not None:
-                    fresh_key, header, fact = self.core.generate_with_factorization(
-                        rows, n_max=n_max, rng=rng
-                    )
-                else:
-                    fresh_key, header = self.core.generate(rows, n_max=n_max, rng=rng)
-                    fact = None
-        if self.cache is not None:
-            y = list(header.x)
-            y[0] = (y[0] - fresh_key) % p
-            self.cache.store(rows_key, n_max, header.zs, tuple(y), fact)
+                fresh_key, header, fact = self.core.generate_with_factorization(
+                    rows, n_max=n_max, rng=rng
+                )
+        y = list(header.x)
+        y[0] = (y[0] - fresh_key) % p
+        self.cache.store(rows_key, n_max, header.zs, tuple(y), fact)
         if key is None or key == fresh_key:
             return fresh_key, header
         x = list(header.x)
@@ -291,7 +283,7 @@ class DenseGkmStrategy:
 
     name = "dense"
 
-    def __init__(self, core: AcvBgkm, cache: Optional[AcvBuildCache] = None):
+    def __init__(self, core: AcvBgkm, cache: AcvBuildCache):
         self.core = core
         self._builder = _CachedAcvBuilder(core, cache)
 
@@ -309,9 +301,12 @@ class DenseGkmStrategy:
 class BucketedGkmStrategy:
     """Row-order buckets, one ACV each, one shared key (Section VIII-C).
 
-    ``bucket_size`` is the fixed rows-per-bucket knob; ``None`` selects
-    the auto policy ``ceil(sqrt(m))`` for ``m`` rows, which balances the
-    per-bucket cubic cost against header fan-out without configuration.
+    ``bucket_size`` is the fixed rows-per-bucket knob; ``0`` selects the
+    auto policy :func:`~repro.gkm.buckets.auto_bucket_size`
+    (``ceil(sqrt(m))`` for ``m`` rows), which balances the per-bucket
+    cubic cost against header fan-out without configuration.  This is the
+    one place ``0`` becomes a layout: publisher, journal, snapshot,
+    scenario and CLI all carry the raw integer.
     An explicit ``capacity`` is interpreted *per bucket* (it must cover
     the largest bucket); otherwise each bucket gets the Eq.-1 minimum
     for its own rows plus the publisher's ``capacity_slack``.
@@ -322,20 +317,18 @@ class BucketedGkmStrategy:
     def __init__(
         self,
         core: AcvBgkm,
-        cache: Optional[AcvBuildCache] = None,
-        bucket_size: Optional[int] = None,
+        cache: AcvBuildCache,
+        bucket_size: int = 0,
     ):
-        if bucket_size is not None and bucket_size < 1:
-            raise InvalidParameterError("bucket_size must be >= 1 or None (auto)")
+        if bucket_size < 0:
+            raise InvalidParameterError("bucket_size must be >= 1 or 0 (auto)")
         self.core = core
         self.bucket_size = bucket_size
         self._builder = _CachedAcvBuilder(core, cache)
 
     def resolve_bucket_size(self, row_count: int) -> int:
         """The effective rows-per-bucket for ``row_count`` rows."""
-        if self.bucket_size is not None:
-            return self.bucket_size
-        return auto_bucket_size(row_count)
+        return self.bucket_size or auto_bucket_size(row_count)
 
     def chunk(
         self, rows: Sequence[Tuple[bytes, ...]]
@@ -374,8 +367,8 @@ class BucketedGkmStrategy:
 def build_strategy(
     gkm: str,
     core: AcvBgkm,
-    cache: Optional[AcvBuildCache] = None,
-    bucket_size: Optional[int] = None,
+    cache: AcvBuildCache,
+    bucket_size: int = 0,
 ):
     """Instantiate the named publish-path strategy."""
     if gkm == "dense":

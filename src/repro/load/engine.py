@@ -210,8 +210,7 @@ class LoadEngine:
                     "%s/publisher/%s" % (scenario.seed, spec.name)
                 ),
                 gkm=scenario.gkm,
-                gkm_bucket_size=scenario.gkm_bucket_size or None,
-                acv_cache=scenario.acv_cache,
+                gkm_bucket_size=scenario.gkm_bucket_size,
             )
             for policy in spec.parsed_policies():
                 publisher.add_policy(policy)

@@ -127,7 +127,7 @@ def warm_churn_scenario(
     the rank-1 join maintenance exists for.  A closing revoke asserts the
     full-invalidation fallback still locks members out afterwards.
 
-    Pair with ``replace(scenario, acv_cache=False, ...)`` for the
+    Run it again with the build cache's lookups disabled for the
     from-scratch baseline: same seed and phases, so delivered plaintexts
     must match exactly.
     """

@@ -294,11 +294,6 @@ class LoadScenario:
     #: named stages + transit by :mod:`repro.obs.analyze` for the run to
     #: pass (engine runs with an ``obs_dir`` only); 0 disables the gate.
     min_attribution_coverage: float = 0.0
-    #: Publisher-side ACV build cache (exact-hit recombine + incremental
-    #: join extension).  Disabling it forces every publish to re-solve the
-    #: access matrix from scratch -- the differential baseline the
-    #: warm-churn scenarios compare against.
-    acv_cache: bool = True
 
     # -- validation --------------------------------------------------------
 
@@ -332,8 +327,6 @@ class LoadScenario:
             raise InvalidParameterError(
                 "min_attribution_coverage must be a number in [0, 1]"
             )
-        if not isinstance(self.acv_cache, bool):
-            raise InvalidParameterError("acv_cache must be a bool")
         if not self.publishers:
             raise InvalidParameterError("scenario needs at least one publisher")
         names = [p.name for p in self.publishers]
@@ -403,7 +396,6 @@ class LoadScenario:
             "capacity_slack": self.capacity_slack,
             "metrics_interval": self.metrics_interval,
             "min_attribution_coverage": self.min_attribution_coverage,
-            "acv_cache": self.acv_cache,
             "publishers": [
                 {
                     "name": p.name,
@@ -512,7 +504,6 @@ class LoadScenario:
                 min_attribution_coverage=payload.get(
                     "min_attribution_coverage", 0.0
                 ),
-                acv_cache=payload.get("acv_cache", True),
             )
         except (KeyError, TypeError) as exc:
             raise InvalidParameterError(

@@ -335,7 +335,7 @@ def build_publisher(
         attribute_bits=scenario["attribute_bits"],
         rng=random.Random(salt),
         gkm=gkm,
-        gkm_bucket_size=gkm_bucket_size or None,
+        gkm_bucket_size=gkm_bucket_size,
     )
     for policy in spec["policies"]:
         publisher.add_policy(

@@ -109,7 +109,7 @@ def _run_lifecycle(args, scenario, bundle, service, transport, stop,
         "publisher": publisher.name,
         "recovered_cells": recovered_cells,
         "gkm": publisher.gkm,
-        "gkm_bucket_size": publisher.gkm_bucket_size or 0,
+        "gkm_bucket_size": publisher.gkm_bucket_size,
         "gkm_epoch": publisher.epoch,
         "table_cells_registered": cells_registered,
         "table_cells_after_revoke": publisher.table.cell_count(),

@@ -208,9 +208,7 @@ class PublisherPersistence(_Persistence):
         # The strategy the durable table was broadcast under wins over
         # whatever the restarted process was configured with: recovery
         # must rekey with the same bucket layout its subscribers know.
-        publisher.set_gkm_strategy(
-            snapshot.gkm, snapshot.gkm_bucket_size or None
-        )
+        publisher.set_gkm_strategy(snapshot.gkm, snapshot.gkm_bucket_size)
         for nym, cells in snapshot.table:
             for condition_key, css in cells:
                 publisher.table.set(nym, condition_key, css)
@@ -226,9 +224,7 @@ class PublisherPersistence(_Persistence):
         elif isinstance(record, EpochAdvancedRecord):
             publisher.epoch = record.epoch
         elif isinstance(record, GkmStrategyChangedRecord):
-            publisher.set_gkm_strategy(
-                record.gkm, record.gkm_bucket_size or None
-            )
+            publisher.set_gkm_strategy(record.gkm, record.gkm_bucket_size)
         else:
             raise LogCorruptionError(
                 "%s in a publisher WAL" % type(record).__name__
@@ -242,7 +238,7 @@ class PublisherPersistence(_Persistence):
             policies=tuple(publisher.policies),
             table=publisher.table.rows(),
             gkm=publisher.gkm,
-            gkm_bucket_size=publisher.gkm_bucket_size or 0,
+            gkm_bucket_size=publisher.gkm_bucket_size,
         )
 
     # journal protocol (called by Publisher)

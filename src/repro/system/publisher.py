@@ -94,8 +94,7 @@ class Publisher:
         capacity_slack: int = 0,
         rng: Optional[random.Random] = None,
         gkm: str = "dense",
-        gkm_bucket_size: Optional[int] = None,
-        acv_cache: bool = True,
+        gkm_bucket_size: int = 0,
     ):
         """``capacity_slack`` extra columns beyond the Eq.-1 minimum let the
         publisher hide the exact subscriber count and amortise joins.
@@ -104,10 +103,10 @@ class Publisher:
         per configuration, the paper's baseline; ``"bucketed"`` = the
         Section VIII-C row-order bucket layout with a shared key per
         configuration).  ``gkm_bucket_size`` fixes the rows-per-bucket
-        (``None`` = the auto ``ceil(sqrt(m))`` policy).  ``acv_cache``
-        keeps the (member-row set, epoch)-keyed elimination cache on so
+        (``0`` = the auto ``ceil(sqrt(m))`` policy).  Both strategies
+        build through one member-row-keyed elimination cache, so
         unchanged configurations across consecutive publishes skip the
-        cubic solve; joins/revocations invalidate it.
+        cubic solve; joins extend it and revocations invalidate it.
         """
         self.name = name
         self.params = SystemParams(
@@ -125,7 +124,7 @@ class Publisher:
         self.css_bytes = css_bytes
         self.capacity_slack = capacity_slack
         self._gkm = AcvBgkm(gkm_field, self.params.hash_fn)
-        self._acv_cache = AcvBuildCache() if acv_cache else None
+        self._acv_cache = AcvBuildCache()
         self.gkm = gkm
         self.gkm_bucket_size = gkm_bucket_size
         self._strategy = build_strategy(
@@ -158,9 +157,7 @@ class Publisher:
 
     # -- GKM strategy ----------------------------------------------------------
 
-    def set_gkm_strategy(
-        self, gkm: str, bucket_size: Optional[int] = None
-    ) -> None:
+    def set_gkm_strategy(self, gkm: str, bucket_size: int = 0) -> None:
         """Switch the publish-path GKM strategy (see ``__init__``).
 
         Also used by :mod:`repro.store.persist` during recovery so a
@@ -174,12 +171,7 @@ class Publisher:
         self.gkm_bucket_size = bucket_size
         self._invalidate_acv_cache()
         if self.journal is not None:
-            self.journal.gkm_strategy_changed(gkm, bucket_size or 0)
-
-    def bucket_size_for(self, row_count: int) -> Optional[int]:
-        """Effective rows-per-bucket for ``row_count`` rows (None = dense)."""
-        resolve = getattr(self._strategy, "resolve_bucket_size", None)
-        return resolve(row_count) if resolve is not None else None
+            self.journal.gkm_strategy_changed(gkm, bucket_size)
 
     def bucket_layout_for(self, rows) -> Optional[list]:
         """The exact row-order bucket layout the strategy would broadcast
@@ -190,26 +182,21 @@ class Publisher:
         return chunk(rows) if chunk is not None else None
 
     def acv_cache_stats(self) -> Dict[str, int]:
-        """Hit/miss/extend/epoch counters of the ACV build cache (all zero
-        when the cache is disabled)."""
-        if self._acv_cache is None:
-            return {"hits": 0, "misses": 0, "extends": 0, "epoch": 0, "entries": 0}
+        """Hit/miss/extend/epoch counters of the ACV build cache."""
         return self._acv_cache.stats()
 
     def _invalidate_acv_cache(self) -> None:
         """A row was removed or replaced (revoke / credential replacement /
         policy or strategy change): cached ``(zs, Y)`` pairs and their
         factorizations must not survive into the new epoch."""
-        if self._acv_cache is not None:
-            self._acv_cache.invalidate()
+        self._acv_cache.invalidate()
 
     def _note_acv_join(self) -> None:
         """A brand-new CSS cell was installed (pure join): entries stay --
         untouched configurations exact-hit, grown ones extend their
         carried factorization incrementally (O(m^2) instead of a fresh
         elimination)."""
-        if self._acv_cache is not None:
-            self._acv_cache.note_join()
+        self._acv_cache.note_join()
 
     # -- policy management ----------------------------------------------------
 

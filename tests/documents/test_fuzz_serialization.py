@@ -12,7 +12,7 @@ from repro.documents.package import BroadcastPackage
 from repro.errors import SerializationError
 from repro.gkm.acv import FAST_FIELD, AcvBgkm, AcvHeader
 from repro.gkm.buckets import BucketedHeader
-from repro.gkm.marker import MarkerHeader
+from tests.gkm.baselines.marker import MarkerHeader
 
 
 @given(st.binary(max_size=200))

@@ -26,8 +26,8 @@ from typing import List, Optional, Tuple
 from repro.crypto.hashes import HashFunction, default_hash, hash_concat
 from repro.crypto.kdf import derive_key
 from repro.errors import KeyDerivationError, SerializationError
-from repro.gkm.base import BroadcastGkm, RekeyBroadcast
 from repro.mathx.field import PrimeField
+from tests.gkm.baselines.base import BroadcastGkm, RekeyBroadcast
 
 __all__ = ["AcPolyGkm"]
 

@@ -12,8 +12,8 @@ paper's evaluation compares schemes on:
 * forward/backward secrecy across membership changes.
 
 ACV-BGKM's native API is policy-aware (rows of CSSs); the adapter in
-:mod:`repro.gkm.acv` maps this flat interface onto it for head-to-head
-benchmarks.
+:mod:`tests.gkm.baselines.acv` maps this flat interface onto the
+publish-path dense strategy for head-to-head benchmarks.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from typing import Dict, Optional, Tuple
 from repro.errors import GKMError
 
 __all__ = ["RekeyBroadcast", "BroadcastGkm"]
-
-_MEMBER_STATE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -83,56 +81,6 @@ class BroadcastGkm(abc.ABC):
 
     def _on_leave(self, member_id: str) -> None:
         """Hook for schemes with per-membership state (default: none)."""
-
-    # -- durable membership ------------------------------------------------
-
-    def member_state(self) -> bytes:
-        """Canonical encoding of the membership (for snapshots).
-
-        Uses the shared wire codec so the same bounds checking that guards
-        the protocol surface guards checkpoint files; per-scheme derived
-        state is rebuilt through the ``_on_join`` hook on restore.
-        """
-        from repro.wire.codec import pack_bytes, pack_str, pack_u8, pack_u32
-
-        out = bytearray(pack_u8(_MEMBER_STATE_VERSION))
-        out += pack_u32(len(self._members))
-        for member_id in sorted(self._members):
-            out += pack_str(member_id) + pack_bytes(self._members[member_id])
-        return bytes(out)
-
-    def restore_members(self, data: bytes) -> None:
-        """Replace the membership with a :meth:`member_state` checkpoint.
-
-        The checkpoint is fully parsed and validated *before* any state
-        changes, and current members are torn down through the ordinary
-        ``leave`` path first -- schemes with derived per-membership state
-        (LKH's tree, Secure Lock's moduli) must not keep stale entries a
-        restored-away member could still derive keys through.
-        """
-        from repro.errors import SerializationError
-        from repro.wire.codec import Cursor
-
-        cursor = Cursor(data)
-        version = cursor.read_u8()
-        if version != _MEMBER_STATE_VERSION:
-            raise SerializationError(
-                "unsupported GKM member-state version %d" % version
-            )
-        count = cursor.read_u32()
-        members: Dict[str, bytes] = {}
-        for _ in range(count):
-            member_id, secret = cursor.read_str(), cursor.read_bytes()
-            if member_id in members:
-                raise SerializationError(
-                    "duplicate member %r in checkpoint" % member_id
-                )
-            members[member_id] = secret
-        cursor.expect_end()
-        for member_id in list(self._members):
-            self.leave(member_id)
-        for member_id, secret in members.items():
-            self.join(member_id, secret)
 
     # -- keying -----------------------------------------------------------------
 

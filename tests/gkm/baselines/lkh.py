@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.symmetric import SymmetricCipher, default_cipher
 from repro.errors import DecryptionError, GKMError, KeyDerivationError
-from repro.gkm.base import BroadcastGkm, RekeyBroadcast
+from tests.gkm.baselines.base import BroadcastGkm, RekeyBroadcast
 
 __all__ = ["LkhGkm"]
 

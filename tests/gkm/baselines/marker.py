@@ -31,7 +31,7 @@ from repro.errors import (
     KeyDerivationError,
     SerializationError,
 )
-from repro.gkm.base import BroadcastGkm, RekeyBroadcast
+from tests.gkm.baselines.base import BroadcastGkm, RekeyBroadcast
 
 __all__ = ["MarkerHeader", "MarkerBgkm", "MarkerBroadcastGkm", "DEFAULT_MARKER"]
 

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 from repro.crypto.symmetric import SymmetricCipher, default_cipher
 from repro.errors import DecryptionError, KeyDerivationError, SerializationError
-from repro.gkm.base import BroadcastGkm, RekeyBroadcast
+from tests.gkm.baselines.base import BroadcastGkm, RekeyBroadcast
 
 __all__ = ["NaiveGkm"]
 

@@ -24,9 +24,9 @@ from typing import Dict, Optional, Tuple
 
 from repro.crypto.mac import hmac_digest
 from repro.errors import KeyDerivationError, SerializationError
-from repro.gkm.base import BroadcastGkm, RekeyBroadcast
 from repro.mathx.modular import crt
 from repro.mathx.primes import random_prime
+from tests.gkm.baselines.base import BroadcastGkm, RekeyBroadcast
 
 __all__ = ["SecureLockGkm"]
 

@@ -4,18 +4,15 @@
 import pytest
 
 from repro.errors import GKMError, KeyDerivationError
-from repro.gkm import (
-    AcPolyGkm,
-    AcvBroadcastGkm,
-    FAST_FIELD,
-    LkhGkm,
-    MarkerBroadcastGkm,
-    NaiveGkm,
-    SecureLockGkm,
-)
+from tests.gkm.baselines.acpoly import AcPolyGkm
+from tests.gkm.baselines.acv import AcvBroadcastGkm
+from tests.gkm.baselines.lkh import LkhGkm
+from tests.gkm.baselines.marker import MarkerBroadcastGkm
+from tests.gkm.baselines.naive import NaiveGkm
+from tests.gkm.baselines.secure_lock import SecureLockGkm
 
 SCHEMES = [
-    lambda: AcvBroadcastGkm(field=FAST_FIELD),
+    AcvBroadcastGkm,
     MarkerBroadcastGkm,
     SecureLockGkm,
     LkhGkm,
@@ -140,48 +137,3 @@ class TestSizeScaling:
         _, small_bc = small_scheme.rekey(rng)
         _, large_bc = large_scheme.rekey(rng)
         assert len(large_bc.parts) == len(small_bc.parts) == 2
-
-
-@pytest.mark.parametrize("factory", SCHEMES, ids=IDS)
-class TestMemberStateCheckpoint:
-    """Every flat scheme can checkpoint/restore its membership (the hook
-    the durability layer snapshots flat GKM groups through)."""
-
-    def test_round_trip_then_rekey(self, factory, rng):
-        scheme, secrets = build(factory, 5, rng)
-        state = scheme.member_state()
-        restored = factory()
-        restored.restore_members(state)
-        assert restored.members == scheme.members
-        assert restored.member_state() == state
-        key, broadcast = restored.rekey(rng)
-        for secret in secrets.values():
-            assert restored.derive(secret, broadcast) == key
-
-    def test_restore_replaces_membership(self, factory, rng):
-        scheme, secrets = build(factory, 3, rng)
-        state = scheme.member_state()
-        late_secret = b"\x99" * 16
-        scheme.join("late", late_secret)
-        scheme.restore_members(state)
-        assert "late" not in scheme.members
-        # Forward secrecy across restore: derived per-membership state
-        # (LKH tree leaves, Secure Lock moduli) must not retain 'late'.
-        key, broadcast = scheme.rekey(rng)
-        try:
-            assert scheme.derive(late_secret, broadcast) != key
-        except KeyDerivationError:
-            pass
-        for secret in secrets.values():
-            assert scheme.derive(secret, broadcast) == key
-        scheme.join("late", late_secret)  # derived state rebuilt cleanly
-
-    def test_hostile_checkpoints_raise_typed(self, factory, rng):
-        from repro.errors import ReproError
-
-        scheme, _ = build(factory, 3, rng)
-        state = scheme.member_state()
-        for mangled in (state[:-2], state + b"\x00", b"\x07" + state[1:], b""):
-            fresh = factory()
-            with pytest.raises(ReproError):
-                fresh.restore_members(mangled)

@@ -3,9 +3,10 @@
 
 import pytest
 
-from repro.errors import InvalidParameterError, KeyDerivationError, SerializationError
-from repro.gkm.acv import FAST_FIELD
-from repro.gkm.buckets import BucketedAcvBgkm, BucketedHeader
+from repro.errors import InvalidParameterError, SerializationError
+from repro.gkm.acv import FAST_FIELD, AcvBgkm
+from repro.gkm.buckets import BucketedHeader
+from repro.gkm.strategy import AcvBuildCache, BucketedGkmStrategy
 
 
 def make_rows(rng, count):
@@ -13,62 +14,61 @@ def make_rows(rng, count):
 
 
 @pytest.fixture
-def bucketed():
-    return BucketedAcvBgkm(bucket_size=4, field=FAST_FIELD)
+def core():
+    return AcvBgkm(FAST_FIELD)
+
+
+@pytest.fixture
+def bucketed(core):
+    return BucketedGkmStrategy(core, AcvBuildCache(), bucket_size=4)
+
+
+def generate(strategy, rows, rng):
+    return strategy.build(rows, capacity=None, slack=0, rng=rng)
 
 
 class TestGeneration:
-    def test_same_key_all_buckets(self, bucketed, rng):
+    def test_same_key_all_buckets(self, core, bucketed, rng):
         rows = make_rows(rng, 11)
-        key, header = bucketed.generate(rows, rng=rng)
+        key, header = generate(bucketed, rows, rng)
         assert len(header.buckets) == 3  # 4 + 4 + 3
         for i, row in enumerate(rows):
-            assert bucketed.derive(header, row, bucket=i // 4) == key
+            assert core.derive(header.buckets[i // 4], row) == key
 
-    def test_single_bucket_when_small(self, bucketed, rng):
+    def test_single_bucket_when_small(self, core, bucketed, rng):
         rows = make_rows(rng, 3)
-        key, header = bucketed.generate(rows, rng=rng)
+        key, header = generate(bucketed, rows, rng)
         assert len(header.buckets) == 1
-        assert bucketed.derive(header, rows[0], bucket=0) == key
+        assert core.derive(header.buckets[0], rows[0]) == key
 
-    def test_empty_rows(self, bucketed, rng):
-        key, header = bucketed.generate([], rng=rng)
+    def test_empty_rows(self, core, bucketed, rng):
+        key, header = generate(bucketed, [], rng)
         assert len(header.buckets) == 1
-        assert bucketed.derive(header, (b"x",), bucket=0) != key
+        assert core.derive(header.buckets[0], (b"x",)) != key
 
-    def test_wrong_bucket_wrong_key(self, bucketed, rng):
+    def test_wrong_bucket_wrong_key(self, core, bucketed, rng):
         rows = make_rows(rng, 8)
-        key, header = bucketed.generate(rows, rng=rng)
-        assert bucketed.derive(header, rows[0], bucket=1) != key
+        key, header = generate(bucketed, rows, rng)
+        assert core.derive(header.buckets[1], rows[0]) != key
 
-    def test_bucket_index_validation(self, bucketed, rng):
-        rows = make_rows(rng, 4)
-        _, header = bucketed.generate(rows, rng=rng)
-        with pytest.raises(KeyDerivationError):
-            bucketed.derive(header, rows[0], bucket=5)
-
-    def test_derive_candidates(self, bucketed, rng):
+    def test_derive_candidates(self, core, bucketed, rng):
+        """A subscriber that does not know its bucket scans every one; only
+        its own bucket yields the key."""
         rows = make_rows(rng, 8)
-        key, header = bucketed.generate(rows, rng=rng)
-        candidates = bucketed.derive_candidates(header, rows[5])
-        assert key in candidates
+        key, header = generate(bucketed, rows, rng)
+        candidates = [core.derive(b, rows[5]) for b in header.buckets]
+        assert candidates.index(key) == 1
         assert len(candidates) == 2
 
-    def test_bucket_size_validation(self):
+    def test_bucket_size_validation(self, core):
         with pytest.raises(InvalidParameterError):
-            BucketedAcvBgkm(bucket_size=0, field=FAST_FIELD)
-
-    def test_generate_for_key_binds_existing_key(self, bucketed, rng):
-        rows = make_rows(rng, 3)
-        header = bucketed.generate_for_key(rows, key=424242, rng=rng)
-        for row in rows:
-            assert bucketed._core.derive(header, row) == 424242
+            BucketedGkmStrategy(core, AcvBuildCache(), bucket_size=-1)
 
 
 class TestSerialization:
     def test_roundtrip(self, bucketed, rng):
         rows = make_rows(rng, 9)
-        _, header = bucketed.generate(rows, rng=rng)
+        _, header = generate(bucketed, rows, rng)
         assert BucketedHeader.from_bytes(header.to_bytes()) == header
 
     def test_bad_magic(self):
@@ -77,6 +77,6 @@ class TestSerialization:
 
     def test_size_scales_with_rows_not_cube(self, bucketed, rng):
         """Total header size stays linear in rows even when bucketed."""
-        small = bucketed.generate(make_rows(rng, 4), rng=rng)[1].byte_size()
-        large = bucketed.generate(make_rows(rng, 16), rng=rng)[1].byte_size()
+        small = generate(bucketed, make_rows(rng, 4), rng)[1].byte_size()
+        large = generate(bucketed, make_rows(rng, 16), rng)[1].byte_size()
         assert large < small * 8  # linear-ish, not cubic

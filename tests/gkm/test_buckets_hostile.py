@@ -15,17 +15,20 @@ import struct
 import pytest
 
 from repro.errors import ReproError, SerializationError
-from repro.gkm.acv import FAST_FIELD, AcvHeader
-from repro.gkm.buckets import MAX_BUCKETS, BucketedAcvBgkm, BucketedHeader
+from repro.gkm.acv import FAST_FIELD, AcvBgkm, AcvHeader
+from repro.gkm.buckets import MAX_BUCKETS, BucketedHeader
+from repro.gkm.strategy import AcvBuildCache, BucketedGkmStrategy
 
 
 def _make_header(rows=9, bucket_size=4, seed=0x5EED):
     rng = random.Random(seed)
-    scheme = BucketedAcvBgkm(bucket_size=bucket_size, field=FAST_FIELD)
+    scheme = BucketedGkmStrategy(
+        AcvBgkm(FAST_FIELD), AcvBuildCache(), bucket_size=bucket_size
+    )
     row_data = [
         (bytes(rng.randrange(256) for _ in range(8)),) for _ in range(rows)
     ]
-    _, header = scheme.generate(row_data, rng=rng)
+    _, header = scheme.build(row_data, capacity=None, slack=0, rng=rng)
     return header
 
 

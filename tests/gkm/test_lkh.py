@@ -4,7 +4,7 @@
 import pytest
 
 from repro.errors import GKMError, KeyDerivationError
-from repro.gkm.lkh import LkhGkm
+from tests.gkm.baselines.lkh import LkhGkm
 
 
 def build(n, rng):

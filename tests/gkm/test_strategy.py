@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import InvalidParameterError, SerializationError
 from repro.gkm.acv import FAST_FIELD, AcvBgkm, AcvHeader
-from repro.gkm.buckets import BucketedHeader
+from repro.gkm.buckets import BucketedHeader, auto_bucket_size
 from repro.gkm.strategy import (
     AcvBuildCache,
     BucketedGkmStrategy,
@@ -24,7 +24,7 @@ def test_decode_keying_header_dispatch(core, rng):
     rows = make_css_rows(4, rng=rng)
     _, dense = core.generate(rows, rng=rng)
     assert isinstance(decode_keying_header(dense.to_bytes()), AcvHeader)
-    split = BucketedGkmStrategy(core, bucket_size=2)
+    split = BucketedGkmStrategy(core, AcvBuildCache(), bucket_size=2)
     _, header = split.build(rows, capacity=None, slack=0, rng=rng)
     assert isinstance(decode_keying_header(header.to_bytes()), BucketedHeader)
     with pytest.raises(SerializationError, match="magic"):
@@ -34,23 +34,31 @@ def test_decode_keying_header_dispatch(core, rng):
 
 
 def test_build_strategy_validates(core):
-    assert build_strategy("dense", core).name == "dense"
-    assert build_strategy("bucketed", core).name == "bucketed"
+    cache = AcvBuildCache()
+    assert build_strategy("dense", core, cache).name == "dense"
+    assert build_strategy("bucketed", core, cache).name == "bucketed"
     with pytest.raises(InvalidParameterError):
-        build_strategy("sparse", core)
+        build_strategy("sparse", core, cache)
     with pytest.raises(InvalidParameterError):
-        BucketedGkmStrategy(core, bucket_size=0)
+        BucketedGkmStrategy(core, cache, bucket_size=-1)
+
+
+def test_zero_bucket_size_is_auto(core):
+    """``0`` is the documented "auto" everywhere a bucket size is
+    carried (scenario, journal, snapshot, CLI); the strategy maps it."""
+    strategy = build_strategy("bucketed", core, AcvBuildCache(), 0)
+    assert strategy.resolve_bucket_size(64) == auto_bucket_size(64) == 8
 
 
 def test_auto_bucket_size_policy(core):
-    strategy = BucketedGkmStrategy(core)  # auto = ceil(sqrt(m))
+    strategy = BucketedGkmStrategy(core, AcvBuildCache())  # ceil(sqrt(m))
     assert strategy.resolve_bucket_size(0) == 1
     assert strategy.resolve_bucket_size(1) == 1
     assert strategy.resolve_bucket_size(4) == 2
     assert strategy.resolve_bucket_size(5) == 3
     assert strategy.resolve_bucket_size(64) == 8
     assert strategy.resolve_bucket_size(65) == 9
-    fixed = BucketedGkmStrategy(core, bucket_size=7)
+    fixed = BucketedGkmStrategy(core, AcvBuildCache(), bucket_size=7)
     assert fixed.resolve_bucket_size(1000) == 7
 
 
@@ -250,14 +258,14 @@ def test_repeated_chunk_never_duplicates_a_bucket(core, rng):
 
 
 def test_bucketed_empty_rows(core, rng):
-    strategy = BucketedGkmStrategy(core, bucket_size=4)
+    strategy = BucketedGkmStrategy(core, AcvBuildCache(), bucket_size=4)
     key, header = strategy.build([], capacity=None, slack=0, rng=rng)
     assert len(header.buckets) == 1
     assert core.derive(header.buckets[0], (b"outsider",)) != key
 
 
 def test_capacity_slack_applies_per_bucket(core, rng):
-    strategy = BucketedGkmStrategy(core, bucket_size=2)
+    strategy = BucketedGkmStrategy(core, AcvBuildCache(), bucket_size=2)
     rows = make_css_rows(4, rng=rng)
     _, header = strategy.build(rows, capacity=None, slack=3, rng=rng)
     assert [b.capacity for b in header.buckets] == [5, 5]

@@ -176,6 +176,37 @@ class TestFullLifecycleRecovery:
         assert pub2.gkm_bucket_size == 4
         store2.close()
 
+    def test_zero_bucket_size_is_auto_and_survives_recovery(self, tmp_path):
+        """``0`` means the auto ``ceil(sqrt(m))`` layout wherever a bucket
+        size is carried: a publisher built with it broadcasts that layout,
+        and a journaled runtime switch to it recovers to the same one."""
+        from repro.gkm.acv import FAST_FIELD
+        from repro.gkm.buckets import auto_bucket_size
+        from repro.system.publisher import Publisher
+
+        rows = [(b"css-%d" % i,) for i in range(10)]
+        size = auto_bucket_size(len(rows))
+        auto_layout = [rows[i : i + size] for i in range(0, len(rows), size)]
+        _, idmgr, _, _ = build_world()
+        built = Publisher(
+            "pub", idmgr.params, idmgr.public_key, gkm_field=FAST_FIELD,
+            gkm="bucketed", gkm_bucket_size=0,
+        )
+        assert built.gkm_bucket_size == 0
+        assert built.bucket_layout_for(rows) == auto_layout
+
+        pub_dir = str(tmp_path / "pub")
+        _, _, pub, _ = build_world()
+        store = PublisherPersistence.attach(pub_dir, pub, sync=False)
+        pub.set_gkm_strategy("bucketed", 0)  # runtime switch, WAL only
+        store.close()
+
+        _, _, pub2, _ = build_world()
+        store2 = PublisherPersistence.attach(pub_dir, pub2, sync=False)
+        assert (pub2.gkm, pub2.gkm_bucket_size) == ("bucketed", 0)
+        assert pub2.bucket_layout_for(rows) == auto_layout
+        store2.close()
+
     def test_idmgr_registry_and_key_survive(self, tmp_path):
         idm_dir = str(tmp_path / "idmgr")
         idp, idmgr, pub, sub = build_world()

@@ -17,6 +17,7 @@ histories; a revoked one with a warm memo stays locked out; hostile
 headers fail typed and leave the memo bounded.
 """
 
+import contextlib
 import json
 import pickle
 import random
@@ -49,6 +50,7 @@ from repro.system import (
     run_until_idle,
 )
 from repro.system.subscriber import KEV_MEMO_ENTRIES
+from tests.gkm.scratch import from_scratch
 
 MEMBERS = 9
 SEGMENTS = {"body1": 64, "body2": 700, "vip1": 16, "vip2": 2000, "spare": 40}
@@ -66,7 +68,7 @@ class _World:
     satisfies) and ``members`` provisioned clients with values 90, 91, ...:
     each entitled to body + VIP.  ``join`` adds one with any value."""
 
-    def __init__(self, gkm, cipher, hash_fn=None, acv_cache=True, members=MEMBERS):
+    def __init__(self, gkm, cipher, hash_fn=None, members=MEMBERS):
         group = get_group("nist-p192")
         self.idp = IdentityProvider("idp", group, rng=random.Random(1))
         self.idmgr = IdentityManager(group, rng=random.Random(2))
@@ -74,8 +76,7 @@ class _World:
         self.publisher = Publisher(
             "pub", self.idmgr.params, self.idmgr.public_key, gkm_field=FAST_FIELD,
             attribute_bits=8, rng=random.Random(3), cipher=cipher, gkm=gkm,
-            gkm_bucket_size=2 if gkm == "bucketed" else None,
-            hash_fn=hash_fn, acv_cache=acv_cache,
+            gkm_bucket_size=2 if gkm == "bucketed" else 0, hash_fn=hash_fn,
         )
         for text, segments in POLICIES:
             self.publisher.add_policy(parse_policy(text, segments, "feed"))
@@ -343,14 +344,19 @@ def _remembered(subscriber):
 
 
 @pytest.mark.parametrize(
-    "gkm,acv_cache", [("dense", True), ("bucketed", True), ("dense", False)]
+    "gkm,cached", [("dense", True), ("bucketed", True), ("dense", False)]
 )
-def test_revoked_subscriber_with_a_warm_memo_is_locked_out(gkm, acv_cache):
+def test_revoked_subscriber_with_a_warm_memo_is_locked_out(gkm, cached):
     """The adversary keeps everything it ever computed: CSSs *and* the KEV
     entries of every header it saw.  Post-revoke headers carry fresh
     nonces, so none of it applies -- on the dense, bucketed and
-    cache-disabled paths, and for a colluding pair."""
-    world = _World(gkm, AesCtrHmacCipher(), acv_cache=acv_cache)
+    from-scratch paths, and for a colluding pair."""
+    with contextlib.nullcontext() if cached else from_scratch():
+        _revoked_subscriber_with_a_warm_memo_is_locked_out(gkm)
+
+
+def _revoked_subscriber_with_a_warm_memo_is_locked_out(gkm):
+    world = _World(gkm, AesCtrHmacCipher())
     service, clients = world.service, world.clients
     for seed in (1, 2):
         service.publish(_document(seed))
@@ -400,12 +406,17 @@ _OPS = st.lists(
 
 
 @pytest.mark.parametrize(
-    "gkm,acv_cache", [("dense", True), ("bucketed", True), ("dense", False)]
+    "gkm,cached", [("dense", True), ("bucketed", True), ("dense", False)]
 )
 @settings(max_examples=12)
 @given(ops=_OPS, seed=st.integers(0, 2**16))
-def test_long_lived_subscriber_equals_a_fresh_one(gkm, acv_cache, ops, seed):
-    world = _World(gkm, AesCtrHmacCipher(), acv_cache=acv_cache, members=4)
+def test_long_lived_subscriber_equals_a_fresh_one(gkm, cached, ops, seed):
+    with contextlib.nullcontext() if cached else from_scratch():
+        _long_lived_subscriber_equals_a_fresh_one(gkm, ops, seed)
+
+
+def _long_lived_subscriber_equals_a_fresh_one(gkm, ops, seed):
+    world = _World(gkm, AesCtrHmacCipher(), members=4)
     publisher = world.publisher
     everyone = world.clients  # grows with joins; revoked members stay in it
     locked_out = {}  # nym -> condition keys the publisher no longer honours

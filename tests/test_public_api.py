@@ -2,6 +2,8 @@
 
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -32,6 +34,49 @@ class TestExports:
         else:
             declared = tomllib.loads(text)["project"]["version"]
         assert declared == repro.__version__
+
+    def test_gkm_exports_are_pinned(self):
+        """One ACV-BGKM build path: the scheme, its bucketed header, and
+        the publish-path strategies over the build cache -- nothing else."""
+        import repro.gkm
+
+        assert sorted(repro.gkm.__all__) == [
+            "AcvBgkm",
+            "AcvBuildCache",
+            "AcvHeader",
+            "BucketedGkmStrategy",
+            "BucketedHeader",
+            "DenseGkmStrategy",
+            "FAST_FIELD",
+            "GKM_STRATEGIES",
+            "PAPER_FIELD",
+            "build_strategy",
+            "decode_keying_header",
+        ]
+
+    def test_import_boundary(self):
+        """``import repro.gkm`` loads only the scheme, the bucketed header
+        and the strategies; and no module of the package imports the test
+        tree (the GKM baselines live there, beside their only users)."""
+        probe = (
+            "import importlib, pkgutil, sys; import repro.gkm; "
+            "gkm = sorted(m for m in sys.modules if m.startswith('repro.gkm.')); "
+            "assert gkm == ['repro.gkm.acv', 'repro.gkm.buckets', "
+            "'repro.gkm.strategy'], gkm; "
+            "import repro; "
+            "[importlib.import_module(i.name) for i in "
+            "pkgutil.walk_packages(repro.__path__, prefix='repro.')]; "
+            "bad = [m for m in sys.modules if m == 'tests' "
+            "or m.startswith('tests.')]; "
+            "sys.exit('imports the test tree: %s' % bad if bad else 0)"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            cwd=root, env=env,
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_docstring_quickstart_works(self):
         from repro.workloads import build_hospital
