@@ -17,7 +17,7 @@ the paper's C++ implementation obtained from NTL:
 """
 
 from repro.mathx.field import FieldElement, PrimeField
-from repro.mathx.linalg import Matrix, null_space, random_null_vector, solve
+from repro.mathx.linalg import Matrix, null_space, solve
 from repro.mathx.modular import (
     crt,
     egcd,
@@ -33,7 +33,6 @@ __all__ = [
     "PrimeField",
     "Matrix",
     "null_space",
-    "random_null_vector",
     "solve",
     "crt",
     "egcd",

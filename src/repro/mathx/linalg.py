@@ -11,10 +11,11 @@ Two elimination kernels are provided:
 
 * a **pure-Python** kernel valid for any prime modulus (used for the paper's
   80-bit field ``F_q``), and
-* a **numpy** kernel used automatically when the modulus fits in 31 bits, so
-  that all intermediate products fit in ``int64``.  It performs the same
-  row reduction with vectorised outer-product updates and is what makes the
-  N = 1000 sweeps of Figures 3--5 feasible in Python.
+* a **panel-blocked numpy** kernel used automatically when the modulus fits
+  in 31 bits.  It performs the same row operations a panel of columns at a
+  time and updates the columns right of each panel with exact float64
+  matrix products; it is what makes the N = 1000 sweeps of Figures 3--5
+  and the publisher's rekey under churn feasible in Python.
 
 Matrices store plain ints internally (row-major) for speed; the
 :class:`~repro.mathx.field.PrimeField` is carried alongside for semantics.
@@ -39,7 +40,6 @@ __all__ = [
     "Matrix",
     "RrefFactorization",
     "null_space",
-    "random_null_vector",
     "solve",
     "vec_dot",
     "NUMPY_MODULUS_LIMIT",
@@ -48,6 +48,12 @@ __all__ = [
 # Largest modulus for which the numpy int64 kernel is safe:  row updates
 # compute a*b with a, b < p, so we need p**2 < 2**63.
 NUMPY_MODULUS_LIMIT = 1 << 31
+
+# Panel width of the blocked kernel: the most terms a float64 dot product of
+# reduced coefficients (< p) and 16-bit limbs can sum while every partial
+# sum stays below 2**52, hence exact.
+_PANEL = ((1 << 52) - 1) // ((NUMPY_MODULUS_LIMIT - 2) * 0xFFFF)
+assert _PANEL * (NUMPY_MODULUS_LIMIT - 2) * 0xFFFF < 1 << 52
 
 
 def vec_dot(u: Sequence[int], v: Sequence[int], p: int) -> int:
@@ -304,7 +310,12 @@ class Matrix:
 def _rref_python(
     rows: Sequence[Sequence[int]], ncols: int, p: int
 ) -> Tuple[List[List[int]], List[int]]:
-    """Gauss--Jordan elimination with arbitrary-precision ints."""
+    """Gauss--Jordan elimination with arbitrary-precision ints.
+
+    Pivots are searched in the first ``ncols`` columns only and every row
+    operation covers the whole row, so wider rows (such as ``[A | I]``)
+    carry their extra columns along.
+    """
     a = [list(row) for row in rows]
     nrows = len(a)
     pivots: List[int] = []
@@ -336,107 +347,98 @@ def _rref_python(
 def _rref_numpy(
     rows: Sequence[Sequence[int]], ncols: int, p: int
 ) -> Tuple[List[List[int]], List[int]]:
-    """Gauss--Jordan elimination vectorised with numpy int64.
-
-    Safe because ``p < 2**31`` implies every product of two reduced entries
-    fits in a signed 64-bit integer.
-    """
-    a = np.array([list(row) for row in rows], dtype=np.int64) % p
-    nrows = a.shape[0]
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        nonzero = np.nonzero(a[r:, c])[0]
-        if nonzero.size == 0:
-            continue
-        pr = r + int(nonzero[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        if inv != 1:
-            a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        touched = np.nonzero(col)[0]
-        if touched.size:
-            a[touched] = (a[touched] - np.outer(col[touched], a[r])) % p
-        pivots.append(c)
-        r += 1
+    """:func:`_rref_python` for ``p < 2**31``, through :func:`_rref_blocked`."""
+    if not rows:
+        return [], []
+    a = np.array(rows, dtype=np.int64) % p
+    pivots = _rref_blocked(a, ncols, p)
     return a.tolist(), pivots
 
 
-def _rref_tracked_python(
-    rows: Sequence[Sequence[int]], ncols: int, p: int
-) -> Tuple[List[List[int]], List[int]]:
-    """Gauss--Jordan on ``[A | I]`` with pivots restricted to ``A``'s columns.
+def _rref_blocked(a: np.ndarray, ncols: int, p: int) -> List[int]:
+    """Panel-blocked Gauss--Jordan elimination of ``a`` in place.
 
-    Returns the reduced augmented rows and the pivot columns.  The right
-    block of each reduced row is the transform coefficients expressing it in
-    terms of the source rows (``R = T A``); rows beyond ``len(pivots)`` have
-    an all-zero left block and their right block spans the left null space.
-    Pivot search MUST stop at ``ncols`` -- pivoting into the identity block
-    would destroy the transform semantics for dependent rows.
+    Same pivot rule and same row operations as :func:`_rref_python`, so
+    the reduced array is identical.  Columns are taken ``_PANEL`` at a
+    time, and the rows at or below the current pivot row (the active rows)
+    are the only ones the scalar loop touches.  It runs on the panel's
+    columns beside a coefficient block ``K``: every active row is tracked
+    as its own panel-start row (after the swaps) plus ``K`` times the
+    panel's pivot rows, and a row that becomes a pivot moves its own term
+    into ``K``.  The active columns right of the panel are then updated
+    once, ``own * rest[perm] + K @ rest[sources]``.  A row above the panel
+    ends as itself minus its entries in the panel's pivot columns times
+    the finished pivot rows, one more product.  Columns left of the panel
+    do not change: the active rows are zero there.
     """
-    nrows = len(rows)
-    a = [list(row) + [1 if j == i else 0 for j in range(nrows)] for i, row in enumerate(rows)]
+    m, width = a.shape
     pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
+    for c0 in range(0, ncols, _PANEL):
+        r0 = len(pivots)
+        if r0 >= m:
             break
-        pivot_row = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        if inv != 1:
-            a[r] = [(x * inv) % p for x in a[r]]
-        pivot = a[r]
-        for i in range(nrows):
-            if i == r:
+        w = min(_PANEL, ncols - c0)
+        block = np.zeros((m - r0, 2 * w), dtype=np.int64)
+        block[:, :w] = a[r0:, c0:c0 + w]
+        perm = np.arange(m - r0)
+        found: List[int] = []
+        for c in range(w):
+            i = len(found)
+            if r0 + i >= m:
+                break
+            nonzero = np.flatnonzero(block[i:, c])
+            if nonzero.size == 0:
                 continue
-            factor = a[i][c]
-            if factor:
-                row_i = a[i]
-                a[i] = [(x - factor * y) % p for x, y in zip(row_i, pivot)]
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def _rref_tracked_numpy(
-    rows: Sequence[Sequence[int]], ncols: int, p: int
-) -> Tuple[np.ndarray, List[int]]:
-    """Vectorised counterpart of :func:`_rref_tracked_python`."""
-    nrows = len(rows)
-    a = np.zeros((nrows, ncols + nrows), dtype=np.int64)
-    a[:, :ncols] = np.array([list(row) for row in rows], dtype=np.int64) % p
-    a[:, ncols:] = np.eye(nrows, dtype=np.int64)
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        nonzero = np.nonzero(a[r:, c])[0]
-        if nonzero.size == 0:
+            pr = i + int(nonzero[0])
+            if pr != i:
+                block[[i, pr]] = block[[pr, i]]
+                perm[[i, pr]] = perm[[pr, i]]
+            block[i, w + i] = 1
+            # Row i is zero left of column c and no row uses a source past i.
+            tail = block[:, c:w + i + 1]
+            inv = pow(int(tail[i, 0]), -1, p)
+            if inv != 1:
+                tail[i] = tail[i] * inv % p
+            factors = tail[:, 0].copy()
+            factors[i] = 0
+            tail -= np.multiply.outer(factors, tail[i])
+            np.remainder(tail, p, out=tail)
+            found.append(c0 + c)
+        k = len(found)
+        if not k:
             continue
-        pr = r + int(nonzero[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        if inv != 1:
-            a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        touched = np.nonzero(col)[0]
-        if touched.size:
-            a[touched] = (a[touched] - np.outer(col[touched], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
+        above = -a[:r0, found] % p
+        a[r0:, c0:c0 + w] = block[:, :w]
+        if c0 + w < width:
+            rest = a[r0:, c0 + w:]
+            out = _exact_matmul(block[:, w:w + k], rest[perm[:k]], p)
+            out[k:] += rest[perm[k:]]
+            np.remainder(out, p, out=rest)
+        if r0:
+            out = _exact_matmul(above, a[r0:r0 + k, c0:], p)
+            out += a[:r0, c0:]
+            np.remainder(out, p, out=a[:r0, c0:])
+        pivots += found
+    return pivots
+
+
+def _exact_matmul(k: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
+    """An int64 array congruent to ``k @ x`` mod ``p``, entries below ``2**53``.
+
+    ``k`` has at most ``_PANEL`` columns and both operands hold reduced
+    entries.  ``x`` is split into its low 15 and high 16 bits; each limb
+    goes through one float64 BLAS product, exact by the ``_PANEL`` bound,
+    and the limbs recombine in int64 with room to add one more reduced
+    entry.
+    """
+    kf = k.astype(np.float64)
+    prod = kf @ (x >> 15).astype(np.float64)
+    out = prod.astype(np.int64)
+    out %= p
+    out <<= 15
+    np.matmul(kf, (x & 0x7FFF).astype(np.float64), out=prod)
+    np.add(out, prod, out=out, casting="unsafe")
+    return out
 
 
 class RrefFactorization:
@@ -463,7 +465,7 @@ class RrefFactorization:
 
     Storage dispatches exactly like :class:`Matrix`: numpy ``int64`` arrays
     for word-sized moduli, arbitrary-precision Python lists otherwise.  In
-    the numpy kernels every elementwise product is reduced mod ``p``
+    the numpy growth paths every elementwise product is reduced mod ``p``
     *before* summation -- a dot product of ``m`` unreduced products
     overflows ``int64`` as soon as ``m * p**2 >= 2**63``.
     """
@@ -489,27 +491,36 @@ class RrefFactorization:
 
     @classmethod
     def from_matrix(cls, matrix: Matrix) -> "RrefFactorization":
-        """Factor ``matrix`` with one tracked batch elimination."""
+        """Factor ``matrix`` with one elimination of ``[A | I]``.
+
+        Pivots are limited to ``A``'s columns, so the right block of each
+        reduced row is its transform (``R = T A``) and the rows past the
+        rank hold the transforms of the dependent source rows.
+        """
         fact = cls(matrix.field, matrix.ncols)
-        if not matrix.rows:
+        m, n, p = matrix.nrows, matrix.ncols, matrix.field.p
+        if not m:
             return fact
-        p = matrix.field.p
-        ncols = matrix.ncols
         if fact._numpy:
-            reduced, pivots = _rref_tracked_numpy(matrix.rows, ncols, p)
-            r = len(pivots)
-            fact.pivots = list(pivots)
-            fact._rows = reduced[:r, :ncols].copy()
-            fact._t = reduced[:r, ncols:].copy()
-            fact._free_t = reduced[r:, ncols:].copy()
+            a = np.zeros((m, n + m), dtype=np.int64)
+            a[:, :n] = np.array(matrix.rows, dtype=np.int64) % p
+            a[range(m), range(n, n + m)] = 1
+            fact.pivots = _rref_blocked(a, n, p)
+            r = len(fact.pivots)
+            fact._rows = a[:r, :n].copy()
+            fact._t = a[:r, n:].copy()
+            fact._free_t = a[r:, n:].copy()
         else:
-            reduced, pivots = _rref_tracked_python(matrix.rows, ncols, p)
-            r = len(pivots)
-            fact.pivots = list(pivots)
-            fact._rows = [row[:ncols] for row in reduced[:r]]
-            fact._t = [row[ncols:] for row in reduced[:r]]
-            fact._free_t = [row[ncols:] for row in reduced[r:]]
-        fact.n_source = matrix.nrows
+            augmented = [
+                row + [int(i == j) for j in range(m)]
+                for i, row in enumerate(matrix.rows)
+            ]
+            a, fact.pivots = _rref_python(augmented, n, p)
+            r = len(fact.pivots)
+            fact._rows = [row[:n] for row in a[:r]]
+            fact._t = [row[n:] for row in a[:r]]
+            fact._free_t = [row[n:] for row in a[r:]]
+        fact.n_source = m
         return fact
 
     @property
@@ -712,35 +723,6 @@ class RrefFactorization:
 def null_space(matrix: Matrix) -> List[Tuple[int, ...]]:
     """Module-level convenience wrapper for :meth:`Matrix.null_space`."""
     return matrix.null_space()
-
-
-def random_null_vector(
-    matrix: Matrix, rng: Optional[random.Random] = None
-) -> Tuple[int, ...]:
-    """A random *nonzero* vector in the null space of ``matrix``.
-
-    This is exactly how the paper's publisher picks the ACV: compute a basis
-    of the null space, then take a random linear combination (re-drawn in the
-    unlikely event all coefficients are zero).  Raises
-    :class:`SingularMatrixError` when the null space is trivial.
-    """
-    basis = matrix.null_space()
-    if not basis:
-        raise SingularMatrixError("matrix has full column rank; null space is {0}")
-    rng = rng or random
-    p = matrix.field.p
-    while True:
-        coeffs = [rng.randrange(p) for _ in basis]
-        if all(c == 0 for c in coeffs):
-            continue
-        v = [0] * matrix.ncols
-        for c, b in zip(coeffs, basis):
-            if c == 0:
-                continue
-            for j, bj in enumerate(b):
-                v[j] = (v[j] + c * bj) % p
-        if any(v):
-            return tuple(v)
 
 
 def solve(matrix: Matrix, b: Sequence[int]) -> Tuple[int, ...]:

@@ -256,6 +256,38 @@ def test_publisher_side_bytes_unchanged_by_the_row_kernel(field_name, h):
     assert out.hexdigest() == _TRANSCRIPTS[field_name, h.name]
 
 
+#: SHA-256 over seeded generate / generate_with_factorization / extend
+#: (+4 rows, +4 columns) / rekey_from_factorization headers, keys and the
+#: extended null basis at row counts on both sides of the elimination
+#: kernel's 32-column panels, computed with the per-pivot elimination loop
+#: (``tests/mathx/reference.py``) before the panel kernel replaced it.
+_MULTI_PANEL_TRANSCRIPT = (
+    "869fdc6abbd0126ca467767e6762cc128fd6f32896d6b9e9968fbdf0ef3c5a2c"
+)
+
+
+def test_multi_panel_bytes_match_the_scalar_kernel():
+    rng = random.Random(2028)
+    gkm = AcvBgkm(FAST_FIELD, sha256)
+    out = hashlib.sha256()
+    for m in (31, 32, 33, 64, 65, 188, 192):
+        rows = [
+            (b"css-%d-%d" % (m, i), b"second-%d" % i)
+            if i % 3
+            else (b"only-%d-%d" % (m, i),)
+            for i in range(m + 4)
+        ]
+        key, header = gkm.generate(rows[:m], n_max=m + 2, rng=rng)
+        out.update(header.to_bytes() + b"%d" % key)
+        key, header, fact = gkm.generate_with_factorization(rows[:m], rng=rng)
+        out.update(header.to_bytes() + b"%d" % key)
+        fact.extend(rows[m:], added_capacity=4, rng=rng)
+        key, header = gkm.rekey_from_factorization(fact, rng=rng)
+        out.update(header.to_bytes() + b"%d" % key)
+        out.update(repr(fact.null_basis()).encode())
+    assert out.hexdigest() == _MULTI_PANEL_TRANSCRIPT
+
+
 class TestHeaderSerialization:
     def test_roundtrip(self, gkm, rng):
         rows = make_rows(rng, 4)

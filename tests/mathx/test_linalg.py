@@ -2,20 +2,26 @@
 
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidParameterError, SingularMatrixError
+from repro.gkm.acv import FAST_FIELD
 from repro.mathx.field import PrimeField
 from repro.mathx.linalg import (
+    _PANEL,
     NUMPY_MODULUS_LIMIT,
     Matrix,
     RrefFactorization,
-    random_null_vector,
+    _exact_matmul,
+    _rref_numpy,
+    _rref_python,
     solve,
     vec_dot,
 )
+from tests.mathx.reference import rref_scalar, with_identity
 
 SMALL = PrimeField(10007)                       # numpy kernel
 BIG = PrimeField(604462909807314587353111)      # pure-Python kernel (80-bit)
@@ -38,12 +44,117 @@ class TestKernelSelection:
         rows = [[rng.randrange(SMALL.p) for _ in range(7)] for _ in range(5)]
         m_small = Matrix(SMALL, rows)
         reduced_np, pivots_np = m_small.rref()
-
-        from repro.mathx.linalg import _rref_python
-
         reduced_py, pivots_py = _rref_python(rows, 7, SMALL.p)
         assert reduced_np.rows == reduced_py
-        assert list(reduced_np.rref()[1]) == list(pivots_py)
+        assert list(pivots_np) == list(pivots_py)
+
+
+#: Row and column counts on both sides of every panel edge up to 3w + 1.
+PANEL_EDGES = [0, 1, _PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL, 3 * _PANEL + 1]
+#: The largest prime below ``NUMPY_MODULUS_LIMIT``.
+P31 = 2**31 - 1
+FAST_P = FAST_FIELD.p
+DAMAGE = ("duplicate_rows", "zero_rows", "zero_cols", "dead_panel", "low_rank")
+
+
+def _damaged_rows(nrows, ncols, p, damage, seed):
+    """Uniform rows with the requested degeneracies applied."""
+    rng = random.Random(seed)
+    rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+    if "low_rank" in damage and nrows > 1:
+        # Every row is a combination of the first few.
+        basis = rows[: rng.randrange(1, 4)]
+        rows = [
+            [sum(c * b[j] for c, b in zip(coeffs, basis)) % p for j in range(ncols)]
+            for coeffs in ([rng.randrange(p) for _ in basis] for _ in range(nrows))
+        ]
+    if "duplicate_rows" in damage and nrows > 1:
+        for _ in range(rng.randrange(1, nrows)):
+            rows[rng.randrange(nrows)] = rows[rng.randrange(nrows)][:]
+    if "zero_rows" in damage:
+        for i in rng.sample(range(nrows), rng.randrange(nrows + 1)):
+            rows[i] = [0] * ncols
+    zero_cols = set()
+    if "zero_cols" in damage:
+        zero_cols.update(rng.sample(range(ncols), rng.randrange(ncols + 1)))
+    if "dead_panel" in damage:
+        # One whole panel of columns, so that panel finds no pivot.
+        start = _PANEL * rng.randrange(max(1, ncols // _PANEL))
+        zero_cols.update(range(start, min(start + _PANEL, ncols)))
+    for row in rows:
+        for j in zero_cols:
+            row[j] = 0
+    return rows
+
+
+def _assert_matches_reference(rows, ncols, p):
+    """The panel kernel against the per-pivot loop, on ``A`` and ``[A | I]``."""
+    assert _rref_numpy(rows, ncols, p) == rref_scalar(rows, ncols, p)
+    if not rows:
+        return
+    nrows = len(rows)
+    ref, ref_pivots = rref_scalar(with_identity(rows), ncols, p)
+    rank = len(ref_pivots)
+    field = PrimeField(p)
+    source = Matrix(field, rows)
+    fact = source.rref_factorization()
+    assert fact.pivots == ref_pivots
+    assert fact._rows.tolist() == [row[:ncols] for row in ref[:rank]]
+    t, free_t = fact._t.tolist(), fact._free_t.tolist()
+    if rank == nrows:
+        assert t == [row[ncols:] for row in ref]
+        assert free_t == []
+    else:
+        if t:
+            assert (Matrix(field, t) @ source).rows == fact._rows.tolist()
+        assert len(free_t) == nrows - rank
+        for row in free_t:
+            assert not any((Matrix(field, [row]) @ source).rows[0])
+
+
+sizes = st.one_of(st.sampled_from(PANEL_EDGES), st.integers(0, 3 * _PANEL + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nrows=sizes,
+    ncols=sizes,
+    p=st.sampled_from([2, 3, 10007, FAST_P, P31]),
+    damage=st.frozensets(st.sampled_from(DAMAGE)),
+    seed=st.integers(0, 2**16),
+)
+# Square, wide and tall at the panel edges, a dead panel, and stacked damage.
+@example(nrows=_PANEL, ncols=_PANEL, p=P31, damage=frozenset(), seed=0)
+@example(nrows=_PANEL - 1, ncols=3 * _PANEL + 1, p=FAST_P, damage=frozenset(), seed=1)
+@example(nrows=3 * _PANEL + 1, ncols=_PANEL + 1, p=FAST_P, damage=frozenset(), seed=2)
+@example(
+    nrows=2 * _PANEL, ncols=3 * _PANEL + 1, p=10007,
+    damage=frozenset({"dead_panel"}), seed=3,
+)
+@example(
+    nrows=3 * _PANEL + 1, ncols=2 * _PANEL, p=3,
+    damage=frozenset({"duplicate_rows", "zero_rows", "zero_cols"}), seed=4,
+)
+def test_blocked_kernel_matches_reference(nrows, ncols, p, damage, seed):
+    """Reduced rows and pivots identical to the per-pivot loop; the
+    transform identical when the rows are independent, and otherwise
+    still ``R = T A`` with every dependent row's transform annihilating
+    ``A``."""
+    _assert_matches_reference(_damaged_rows(nrows, ncols, p, damage, seed), ncols, p)
+
+
+def test_all_max_entries_at_the_largest_modulus():
+    n = 3 * _PANEL + 1
+    _assert_matches_reference([[P31 - 1] * n for _ in range(n)], n, P31)
+
+
+def test_exact_matmul_at_the_bound():
+    """A full panel of (p - 1) coefficients against (p - 1) entries: the
+    largest limb partial sums the ``_PANEL`` bound allows."""
+    k = np.full((5, _PANEL), P31 - 1, dtype=np.int64)
+    x = np.full((_PANEL, 3), P31 - 1, dtype=np.int64)
+    out = _exact_matmul(k, x, P31)
+    assert (out % P31).tolist() == [[_PANEL * (P31 - 1) ** 2 % P31] * 3] * 5
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["numpy-kernel", "python-kernel"])
@@ -77,17 +188,6 @@ class TestElimination:
     def test_null_space_full_rank_empty(self, field):
         m = Matrix.identity(field, 3)
         assert m.null_space() == []
-
-    def test_random_null_vector(self, field):
-        m = random_matrix(field, 3, 6, seed=4)
-        rng = random.Random(5)
-        v = random_null_vector(m, rng)
-        assert any(v)
-        assert all(x == 0 for x in m.mat_vec(v))
-
-    def test_random_null_vector_full_rank_raises(self, field):
-        with pytest.raises(SingularMatrixError):
-            random_null_vector(Matrix.identity(field, 3))
 
     def test_solve(self, field):
         m = random_matrix(field, 4, 4, seed=6)
@@ -301,12 +401,13 @@ def test_property_null_space_dimension_theorem(nrows, ncols, seed):
 def test_property_acv_shape(seed):
     """The exact shape ACV-BGKM relies on: a matrix with an all-ones first
     column and fewer rows than columns always has a nontrivial null space,
-    and any null vector is orthogonal to every row."""
+    and every basis vector is orthogonal to every row."""
     rng = random.Random(seed)
     field = SMALL
     n = rng.randrange(2, 7)
     rows = [[1] + [rng.randrange(field.p) for _ in range(n)] for _ in range(n)]
-    m = Matrix(field, rows)
-    v = random_null_vector(m, rng)
-    for row in rows:
-        assert vec_dot(row, v, field.p) == 0
+    basis = Matrix(field, rows).null_space()
+    assert basis
+    for v in basis:
+        for row in rows:
+            assert vec_dot(row, v, field.p) == 0
