@@ -46,6 +46,8 @@ __all__ = [
 
 BytesLike = Union[bytes, bytearray, memoryview]
 
+_U32 = struct.Struct(">I")
+
 
 class HashFunction:
     """A named hash function: ``digest(data) -> bytes`` plus metadata."""
@@ -303,18 +305,21 @@ def row_hasher(
 
     A row of the access matrix (and a subscriber's KEV) hashes one fixed
     CSS tuple against every nonce, so everything but the last part is
-    shared.  For the hashlib-backed instances the shared prefix
-    ``counter || LP(part_1) || ... || LP(part_k)`` is absorbed once per
-    counter block of the expansion and each value costs a state copy plus
-    the nonce; any other :class:`HashFunction` only offers one-shot
-    ``digest`` and falls back to it.  The values are those of
-    :func:`hash_concat` either way.
+    shared.  When one counter block covers the expansion (both library
+    fields under either hashlib hash) and ``h`` is hashlib-backed, the
+    shared prefix ``0 || LP(part_1) || ... || LP(part_k)`` is absorbed
+    once and each value costs a state copy, the nonce and a reduction of
+    that single digest.  Wider moduli, and any other :class:`HashFunction`
+    (which only offers one-shot ``digest``), hash the whole input per
+    value.  The values are those of :func:`hash_concat` either way.
     """
     if modulus < 2:
         raise InvalidParameterError("modulus must be >= 2")
     prefix = b"".join(struct.pack(">I", len(raw)) + raw for raw in map(bytes, parts))
+    bits = 2 * modulus.bit_length()
+    nbytes = (bits + 7) // 8
     new = _INCREMENTAL.get(h)
-    if new is None:
+    if new is None or nbytes > h.digest_size:
 
         def one_shot(z: BytesLike) -> int:
             z = bytes(z)
@@ -322,21 +327,13 @@ def row_hasher(
 
         return one_shot
 
-    bits = 2 * modulus.bit_length()
-    nbytes = (bits + 7) // 8
     excess = nbytes * 8 - bits
-    states = [
-        new(struct.pack(">I", counter) + prefix)
-        for counter in range(-(-nbytes // h.digest_size))
-    ]
+    state = new(struct.pack(">I", 0) + prefix)
+    length = _U32.pack
 
-    def from_prefix_state(z: BytesLike) -> int:
-        tail = struct.pack(">I", len(z)) + z
-        blocks = []
-        for state in states:
-            state = state.copy()
-            state.update(tail)
-            blocks.append(state.digest())
-        return (int.from_bytes(b"".join(blocks)[:nbytes], "big") >> excess) % modulus
+    def from_one_block(z: BytesLike) -> int:
+        one = state.copy()
+        one.update(length(len(z)) + z)
+        return (int.from_bytes(one.digest()[:nbytes], "big") >> excess) % modulus
 
-    return from_prefix_state
+    return from_one_block

@@ -21,7 +21,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import SerializationError
-from repro.gkm.strategy import KeyingHeader, decode_keying_header
+from repro.gkm.strategy import (
+    KeyingHeader,
+    decode_keying_header,
+    validate_keying_header,
+)
 from repro.wire.codec import (
     Cursor,
     pack_bytes as _pack_bytes,
@@ -42,11 +46,26 @@ class ConfigHeader:
     :class:`~repro.gkm.buckets.BucketedHeader` (one ACV per row-order
     bucket, shared key) -- receivers dispatch on the serialized magic
     tag, so dense and bucketed publishers interoperate transparently.
+
+    A header parsed by :meth:`from_bytes_at` has its keying bytes
+    validated there and decoded on first access to ``acv``: a subscriber
+    builds only the headers it derives from.  Equality, ``repr`` and
+    :func:`dataclasses.replace` read ``acv`` like any field.
     """
 
     config_id: str
     policies: Tuple[Tuple[str, ...], ...]  # ordered condition keys per policy
     acv: Optional[KeyingHeader]
+
+    def __getattr__(self, name: str):
+        # Reached only while ``acv`` is unset, i.e. on a parsed header
+        # whose keying bytes nobody has asked for yet.
+        raw = self.__dict__.get("_acv_raw") if name == "acv" else None
+        if raw is None:
+            raise AttributeError(name)
+        acv = decode_keying_header(raw)
+        object.__setattr__(self, "acv", acv)
+        return acv
 
     def to_bytes(self) -> bytes:
         out = bytearray()
@@ -56,10 +75,10 @@ class ConfigHeader:
             out += _pack_u16(len(policy))
             for key in policy:
                 out += _pack_str(key)
-        if self.acv is None:
-            out += _pack_bytes(b"")
-        else:
-            out += _pack_bytes(self.acv.to_bytes())
+        raw = self.__dict__.get("_acv_raw")
+        if raw is None:
+            raw = b"" if self.acv is None else self.acv.to_bytes()
+        out += _pack_bytes(raw)
         return bytes(out)
 
     @classmethod
@@ -72,11 +91,17 @@ class ConfigHeader:
             n_conds = cursor.read_u16()
             policies.append(tuple(cursor.read_str() for _ in range(n_conds)))
         acv_raw = cursor.read_bytes()
-        acv = decode_keying_header(acv_raw) if acv_raw else None
-        return (
-            cls(config_id=config_id, policies=tuple(policies), acv=acv),
-            cursor.offset,
+        if not acv_raw:
+            header = cls(config_id=config_id, policies=tuple(policies), acv=None)
+            return header, cursor.offset
+        # Canonical encodings only (see the keying walkers), so these bytes
+        # are exactly what the decoded header's ``to_bytes`` would write.
+        validate_keying_header(acv_raw)
+        header = cls.__new__(cls)
+        header.__dict__.update(
+            config_id=config_id, policies=tuple(policies), _acv_raw=acv_raw
         )
+        return header, cursor.offset
 
     def byte_size(self) -> int:
         return len(self.to_bytes())
@@ -139,6 +164,11 @@ class BroadcastPackage:
             if end != len(raw):
                 raise SerializationError("trailing bytes inside config header")
             headers.append(header)
+        # The publisher never repeats a configuration or a subdocument; a
+        # repeat would make header_for (first wins) and a receiver keyed
+        # by id (last wins) disagree about which one a package carries.
+        if len({header.config_id for header in headers}) != len(headers):
+            raise SerializationError("repeated configuration id")
         n_subs = cursor.read_u16()
         subs = []
         for _ in range(n_subs):
@@ -146,6 +176,8 @@ class BroadcastPackage:
                 cursor.data, cursor.offset
             )
             subs.append(sub)
+        if len({sub.name for sub in subs}) != len(subs):
+            raise SerializationError("repeated subdocument name")
         cursor.expect_end()  # canonical encodings only: reject trailing bytes
         return cls(
             document=document,

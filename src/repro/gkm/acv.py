@@ -93,6 +93,112 @@ def _draw_field_key(p: int, rng: Optional[random.Random]) -> int:
     return secrets.randbelow(p - 1) + 1
 
 
+#: Element widths whose literal runs are read in one ``struct`` call: the
+#: format code of that width.
+_WIDE = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+#: The longest literal run :meth:`AcvHeader.to_bytes` writes.
+_MAX_LITERAL = 0xFFFF
+
+
+def _walk(
+    data: bytes,
+) -> Tuple[int, int, int, int, int, int, List[Tuple[int, int, int]]]:
+    """The ACV header format, checked in one pass over ``data``.
+
+    Returns ``(q, q_len, nonce offset, nonce count, nonce width, X arity,
+    literal runs)`` with one ``(index in X, byte offset, count)`` per
+    literal run, and raises :class:`SerializationError` on anything
+    :meth:`AcvHeader.to_bytes` would not have written -- so two accepted
+    encodings are equal exactly when their headers are.  Nothing is
+    decoded beyond the counts: :meth:`AcvHeader.from_bytes` materializes
+    from the returned offsets, :meth:`AcvHeader.validate` drops them.
+    """
+    try:
+        if data[:4] != _MAGIC:
+            raise SerializationError("bad magic")
+        (q_len,) = struct.unpack_from(">H", data, 4)
+        offset = 6 + q_len
+        if offset > len(data):
+            raise SerializationError("truncated modulus")
+        q = int.from_bytes(data[6:offset], "big")
+        # The modulus is attacker-controlled: q < 2 would make derive()
+        # divide by zero (or reduce everything to 0) instead of failing
+        # typed.  No valid field has such a modulus, so refuse at parse.
+        if q < 2:
+            raise SerializationError("modulus q=%d is not a valid field" % q)
+        if data[6] == 0:
+            raise SerializationError("non-canonical modulus (leading zero byte)")
+        n_z, z_len = struct.unpack_from(">IH", data, offset)
+        offset += 6
+        # Zero-width (or absent) nonces would collapse every matrix
+        # column into the same hash; the publisher never emits them
+        # (z_bytes >= 4, capacity >= 1), so they only appear in hostile
+        # headers.
+        if n_z == 0 or z_len == 0:
+            raise SerializationError("header must carry nonzero-width nonces")
+        # Bounds sanity: counts are attacker-controlled; never allocate
+        # more than the payload could possibly encode.
+        if n_z * z_len > len(data):
+            raise SerializationError("nonce count exceeds payload")
+        zs_at = offset
+        offset += n_z * z_len
+        if offset > len(data):
+            raise SerializationError("truncated nonce")
+        (n_x,) = struct.unpack_from(">I", data, offset)
+        offset += 4
+        if n_x > 8 * len(data) + 64:
+            raise SerializationError("X arity exceeds payload")
+        zero = bytes(q_len)
+        literals: List[Tuple[int, int, int]] = []
+        filled = 0
+        previous = None  # 0: a zero run, 1: a short literal run, 2: a full one
+        while filled < n_x:
+            token = data[offset]
+            if token == 0:
+                (run,) = struct.unpack_from(">I", data, offset + 1)
+                offset += 5
+                if run == 0:
+                    raise SerializationError("empty zero run")
+                if previous == 0:
+                    raise SerializationError("two zero runs in a row")
+                if run > n_x - filled:
+                    raise SerializationError("zero run exceeds X arity")
+                filled += run
+            elif token == 1:
+                (count,) = struct.unpack_from(">H", data, offset + 1)
+                offset += 3
+                if count == 0:
+                    raise SerializationError("empty literal run")
+                if previous == 1:
+                    raise SerializationError("short literal run split in two")
+                end = offset + count * q_len
+                if end > len(data):
+                    raise SerializationError("literal run exceeds payload")
+                if count > n_x - filled:
+                    raise SerializationError("X over-run")
+                # A zero element is q_len zero bytes at an element boundary;
+                # honest literals rarely hold q_len zero bytes in a row at
+                # all, so the byte search almost always ends at once.
+                at = data.find(zero, offset, end)
+                while at >= 0:
+                    if (at - offset) % q_len == 0:
+                        raise SerializationError("zero inside a literal run")
+                    at = data.find(zero, at + 1, end)
+                literals.append((filled, offset, count))
+                filled += count
+                offset = end
+                token = 1 if count < _MAX_LITERAL else 2
+            else:
+                raise SerializationError("bad RLE token %d" % token)
+            previous = token
+        if offset != len(data):
+            raise SerializationError("trailing bytes after X")
+        return q, q_len, zs_at, n_z, z_len, n_x, literals
+    except (IndexError, struct.error) as exc:
+        raise SerializationError("truncated ACV header") from exc
+
+
 @dataclass(frozen=True)
 class AcvHeader:
     """The public rekey payload ``(X, z_1..z_N)`` broadcast with documents."""
@@ -134,7 +240,7 @@ class AcvHeader:
                 i = run
             else:
                 run = i
-                while run < n and self.x[run] != 0 and run - i < 0xFFFF:
+                while run < n and self.x[run] != 0 and run - i < _MAX_LITERAL:
                     run += 1
                 out += b"\x01" + struct.pack(">H", run - i)
                 for j in range(i, run):
@@ -144,71 +250,31 @@ class AcvHeader:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AcvHeader":
-        """Parse :meth:`to_bytes` output."""
-        try:
-            if data[:4] != _MAGIC:
-                raise SerializationError("bad magic")
-            offset = 4
-            (q_len,) = struct.unpack_from(">H", data, offset)
-            offset += 2
-            q = int.from_bytes(data[offset : offset + q_len], "big")
-            offset += q_len
-            # The modulus is attacker-controlled: q < 2 would make derive()
-            # divide by zero (or reduce everything to 0) instead of failing
-            # typed.  No valid field has such a modulus, so refuse at parse.
-            if q < 2:
-                raise SerializationError("modulus q=%d is not a valid field" % q)
-            n_z, z_len = struct.unpack_from(">IH", data, offset)
-            offset += 6
-            # Zero-width (or absent) nonces would collapse every matrix
-            # column into the same hash; the publisher never emits them
-            # (z_bytes >= 4, capacity >= 1), so they only appear in hostile
-            # headers.
-            if n_z == 0 or z_len == 0:
-                raise SerializationError("header must carry nonzero-width nonces")
-            # Bounds sanity: counts are attacker-controlled; never allocate
-            # more than the payload could possibly encode.
-            if n_z * z_len > len(data):
-                raise SerializationError("nonce count exceeds payload")
-            end = offset + n_z * z_len
-            if end > len(data):
-                raise SerializationError("truncated nonce")
-            zs = tuple(data[i : i + z_len] for i in range(offset, end, z_len))
-            offset = end
-            (n_x,) = struct.unpack_from(">I", data, offset)
-            offset += 4
-            if n_x > 8 * len(data) + 64:
-                raise SerializationError("X arity exceeds payload")
-            x: List[int] = []
-            while len(x) < n_x:
-                token = data[offset]
-                offset += 1
-                if token == 0:
-                    (run,) = struct.unpack_from(">I", data, offset)
-                    offset += 4
-                    if run > n_x - len(x):
-                        raise SerializationError("zero run exceeds X arity")
-                    x.extend([0] * run)
-                elif token == 1:
-                    (count,) = struct.unpack_from(">H", data, offset)
-                    offset += 2
-                    end = offset + count * q_len
-                    if end > len(data):
-                        raise SerializationError("literal run exceeds payload")
-                    x.extend(
-                        [
-                            int.from_bytes(data[i : i + q_len], "big")
-                            for i in range(offset, end, q_len)
-                        ]
-                    )
-                    offset = end
-                else:
-                    raise SerializationError("bad RLE token %d" % token)
-            if len(x) != n_x:
-                raise SerializationError("X over-run")
-            return cls(q=q, x=tuple(x), zs=zs)
-        except (IndexError, struct.error) as exc:
-            raise SerializationError("truncated ACV header") from exc
+        """Parse :meth:`to_bytes` output; canonical encodings only."""
+        q, q_len, zs_at, n_z, z_len, n_x, literals = _walk(data)
+        zs = tuple(
+            data[i : i + z_len] for i in range(zs_at, zs_at + n_z * z_len, z_len)
+        )
+        x = [0] * n_x
+        wide = _WIDE.get(q_len)
+        for at, offset, count in literals:
+            if wide is not None:
+                x[at : at + count] = struct.unpack_from(
+                    ">%d%s" % (count, wide), data, offset
+                )
+            else:
+                x[at : at + count] = [
+                    int.from_bytes(data[i : i + q_len], "big")
+                    for i in range(offset, offset + count * q_len, q_len)
+                ]
+        return cls(q=q, x=tuple(x), zs=zs)
+
+    @staticmethod
+    def validate(data: bytes) -> None:
+        """Every refusal :meth:`from_bytes` makes, without building ``zs``
+        or ``X`` -- the same walk, so the two accept exactly the same
+        inputs and fail with the same error."""
+        _walk(data)
 
     def byte_size(self) -> int:
         """Compressed wire size (what Figure 5 measures)."""

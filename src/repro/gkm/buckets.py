@@ -21,10 +21,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, List, Tuple, TypeVar
 
 from repro.errors import SerializationError
 from repro.gkm.acv import AcvHeader
+
+T = TypeVar("T")
 
 __all__ = [
     "BucketedHeader",
@@ -65,44 +67,58 @@ class BucketedHeader:
         or empty buckets are refused, and every failure is a typed
         :class:`SerializationError` -- never ``struct.error``.
         """
-        try:
-            if data[:4] != _MAGIC:
-                raise SerializationError("bad magic")
-            offset = 4
-            (count,) = struct.unpack_from(">I", data, offset)
-            offset += 4
-            if count == 0:
-                raise SerializationError("empty bucket list")
-            if count > MAX_BUCKETS:
-                raise SerializationError(
-                    "bucket count %d exceeds the cap of %d" % (count, MAX_BUCKETS)
-                )
-            if count * 4 > len(data):
-                raise SerializationError("bucket count exceeds payload")
-            buckets: List[AcvHeader] = []
-            seen = set()
-            for _ in range(count):
-                (h_len,) = struct.unpack_from(">I", data, offset)
-                offset += 4
-                if offset + h_len > len(data):
-                    raise SerializationError("truncated bucket header")
-                raw = data[offset : offset + h_len]
-                if raw in seen:
-                    raise SerializationError("duplicate bucket header")
-                seen.add(raw)
-                header = AcvHeader.from_bytes(raw)
-                if header.capacity < 1:
-                    raise SerializationError("empty bucket (capacity 0)")
-                buckets.append(header)
-                offset += h_len
-            if offset != len(data):
-                raise SerializationError("trailing bytes after bucket list")
-            return cls(buckets=tuple(buckets))
-        except (IndexError, struct.error) as exc:
-            raise SerializationError("truncated bucketed header") from exc
+        return cls(buckets=tuple(_walk(data, AcvHeader.from_bytes)))
+
+    @staticmethod
+    def validate(data: bytes) -> None:
+        """Every refusal :meth:`from_bytes` makes, without building a
+        bucket: the same walk with :meth:`AcvHeader.validate` per bucket."""
+        _walk(data, AcvHeader.validate)
 
     def byte_size(self) -> int:
         return len(self.to_bytes())
+
+
+def _walk(data: bytes, bucket: Callable[[bytes], T]) -> List[T]:
+    """The bucket list format, checked in one pass; ``bucket`` runs on
+    each bucket's bytes in order and its results are returned.
+
+    The ACV walk under ``bucket`` refuses non-canonical encodings, so
+    the byte comparison here refuses every pair of equal buckets, and
+    its nonce check refuses an empty bucket (capacity 0).
+    """
+    try:
+        if data[:4] != _MAGIC:
+            raise SerializationError("bad magic")
+        offset = 4
+        (count,) = struct.unpack_from(">I", data, offset)
+        offset += 4
+        if count == 0:
+            raise SerializationError("empty bucket list")
+        if count > MAX_BUCKETS:
+            raise SerializationError(
+                "bucket count %d exceeds the cap of %d" % (count, MAX_BUCKETS)
+            )
+        if count * 4 > len(data):
+            raise SerializationError("bucket count exceeds payload")
+        out: List[T] = []
+        seen = set()
+        for _ in range(count):
+            (h_len,) = struct.unpack_from(">I", data, offset)
+            offset += 4
+            if offset + h_len > len(data):
+                raise SerializationError("truncated bucket header")
+            raw = data[offset : offset + h_len]
+            if raw in seen:
+                raise SerializationError("duplicate bucket header")
+            seen.add(raw)
+            out.append(bucket(raw))
+            offset += h_len
+        if offset != len(data):
+            raise SerializationError("trailing bytes after bucket list")
+        return out
+    except (IndexError, struct.error) as exc:
+        raise SerializationError("truncated bucketed header") from exc
 
 
 def auto_bucket_size(row_count: int) -> int:

@@ -56,6 +56,7 @@ __all__ = [
     "KeyingHeader",
     "build_strategy",
     "decode_keying_header",
+    "validate_keying_header",
 ]
 
 #: The publish-path strategy names a publisher (and a scenario) may pick.
@@ -68,6 +69,16 @@ _ACV_MAGIC = b"ACV1"
 _BKT_MAGIC = b"BKT1"
 
 
+def _keying_format(data: bytes):
+    """The header class a keying payload's magic tag names."""
+    magic = data[:4]
+    if magic == _ACV_MAGIC:
+        return AcvHeader
+    if magic == _BKT_MAGIC:
+        return BucketedHeader
+    raise SerializationError("unknown keying header magic %r" % magic)
+
+
 def decode_keying_header(data: bytes) -> KeyingHeader:
     """Parse a config header's keying payload, dense or bucketed.
 
@@ -75,12 +86,14 @@ def decode_keying_header(data: bytes) -> KeyingHeader:
     dense and bucketed configurations and old receivers of dense headers
     keep working unchanged.
     """
-    magic = data[:4]
-    if magic == _ACV_MAGIC:
-        return AcvHeader.from_bytes(data)
-    if magic == _BKT_MAGIC:
-        return BucketedHeader.from_bytes(data)
-    raise SerializationError("unknown keying header magic %r" % magic)
+    return _keying_format(data).from_bytes(data)
+
+
+def validate_keying_header(data: bytes) -> None:
+    """Refuse exactly what :func:`decode_keying_header` refuses, with the
+    same error, without building the header (the package parse runs this;
+    a subscriber decodes only the headers it derives from)."""
+    _keying_format(data).validate(data)
 
 
 class AcvBuildCache:

@@ -73,13 +73,15 @@ class Subscriber:
             key_len=params.key_len,
         )
         self._rng = rng
-        #: (config id, CSS tuple) -> {(q, nonces): Eq. 2 values, ``None``
-        #: where not yet needed} for the ACVs of the last header seen under
-        #: that key.  Derived from what the Sub holds anyway (its CSSs, the
-        #: public nonces), so it is rebuilt on demand and never journaled.
-        self._kev_memo: "OrderedDict[tuple, Dict[tuple, List[Optional[int]]]]" = (
-            OrderedDict()
-        )
+        #: (config id, CSS tuple) -> one ``((q, nonces), Eq. 2 values)``
+        #: pair per ACV of the last header seen under that key, in bucket
+        #: order, ``None`` where a value was not yet needed (ACVs with equal
+        #: nonces share one list).  Derived from what the Sub holds anyway
+        #: (its CSSs, the public nonces), so it is rebuilt on demand and
+        #: never journaled.
+        self._kev_memo: (
+            "OrderedDict[tuple, List[Tuple[tuple, List[Optional[int]]]]]"
+        ) = OrderedDict()
         #: Optional durability hook (:mod:`repro.store.persist`): wallet
         #: entries and extracted CSSs announce themselves here so a crashed
         #: subscriber process resumes without re-running OCBE transfers.
@@ -152,25 +154,31 @@ class Subscriber:
         membership structure), so it derives from every bucket and lets
         authenticated decryption pick the real key -- wrong buckets
         produce unpredictable field elements, exactly like a stale CSS.
+
+        The policies are checked first: a configuration the Sub cannot
+        open never has its keying header decoded.
         """
-        if header.acv is None:
+        satisfiable = [
+            tuple(self.css_store[key] for key in condition_keys)
+            for condition_keys in header.policies
+            if all(key in self.css_store for key in condition_keys)
+        ]
+        if not satisfiable or header.acv is None:
             return []
+        if isinstance(header.acv, BucketedHeader):
+            acvs = header.acv.buckets
+        else:
+            acvs = (header.acv,)
         candidates = []
-        for condition_keys in header.policies:
-            if all(key in self.css_store for key in condition_keys):
-                css = tuple(self.css_store[key] for key in condition_keys)
-                if isinstance(header.acv, BucketedHeader):
-                    acvs = header.acv.buckets
-                else:
-                    acvs = (header.acv,)
-                memos = self._kev_memos(header.config_id, css, acvs)
-                with stage("acv.derive", candidates=len(acvs)):
-                    candidates.extend(
-                        self._gkm.export_key(
-                            self._gkm.derive(acv, css, memo), self.params.key_len
-                        )
-                        for acv, memo in zip(acvs, memos)
+        for css in satisfiable:
+            memos = self._kev_memos(header.config_id, css, acvs)
+            with stage("acv.derive", candidates=len(acvs)):
+                candidates.extend(
+                    self._gkm.export_key(
+                        self._gkm.derive(acv, css, memo), self.params.key_len
                     )
+                    for acv, memo in zip(acvs, memos)
+                )
         return candidates
 
     def _kev_memos(
@@ -179,27 +187,37 @@ class Subscriber:
         """The Eq. 2 memo to derive each of ``acvs`` with, kept for next time.
 
         An ACV whose modulus and nonces equal one of the last header's
-        continues that one's memo (per bucket, wherever the bucket moved);
-        any other starts empty.  What the last header had and this one
-        lacks is dropped, so a rekey with fresh nonces -- every revoke and
-        every join that re-solves -- replaces the entry wholesale.
+        continues that one's memo (per bucket, wherever the bucket moved).
+        Failing that, one whose nonces extend the last header's ACV *at the
+        same index* (same modulus, old nonces a strict prefix) -- a join
+        that grew the capacity and kept the factorization -- continues a
+        copy of that memo padded for the appended nonces.  Any other starts
+        empty.  What the last header had and this one lacks is dropped, so
+        a rekey with fresh nonces -- every revoke and every join that
+        re-solves -- replaces the entry wholesale.  Matching by index keeps
+        the scan linear in the buckets, hostile headers included.
         """
         key = (config_id, css)
-        last = self._kev_memo.get(key, {})
+        last = self._kev_memo.get(key, [])
+        exact = dict(last)
         current: Dict[tuple, List[Optional[int]]] = {}
-        memos = []
-        for acv in acvs:
+        entry = []
+        for index, acv in enumerate(acvs):
             nonces = (acv.q, acv.zs)
-            memo = current.get(nonces)
+            memo = current.get(nonces) or exact.get(nonces)
+            if memo is None and index < len(last):
+                (q, zs), old = last[index]
+                if q == acv.q and len(zs) < acv.capacity and acv.zs[: len(zs)] == zs:
+                    memo = old + [None] * (acv.capacity - len(zs))
             if memo is None:
-                memo = last.get(nonces) or [None] * acv.capacity
-                current[nonces] = memo
-            memos.append(memo)
-        self._kev_memo[key] = current
+                memo = [None] * acv.capacity
+            current[nonces] = memo
+            entry.append((nonces, memo))
+        self._kev_memo[key] = entry
         self._kev_memo.move_to_end(key)
         while len(self._kev_memo) > KEV_MEMO_ENTRIES:
             self._kev_memo.popitem(last=False)
-        return memos
+        return [memo for _, memo in entry]
 
     def receive(self, package: BroadcastPackage) -> Dict[str, bytes]:
         """Decrypt every subdocument this Sub is authorized for.

@@ -1,5 +1,7 @@
 """Serialization tests for broadcast packages."""
 
+import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -42,6 +44,21 @@ class TestRoundtrip:
         assert parsed.header_for("pc0").acv is None
         assert parsed.header_for("pc1").acv is not None
 
+    def test_parsed_keying_header_decodes_on_first_use(self, rng):
+        pkg = sample_package(rng)
+        raw = pkg.to_bytes()
+        parsed = BroadcastPackage.from_bytes(raw)
+        header = parsed.header_for("pc1")
+        assert "acv" not in vars(header)
+        # Byte for byte and picklable while still undecoded ...
+        assert parsed.to_bytes() == raw
+        assert pickle.loads(pickle.dumps(header)) == pkg.headers[0]
+        assert replace(header, policies=()).acv == pkg.headers[0].acv
+        assert "acv" in vars(header)  # replace() read it
+        # ... and equal on content once decoded.
+        assert header == pkg.headers[0]
+        assert replace(header, acv=None).acv is None
+
     def test_unicode_names(self, rng):
         pkg = BroadcastPackage(
             document="docué.xml",
@@ -77,3 +94,19 @@ class TestMalformed:
     def test_empty_input(self):
         with pytest.raises(SerializationError):
             BroadcastPackage.from_bytes(b"")
+
+    def test_repeated_config_id(self, rng):
+        # header_for would answer with the first header and a receiver
+        # keyed by id would keep the last: the parse refuses the repeat.
+        pkg = sample_package(rng)
+        first = pkg.headers[0]
+        repeated = replace(pkg, headers=(first, replace(first, acv=None)))
+        with pytest.raises(SerializationError, match="configuration id"):
+            BroadcastPackage.from_bytes(repeated.to_bytes())
+
+    def test_repeated_subdocument_name(self, rng):
+        pkg = sample_package(rng)
+        a, b = pkg.subdocuments
+        repeated = replace(pkg, subdocuments=(a, replace(b, name=a.name)))
+        with pytest.raises(SerializationError, match="subdocument name"):
+            BroadcastPackage.from_bytes(repeated.to_bytes())

@@ -15,7 +15,7 @@ import struct
 import pytest
 
 from repro.errors import ReproError, SerializationError
-from repro.gkm.acv import FAST_FIELD, AcvBgkm, AcvHeader
+from repro.gkm.acv import FAST_FIELD, PAPER_FIELD, AcvBgkm, AcvHeader
 from repro.gkm.buckets import MAX_BUCKETS, BucketedHeader
 from repro.gkm.strategy import AcvBuildCache, BucketedGkmStrategy
 
@@ -108,6 +108,102 @@ def test_empty_bucket_rejected():
     empty = AcvHeader(q=FAST_FIELD.p, x=(1,), zs=())
     with pytest.raises(SerializationError, match="nonce"):
         BucketedHeader.from_bytes(_wrap([empty.to_bytes()]))
+
+
+def _acv_blob(header, runs, q_raw=None, tail=b""):
+    """``header``'s wire bytes with X written as the given RLE ``runs``:
+    ``("zero", n)`` or ``("literal", [values])``, canonical or not."""
+    if q_raw is None:
+        q_raw = header.q.to_bytes((header.q.bit_length() + 7) // 8, "big")
+    out = bytearray(b"ACV1" + struct.pack(">H", len(q_raw)) + q_raw)
+    out += struct.pack(">IH", len(header.zs), len(header.zs[0]))
+    out += b"".join(header.zs)
+    out += struct.pack(">I", sum(
+        n if kind == "zero" else len(n) for kind, n in runs
+    ))
+    for kind, n in runs:
+        if kind == "zero":
+            out += b"\x00" + struct.pack(">I", n)
+        else:
+            out += b"\x01" + struct.pack(">H", len(n))
+            out += b"".join(v.to_bytes(len(q_raw), "big") for v in n)
+    return bytes(out + tail)
+
+
+def _canonical_runs(x):
+    """The runs :meth:`AcvHeader.to_bytes` writes for ``x``."""
+    runs = []
+    for value in x:
+        if value == 0:
+            if runs and runs[-1][0] == "zero":
+                runs[-1] = ("zero", runs[-1][1] + 1)
+            else:
+                runs.append(("zero", 1))
+        elif runs and runs[-1][0] == "literal" and len(runs[-1][1]) < 0xFFFF:
+            runs[-1][1].append(value)
+        else:
+            runs.append(("literal", [value]))
+    return runs
+
+
+def test_canonical_blob_helper_matches_to_bytes():
+    for bucket in HEADER.buckets:
+        assert _acv_blob(bucket, _canonical_runs(bucket.x)) == bucket.to_bytes()
+
+
+@pytest.mark.parametrize(
+    "runs,reason",
+    [
+        ([("literal", [5]), ("zero", 0), ("literal", [7])], "empty zero run"),
+        ([("literal", []), ("zero", 1), ("literal", [7])], "empty literal run"),
+        ([("literal", [5]), ("zero", 1), ("zero", 1)], "two zero runs"),
+        ([("literal", [5, 0, 7])], "zero inside a literal run"),
+        ([("literal", [5]), ("literal", [7, 9])], "split in two"),
+    ],
+)
+@pytest.mark.parametrize("field", [FAST_FIELD, PAPER_FIELD], ids=["fast", "paper"])
+def test_non_canonical_runs_rejected(runs, reason, field):
+    # Each decodes (at the parent) to the same X as some canonical
+    # encoding; the literal check covers the one-call widths and the
+    # per-element path (PAPER_FIELD's 10-byte elements) alike.
+    header = AcvHeader(q=field.p, x=(), zs=(b"\x01\x02\x03\x04",) * 2)
+    with pytest.raises(SerializationError, match=reason):
+        AcvHeader.from_bytes(_acv_blob(header, runs))
+    with pytest.raises(SerializationError, match=reason):
+        AcvHeader.validate(_acv_blob(header, runs))
+
+
+def test_modulus_with_a_leading_zero_and_trailing_bytes_rejected():
+    bucket = HEADER.buckets[0]
+    runs = _canonical_runs(bucket.x)
+    q_raw = b"\x00" + bucket.q.to_bytes(4, "big")
+    with pytest.raises(SerializationError, match="leading zero"):
+        AcvHeader.from_bytes(_acv_blob(bucket, runs, q_raw=q_raw))
+    with pytest.raises(SerializationError, match="trailing"):
+        AcvHeader.from_bytes(_acv_blob(bucket, runs, tail=b"\x00"))
+
+
+def test_full_literal_run_may_continue():
+    # to_bytes splits a literal run at 0xFFFF elements: the continuation
+    # is canonical and round-trips byte for byte.
+    header = AcvHeader(q=FAST_FIELD.p, x=tuple(range(1, 0x10003)), zs=(b"zzzz",))
+    raw = header.to_bytes()
+    assert [kind for kind, _ in _canonical_runs(header.x)] == ["literal"] * 2
+    assert AcvHeader.from_bytes(raw) == header
+    assert AcvHeader.from_bytes(raw).to_bytes() == raw
+
+
+def test_two_content_equal_buckets_rejected():
+    # A second copy of a bucket with an empty zero run spliced in decoded
+    # to an equal header under different bytes, so the duplicate check
+    # (on bytes) let the pair through.  The walker now refuses the copy.
+    bucket = HEADER.buckets[0]
+    twin = _acv_blob(bucket, [("zero", 0)] + _canonical_runs(bucket.x))
+    assert twin != bucket.to_bytes()
+    with pytest.raises(SerializationError, match="empty zero run"):
+        BucketedHeader.from_bytes(_wrap([bucket.to_bytes(), twin]))
+    with pytest.raises(SerializationError, match="duplicate"):
+        BucketedHeader.from_bytes(_wrap([bucket.to_bytes(), bucket.to_bytes()]))
 
 
 def test_garbage_bucket_bytes_rejected():

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from repro.crypto.pedersen import PedersenParams
 from repro.crypto.symmetric import AesCtrHmacCipher
 from repro.documents import Document
+from repro.documents import package as package_module
 from repro.documents.package import BroadcastPackage, ConfigHeader
 from repro.errors import KeyDerivationError
 from repro.gkm.acv import FAST_FIELD, AcvHeader
@@ -333,13 +334,135 @@ def test_incremental_join_computes_only_the_missing_coordinates(counting_hash):
         assert client.latest_plaintexts() == world.entitled(client, document)
 
 
+def _values(package, subscriber):
+    """``{(config id, CSS tuple, q, nonce)}``: every Eq. 2 value a receive
+    of ``package`` by ``subscriber`` needs (a value depends on nothing
+    else)."""
+    return {
+        (config_id, css, q, zs[j])
+        for (config_id, css, q, zs), coordinates in _coordinates(
+            package, subscriber
+        ).items()
+        for j in coordinates
+    }
+
+
+@pytest.mark.parametrize("gkm", ["dense", "bucketed"])
+def test_capacity_growing_join_costs_only_the_appended_nonces(gkm, counting_hash):
+    """A join at the Eq.-1 capacity extends the factorization with fresh
+    nonces appended to the old ones.  An existing member hashes only the
+    appended nonces it needs; the joiner pays its cold count."""
+    h, calls = counting_hash
+    world = _World(gkm, AesCtrHmacCipher(), hash_fn=h)
+    service, clients = world.service, list(world.clients)
+
+    before = service.publish(_document(1))
+    run_until_idle(clients)
+    joiner = world.join(200)
+    document = _document(2)
+    after = service.publish(document)
+    assert service.publisher.acv_cache_stats()["extends"] >= len(POLICIES)
+    grown = [
+        (old.zs, new.zs)
+        for a, b in zip(before.headers, after.headers)
+        for old, new in zip(_acvs(a), _acvs(b))
+        if old.zs != new.zs
+    ]
+    assert grown and all(
+        len(old) < len(new) and new[: len(old)] == old for old, new in grown
+    )
+    del calls[:]
+    run_until_idle(world.clients)
+
+    expected = sum(
+        len(_values(after, c.subscriber) - _values(before, c.subscriber))
+        for c in clients
+    )
+    assert 0 < expected < _cold_digests(after, clients) // 4
+    assert len(calls) == expected + _cold_digests(after, [joiner])
+    for client in world.clients:
+        assert client.latest_plaintexts() == world.entitled(client, document)
+
+
+@pytest.mark.parametrize("gkm", ["dense", "bucketed"])
+def test_keying_headers_materialized_are_the_headers_derived_from(
+    gkm, monkeypatch
+):
+    """A delivery decodes a keying header only for a configuration the
+    member can open: none for a member without a satisfiable policy, none
+    for the configuration nobody holds a CSS for."""
+    world = _World(gkm, AesCtrHmacCipher())
+    service = world.service
+    outsider = world.join(10)  # below every threshold: no CSS at all
+    materialized = []
+    original = package_module.decode_keying_header
+
+    def counting(raw):
+        materialized.append(raw)
+        return original(raw)
+
+    monkeypatch.setattr(package_module, "decode_keying_header", counting)
+    for seed in (1, 2):
+        package = service.publish(_document(seed))
+        for client in world.clients:
+            del materialized[:]
+            run_until_idle([client])
+            derived_from = {
+                config_id for config_id, _, _, _ in _coordinates(
+                    package, client.subscriber
+                )
+            }
+            assert len(materialized) == len(derived_from)
+            if client is outsider:
+                assert materialized == []
+            else:
+                assert len(materialized) == 2  # body and VIP, never "spare"
+
+
+def test_hostile_prefix_sharing_buckets_leave_the_memo_bounded():
+    """Bucket ``i`` of one hostile header extends bucket ``i`` of the
+    previous one and a prefix of every other bucket: matching by index
+    keeps the memo one list per bucket, never larger than the header."""
+    world = _World("dense", AesCtrHmacCipher(), members=2)
+    service, clients = world.service, world.clients
+    good = service.publish(_document(1))
+    run_until_idle(clients)
+    subscriber = clients[0].subscriber
+    template = good.headers[0]
+    q = template.acv.q
+    nonces = [b"%04d" % i for i in range(402)]
+
+    def nested(first, count):
+        return BucketedHeader(
+            buckets=tuple(
+                AcvHeader(q=q, x=(1,) + (0,) * (n - 1) + (1,), zs=tuple(nonces[:n]))
+                for n in range(first, first + count)
+            )
+        )
+
+    for first in (1, 2, 3):
+        header = nested(first, 400)
+        hostile = ConfigHeader(
+            config_id=template.config_id, policies=template.policies, acv=header
+        )
+        assert subscriber.receive(_hostile_package(hostile)) == {}
+        (entry,) = [
+            e for (config_id, _), e in subscriber._kev_memo.items()
+            if config_id == template.config_id
+        ]
+        assert [len(values) for _, values in entry] == [
+            acv.capacity for acv in header.buckets
+        ]
+        assert len(subscriber._kev_memo) <= KEV_MEMO_ENTRIES
+
+
 def _remembered(subscriber):
     """``[(CSS tuple, (q, nonces), values)]``: a copy of everything in the
     subscriber's KEV memo."""
     return [
         (css, nonces, list(values))
         for (_, css), entry in subscriber._kev_memo.items()
-        for nonces, values in entry.items()
+        for nonces, values in entry
     ]
 
 
@@ -501,7 +624,7 @@ def test_hostile_headers_fail_typed_and_leave_the_memo_bounded():
     slots = sum(
         len(values)
         for entry in subscriber._kev_memo.values()
-        for values in entry.values()
+        for _, values in entry
     )
     assert slots == KEV_MEMO_ENTRIES * acv.capacity
 
