@@ -57,7 +57,8 @@ PAPER_FIELD = PrimeField(604462909807314587353111, check_prime=False)
 #: Word-sized field: elimination vectorises through the numpy kernel.
 FAST_FIELD = PrimeField(1073741827, check_prime=False)
 
-_MAGIC = b"ACV1"
+#: The format tag every ACV keying header starts with.
+ACV_MAGIC = b"ACV1"
 
 
 def _auto_z_bytes(n: int) -> int:
@@ -115,7 +116,7 @@ def _walk(
     from the returned offsets, :meth:`AcvHeader.validate` drops them.
     """
     try:
-        if data[:4] != _MAGIC:
+        if data[:4] != ACV_MAGIC:
             raise SerializationError("bad magic")
         (q_len,) = struct.unpack_from(">H", data, 4)
         offset = 6 + q_len
@@ -219,7 +220,7 @@ class AcvHeader:
         q_raw = self.q.to_bytes((self.q.bit_length() + 7) // 8, "big")
         z_len = len(self.zs[0]) if self.zs else 0
         out = bytearray()
-        out += _MAGIC
+        out += ACV_MAGIC
         out += struct.pack(">H", len(q_raw))
         out += q_raw
         out += struct.pack(">IH", len(self.zs), z_len)

@@ -34,7 +34,8 @@ __all__ = [
     "auto_bucket_size",
 ]
 
-_MAGIC = b"BKT1"
+#: The format tag every bucketed keying header starts with.
+BKT_MAGIC = b"BKT1"
 
 #: Hard cap on buckets per header.  Far above any sane layout (the auto
 #: policy yields ~sqrt(m) buckets) but small enough that a forged count
@@ -49,7 +50,7 @@ class BucketedHeader:
     buckets: Tuple[AcvHeader, ...]
 
     def to_bytes(self) -> bytes:
-        out = bytearray(_MAGIC)
+        out = bytearray(BKT_MAGIC)
         out += struct.pack(">I", len(self.buckets))
         for header in self.buckets:
             raw = header.to_bytes()
@@ -88,7 +89,7 @@ def _walk(data: bytes, bucket: Callable[[bytes], T]) -> List[T]:
     its nonce check refuses an empty bucket (capacity 0).
     """
     try:
-        if data[:4] != _MAGIC:
+        if data[:4] != BKT_MAGIC:
             raise SerializationError("bad magic")
         offset = 4
         (count,) = struct.unpack_from(">I", data, offset)

@@ -43,8 +43,8 @@ from collections import Counter, OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import InvalidParameterError, SerializationError
-from repro.gkm.acv import AcvBgkm, AcvFactorization, AcvHeader
-from repro.gkm.buckets import BucketedHeader, auto_bucket_size
+from repro.gkm.acv import ACV_MAGIC, AcvBgkm, AcvFactorization, AcvHeader
+from repro.gkm.buckets import BKT_MAGIC, BucketedHeader, auto_bucket_size
 from repro.obs.metrics import get_registry
 from repro.obs.trace import stage
 
@@ -65,16 +65,13 @@ GKM_STRATEGIES = ("dense", "bucketed")
 #: What a :class:`~repro.documents.package.ConfigHeader` may carry.
 KeyingHeader = Union[AcvHeader, BucketedHeader]
 
-_ACV_MAGIC = b"ACV1"
-_BKT_MAGIC = b"BKT1"
-
 
 def _keying_format(data: bytes):
     """The header class a keying payload's magic tag names."""
     magic = data[:4]
-    if magic == _ACV_MAGIC:
+    if magic == ACV_MAGIC:
         return AcvHeader
-    if magic == _BKT_MAGIC:
+    if magic == BKT_MAGIC:
         return BucketedHeader
     raise SerializationError("unknown keying header magic %r" % magic)
 

@@ -160,6 +160,8 @@ class EllipticCurveGroup(CyclicGroup):
             raise GroupError("malformed point encoding")
         x = int.from_bytes(data[1 : 1 + self._coord_len], "big")
         y = int.from_bytes(data[1 + self._coord_len :], "big")
+        if x >= self.params.p or y >= self.params.p:
+            raise GroupError("non-canonical point encoding: coordinate not reduced")
         return self.point(x, y)
 
     def __eq__(self, other: object) -> bool:

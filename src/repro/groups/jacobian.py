@@ -182,6 +182,8 @@ class GenusTwoJacobian(CyclicGroup):
         vals = [
             int.from_bytes(data[1 + i * w : 1 + (i + 1) * w], "big") for i in range(4)
         ]
+        if max(vals) >= self.params.q:
+            raise GroupError("non-canonical divisor encoding: coordinate not reduced")
         u0, u1, v0, v1 = vals
         fe = self.field
         if deg == 0:

@@ -85,7 +85,10 @@ class SchnorrGroup(CyclicGroup):
             raise GroupError(
                 "expected %d bytes, got %d" % (self._byte_len, len(data))
             )
-        return self.element(int.from_bytes(data, "big"))
+        value = int.from_bytes(data, "big")
+        if value >= self.p:
+            raise GroupError("non-canonical element encoding: not reduced mod p")
+        return self.element(value)
 
     def __eq__(self, other: object) -> bool:
         return (

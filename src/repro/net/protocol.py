@@ -67,13 +67,22 @@ from typing import Dict, Tuple, Type
 from repro.errors import SerializationError
 from repro.obs.trace import TRACE_LEN, ZERO_TRACE
 from repro.wire.codec import (
+    BOOL,
+    BYTES,
+    STR,
+    TRACE,
+    U32,
     Cursor,
+    decode_fields,
     decode_frame,
     encode_frame,
-    pack_bool,
-    pack_bytes,
-    pack_str,
-    pack_u32,
+    fixed,
+    pack_fields,
+    pack_trace,
+    read_fields,
+    read_trace,
+    seq,
+    struct_of,
 )
 
 __all__ = [
@@ -135,51 +144,19 @@ MAX_NAME_LEN = 128
 MAX_RELAY_PATH = 64
 
 
-def pack_trace(trace: bytes) -> bytes:
-    """Encode a trace id as the optional trailing payload field.
-
-    The no-trace value (empty or all zeros) encodes as *nothing*, so
-    untraced frames stay byte-identical to the pre-trace protocol.
-    """
-    if not trace or not any(trace):
-        return b""
-    if len(trace) != TRACE_LEN:
-        raise SerializationError(
-            "trace id must be %d bytes, got %d" % (TRACE_LEN, len(trace))
-        )
-    return bytes(trace)
-
-
-def read_trace(cursor: Cursor) -> bytes:
-    """Read the optional trailing trace id; call after every other field.
-
-    Nothing left means "no trace" (also how every pre-trace frame
-    decodes); exactly :data:`TRACE_LEN` bytes is a trace id; any other
-    trailing length is malformed -- an oversized or truncated trace id
-    is refused rather than truncated or padded.
-    """
-    remaining = cursor.remaining()
-    if remaining == 0:
-        return ZERO_TRACE
-    if remaining != TRACE_LEN:
-        raise SerializationError(
-            "%d trailing bytes are neither empty nor a %d-byte trace id"
-            % (remaining, TRACE_LEN)
-        )
-    return cursor.take(TRACE_LEN)
-
-
 class NetMessage:
-    """Base class: subclasses define ``TYPE_ID`` and the payload codec."""
+    """Base class: subclasses define ``TYPE_ID`` and their ``FIELDS`` in
+    wire order (:mod:`repro.wire.codec`); ``trace`` is always last."""
 
     TYPE_ID: int = -1
+    FIELDS: tuple = ()
 
     def payload_bytes(self) -> bytes:
-        raise NotImplementedError
+        return pack_fields(self.FIELDS, self)
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "NetMessage":
-        raise NotImplementedError
+        return decode_fields(cls.FIELDS, payload, None, cls)
 
     def encode(self) -> bytes:
         return encode_frame(self.TYPE_ID, self.payload_bytes())
@@ -193,17 +170,7 @@ class Hello(NetMessage):
     trace: bytes = ZERO_TRACE
 
     TYPE_ID = 64
-
-    def payload_bytes(self) -> bytes:
-        return pack_str(self.entity) + pack_trace(self.trace)
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "Hello":
-        cursor = Cursor(payload)
-        entity = cursor.read_str()
-        trace = read_trace(cursor)
-        cursor.expect_end()
-        return cls(entity=entity, trace=trace)
+    FIELDS = (("entity", STR), ("trace", TRACE))
 
 
 @dataclass(frozen=True)
@@ -216,24 +183,7 @@ class Welcome(NetMessage):
     trace: bytes = ZERO_TRACE
 
     TYPE_ID = 65
-
-    def payload_bytes(self) -> bytes:
-        return (
-            pack_bool(self.ok)
-            + pack_str(self.entity)
-            + pack_str(self.reason)
-            + pack_trace(self.trace)
-        )
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "Welcome":
-        cursor = Cursor(payload)
-        ok = cursor.read_bool()
-        entity = cursor.read_str()
-        reason = cursor.read_str()
-        trace = read_trace(cursor)
-        cursor.expect_end()
-        return cls(ok=ok, entity=entity, reason=reason, trace=trace)
+    FIELDS = (("ok", BOOL), ("entity", STR), ("reason", STR), ("trace", TRACE))
 
 
 @dataclass(frozen=True)
@@ -253,35 +203,14 @@ class NetDeliver(NetMessage):
     trace: bytes = ZERO_TRACE
 
     TYPE_ID = 66
-
-    def payload_bytes(self) -> bytes:
-        return (
-            pack_str(self.sender)
-            + pack_str(self.receiver)
-            + pack_str(self.kind)
-            + pack_str(self.note)
-            + pack_bytes(self.payload)
-            + pack_trace(self.trace)
-        )
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "NetDeliver":
-        cursor = Cursor(payload)
-        sender = cursor.read_str()
-        receiver = cursor.read_str()
-        kind = cursor.read_str()
-        note = cursor.read_str()
-        body = cursor.read_bytes()
-        trace = read_trace(cursor)
-        cursor.expect_end()
-        return cls(
-            sender=sender,
-            receiver=receiver,
-            kind=kind,
-            note=note,
-            payload=body,
-            trace=trace,
-        )
+    FIELDS = (
+        ("sender", STR),
+        ("receiver", STR),
+        ("kind", STR),
+        ("note", STR),
+        ("payload", BYTES),
+        ("trace", TRACE),
+    )
 
 
 @dataclass(frozen=True)
@@ -295,28 +224,13 @@ class NetBroadcast(NetMessage):
     trace: bytes = ZERO_TRACE
 
     TYPE_ID = 67
-
-    def payload_bytes(self) -> bytes:
-        return (
-            pack_str(self.sender)
-            + pack_str(self.kind)
-            + pack_str(self.note)
-            + pack_bytes(self.payload)
-            + pack_trace(self.trace)
-        )
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "NetBroadcast":
-        cursor = Cursor(payload)
-        sender = cursor.read_str()
-        kind = cursor.read_str()
-        note = cursor.read_str()
-        body = cursor.read_bytes()
-        trace = read_trace(cursor)
-        cursor.expect_end()
-        return cls(
-            sender=sender, kind=kind, note=note, payload=body, trace=trace
-        )
+    FIELDS = (
+        ("sender", STR),
+        ("kind", STR),
+        ("note", STR),
+        ("payload", BYTES),
+        ("trace", TRACE),
+    )
 
 
 @dataclass(frozen=True)
@@ -327,17 +241,7 @@ class Ack(NetMessage):
     trace: bytes = ZERO_TRACE
 
     TYPE_ID = 68
-
-    def payload_bytes(self) -> bytes:
-        return pack_u32(self.count) + pack_trace(self.trace)
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "Ack":
-        cursor = Cursor(payload)
-        count = cursor.read_u32()
-        trace = read_trace(cursor)
-        cursor.expect_end()
-        return cls(count=count, trace=trace)
+    FIELDS = (("count", U32), ("trace", TRACE))
 
 
 @dataclass(frozen=True)
@@ -358,26 +262,12 @@ class StatsRequest(NetMessage):
     trace: bytes = ZERO_TRACE
 
     TYPE_ID = 69
-
-    def payload_bytes(self) -> bytes:
-        return (
-            pack_bool(self.include_log)
-            + pack_bool(self.metrics)
-            + pack_str(self.entity)
-            + pack_trace(self.trace)
-        )
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "StatsRequest":
-        cursor = Cursor(payload)
-        include_log = cursor.read_bool()
-        metrics = cursor.read_bool()
-        entity = cursor.read_str()
-        trace = read_trace(cursor)
-        cursor.expect_end()
-        return cls(
-            include_log=include_log, metrics=metrics, entity=entity, trace=trace
-        )
+    FIELDS = (
+        ("include_log", BOOL),
+        ("metrics", BOOL),
+        ("entity", STR),
+        ("trace", TRACE),
+    )
 
 
 @dataclass(frozen=True)
@@ -390,24 +280,20 @@ class TrafficRecord:
     size: int
     note: str = ""
 
+    FIELDS = (
+        ("sender", STR),
+        ("receiver", STR),
+        ("kind", STR),
+        ("size", U32),
+        ("note", STR),
+    )
+
     def to_bytes(self) -> bytes:
-        return (
-            pack_str(self.sender)
-            + pack_str(self.receiver)
-            + pack_str(self.kind)
-            + pack_u32(self.size)
-            + pack_str(self.note)
-        )
+        return pack_fields(self.FIELDS, self)
 
     @classmethod
     def read_from(cls, cursor: Cursor) -> "TrafficRecord":
-        return cls(
-            sender=cursor.read_str(),
-            receiver=cursor.read_str(),
-            kind=cursor.read_str(),
-            size=cursor.read_u32(),
-            note=cursor.read_str(),
-        )
+        return read_fields(cls.FIELDS, cursor, None, cls)
 
 
 @dataclass(frozen=True)
@@ -449,6 +335,18 @@ class StatsReply(NetMessage):
     trace: bytes = ZERO_TRACE
 
     TYPE_ID = 70
+    FIELDS = (
+        ("pending", U32),
+        ("in_flight", U32),
+        ("delivered_total", U32),
+        ("dropped", U32),
+        ("log_complete", BOOL),
+        ("log", seq(struct_of(TrafficRecord, TrafficRecord.FIELDS))),
+        ("counters", seq(fixed(STR, U32))),
+        ("entity", STR),
+        ("metrics", BYTES),
+        ("trace", TRACE),
+    )
 
     def counter(self, name: str, default: int = 0) -> int:
         """Look up one named counter (missing -> ``default``)."""
@@ -456,54 +354,6 @@ class StatsReply(NetMessage):
             if key == name:
                 return value
         return default
-
-    def payload_bytes(self) -> bytes:
-        out = (
-            pack_u32(self.pending)
-            + pack_u32(self.in_flight)
-            + pack_u32(self.delivered_total)
-            + pack_u32(self.dropped)
-            + pack_bool(self.log_complete)
-            + pack_u32(len(self.log))
-        )
-        out += b"".join(record.to_bytes() for record in self.log)
-        out += pack_u32(len(self.counters))
-        out += b"".join(
-            pack_str(name) + pack_u32(value) for name, value in self.counters
-        )
-        out += pack_str(self.entity) + pack_bytes(self.metrics)
-        return out + pack_trace(self.trace)
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "StatsReply":
-        cursor = Cursor(payload)
-        pending = cursor.read_u32()
-        in_flight = cursor.read_u32()
-        delivered_total = cursor.read_u32()
-        dropped = cursor.read_u32()
-        log_complete = cursor.read_bool()
-        count = cursor.read_u32()
-        log = tuple(TrafficRecord.read_from(cursor) for _ in range(count))
-        counter_count = cursor.read_u32()
-        counters = tuple(
-            (cursor.read_str(), cursor.read_u32()) for _ in range(counter_count)
-        )
-        entity = cursor.read_str()
-        metrics = cursor.read_bytes()
-        trace = read_trace(cursor)
-        cursor.expect_end()
-        return cls(
-            pending=pending,
-            in_flight=in_flight,
-            delivered_total=delivered_total,
-            dropped=dropped,
-            log_complete=log_complete,
-            log=log,
-            counters=counters,
-            entity=entity,
-            metrics=metrics,
-            trace=trace,
-        )
 
 
 @dataclass(frozen=True)
@@ -518,16 +368,7 @@ class Shutdown(NetMessage):
     trace: bytes = ZERO_TRACE
 
     TYPE_ID = 71
-
-    def payload_bytes(self) -> bytes:
-        return pack_trace(self.trace)
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "Shutdown":
-        cursor = Cursor(payload)
-        trace = read_trace(cursor)
-        cursor.expect_end()
-        return cls(trace=trace)
+    FIELDS = (("trace", TRACE),)
 
 
 @dataclass(frozen=True)
@@ -544,17 +385,7 @@ class RelayHello(NetMessage):
     trace: bytes = ZERO_TRACE
 
     TYPE_ID = 72
-
-    def payload_bytes(self) -> bytes:
-        return pack_str(self.relay_id) + pack_trace(self.trace)
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "RelayHello":
-        cursor = Cursor(payload)
-        relay_id = cursor.read_str()
-        trace = read_trace(cursor)
-        cursor.expect_end()
-        return cls(relay_id=relay_id, trace=trace)
+    FIELDS = (("relay_id", STR), ("trace", TRACE))
 
 
 @dataclass(frozen=True)
@@ -575,34 +406,13 @@ class RelayWelcome(NetMessage):
     trace: bytes = ZERO_TRACE
 
     TYPE_ID = 73
-
-    def payload_bytes(self) -> bytes:
-        out = (
-            pack_bool(self.ok)
-            + pack_str(self.relay_id)
-            + pack_u32(len(self.path))
-        )
-        out += b"".join(pack_str(hop) for hop in self.path)
-        return out + pack_str(self.reason) + pack_trace(self.trace)
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "RelayWelcome":
-        cursor = Cursor(payload)
-        ok = cursor.read_bool()
-        relay_id = cursor.read_str()
-        count = cursor.read_u32()
-        if count > MAX_RELAY_PATH:
-            raise SerializationError(
-                "relay path of %d hops exceeds the %d-hop bound"
-                % (count, MAX_RELAY_PATH)
-            )
-        path = tuple(cursor.read_str() for _ in range(count))
-        reason = cursor.read_str()
-        trace = read_trace(cursor)
-        cursor.expect_end()
-        return cls(
-            ok=ok, relay_id=relay_id, path=path, reason=reason, trace=trace
-        )
+    FIELDS = (
+        ("ok", BOOL),
+        ("relay_id", STR),
+        ("path", seq(STR, bound=MAX_RELAY_PATH)),
+        ("reason", STR),
+        ("trace", TRACE),
+    )
 
 
 @dataclass(frozen=True)
@@ -619,17 +429,7 @@ class RelayAttach(NetMessage):
     trace: bytes = ZERO_TRACE
 
     TYPE_ID = 74
-
-    def payload_bytes(self) -> bytes:
-        return pack_str(self.entity) + pack_trace(self.trace)
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "RelayAttach":
-        cursor = Cursor(payload)
-        entity = cursor.read_str()
-        trace = read_trace(cursor)
-        cursor.expect_end()
-        return cls(entity=entity, trace=trace)
+    FIELDS = (("entity", STR), ("trace", TRACE))
 
 
 @dataclass(frozen=True)
@@ -642,24 +442,7 @@ class RelayAttachReply(NetMessage):
     trace: bytes = ZERO_TRACE
 
     TYPE_ID = 75
-
-    def payload_bytes(self) -> bytes:
-        return (
-            pack_bool(self.ok)
-            + pack_str(self.entity)
-            + pack_str(self.reason)
-            + pack_trace(self.trace)
-        )
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "RelayAttachReply":
-        cursor = Cursor(payload)
-        ok = cursor.read_bool()
-        entity = cursor.read_str()
-        reason = cursor.read_str()
-        trace = read_trace(cursor)
-        cursor.expect_end()
-        return cls(ok=ok, entity=entity, reason=reason, trace=trace)
+    FIELDS = (("ok", BOOL), ("entity", STR), ("reason", STR), ("trace", TRACE))
 
 
 @dataclass(frozen=True)
@@ -674,17 +457,7 @@ class RelayDetach(NetMessage):
     trace: bytes = ZERO_TRACE
 
     TYPE_ID = 76
-
-    def payload_bytes(self) -> bytes:
-        return pack_str(self.entity) + pack_trace(self.trace)
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "RelayDetach":
-        cursor = Cursor(payload)
-        entity = cursor.read_str()
-        trace = read_trace(cursor)
-        cursor.expect_end()
-        return cls(entity=entity, trace=trace)
+    FIELDS = (("entity", STR), ("trace", TRACE))
 
 
 @dataclass(frozen=True)
@@ -708,35 +481,14 @@ class RelayBroadcast(NetMessage):
     trace: bytes = ZERO_TRACE
 
     TYPE_ID = 77
-
-    def payload_bytes(self) -> bytes:
-        return (
-            pack_u32(self.seq)
-            + pack_str(self.sender)
-            + pack_str(self.kind)
-            + pack_str(self.note)
-            + pack_bytes(self.payload)
-            + pack_trace(self.trace)
-        )
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "RelayBroadcast":
-        cursor = Cursor(payload)
-        seq = cursor.read_u32()
-        sender = cursor.read_str()
-        kind = cursor.read_str()
-        note = cursor.read_str()
-        body = cursor.read_bytes()
-        trace = read_trace(cursor)
-        cursor.expect_end()
-        return cls(
-            seq=seq,
-            sender=sender,
-            kind=kind,
-            note=note,
-            payload=body,
-            trace=trace,
-        )
+    FIELDS = (
+        ("seq", U32),
+        ("sender", STR),
+        ("kind", STR),
+        ("note", STR),
+        ("payload", BYTES),
+        ("trace", TRACE),
+    )
 
 
 NET_MESSAGE_TYPES: Dict[int, Type[NetMessage]] = {

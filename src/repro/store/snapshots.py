@@ -14,10 +14,12 @@ Two families share one numeric type-id space (the record framing in
   a CSS extracted on the subscriber side.
 
 Every class mirrors the :mod:`repro.wire.messages` discipline: a stable
-``TYPE_ID``, an exact ``to_bytes`` (``byte_size() == len(to_bytes())``),
-and a bounds-checked ``from_payload`` that raises
-:class:`~repro.errors.SerializationError` on any malformed input --
-recovery must be as hostile-input-proof as the sockets.
+``TYPE_ID`` and its ``FIELDS`` in wire order, from which the record codec
+(:mod:`repro.wire.codec`) derives an exact ``to_bytes``
+(``byte_size() == len(to_bytes())``) and a bounds-checked
+``from_payload`` that raises :class:`~repro.errors.SerializationError`
+on any malformed input -- recovery must be as hostile-input-proof as the
+sockets.
 """
 
 from __future__ import annotations
@@ -31,15 +33,21 @@ from repro.groups.base import CyclicGroup
 from repro.policy.acp import AccessControlPolicy
 from repro.system.identity import IdentityToken
 from repro.wire.codec import (
-    Cursor,
-    pack_bool,
-    pack_bytes,
-    pack_scalar,
-    pack_str,
-    pack_u16,
-    pack_u32,
+    BOOL,
+    BYTES,
+    SCALAR,
+    STR,
+    U16,
+    U32,
+    decode_fields,
+    fixed,
+    member_of,
+    pack_fields,
+    seq,
+    sorted_set,
+    struct_of,
 )
-from repro.wire.messages import pack_condition, read_condition
+from repro.wire.messages import CONDITION
 
 __all__ = [
     "StateRecord",
@@ -60,46 +68,35 @@ __all__ = [
 
 
 class StateRecord:
-    """Base class: subclasses define ``TYPE_ID`` and the codec."""
+    """Base class: subclasses define ``TYPE_ID`` and their ``FIELDS`` in
+    wire order (:mod:`repro.wire.codec`)."""
 
     TYPE_ID: int = -1
+    FIELDS: tuple = ()
 
     def to_bytes(self) -> bytes:
-        raise NotImplementedError
+        return pack_fields(self.FIELDS, self)
 
     @classmethod
     def from_payload(cls, payload: bytes, group: CyclicGroup) -> "StateRecord":
-        raise NotImplementedError
+        return decode_fields(cls.FIELDS, payload, group, cls)
 
     def byte_size(self) -> int:
         """Exact encoded size: ``len(self.to_bytes())``."""
         return len(self.to_bytes())
 
 
-def _pack_policy(policy: AccessControlPolicy) -> bytes:
-    out = bytearray(pack_u16(len(policy.conditions)))
-    for condition in policy.conditions:
-        out += pack_condition(condition)
-    objects = sorted(policy.objects)
-    out += pack_u16(len(objects))
-    for name in objects:
-        out += pack_str(name)
-    out += pack_str(policy.document)
-    return bytes(out)
-
-
-def _read_policy(cursor: Cursor) -> AccessControlPolicy:
-    conditions = tuple(
-        read_condition(cursor) for _ in range(cursor.read_u16())
-    )
-    objects = frozenset(cursor.read_str() for _ in range(cursor.read_u16()))
-    document = cursor.read_str()
-    try:
-        return AccessControlPolicy(
-            conditions=conditions, objects=objects, document=document
-        )
-    except Exception as exc:  # empty conditions/objects: PolicyParseError
-        raise SerializationError("invalid policy in snapshot: %s" % exc) from exc
+POLICY = struct_of(
+    AccessControlPolicy,
+    (
+        ("conditions", seq(CONDITION, U16)),
+        ("objects", sorted_set(STR)),
+        ("document", STR),
+    ),
+)
+GKM = member_of(STR, GKM_STRATEGIES, "GKM strategy")
+#: ``(key, secret)`` cells: a CSS-table row's, or a subscriber's cache.
+CSS_CELLS = seq(fixed(STR, BYTES), U16)
 
 
 # -- snapshots ---------------------------------------------------------------
@@ -116,34 +113,12 @@ class IdMgrSnapshot(StateRecord):
     issued: Tuple[Tuple[str, str, bool], ...]
 
     TYPE_ID = 1
-
-    def to_bytes(self) -> bytes:
-        out = bytearray(pack_str(self.group_name))
-        out += pack_scalar(self.signing_key)
-        out += pack_u32(self.nym_counter)
-        out += pack_u32(len(self.issued))
-        for nym, tag, decoy in self.issued:
-            out += pack_str(nym) + pack_str(tag) + pack_bool(decoy)
-        return bytes(out)
-
-    @classmethod
-    def from_payload(cls, payload: bytes, group: CyclicGroup) -> "IdMgrSnapshot":
-        cursor = Cursor(payload)
-        group_name = cursor.read_str()
-        signing_key = cursor.read_scalar()
-        nym_counter = cursor.read_u32()
-        count = cursor.read_u32()
-        issued = tuple(
-            (cursor.read_str(), cursor.read_str(), cursor.read_bool())
-            for _ in range(count)
-        )
-        cursor.expect_end()
-        return cls(
-            group_name=group_name,
-            signing_key=signing_key,
-            nym_counter=nym_counter,
-            issued=issued,
-        )
+    FIELDS = (
+        ("group_name", STR),
+        ("signing_key", SCALAR),
+        ("nym_counter", U32),
+        ("issued", seq(fixed(STR, STR, BOOL))),
+    )
 
 
 @dataclass(frozen=True)
@@ -166,50 +141,14 @@ class PublisherSnapshot(StateRecord):
     gkm_bucket_size: int = 0
 
     TYPE_ID = 2
-
-    def to_bytes(self) -> bytes:
-        out = bytearray(pack_str(self.name))
-        out += pack_u32(self.epoch)
-        out += pack_u16(len(self.policies))
-        for policy in self.policies:
-            out += _pack_policy(policy)
-        out += pack_u32(len(self.table))
-        for nym, cells in self.table:
-            out += pack_str(nym)
-            out += pack_u16(len(cells))
-            for condition_key, css in cells:
-                out += pack_str(condition_key) + pack_bytes(css)
-        out += pack_str(self.gkm)
-        out += pack_u32(self.gkm_bucket_size)
-        return bytes(out)
-
-    @classmethod
-    def from_payload(cls, payload: bytes, group: CyclicGroup) -> "PublisherSnapshot":
-        cursor = Cursor(payload)
-        name = cursor.read_str()
-        epoch = cursor.read_u32()
-        policies = tuple(_read_policy(cursor) for _ in range(cursor.read_u16()))
-        rows = []
-        for _ in range(cursor.read_u32()):
-            nym = cursor.read_str()
-            cells = tuple(
-                (cursor.read_str(), cursor.read_bytes())
-                for _ in range(cursor.read_u16())
-            )
-            rows.append((nym, cells))
-        gkm = cursor.read_str()
-        if gkm not in GKM_STRATEGIES:
-            raise SerializationError("unknown GKM strategy %r in snapshot" % gkm)
-        gkm_bucket_size = cursor.read_u32()
-        cursor.expect_end()
-        return cls(
-            name=name,
-            epoch=epoch,
-            policies=policies,
-            table=tuple(rows),
-            gkm=gkm,
-            gkm_bucket_size=gkm_bucket_size,
-        )
+    FIELDS = (
+        ("name", STR),
+        ("epoch", U32),
+        ("policies", seq(POLICY, U16)),
+        ("table", seq(fixed(STR, CSS_CELLS))),
+        ("gkm", GKM),
+        ("gkm_bucket_size", U32),
+    )
 
 
 @dataclass(frozen=True)
@@ -223,31 +162,11 @@ class SubscriberSnapshot(StateRecord):
     css: Tuple[Tuple[str, bytes], ...]
 
     TYPE_ID = 3
-
-    def to_bytes(self) -> bytes:
-        out = bytearray(pack_str(self.nym))
-        out += pack_u16(len(self.wallet))
-        for token_raw, x, r in self.wallet:
-            out += pack_bytes(token_raw) + pack_scalar(x) + pack_scalar(r)
-        out += pack_u16(len(self.css))
-        for condition_key, css in self.css:
-            out += pack_str(condition_key) + pack_bytes(css)
-        return bytes(out)
-
-    @classmethod
-    def from_payload(cls, payload: bytes, group: CyclicGroup) -> "SubscriberSnapshot":
-        cursor = Cursor(payload)
-        nym = cursor.read_str()
-        wallet = tuple(
-            (cursor.read_bytes(), cursor.read_scalar(), cursor.read_scalar())
-            for _ in range(cursor.read_u16())
-        )
-        css = tuple(
-            (cursor.read_str(), cursor.read_bytes())
-            for _ in range(cursor.read_u16())
-        )
-        cursor.expect_end()
-        return cls(nym=nym, wallet=wallet, css=css)
+    FIELDS = (
+        ("nym", STR),
+        ("wallet", seq(fixed(BYTES, SCALAR, SCALAR), U16)),
+        ("css", CSS_CELLS),
+    )
 
     def tokens(self, group: CyclicGroup) -> Tuple[Tuple[IdentityToken, int, int], ...]:
         """The wallet with token bytes decoded against ``group``."""
@@ -269,20 +188,7 @@ class TokenIssuedRecord(StateRecord):
     decoy: bool
 
     TYPE_ID = 16
-
-    def to_bytes(self) -> bytes:
-        return pack_str(self.nym) + pack_str(self.tag) + pack_bool(self.decoy)
-
-    @classmethod
-    def from_payload(cls, payload: bytes, group: CyclicGroup) -> "TokenIssuedRecord":
-        cursor = Cursor(payload)
-        record = cls(
-            nym=cursor.read_str(),
-            tag=cursor.read_str(),
-            decoy=cursor.read_bool(),
-        )
-        cursor.expect_end()
-        return record
+    FIELDS = (("nym", STR), ("tag", STR), ("decoy", BOOL))
 
 
 @dataclass(frozen=True)
@@ -297,24 +203,7 @@ class CssInstalledRecord(StateRecord):
     css: bytes
 
     TYPE_ID = 17
-
-    def to_bytes(self) -> bytes:
-        return (
-            pack_str(self.nym)
-            + pack_str(self.condition_key)
-            + pack_bytes(self.css)
-        )
-
-    @classmethod
-    def from_payload(cls, payload: bytes, group: CyclicGroup) -> "CssInstalledRecord":
-        cursor = Cursor(payload)
-        record = cls(
-            nym=cursor.read_str(),
-            condition_key=cursor.read_str(),
-            css=cursor.read_bytes(),
-        )
-        cursor.expect_end()
-        return record
+    FIELDS = (("nym", STR), ("condition_key", STR), ("css", BYTES))
 
 
 @dataclass(frozen=True)
@@ -325,18 +214,7 @@ class CredentialRevokedRecord(StateRecord):
     condition_key: str
 
     TYPE_ID = 18
-
-    def to_bytes(self) -> bytes:
-        return pack_str(self.nym) + pack_str(self.condition_key)
-
-    @classmethod
-    def from_payload(
-        cls, payload: bytes, group: CyclicGroup
-    ) -> "CredentialRevokedRecord":
-        cursor = Cursor(payload)
-        record = cls(nym=cursor.read_str(), condition_key=cursor.read_str())
-        cursor.expect_end()
-        return record
+    FIELDS = (("nym", STR), ("condition_key", STR))
 
 
 @dataclass(frozen=True)
@@ -346,18 +224,7 @@ class SubscriptionRevokedRecord(StateRecord):
     nym: str
 
     TYPE_ID = 19
-
-    def to_bytes(self) -> bytes:
-        return pack_str(self.nym)
-
-    @classmethod
-    def from_payload(
-        cls, payload: bytes, group: CyclicGroup
-    ) -> "SubscriptionRevokedRecord":
-        cursor = Cursor(payload)
-        record = cls(nym=cursor.read_str())
-        cursor.expect_end()
-        return record
+    FIELDS = (("nym", STR),)
 
 
 @dataclass(frozen=True)
@@ -367,16 +234,7 @@ class EpochAdvancedRecord(StateRecord):
     epoch: int
 
     TYPE_ID = 20
-
-    def to_bytes(self) -> bytes:
-        return pack_u32(self.epoch)
-
-    @classmethod
-    def from_payload(cls, payload: bytes, group: CyclicGroup) -> "EpochAdvancedRecord":
-        cursor = Cursor(payload)
-        record = cls(epoch=cursor.read_u32())
-        cursor.expect_end()
-        return record
+    FIELDS = (("epoch", U32),)
 
 
 @dataclass(frozen=True)
@@ -388,20 +246,7 @@ class TokenHeldRecord(StateRecord):
     r: int
 
     TYPE_ID = 21
-
-    def to_bytes(self) -> bytes:
-        return pack_bytes(self.token_raw) + pack_scalar(self.x) + pack_scalar(self.r)
-
-    @classmethod
-    def from_payload(cls, payload: bytes, group: CyclicGroup) -> "TokenHeldRecord":
-        cursor = Cursor(payload)
-        record = cls(
-            token_raw=cursor.read_bytes(),
-            x=cursor.read_scalar(),
-            r=cursor.read_scalar(),
-        )
-        cursor.expect_end()
-        return record
+    FIELDS = (("token_raw", BYTES), ("x", SCALAR), ("r", SCALAR))
 
     def token(self, group: CyclicGroup) -> IdentityToken:
         return IdentityToken.from_bytes(self.token_raw, group)
@@ -415,16 +260,7 @@ class CssExtractedRecord(StateRecord):
     css: bytes
 
     TYPE_ID = 22
-
-    def to_bytes(self) -> bytes:
-        return pack_str(self.condition_key) + pack_bytes(self.css)
-
-    @classmethod
-    def from_payload(cls, payload: bytes, group: CyclicGroup) -> "CssExtractedRecord":
-        cursor = Cursor(payload)
-        record = cls(condition_key=cursor.read_str(), css=cursor.read_bytes())
-        cursor.expect_end()
-        return record
+    FIELDS = (("condition_key", STR), ("css", BYTES))
 
 
 @dataclass(frozen=True)
@@ -439,21 +275,7 @@ class GkmStrategyChangedRecord(StateRecord):
     gkm_bucket_size: int
 
     TYPE_ID = 23
-
-    def to_bytes(self) -> bytes:
-        return pack_str(self.gkm) + pack_u32(self.gkm_bucket_size)
-
-    @classmethod
-    def from_payload(
-        cls, payload: bytes, group: CyclicGroup
-    ) -> "GkmStrategyChangedRecord":
-        cursor = Cursor(payload)
-        gkm = cursor.read_str()
-        if gkm not in GKM_STRATEGIES:
-            raise SerializationError("unknown GKM strategy %r in record" % gkm)
-        record = cls(gkm=gkm, gkm_bucket_size=cursor.read_u32())
-        cursor.expect_end()
-        return record
+    FIELDS = (("gkm", GKM), ("gkm_bucket_size", U32))
 
 
 STORE_RECORD_TYPES: Dict[int, Type[StateRecord]] = {

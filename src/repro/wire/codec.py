@@ -15,15 +15,22 @@ that a single set of rules governs the whole protocol surface:
   ``IndexError`` -- so remote peers cannot crash an entity with garbage.
 
 The :class:`Cursor` reader enforces the bounds checking; the ``pack_*`` /
-``Cursor.read_*`` pairs are inverses by construction.
+``Cursor.read_*`` pairs are inverses by construction, and every reader
+refuses bytes its packer never writes (decoding is canonical).
+
+Records -- every net frame, wire message and store record -- declare
+their fields once, in wire order, as ``FIELDS = (("name", codec), ...)``;
+:func:`pack_fields` and :func:`read_fields` are the one walker that
+encodes and decodes them all (DESIGN.md "Record codec").
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
-from repro.errors import SerializationError
+from repro.errors import ReproError, SerializationError
+from repro.obs.trace import TRACE_LEN, ZERO_TRACE
 
 __all__ = [
     "WIRE_MAGIC",
@@ -41,6 +48,26 @@ __all__ = [
     "pack_scalar",
     "pack_element",
     "read_element",
+    "pack_trace",
+    "read_trace",
+    "Field",
+    "U16",
+    "U32",
+    "BOOL",
+    "STR",
+    "BYTES",
+    "SCALAR",
+    "TRACE",
+    "seq",
+    "fixed",
+    "optional",
+    "sorted_set",
+    "member_of",
+    "blob",
+    "struct_of",
+    "pack_fields",
+    "read_fields",
+    "decode_fields",
     "encode_frame",
     "decode_frame",
     "iter_frames",
@@ -207,13 +234,197 @@ class Cursor:
         return self.take(self.read_u32())
 
     def read_scalar(self) -> int:
-        return int.from_bytes(self.take(self.read_u16()), "big")
+        raw = self.take(self.read_u16())
+        if not raw or (raw[0] == 0 and len(raw) > 1):
+            raise SerializationError("non-canonical scalar: empty or leading zero")
+        return int.from_bytes(raw, "big")
 
     def expect_end(self) -> None:
         if self.remaining():
             raise SerializationError(
                 "%d trailing bytes after message" % self.remaining()
             )
+
+
+def pack_trace(trace: bytes) -> bytes:
+    """Encode a trace id as the optional trailing payload field.
+
+    The no-trace value (empty or all zeros) encodes as *nothing*, so
+    untraced frames stay byte-identical to the pre-trace protocol.
+    """
+    if not trace or not any(trace):
+        return b""
+    if len(trace) != TRACE_LEN:
+        raise SerializationError(
+            "trace id must be %d bytes, got %d" % (TRACE_LEN, len(trace))
+        )
+    return bytes(trace)
+
+
+def read_trace(cursor: Cursor) -> bytes:
+    """Read the optional trailing trace id; call after every other field.
+
+    Nothing left means "no trace" (also how every pre-trace frame
+    decodes); exactly :data:`TRACE_LEN` bytes, not all zero, is a trace
+    id; any other trailing length is malformed -- an oversized or truncated trace
+    id is refused rather than truncated or padded -- and so is an
+    explicit all-zero id, which the encoder writes by omission.
+    """
+    remaining = cursor.remaining()
+    if remaining == 0:
+        return ZERO_TRACE
+    if remaining != TRACE_LEN:
+        raise SerializationError(
+            "%d trailing bytes are neither empty nor a %d-byte trace id"
+            % (remaining, TRACE_LEN)
+        )
+    trace = cursor.take(TRACE_LEN)
+    if trace == ZERO_TRACE:
+        raise SerializationError("explicit all-zero trace id (no trace is omitted)")
+    return trace
+
+
+# -- record codec -----------------------------------------------------------
+
+
+class Field(NamedTuple):
+    """One field's wire form: ``pack(value) -> bytes`` and its inverse
+    ``read(cursor, group) -> value``.  ``group`` is the commitment group
+    (``None`` for net frames); only opaque group-element codecs use it."""
+
+    pack: Callable
+    read: Callable
+
+
+U16 = Field(pack_u16, lambda cursor, group: cursor.read_u16())
+U32 = Field(pack_u32, lambda cursor, group: cursor.read_u32())
+BOOL = Field(pack_bool, lambda cursor, group: cursor.read_bool())
+STR = Field(pack_str, lambda cursor, group: cursor.read_str())
+BYTES = Field(pack_bytes, lambda cursor, group: cursor.read_bytes())
+SCALAR = Field(pack_scalar, lambda cursor, group: cursor.read_scalar())
+#: The trailing trace id, encoded by omission; always the last field.
+TRACE = Field(pack_trace, lambda cursor, group: read_trace(cursor))
+
+
+def seq(item: Field, count: Field = U32, bound: Optional[int] = None) -> Field:
+    """A tuple of ``item``s behind a ``count`` prefix.  ``bound`` caps the
+    count a decoder accepts before it reads a single item."""
+
+    def pack(values) -> bytes:
+        return count.pack(len(values)) + b"".join([item.pack(v) for v in values])
+
+    def read(cursor: Cursor, group) -> tuple:
+        n = count.read(cursor, group)
+        if bound is not None and n > bound:
+            raise SerializationError("%d items exceed the %d-item bound" % (n, bound))
+        return tuple([item.read(cursor, group) for _ in range(n)])
+
+    return Field(pack, read)
+
+
+def fixed(*items: Field) -> Field:
+    """A fixed-arity tuple, its members back to back."""
+
+    def pack(values) -> bytes:
+        return b"".join([f.pack(v) for f, v in zip(items, values, strict=True)])
+
+    def read(cursor: Cursor, group) -> tuple:
+        return tuple([f.read(cursor, group) for f in items])
+
+    return Field(pack, read)
+
+
+def optional(item: Field) -> Field:
+    """``None`` or an ``item``, behind a presence flag."""
+
+    def pack(value) -> bytes:
+        return pack_bool(False) if value is None else pack_bool(True) + item.pack(value)
+
+    def read(cursor: Cursor, group):
+        return item.read(cursor, group) if cursor.read_bool() else None
+
+    return Field(pack, read)
+
+
+def sorted_set(item: Field) -> Field:
+    """A frozenset behind a ``u16`` count, written in ascending order; a
+    decoder refuses any other order and any repeat, so a set has exactly
+    one encoding."""
+    as_seq = seq(item, U16)
+
+    def pack(values) -> bytes:
+        return as_seq.pack(sorted(values))
+
+    def read(cursor: Cursor, group) -> frozenset:
+        values = as_seq.read(cursor, group)
+        if any(a >= b for a, b in zip(values, values[1:])):
+            raise SerializationError("set members not strictly ascending")
+        return frozenset(values)
+
+    return Field(pack, read)
+
+
+def member_of(item: Field, allowed: Sequence, what: str) -> Field:
+    """An ``item`` whose decoded value must be one of ``allowed``."""
+
+    def read(cursor: Cursor, group):
+        value = item.read(cursor, group)
+        if value not in allowed:
+            raise SerializationError("unknown %s %r" % (what, value))
+        return value
+
+    return Field(item.pack, read)
+
+
+def blob(encode: Callable, decode: Callable) -> Field:
+    """An opaque value behind a ``u32`` length: ``encode(value) -> bytes``
+    and ``decode(raw, group) -> value`` are the value's own codec."""
+    return Field(
+        lambda value: pack_bytes(encode(value)),
+        lambda cursor, group: decode(cursor.read_bytes(), group),
+    )
+
+
+def struct_of(factory: Callable, fields) -> Field:
+    """A nested record: ``fields`` walked in place, built by ``factory``."""
+    return Field(
+        lambda value: pack_fields(fields, value),
+        lambda cursor, group: read_fields(fields, cursor, group, factory),
+    )
+
+
+def pack_fields(fields, record) -> bytes:
+    """The walker's encoder: each declared field of ``record``, in order."""
+    return b"".join([field.pack(getattr(record, name)) for name, field in fields])
+
+
+def read_fields(fields, cursor: Cursor, group, factory: Callable):
+    """The walker's decoder: read each declared field, then build.
+
+    A refusal names the field it happened in; a value the constructor
+    refuses is malformed input too, so it surfaces as a
+    :class:`SerializationError` like every other.
+    """
+    values = {}
+    try:
+        for name, field in fields:
+            values[name] = field.read(cursor, group)
+    except SerializationError as exc:
+        raise SerializationError(
+            "%s.%s: %s" % (factory.__name__, name, exc)
+        ) from exc
+    try:
+        return factory(**values)
+    except ReproError as exc:
+        raise SerializationError("invalid %s: %s" % (factory.__name__, exc)) from exc
+
+
+def decode_fields(fields, payload: bytes, group, factory: Callable):
+    """Decode a whole payload: :func:`read_fields`, then nothing left."""
+    cursor = Cursor(payload)
+    record = read_fields(fields, cursor, group, factory)
+    cursor.expect_end()
+    return record
 
 
 # -- frames -----------------------------------------------------------------

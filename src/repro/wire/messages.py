@@ -48,15 +48,21 @@ from repro.system.identity import (
     read_attribute_value,
 )
 from repro.wire.codec import (
+    BOOL,
     DEFAULT_MAX_FRAME_PAYLOAD,
+    SCALAR,
+    STR,
+    U16,
     Cursor,
+    Field,
+    blob,
+    decode_fields,
     decode_frame,
     encode_frame,
-    pack_bool,
-    pack_bytes,
-    pack_scalar,
+    optional,
+    pack_fields,
     pack_str,
-    pack_u16,
+    seq,
 )
 
 __all__ = [
@@ -98,18 +104,35 @@ def read_condition(cursor: Cursor) -> AttributeCondition:
         raise SerializationError("invalid condition on the wire: %s" % exc) from exc
 
 
+#: The opaque field codecs: each value keeps its own encoding.
+CONDITION = Field(pack_condition, lambda cursor, group: read_condition(cursor))
+TOKEN = blob(IdentityToken.to_bytes, IdentityToken.from_bytes)
+ASSERTION = blob(
+    AttributeAssertion.to_bytes, lambda raw, group: AttributeAssertion.from_bytes(raw)
+)
+AUX = blob(encode_aux, decode_aux)
+ENVELOPE = blob(encode_envelope, decode_envelope)
+#: A broadcast package fills the whole payload, unprefixed.
+PACKAGE = Field(
+    BroadcastPackage.to_bytes,
+    lambda cursor, group: BroadcastPackage.from_bytes(cursor.take(cursor.remaining())),
+)
+
+
 class WireMessage:
-    """Base class: subclasses define ``TYPE_ID``, ``KIND`` and the codec."""
+    """Base class: subclasses define ``TYPE_ID``, ``KIND`` and their
+    ``FIELDS`` in wire order (:mod:`repro.wire.codec`)."""
 
     TYPE_ID: int = -1
     KIND: str = "?"
+    FIELDS: tuple = ()
 
     def payload_bytes(self) -> bytes:
-        raise NotImplementedError
+        return pack_fields(self.FIELDS, self)
 
     @classmethod
     def from_payload(cls, payload: bytes, group: CyclicGroup) -> "WireMessage":
-        raise NotImplementedError
+        return decode_fields(cls.FIELDS, payload, group, cls)
 
     def encode(self, max_payload: int = DEFAULT_MAX_FRAME_PAYLOAD) -> bytes:
         """The complete frame for this message.
@@ -133,16 +156,7 @@ class ConditionQuery(WireMessage):
 
     TYPE_ID = 1
     KIND = "condition-query"
-
-    def payload_bytes(self) -> bytes:
-        return pack_str(self.attribute)
-
-    @classmethod
-    def from_payload(cls, payload: bytes, group: CyclicGroup) -> "ConditionQuery":
-        cursor = Cursor(payload)
-        attribute = cursor.read_str()
-        cursor.expect_end()
-        return cls(attribute=attribute)
+    FIELDS = (("attribute", STR),)
 
 
 @dataclass(frozen=True)
@@ -154,22 +168,7 @@ class ConditionList(WireMessage):
 
     TYPE_ID = 2
     KIND = "condition-list"
-
-    def payload_bytes(self) -> bytes:
-        out = bytearray(pack_str(self.attribute))
-        out += pack_u16(len(self.conditions))
-        for condition in self.conditions:
-            out += pack_condition(condition)
-        return bytes(out)
-
-    @classmethod
-    def from_payload(cls, payload: bytes, group: CyclicGroup) -> "ConditionList":
-        cursor = Cursor(payload)
-        attribute = cursor.read_str()
-        count = cursor.read_u16()
-        conditions = tuple(read_condition(cursor) for _ in range(count))
-        cursor.expect_end()
-        return cls(attribute=attribute, conditions=conditions)
+    FIELDS = (("attribute", STR), ("conditions", seq(CONDITION, U16)))
 
 
 @dataclass(frozen=True)
@@ -182,22 +181,7 @@ class RegistrationRequest(WireMessage):
 
     TYPE_ID = 3
     KIND = "token+condition-request"
-
-    def payload_bytes(self) -> bytes:
-        return (
-            pack_str(self.nym)
-            + pack_str(self.condition_key)
-            + pack_bytes(self.token.to_bytes())
-        )
-
-    @classmethod
-    def from_payload(cls, payload: bytes, group: CyclicGroup) -> "RegistrationRequest":
-        cursor = Cursor(payload)
-        nym = cursor.read_str()
-        condition_key = cursor.read_str()
-        token = IdentityToken.from_bytes(cursor.read_bytes(), group)
-        cursor.expect_end()
-        return cls(nym=nym, condition_key=condition_key, token=token)
+    FIELDS = (("nym", STR), ("condition_key", STR), ("token", TOKEN))
 
 
 @dataclass(frozen=True)
@@ -212,24 +196,12 @@ class RegistrationAck(WireMessage):
 
     TYPE_ID = 4
     KIND = "registration-ack"
-
-    def payload_bytes(self) -> bytes:
-        return (
-            pack_str(self.nym)
-            + pack_str(self.condition_key)
-            + pack_bool(self.ok)
-            + pack_str(self.reason)
-        )
-
-    @classmethod
-    def from_payload(cls, payload: bytes, group: CyclicGroup) -> "RegistrationAck":
-        cursor = Cursor(payload)
-        nym = cursor.read_str()
-        condition_key = cursor.read_str()
-        ok = cursor.read_bool()
-        reason = cursor.read_str()
-        cursor.expect_end()
-        return cls(nym=nym, condition_key=condition_key, ok=ok, reason=reason)
+    FIELDS = (
+        ("nym", STR),
+        ("condition_key", STR),
+        ("ok", BOOL),
+        ("reason", STR),
+    )
 
 
 @dataclass(frozen=True)
@@ -243,22 +215,7 @@ class AuxCommitments(WireMessage):
 
     TYPE_ID = 5
     KIND = "ocbe-bit-commitments"
-
-    def payload_bytes(self) -> bytes:
-        return (
-            pack_str(self.nym)
-            + pack_str(self.condition_key)
-            + pack_bytes(encode_aux(self.aux))
-        )
-
-    @classmethod
-    def from_payload(cls, payload: bytes, group: CyclicGroup) -> "AuxCommitments":
-        cursor = Cursor(payload)
-        nym = cursor.read_str()
-        condition_key = cursor.read_str()
-        aux = decode_aux(cursor.read_bytes(), group)
-        cursor.expect_end()
-        return cls(nym=nym, condition_key=condition_key, aux=aux)
+    FIELDS = (("nym", STR), ("condition_key", STR), ("aux", AUX))
 
 
 @dataclass(frozen=True)
@@ -271,22 +228,7 @@ class OCBEEnvelope(WireMessage):
 
     TYPE_ID = 6
     KIND = "ocbe-envelope"
-
-    def payload_bytes(self) -> bytes:
-        return (
-            pack_str(self.nym)
-            + pack_str(self.condition_key)
-            + pack_bytes(encode_envelope(self.envelope))
-        )
-
-    @classmethod
-    def from_payload(cls, payload: bytes, group: CyclicGroup) -> "OCBEEnvelope":
-        cursor = Cursor(payload)
-        nym = cursor.read_str()
-        condition_key = cursor.read_str()
-        envelope = decode_envelope(cursor.read_bytes(), group)
-        cursor.expect_end()
-        return cls(nym=nym, condition_key=condition_key, envelope=envelope)
+    FIELDS = (("nym", STR), ("condition_key", STR), ("envelope", ENVELOPE))
 
 
 @dataclass(frozen=True)
@@ -300,29 +242,12 @@ class TokenRequest(WireMessage):
 
     TYPE_ID = 7
     KIND = "token-request"
-
-    def payload_bytes(self) -> bytes:
-        out = bytearray(pack_str(self.nym))
-        out += pack_str(self.attribute)
-        out += pack_bool(self.decoy)
-        out += pack_bool(self.assertion is not None)
-        if self.assertion is not None:
-            out += pack_bytes(self.assertion.to_bytes())
-        return bytes(out)
-
-    @classmethod
-    def from_payload(cls, payload: bytes, group: CyclicGroup) -> "TokenRequest":
-        cursor = Cursor(payload)
-        nym = cursor.read_str()
-        attribute = cursor.read_str()
-        decoy = cursor.read_bool()
-        assertion = (
-            AttributeAssertion.from_bytes(cursor.read_bytes())
-            if cursor.read_bool()
-            else None
-        )
-        cursor.expect_end()
-        return cls(nym=nym, attribute=attribute, assertion=assertion, decoy=decoy)
+    FIELDS = (
+        ("nym", STR),
+        ("attribute", STR),
+        ("decoy", BOOL),
+        ("assertion", optional(ASSERTION)),
+    )
 
 
 @dataclass(frozen=True)
@@ -335,20 +260,7 @@ class TokenGrant(WireMessage):
 
     TYPE_ID = 8
     KIND = "token-grant"
-
-    def payload_bytes(self) -> bytes:
-        return pack_bytes(self.token.to_bytes()) + pack_scalar(self.x) + pack_scalar(
-            self.r
-        )
-
-    @classmethod
-    def from_payload(cls, payload: bytes, group: CyclicGroup) -> "TokenGrant":
-        cursor = Cursor(payload)
-        token = IdentityToken.from_bytes(cursor.read_bytes(), group)
-        x = cursor.read_scalar()
-        r = cursor.read_scalar()
-        cursor.expect_end()
-        return cls(token=token, x=x, r=r)
+    FIELDS = (("token", TOKEN), ("x", SCALAR), ("r", SCALAR))
 
 
 @dataclass(frozen=True)
@@ -359,13 +271,7 @@ class BroadcastMessage(WireMessage):
 
     TYPE_ID = 9
     KIND = "broadcast-package"
-
-    def payload_bytes(self) -> bytes:
-        return self.package.to_bytes()
-
-    @classmethod
-    def from_payload(cls, payload: bytes, group: CyclicGroup) -> "BroadcastMessage":
-        return cls(package=BroadcastPackage.from_bytes(payload))
+    FIELDS = (("package", PACKAGE),)
 
 
 MESSAGE_TYPES: Dict[int, Type[WireMessage]] = {

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import GroupError, InvalidParameterError, NotOnCurveError
+from repro.errors import (
+    GroupError,
+    InvalidParameterError,
+    NoSquareRootError,
+    NotOnCurveError,
+)
 from repro.groups.elliptic import CurveParams, EllipticCurveGroup, naf_digits
 from repro.groups.params import NIST_P192, NIST_P256, SECP256K1
 from repro.mathx.primes import is_prime
@@ -219,6 +224,20 @@ class TestPointsAndEncoding:
             # right length, not on curve
             bad = b"\x04" + (1).to_bytes(24, "big") + (1).to_bytes(24, "big")
             p192.element_from_bytes(bad)
+
+    def test_unreduced_coordinate_refused(self, p192):
+        # x and x + p name the same point; only the reduced x is canonical.
+        p = p192.params.p
+        for x in range(1, 64):
+            try:
+                point = p192.lift_x(x)
+            except NoSquareRootError:
+                continue
+            raw = b"\x04" + (x + p).to_bytes(24, "big") + point.y.to_bytes(24, "big")
+            with pytest.raises(GroupError, match="non-canonical"):
+                p192.element_from_bytes(raw)
+            return
+        pytest.fail("no small x on the curve")
 
     def test_hash_to_element(self, p192):
         a = p192.hash_to_element(b"tag-1")

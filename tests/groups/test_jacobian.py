@@ -179,6 +179,15 @@ class TestSerializationAndHashing:
         with pytest.raises(GroupError):
             jac.element_from_bytes(bytes(raw))
 
+    def test_unreduced_coordinate_refused(self, jac):
+        # u0 and u0 + q name the same divisor; only the reduced u0 is canonical.
+        raw = bytearray(jac.random_element(random.Random(8)).to_bytes())
+        width = (jac.params.q.bit_length() + 7) // 8
+        u0 = int.from_bytes(raw[1 : 1 + width], "big")
+        raw[1 : 1 + width] = (u0 + jac.params.q).to_bytes(width, "big")
+        with pytest.raises(GroupError, match="non-canonical"):
+            jac.element_from_bytes(bytes(raw))
+
     def test_hash_to_element_distinct(self, jac):
         assert jac.hash_to_element(b"t1") != jac.hash_to_element(b"t2")
         assert jac.hash_to_element(b"t1") == jac.hash_to_element(b"t1")

@@ -87,6 +87,13 @@ class TestSerializationAndHashing:
         with pytest.raises(GroupError):
             toy.element_from_bytes(b"\x00\x01\x02")
 
+    def test_unreduced_value_refused(self, toy):
+        # v and v + p name the same element; only the reduced v is canonical.
+        e = toy.generator()
+        raw = (e.value + toy.p).to_bytes(len(e.to_bytes()), "big")
+        with pytest.raises(GroupError, match="non-canonical"):
+            toy.element_from_bytes(raw)
+
     def test_hash_to_element_in_subgroup(self, toy):
         e = toy.hash_to_element(b"tag")
         assert pow(e.value, toy.order, toy.p) == 1

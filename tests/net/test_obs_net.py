@@ -54,6 +54,15 @@ def test_hostile_trace_lengths_refused(message, junk):
         type(message).from_payload(payload + b"\xaa" * junk)
 
 
+@pytest.mark.parametrize("message", SAMPLES, ids=lambda m: type(m).__name__)
+def test_explicit_zero_trace_refused(message):
+    """"No trace" has exactly one encoding, omission: sixteen explicit
+    zero bytes are bytes no encoder writes."""
+    payload = dataclasses.replace(message, trace=b"").payload_bytes()
+    with pytest.raises(SerializationError, match="all-zero trace"):
+        type(message).from_payload(payload + ZERO_TRACE)
+
+
 def test_pack_trace_refuses_wrong_length():
     with pytest.raises(SerializationError, match="16 bytes"):
         pack_trace(b"\x01" * 15)

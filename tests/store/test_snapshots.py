@@ -9,6 +9,7 @@ payload must raise :class:`SerializationError` (or a
 import pytest
 
 from repro.errors import ReproError, SerializationError
+from repro.policy.acp import parse_policy
 from repro.store.snapshots import (
     STORE_RECORD_TYPES,
     CredentialRevokedRecord,
@@ -24,6 +25,7 @@ from repro.store.snapshots import (
     TokenIssuedRecord,
     decode_state,
 )
+from repro.wire.codec import pack_str, pack_u16
 from tests.store.conftest import build_world
 
 
@@ -145,6 +147,20 @@ def test_type_ids_are_unique_and_stable():
         for cls in STORE_RECORD_TYPES.values()
         if "Snapshot" not in cls.__name__
     ) == 16
+
+
+def test_unsorted_or_repeated_policy_objects_refused(group):
+    """A policy's object set is written ascending; ``b, a, a`` would decode
+    to the set ``{a, b}`` and re-encode differently, so it is refused."""
+    policy = parse_policy("role = doc", ["a", "b"], "report")
+    snapshot = PublisherSnapshot(name="pub", epoch=0, policies=(policy,), table=())
+    raw = snapshot.to_bytes()
+    ascending = pack_u16(2) + pack_str("a") + pack_str("b")
+    assert raw.count(ascending) == 1
+    for objects in (["b", "a"], ["b", "a", "a"], ["a", "a", "b"]):
+        listed = pack_u16(len(objects)) + b"".join(pack_str(o) for o in objects)
+        with pytest.raises(SerializationError, match="ascending"):
+            PublisherSnapshot.from_payload(raw.replace(ascending, listed), group)
 
 
 def test_subscriber_snapshot_decodes_tokens(group):

@@ -15,8 +15,7 @@ from repro.system.publisher import Publisher
 from repro.system.subscriber import Subscriber
 
 
-@pytest.fixture(scope="module")
-def wire_world():
+def build_wire_world():
     """(idp, idmgr, publisher, subscriber) with tokens held, nothing registered."""
     rng = random.Random(0xA11CE)
     group = get_group("nist-p192")
@@ -40,3 +39,8 @@ def wire_world():
         )
         sub.hold_token(token, x, r)
     return idp, idmgr, pub, sub
+
+
+@pytest.fixture(scope="module")
+def wire_world():
+    return build_wire_world()

@@ -45,6 +45,13 @@ class TestFieldPackers:
         assert cursor.read_scalar() == value
         cursor.expect_end()
 
+    @pytest.mark.parametrize("raw", ["00020005", "0000", "0003000001"])
+    def test_non_canonical_scalar_refused(self, raw):
+        # pack_scalar(5) is 00 01 05: leading zero bytes or an empty
+        # magnitude would make signature and opening bytes malleable.
+        with pytest.raises(SerializationError, match="non-canonical scalar"):
+            Cursor(bytes.fromhex(raw)).read_scalar()
+
     def test_range_checks(self):
         with pytest.raises(SerializationError):
             pack_u8(256)
