@@ -35,7 +35,11 @@ sys.path.insert(
 
 import repro  # noqa: E402
 from repro.net._cli import parse_endpoint  # noqa: E402
-from repro.net.bootstrap import expected_registrations, write_json  # noqa: E402
+from repro.net.bootstrap import (  # noqa: E402
+    expected_registrations,
+    load_scenario,
+    write_json,
+)
 from repro.net.runtime import (  # noqa: E402
     ProcessSupervisor,
     wait_for_file,
@@ -50,24 +54,26 @@ SCENARIO = {
     "gkm_field": "fast",
     "idp": "hospital-hr",
     "idmgr": "idmgr",
-    "publisher": "datacenter",
-    "policies": [
-        {"condition": "role = doc", "segments": ["Clinical"], "document": "EHR"},
-        {"condition": "level >= 50", "segments": ["Billing"], "document": "EHR"},
-    ],
+    "publishers": [{
+        "name": "datacenter",
+        "policies": [
+            {"condition": "role = doc", "segments": ["Clinical"], "document": "EHR"},
+            {"condition": "level >= 50", "segments": ["Billing"], "document": "EHR"},
+        ],
+        "documents": [
+            {
+                "name": "EHR",
+                "segments": [
+                    ["Clinical", "MRI unremarkable."],
+                    ["Billing", "Acct 99-1234."],
+                ],
+            }
+        ],
+    }],
     "users": {
         "carol": {"role": "doc", "level": 70},
         "dave": {"role": "doc"},
     },
-    "documents": [
-        {
-            "name": "EHR",
-            "segments": {
-                "Clinical": "MRI unremarkable.",
-                "Billing": "Acct 99-1234.",
-            },
-        }
-    ],
     "revoke": ["carol"],
 }
 
@@ -122,7 +128,7 @@ def main() -> None:
             "--data-dir", data_dir("publisher"),
             name="publisher-1", env=env,
         )
-        expected = expected_registrations(SCENARIO)
+        expected = expected_registrations(load_scenario(scenario_path))
         with TcpTransport(host, port) as observer:
             observer.register("observer")
             # Quiet alone is not enough (the broker is also quiet before

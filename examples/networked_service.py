@@ -50,25 +50,27 @@ SCENARIO = {
     "gkm_field": "fast",
     "idp": "hospital-hr",
     "idmgr": "idmgr",
-    "publisher": "datacenter",
-    "policies": [
-        {"condition": "role = doc", "segments": ["Clinical"], "document": "EHR"},
-        {"condition": "level >= 50", "segments": ["Billing"], "document": "EHR"},
-    ],
+    "publishers": [{
+        "name": "datacenter",
+        "policies": [
+            {"condition": "role = doc", "segments": ["Clinical"], "document": "EHR"},
+            {"condition": "level >= 50", "segments": ["Billing"], "document": "EHR"},
+        ],
+        "documents": [
+            {
+                "name": "EHR",
+                "segments": [
+                    ["Clinical", "MRI unremarkable."],
+                    ["Billing", "Acct 99-1234."],
+                ],
+            }
+        ],
+    }],
     "users": {
         "carol": {"role": "doc", "level": 70},
         "erin": {"role": "nur", "level": 40},
         "dave": {"role": "doc"},
     },
-    "documents": [
-        {
-            "name": "EHR",
-            "segments": {
-                "Clinical": "MRI unremarkable.",
-                "Billing": "Acct 99-1234.",
-            },
-        }
-    ],
     "revoke": ["carol"],
 }
 

@@ -30,7 +30,7 @@ import random
 import secrets
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashes import HashFunction, default_hash, row_hasher
 from repro.crypto.kdf import derive_key
@@ -50,12 +50,15 @@ __all__ = [
     "AcvFactorization",
     "PAPER_FIELD",
     "FAST_FIELD",
+    "GKM_FIELDS",
 ]
 
 #: The paper's experiments use an 80-bit prime field for F_q.
 PAPER_FIELD = PrimeField(604462909807314587353111, check_prime=False)
 #: Word-sized field: elimination vectorises through the numpy kernel.
 FAST_FIELD = PrimeField(1073741827, check_prime=False)
+#: The fields a scenario file may name in its ``gkm_field`` setting.
+GKM_FIELDS: Dict[str, PrimeField] = {"fast": FAST_FIELD, "paper": PAPER_FIELD}
 
 #: The format tag every ACV keying header starts with.
 ACV_MAGIC = b"ACV1"

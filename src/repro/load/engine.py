@@ -43,9 +43,10 @@ import time
 from typing import Dict, List, Optional
 
 from repro.errors import LoadScenarioError
+from repro.gkm.acv import GKM_FIELDS
 from repro.load import invariants
 from repro.load.metrics import LoadReport, MetricsCollector
-from repro.load.spec import GKM_FIELDS, LoadScenario, PhaseSpec, PublisherSpec
+from repro.load.spec import LoadScenario, PhaseSpec, PublisherSpec
 from repro.obs.profile import observing, profile_window
 from repro.store import SubscriberPersistence
 from repro.system.idmgr import IdentityManager

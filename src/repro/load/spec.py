@@ -31,15 +31,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.documents.model import Document
 from repro.errors import InvalidParameterError
-from repro.gkm.acv import FAST_FIELD, PAPER_FIELD
+from repro.gkm.acv import GKM_FIELDS
 from repro.gkm.strategy import GKM_STRATEGIES
-from repro.mathx.field import PrimeField
 from repro.policy.acp import AccessControlPolicy, parse_policy
 
 __all__ = [
     "AttributeSpec",
     "DocumentSpec",
-    "GKM_FIELDS",
     "LoadScenario",
     "PHASE_KINDS",
     "PhaseSpec",
@@ -49,10 +47,8 @@ __all__ = [
     "churn_phases",
     "load_scenario_file",
     "save_scenario_file",
+    "validate_gkm",
 ]
-
-#: The GKM fields a scenario may name (mirrors ``repro.net.bootstrap``).
-GKM_FIELDS: Dict[str, PrimeField] = {"fast": FAST_FIELD, "paper": PAPER_FIELD}
 
 #: What a phase can do to the population.  Every kind ends in a rekey
 #: broadcast whose invariants the engine asserts.
@@ -67,6 +63,32 @@ def _require_name(label: str, value: str) -> str:
             "%s %r must match %s" % (label, value, _NAME_RE.pattern)
         )
     return value
+
+
+def _known_keys(label: str, payload: dict, allowed) -> dict:
+    """``payload`` itself once each of its keys is in ``allowed``.  A key
+    this version does not read (a typo, a retired option) is refused by
+    name, never silently run with a default."""
+    unknown = sorted(set(payload) - set(allowed))
+    if unknown:
+        raise InvalidParameterError("unknown %s key %r" % (label, unknown[0]))
+    return payload
+
+
+def _field_names(cls) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def validate_gkm(gkm_field: str, gkm: str, gkm_bucket_size: int) -> None:
+    """The GKM settings rules every scenario format shares."""
+    if gkm_field not in GKM_FIELDS:
+        raise InvalidParameterError(
+            "gkm_field must be one of %s" % sorted(GKM_FIELDS)
+        )
+    if gkm not in GKM_STRATEGIES:
+        raise InvalidParameterError("gkm must be one of %s" % (GKM_STRATEGIES,))
+    if not isinstance(gkm_bucket_size, int) or gkm_bucket_size < 0:
+        raise InvalidParameterError("gkm_bucket_size must be an int >= 0")
 
 
 @dataclass(frozen=True)
@@ -104,6 +126,15 @@ class PolicySpec:
     def parse(self) -> AccessControlPolicy:
         return parse_policy(self.condition, list(self.segments), self.document)
 
+    @classmethod
+    def from_payload(cls, payload: dict) -> "PolicySpec":
+        _known_keys("policy", payload, _field_names(cls))
+        return cls(
+            condition=payload["condition"],
+            segments=tuple(payload["segments"]),
+            document=payload["document"],
+        )
+
 
 @dataclass(frozen=True)
 class DocumentSpec:
@@ -120,6 +151,19 @@ class DocumentSpec:
 
     def segment_names(self) -> Tuple[str, ...]:
         return tuple(seg for seg, _ in self.segments)
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "DocumentSpec":
+        """The canonical segments are a list of ``[name, text]`` pairs; a
+        JSON object (hand-written scenario) is accepted in sorted order,
+        since objects carry none."""
+        _known_keys("document", payload, _field_names(cls))
+        raw = payload["segments"]
+        pairs = sorted(raw.items()) if isinstance(raw, dict) else raw
+        return cls(
+            name=payload["name"],
+            segments=tuple((seg, text) for seg, text in pairs),
+        )
 
 
 @dataclass(frozen=True)
@@ -151,12 +195,34 @@ class PublisherSpec:
             counts[name] = counts.get(name, 0) + 1
         return counts
 
+    @classmethod
+    def from_payload(cls, payload: dict, mix: bool = True) -> "PublisherSpec":
+        """One ``publishers`` entry.  A deployment file's entry
+        (:mod:`repro.net.bootstrap`, ``mix=False``) has no
+        ``attributes``: its users hold explicit attribute values."""
+        keys = _field_names(cls) if mix else ("name", "policies", "documents")
+        _known_keys("publisher", payload, keys)
+        return cls(
+            name=payload["name"],
+            attributes=tuple(
+                AttributeSpec(
+                    **_known_keys("attribute", a, _field_names(AttributeSpec))
+                )
+                for a in payload["attributes"]
+            ) if mix else (),
+            policies=tuple(
+                PolicySpec.from_payload(p) for p in payload["policies"]
+            ),
+            documents=tuple(
+                DocumentSpec.from_payload(d) for d in payload["documents"]
+            ),
+        )
+
     def validate(self, attribute_bits: int) -> None:
-        _require_name("publisher name", self.name)
-        if not self.attributes or not self.policies or not self.documents:
+        self.validate_documents()
+        if not self.attributes:
             raise InvalidParameterError(
-                "publisher %r needs at least one attribute, policy and "
-                "document" % self.name
+                "publisher %r needs at least one attribute" % self.name
             )
         for attribute in self.attributes:
             attribute.validate(attribute_bits)
@@ -164,6 +230,26 @@ class PublisherSpec:
         if len(declared) != len(self.attributes):
             raise InvalidParameterError(
                 "publisher %r declares duplicate attributes" % self.name
+            )
+        for spec in self.policies:
+            for condition in spec.parse().conditions:
+                if condition.name not in declared:
+                    raise InvalidParameterError(
+                        "policy %r references attribute %r outside the "
+                        "mix of publisher %r"
+                        % (spec.condition, condition.name, self.name)
+                    )
+
+    def validate_documents(self) -> None:
+        """Every check but the attribute mix's, shared with a deployment
+        file's publisher: a valid name, at least one policy and document,
+        no duplicate document or segment, and each policy protecting
+        declared segments of a declared document."""
+        _require_name("publisher name", self.name)
+        if not self.policies or not self.documents:
+            raise InvalidParameterError(
+                "publisher %r needs at least one policy and document"
+                % self.name
             )
         documents = {d.name: d for d in self.documents}
         if len(documents) != len(self.documents):
@@ -177,14 +263,7 @@ class PublisherSpec:
                     "document %r declares duplicate segments" % document.name
                 )
         for spec in self.policies:
-            policy = spec.parse()  # raises PolicyParseError on bad syntax
-            for condition in policy.conditions:
-                if condition.name not in declared:
-                    raise InvalidParameterError(
-                        "policy %r references attribute %r outside the "
-                        "mix of publisher %r"
-                        % (spec.condition, condition.name, self.name)
-                    )
+            spec.parse()  # raises PolicyParseError on bad syntax
             if spec.document not in documents:
                 raise InvalidParameterError(
                     "policy %r protects unknown document %r"
@@ -249,19 +328,6 @@ class PhaseSpec:
             raise InvalidParameterError("phase repeat must be >= 1")
 
 
-def _segments(document_payload: dict) -> Tuple[Tuple[str, str], ...]:
-    """Segment pairs from a document payload, order-preserving.
-
-    The canonical encoding is a list of ``[name, text]`` pairs; a JSON
-    object (hand-written scenario) is accepted with sorted order, since
-    objects carry none.
-    """
-    raw = document_payload["segments"]
-    if isinstance(raw, dict):
-        return tuple(sorted(raw.items()))
-    return tuple((seg, text) for seg, text in raw)
-
-
 @dataclass(frozen=True)
 class LoadScenario:
     """A complete, serializable load/churn experiment."""
@@ -301,18 +367,9 @@ class LoadScenario:
         _require_name("scenario name", self.name)
         if not isinstance(self.seed, int):
             raise InvalidParameterError("seed must be an int")
-        if self.gkm_field not in GKM_FIELDS:
-            raise InvalidParameterError(
-                "gkm_field must be one of %s" % sorted(GKM_FIELDS)
-            )
+        validate_gkm(self.gkm_field, self.gkm, self.gkm_bucket_size)
         if self.attribute_bits < 1 or self.capacity_slack < 0:
             raise InvalidParameterError("invalid attribute_bits/capacity_slack")
-        if self.gkm not in GKM_STRATEGIES:
-            raise InvalidParameterError(
-                "gkm must be one of %s" % (GKM_STRATEGIES,)
-            )
-        if not isinstance(self.gkm_bucket_size, int) or self.gkm_bucket_size < 0:
-            raise InvalidParameterError("gkm_bucket_size must be an int >= 0")
         if (
             not isinstance(self.metrics_interval, (int, float))
             or isinstance(self.metrics_interval, bool)
@@ -443,50 +500,18 @@ class LoadScenario:
     @classmethod
     def from_payload(cls, payload: dict) -> "LoadScenario":
         try:
-            # The top-level keys are exactly the dataclass fields; a key
-            # this version does not know (a typo, a retired option) must
-            # not silently run with a default.
-            unknown = sorted(set(payload) - {f.name for f in fields(cls)})
-            if unknown:
-                raise InvalidParameterError(
-                    "unknown load scenario key %r" % unknown[0]
-                )
+            # Every level's keys are exactly its dataclass's fields.
+            _known_keys("load scenario", payload, _field_names(cls))
             publishers = tuple(
-                PublisherSpec(
-                    name=p["name"],
-                    attributes=tuple(
-                        AttributeSpec(a["name"], a["low"], a["high"])
-                        for a in p["attributes"]
-                    ),
-                    policies=tuple(
-                        PolicySpec(
-                            condition=spec["condition"],
-                            segments=tuple(spec["segments"]),
-                            document=spec["document"],
-                        )
-                        for spec in p["policies"]
-                    ),
-                    documents=tuple(
-                        DocumentSpec(name=d["name"], segments=_segments(d))
-                        for d in p["documents"]
-                    ),
-                )
-                for p in payload["publishers"]
+                PublisherSpec.from_payload(p) for p in payload["publishers"]
             )
             phases = tuple(
-                PhaseSpec(
-                    kind=phase["kind"],
-                    count=phase.get("count", 0),
-                    publisher=phase.get("publisher"),
-                    repeat=phase.get("repeat", 1),
-                )
-                for phase in payload["phases"]
+                PhaseSpec(**_known_keys("phase", p, _field_names(PhaseSpec)))
+                for p in payload["phases"]
             )
             topology = tuple(
-                RelaySpec(
-                    name=relay["name"], upstream=relay.get("upstream")
-                )
-                for relay in payload.get("topology", [])
+                RelaySpec(**_known_keys("relay", r, _field_names(RelaySpec)))
+                for r in payload.get("topology", [])
             )
             scenario = cls(
                 name=payload["name"],

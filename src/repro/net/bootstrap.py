@@ -4,10 +4,11 @@ A networked deployment must establish out of band what the in-process
 examples share as live Python objects:
 
 * the **scenario** (written by the operator, read by every process) --
-  group name, GKM field, attribute bit-length, entity names, policies,
-  the user population with their attribute values, and the demo
-  lifecycle script (documents to publish, users to revoke).  Everything
-  in it is public or IdP-side knowledge.
+  group name, GKM settings, attribute bit-length, entity names, each
+  publisher's policies and documents in the :mod:`repro.load.spec`
+  vocabulary, the user population with their attribute values, and the
+  users the demo lifecycle revokes.  Everything in it is public or
+  IdP-side knowledge.
 * the **bundle** (written by the IdMgr process once its keys exist, read
   by publisher and subscribers) -- the IdMgr's *public* signature key,
   each user's assigned pseudonym, and each user's signed attribute
@@ -27,16 +28,14 @@ import json
 import os
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.crypto.pedersen import PedersenParams
 from repro.errors import InvalidParameterError
-from repro.gkm.acv import FAST_FIELD, PAPER_FIELD
-from repro.gkm.strategy import GKM_STRATEGIES
+from repro.gkm.acv import GKM_FIELDS
 from repro.groups import get_group
 from repro.groups.base import CyclicGroup, GroupElement
-from repro.mathx.field import PrimeField
-from repro.policy.acp import parse_policy
+from repro.load.spec import PublisherSpec, validate_gkm
 from repro.system.identity import AttributeAssertion
 from repro.system.idmgr import IdentityManager
 from repro.system.idp import IdentityProvider
@@ -49,19 +48,17 @@ __all__ = [
     "build_publisher",
     "build_subscriber",
     "build_system_params",
-    "conditions_per_attribute",
     "expected_registrations",
     "load_scenario",
-    "relay_for_entity",
-    "relay_specs",
     "publisher_for_user",
-    "publisher_specs",
+    "publisher_spec",
     "read_bundle",
     "write_bundle",
     "write_json",
 ]
 
-_GKM_FIELDS: Dict[str, PrimeField] = {"fast": FAST_FIELD, "paper": PAPER_FIELD}
+#: The required keys of a deployment file.
+_REQUIRED = ("group", "seed", "users", "publishers")
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -73,42 +70,50 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def load_scenario(path: str) -> dict:
+    """Read and validate a deployment file (schema: DESIGN.md).
+
+    ``publishers`` entries parse into :class:`repro.load.spec.
+    PublisherSpec` and pass its policy-to-document check; the GKM
+    settings pass the rules a :class:`~repro.load.spec.LoadScenario`
+    does.  Any key the file may not set is refused by name.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        scenario = json.load(handle)
-    for key in ("group", "seed", "users"):
-        if key not in scenario:
+        raw = json.load(handle)
+    scenario = {
+        "attribute_bits": 8,
+        "gkm_field": "fast",
+        "gkm": "dense",
+        "gkm_bucket_size": 0,
+        "idp": "idp",
+        "idmgr": "idmgr",
+        "revoke": [],
+        "assignments": {},
+    }
+    unknown = sorted(set(raw) - set(scenario) - set(_REQUIRED))
+    if unknown:
+        raise InvalidParameterError("unknown deployment key %r" % unknown[0])
+    for key in _REQUIRED:
+        if key not in raw:
             raise InvalidParameterError("scenario is missing %r" % key)
-    if "policies" not in scenario and "publishers" not in scenario:
-        raise InvalidParameterError(
-            "scenario needs either 'policies' (single publisher) or "
-            "'publishers' (a list of {name, policies})"
+    scenario.update(raw)
+    validate_gkm(scenario["gkm_field"], scenario["gkm"], scenario["gkm_bucket_size"])
+    if not scenario["publishers"]:
+        raise InvalidParameterError("'publishers' must be a non-empty list")
+    try:
+        specs = tuple(
+            PublisherSpec.from_payload(entry, mix=False)
+            for entry in scenario["publishers"]
         )
-    scenario.setdefault("attribute_bits", 8)
-    scenario.setdefault("gkm_field", "fast")
-    scenario.setdefault("gkm", "dense")
-    scenario.setdefault("gkm_bucket_size", 0)
-    scenario.setdefault("idp", "idp")
-    scenario.setdefault("idmgr", "idmgr")
-    scenario.setdefault("publisher", "pub")
-    scenario.setdefault("documents", [])
-    scenario.setdefault("revoke", [])
-    scenario.setdefault("assignments", {})
-    scenario.setdefault("topology", {})
-    if scenario["gkm_field"] not in _GKM_FIELDS:
+    except (KeyError, TypeError) as exc:
         raise InvalidParameterError(
-            "gkm_field must be one of %s" % sorted(_GKM_FIELDS)
-        )
-    if scenario["gkm"] not in GKM_STRATEGIES:
-        raise InvalidParameterError(
-            "gkm must be one of %s" % (GKM_STRATEGIES,)
-        )
-    if not isinstance(scenario["gkm_bucket_size"], int) or (
-        scenario["gkm_bucket_size"] < 0
-    ):
-        raise InvalidParameterError("gkm_bucket_size must be an int >= 0")
-    names = [spec["name"] for spec in publisher_specs(scenario)]
+            "malformed publisher entry: %s" % exc
+        ) from exc
+    for spec in specs:
+        spec.validate_documents()
+    names = [spec.name for spec in specs]
     if len(set(names)) != len(names):
         raise InvalidParameterError("duplicate publisher names: %s" % names)
+    scenario["publishers"] = specs
     for user, name in scenario["assignments"].items():
         if user not in scenario["users"]:
             raise InvalidParameterError(
@@ -118,102 +123,30 @@ def load_scenario(path: str) -> dict:
             raise InvalidParameterError(
                 "user %r assigned to unknown publisher %r" % (user, name)
             )
-    relay_names = {spec["name"] for spec in relay_specs(scenario)}
-    for entity, relay in scenario["topology"].get("attach", {}).items():
-        if relay not in relay_names:
-            raise InvalidParameterError(
-                "entity %r attached to unknown relay %r" % (entity, relay)
-            )
+    for user in scenario["revoke"]:
+        if user not in scenario["users"]:
+            raise InvalidParameterError("revoke names unknown user %r" % user)
     return scenario
 
 
-def publisher_specs(scenario: dict) -> List[dict]:
-    """``[{"name": ..., "policies": [...]}, ...]`` -- the normalized
-    publisher list.  A classic single-publisher scenario (top-level
-    ``policies``) yields one spec named ``scenario["publisher"]``; a
-    multi-publisher scenario lists them under ``publishers`` and assigns
-    users via the optional ``assignments`` map (default: the first)."""
-    if "publishers" in scenario:
-        if not scenario["publishers"]:
-            raise InvalidParameterError(
-                "'publishers' must be a non-empty list"
-            )
-        specs = []
-        for spec in scenario["publishers"]:
-            for key in ("name", "policies"):
-                if key not in spec:
-                    raise InvalidParameterError(
-                        "publisher spec is missing %r" % key
-                    )
-            specs.append(spec)
-        return specs
-    return [{"name": scenario["publisher"], "policies": scenario["policies"]}]
-
-
-def relay_specs(scenario: dict) -> List[dict]:
-    """The normalized relay tree: ``[{"name": ..., "upstream": ...}, ...]``.
-
-    The optional scenario section ``topology`` describes the broker
-    federation::
-
-        "topology": {
-            "relays": [{"name": "r1"}, {"name": "r2", "upstream": "r1"}],
-            "attach": {"alice": "r2"}
-        }
-
-    ``upstream`` names an **earlier** relay in the list (omitted or null
-    means the root broker), so a well-formed spec is a tree by
-    construction -- the same declaration order a supervisor must spawn
-    the processes in.  ``attach`` maps entity names to the relay they
-    connect through; unlisted entities connect to the root directly.
-    Entirely optional: no ``topology`` section means the classic
-    single-broker deployment.
-    """
-    topology = scenario.get("topology") or {}
-    relays = topology.get("relays", [])
-    seen: List[str] = []
-    specs: List[dict] = []
-    for spec in relays:
-        if "name" not in spec:
-            raise InvalidParameterError("relay spec is missing 'name'")
-        name = spec["name"]
-        if name in seen:
-            raise InvalidParameterError("duplicate relay name %r" % name)
-        upstream = spec.get("upstream")
-        if upstream is not None and upstream not in seen:
-            raise InvalidParameterError(
-                "relay %r names upstream %r, which is not an earlier relay "
-                "in the list (the root broker is the implicit default)"
-                % (name, upstream)
-            )
-        seen.append(name)
-        specs.append({"name": name, "upstream": upstream})
-    return specs
-
-
-def relay_for_entity(scenario: dict, entity: str) -> Optional[str]:
-    """The relay ``entity`` attaches through, or None for the root."""
-    return scenario.get("topology", {}).get("attach", {}).get(entity)
-
-
-def _publisher_spec(scenario: dict, name: Optional[str]) -> dict:
-    specs = publisher_specs(scenario)
+def publisher_spec(scenario: dict, name: Optional[str] = None) -> PublisherSpec:
+    """The publisher ``name`` of a loaded scenario (default: the first)."""
+    specs = scenario["publishers"]
     if name is None:
         return specs[0]
     for spec in specs:
-        if spec["name"] == name:
+        if spec.name == name:
             return spec
     raise InvalidParameterError(
         "no publisher %r in the scenario (have %s)"
-        % (name, [s["name"] for s in specs])
+        % (name, [s.name for s in specs])
     )
 
 
 def publisher_for_user(scenario: dict, user: str) -> str:
     """The publisher ``user`` subscribes to (``assignments``, else the
-    first/only publisher)."""
-    default = publisher_specs(scenario)[0]["name"]
-    return scenario.get("assignments", {}).get(user, default)
+    first publisher)."""
+    return scenario["assignments"].get(user, scenario["publishers"][0].name)
 
 
 def _group(scenario: dict) -> CyclicGroup:
@@ -294,53 +227,27 @@ def build_system_params(scenario: dict, public_key: GroupElement) -> SystemParam
 
 
 def build_publisher(
-    scenario: dict,
-    public_key: GroupElement,
-    name: Optional[str] = None,
-    gkm: Optional[str] = None,
-    gkm_bucket_size: Optional[int] = None,
+    scenario: dict, public_key: GroupElement, name: Optional[str] = None
 ) -> Publisher:
-    """Build one of the scenario's publishers (default: the first/only).
+    """Build one of the scenario's publishers (default: the first).
 
-    Each publisher's RNG is salted with its own name in multi-publisher
-    scenarios, so two publisher processes sharing one broker never mint
-    correlated CSSs; the classic single-publisher derivation is kept
-    verbatim for reproducibility of existing scenarios.
-
-    The publish-path GKM strategy resolves most-specific-first: the
-    ``gkm``/``gkm_bucket_size`` arguments (a CLI override such as
-    ``--gkm-buckets``), else the publisher spec's own ``gkm`` fields,
-    else the scenario-level ones (default dense).
+    Each publisher's RNG is salted with its own name, the derivation
+    :class:`repro.load.engine.LoadEngine` uses, so two publisher
+    processes sharing one broker never mint correlated CSSs.
     """
-    spec = _publisher_spec(scenario, name)
-    if scenario.get("publishers"):
-        salt = "%s/publisher/%s" % (scenario["seed"], spec["name"])
-    else:
-        salt = "%s/publisher" % scenario["seed"]
-    if gkm is None:
-        gkm = spec.get("gkm", scenario.get("gkm", "dense"))
-    if gkm not in GKM_STRATEGIES:
-        raise InvalidParameterError("gkm must be one of %s" % (GKM_STRATEGIES,))
-    if gkm_bucket_size is None:
-        gkm_bucket_size = spec.get(
-            "gkm_bucket_size", scenario.get("gkm_bucket_size", 0)
-        )
-    if not isinstance(gkm_bucket_size, int) or gkm_bucket_size < 0:
-        raise InvalidParameterError("gkm_bucket_size must be an int >= 0")
+    spec = publisher_spec(scenario, name)
     publisher = Publisher(
-        spec["name"],
+        spec.name,
         PedersenParams(_group(scenario)),
         public_key,
-        gkm_field=_GKM_FIELDS[scenario["gkm_field"]],
+        gkm_field=GKM_FIELDS[scenario["gkm_field"]],
         attribute_bits=scenario["attribute_bits"],
-        rng=random.Random(salt),
-        gkm=gkm,
-        gkm_bucket_size=gkm_bucket_size,
+        rng=random.Random("%s/publisher/%s" % (scenario["seed"], spec.name)),
+        gkm=scenario["gkm"],
+        gkm_bucket_size=scenario["gkm_bucket_size"],
     )
-    for policy in spec["policies"]:
-        publisher.add_policy(
-            parse_policy(policy["condition"], policy["segments"], policy["document"])
-        )
+    for policy in spec.parsed_policies():
+        publisher.add_policy(policy)
     return publisher
 
 
@@ -352,33 +259,6 @@ def build_subscriber(scenario: dict, bundle: Bundle, user: str) -> Subscriber:
         bundle.nyms[user], params,
         rng=random.Random("%s/%s" % (scenario["seed"], user)),
     )
-
-
-def conditions_per_attribute(
-    scenario: dict, publisher: Optional[str] = None
-) -> Dict[str, int]:
-    """Distinct policy conditions naming each attribute (0 if unmentioned).
-
-    ``publisher`` restricts the count to one publisher's policy set;
-    ``None`` counts across every publisher (identical to the historical
-    behaviour for single-publisher scenarios).
-    """
-    if publisher is None:
-        specs = publisher_specs(scenario)
-    else:
-        specs = [_publisher_spec(scenario, publisher)]
-    conditions = {}
-    for spec in specs:
-        for policy in spec["policies"]:
-            parsed = parse_policy(
-                policy["condition"], policy["segments"], policy["document"]
-            )
-            for condition in parsed.conditions:
-                conditions[condition.key()] = condition.name
-    counts: Dict[str, int] = {}
-    for name in conditions.values():
-        counts[name] = counts.get(name, 0) + 1
-    return counts
 
 
 def expected_registrations(
@@ -393,8 +273,8 @@ def expected_registrations(
     waits for); ``None`` sums over all of them.
     """
     per_pub = {
-        spec["name"]: conditions_per_attribute(scenario, spec["name"])
-        for spec in publisher_specs(scenario)
+        spec.name: spec.conditions_per_attribute()
+        for spec in scenario["publishers"]
     }
     total = 0
     for user, attributes in scenario["users"].items():

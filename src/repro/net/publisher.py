@@ -6,11 +6,12 @@ Two modes:
   (the long-running deployment shape).
 * default (lifecycle): additionally run the scenario's demo script --
   wait until every expected registration landed in the CSS table and the
-  broker is quiet, publish the scenario documents, revoke the scenario's
-  users, publish again (the rekey **is** the next broadcast: zero
-  unicast), then write a JSON report with the broker-measured byte
-  accounting and exit.  ``examples/networked_service.py`` drives this
-  mode and asserts on the report.
+  broker is quiet, publish this publisher's documents, revoke the
+  scenario's users assigned to it, publish again (the rekey **is** the
+  next broadcast: zero unicast), then write a JSON report with the
+  broker-measured byte accounting and exit.
+  ``examples/networked_service.py`` drives this mode and asserts on the
+  report.
 
 With ``--data-dir`` the CSS table, policies and GKM epoch are durable
 (:mod:`repro.store`).  A restarted publisher recovers them, *skips* the
@@ -26,12 +27,13 @@ from __future__ import annotations
 import argparse
 import json
 
-from repro.documents.model import Document
 from repro.net._cli import add_common_arguments, install_stop_signals, parse_endpoint
 from repro.net.bootstrap import (
     build_publisher,
     expected_registrations,
     load_scenario,
+    publisher_for_user,
+    publisher_spec,
     read_bundle,
     write_json,
 )
@@ -48,14 +50,6 @@ from repro.store import PublisherPersistence
 from repro.system.service import DisseminationService
 
 __all__ = ["main"]
-
-
-def _scenario_documents(scenario: dict):
-    for spec in scenario["documents"]:
-        yield Document.of(
-            spec["name"],
-            {seg: text.encode("utf-8") for seg, text in spec["segments"].items()},
-        )
 
 
 def _run_lifecycle(args, scenario, bundle, service, transport, stop,
@@ -86,7 +80,8 @@ def _run_lifecycle(args, scenario, bundle, service, transport, stop,
     cells_registered = publisher.table.cell_count()
     print("all registrations complete", flush=True)
 
-    documents = list(_scenario_documents(scenario))
+    spec = publisher_spec(scenario, publisher.name)
+    documents = [document.build() for document in spec.documents]
     with profile_window("publish"):
         for document in documents:
             service.publish(document)
@@ -94,7 +89,11 @@ def _run_lifecycle(args, scenario, bundle, service, transport, stop,
     print("published %d documents" % len(documents), flush=True)
 
     inbound_before = transport.snapshot().bytes_received_by(publisher.name)
-    for user in scenario["revoke"]:
+    revoked = [
+        user for user in scenario["revoke"]
+        if publisher_for_user(scenario, user) == publisher.name
+    ]
+    for user in revoked:
         if not publisher.revoke_subscription(bundle.nyms[user]):
             raise SystemExit("revocation of %r found no subscription" % user)
     with profile_window("rekey"):
@@ -103,8 +102,7 @@ def _run_lifecycle(args, scenario, bundle, service, transport, stop,
         wait_until_quiet(transport, [service], timeout=args.timeout)
     snapshot = transport.snapshot()
     inbound_after = snapshot.bytes_received_by(publisher.name)
-    print("revoked %s and rekeyed via re-broadcast" % (scenario["revoke"],),
-          flush=True)
+    print("revoked %s and rekeyed via re-broadcast" % (revoked,), flush=True)
     return {
         "publisher": publisher.name,
         "recovered_cells": recovered_cells,
@@ -114,7 +112,7 @@ def _run_lifecycle(args, scenario, bundle, service, transport, stop,
         "table_cells_registered": cells_registered,
         "table_cells_after_revoke": publisher.table.cell_count(),
         "expected_registrations": expected,
-        "revoked": scenario["revoke"],
+        "revoked": revoked,
         "inbound_bytes_before_rekey": inbound_before,
         "inbound_bytes_after_rekey": inbound_after,
         "broadcast_frame_sizes": [
@@ -143,9 +141,8 @@ def main(argv=None) -> int:
     parser.add_argument("--report", default=None,
                         help="write the lifecycle report JSON here")
     parser.add_argument("--name", default=None,
-                        help="which publisher spec to serve, for scenarios "
-                             "with a 'publishers' list (default: the "
-                             "first/only one)")
+                        help="which of the scenario's publishers to serve "
+                             "(default: the first)")
     parser.add_argument("--profile-dir", default=None,
                         help="record cProfile aggregates for the "
                              "registration wait and the publish/rekey "
@@ -153,23 +150,12 @@ def main(argv=None) -> int:
                              "directory (readable by python -m "
                              "repro.obs.profile); function names only, "
                              "never argument values")
-    parser.add_argument("--gkm-buckets", type=int, default=None, metavar="SIZE",
-                        help="use the bucketed ACV strategy with SIZE rows "
-                             "per bucket (0 = the auto ceil(sqrt(m)) "
-                             "policy); omit to follow the scenario's 'gkm' "
-                             "fields (default dense)")
     args = parser.parse_args(argv)
-    if args.gkm_buckets is not None and args.gkm_buckets < 0:
-        parser.error("--gkm-buckets must be >= 0")
 
     scenario = load_scenario(args.scenario)
     wait_for_file(args.bundle, timeout=args.timeout)
     bundle = read_bundle(args.bundle)
-    publisher = build_publisher(
-        scenario, bundle.public_key, name=args.name,
-        gkm="bucketed" if args.gkm_buckets is not None else None,
-        gkm_bucket_size=args.gkm_buckets,
-    )
+    publisher = build_publisher(scenario, bundle.public_key, name=args.name)
 
     persistence = None
     recovered_cells = 0
@@ -206,8 +192,9 @@ def main(argv=None) -> int:
                         # Rekey-on-recovery for the long-running shape too: the
                         # first act after a crash is a fresh broadcast so the
                         # recovered table's subscribers resume decrypting.
-                        for document in _scenario_documents(scenario):
-                            service.publish(document)
+                        spec = publisher_spec(scenario, publisher.name)
+                        for document in spec.documents:
+                            service.publish(document.build())
                             print("rekey-on-recovery broadcast of %r" % document.name,
                                   flush=True)
                     with profile_window("serve"):

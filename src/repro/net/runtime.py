@@ -58,6 +58,20 @@ class StopRequested(SystemError_):
     """A pump loop was interrupted by its stop event (SIGTERM/SIGINT)."""
 
 
+def _pump_round(endpoints: Sequence, errors: Optional[List[ReproError]]) -> int:
+    """Pump every endpoint once; returns frames handled.  An endpoint
+    error (a hostile frame) is appended to ``errors`` (if given) and the
+    round goes on to the next endpoint."""
+    progressed = 0
+    for endpoint in endpoints:
+        try:
+            progressed += endpoint.pump()
+        except ReproError as exc:
+            if errors is not None:
+                errors.append(exc)
+    return progressed
+
+
 def pump_until(
     endpoints: Sequence,
     predicate: Callable[[], bool],
@@ -78,13 +92,7 @@ def pump_until(
     deadline = time.monotonic() + timeout
     total = 0
     while True:
-        progressed = 0
-        for endpoint in endpoints:
-            try:
-                progressed += endpoint.pump()
-            except ReproError as exc:
-                if errors is not None:
-                    errors.append(exc)
+        progressed = _pump_round(endpoints, errors)
         total += progressed
         if predicate():
             return total
@@ -110,14 +118,7 @@ def pump_forever(
 ) -> None:
     """Serve until ``stop`` is set (the long-running entity-server loop)."""
     while not stop.is_set():
-        progressed = 0
-        for endpoint in endpoints:
-            try:
-                progressed += endpoint.pump()
-            except ReproError as exc:
-                if errors is not None:
-                    errors.append(exc)
-        if progressed == 0:
+        if _pump_round(endpoints, errors) == 0:
             stop.wait(idle_sleep)
 
 
@@ -141,12 +142,7 @@ def wait_until_quiet(
     deadline = time.monotonic() + timeout
     last = None
     while time.monotonic() <= deadline:
-        for endpoint in endpoints:
-            try:
-                endpoint.pump()
-            except ReproError as exc:
-                if errors is not None:
-                    errors.append(exc)
+        _pump_round(endpoints, errors)
         # Between pump rounds nothing polled is mid-processing locally, so
         # acking everything owed is sound -- and necessary, or an idle
         # entity would hold the broker's in_flight count up forever.

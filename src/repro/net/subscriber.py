@@ -23,9 +23,9 @@ import json
 from repro.net._cli import add_common_arguments, install_stop_signals, parse_endpoint
 from repro.net.bootstrap import (
     build_subscriber,
-    conditions_per_attribute,
     load_scenario,
     publisher_for_user,
+    publisher_spec,
     read_bundle,
     write_json,
 )
@@ -128,9 +128,9 @@ def _run_lifecycle(args, scenario, bundle, subscriber, client, transport, stop,
         # many condition outcomes as the policies define for it -- an
         # attribute no condition mentions expects zero, so a scenario
         # containing one cannot wedge this phase.
-        expected = conditions_per_attribute(
-            scenario, publisher=publisher_for_user(scenario, args.user)
-        )
+        expected = publisher_spec(
+            scenario, publisher_for_user(scenario, args.user)
+        ).conditions_per_attribute()
         pump_until(
             [client],
             lambda: not client.registering()

@@ -49,6 +49,29 @@ def test_from_payload_rejects_malformed():
             LoadScenario.from_payload(payload)
 
 
+def _nested(edit):
+    payload = smoke_scenario().to_payload()
+    payload["topology"] = [{"name": "relay1", "upstream": None}]
+    edit(payload)
+    return payload
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("publsher", lambda p: p["phases"][0].update(publsher="alpha")),
+    ("gkm", lambda p: p["publishers"][0].update(gkm="bucketed")),
+    ("hi", lambda p: p["publishers"][0]["attributes"][0].update(hi=9)),
+    ("segment", lambda p: p["publishers"][0]["policies"][0].update(segment="x")),
+    ("title", lambda p: p["publishers"][0]["documents"][0].update(title="x")),
+    ("parent", lambda p: p["topology"][0].update(parent="relay0")),
+])
+def test_from_payload_refuses_unknown_nested_keys(key, edit):
+    # The same rule as the top level, at every nesting level: a phase
+    # with a misspelled "publisher" must not silently join round-robin.
+    assert LoadScenario.from_payload(_nested(lambda p: None)) is not None
+    with pytest.raises(InvalidParameterError, match="unknown .*'%s'" % key):
+        LoadScenario.from_payload(_nested(edit))
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

@@ -1,12 +1,11 @@
 """The relay-topology knob: spec, JSON round trip, and deployment rules.
 
 The topology is declarative -- ``RelaySpec`` rows in a ``LoadScenario``
-(and a ``topology`` section in the bootstrap scenario JSON) -- and
-*order is the contract*: a relay's upstream must appear earlier in the
-list, so any well-formed spec is a tree a supervisor can spawn in
+-- and *order is the contract*: a relay's upstream must appear earlier
+in the list, so any well-formed spec is a tree a supervisor can spawn in
 declaration order.  These tests pin that contract from every entrance:
-the dataclass validator, the file round trip, the bootstrap-JSON
-normalizer, and the engine's driver gate.
+the dataclass validator, the file round trip and the engine's driver
+gate.
 """
 
 import pytest
@@ -23,7 +22,6 @@ from repro.load import (
     with_relays,
 )
 from repro.load.scenarios import builtin_scenario
-from repro.net.bootstrap import relay_for_entity, relay_specs
 
 
 class TestRelaySpec:
@@ -97,59 +95,3 @@ class TestEngineGate:
         scenario = with_relays(smoke_scenario(), 2)
         with pytest.raises(LoadScenarioError, match="tcp"):
             LoadEngine(scenario, driver="memory", data_root=str(tmp_path))
-
-
-class TestBootstrapTopology:
-    def test_relay_specs_normalizes_and_orders(self):
-        scenario = {
-            "topology": {
-                "relays": [
-                    {"name": "r1"},
-                    {"name": "r2", "upstream": "r1"},
-                ],
-                "attach": {"alice": "r2"},
-            }
-        }
-        assert relay_specs(scenario) == [
-            {"name": "r1", "upstream": None},
-            {"name": "r2", "upstream": "r1"},
-        ]
-        assert relay_for_entity(scenario, "alice") == "r2"
-        assert relay_for_entity(scenario, "bob") is None
-
-    def test_relay_specs_empty_without_topology(self):
-        assert relay_specs({}) == []
-        assert relay_for_entity({}, "anyone") is None
-
-    def test_relay_specs_rejects_malformed(self):
-        with pytest.raises(InvalidParameterError, match="name"):
-            relay_specs({"topology": {"relays": [{"upstream": "r1"}]}})
-        with pytest.raises(InvalidParameterError, match="duplicate"):
-            relay_specs(
-                {"topology": {"relays": [{"name": "r"}, {"name": "r"}]}}
-            )
-        # Forward/unknown upstream: order is the tree-ness proof.
-        with pytest.raises(InvalidParameterError, match="earlier"):
-            relay_specs(
-                {"topology": {"relays": [
-                    {"name": "r1", "upstream": "r2"}, {"name": "r2"},
-                ]}}
-            )
-
-    def test_scenario_validation_checks_attach_targets(self, tmp_path):
-        from repro.net.bootstrap import load_scenario, write_json
-
-        scenario = {
-            "group": "toy",
-            "seed": 7,
-            "users": {"alice": {"level": 3}},
-            "policies": ["level >= 1"],
-            "topology": {
-                "relays": [{"name": "r1"}],
-                "attach": {"alice": "ghost"},
-            },
-        }
-        path = str(tmp_path / "scenario.json")
-        write_json(path, scenario)
-        with pytest.raises(InvalidParameterError, match="unknown relay"):
-            load_scenario(path)

@@ -1,5 +1,8 @@
 """Scenario/bundle bootstrap: separate processes must rebuild one world."""
 
+import copy
+import random
+
 import pytest
 
 from repro.errors import InvalidParameterError
@@ -9,6 +12,8 @@ from repro.net.bootstrap import (
     build_subscriber,
     expected_registrations,
     load_scenario,
+    publisher_for_user,
+    publisher_spec,
     read_bundle,
     write_bundle,
     write_json,
@@ -21,10 +26,20 @@ SCENARIO = {
     "gkm_field": "fast",
     "idp": "hr",
     "idmgr": "idmgr",
-    "publisher": "pub",
-    "policies": [
-        {"condition": "role = doc", "segments": ["clinical"], "document": "report"},
-        {"condition": "level >= 50", "segments": ["billing"], "document": "report"},
+    "publishers": [
+        {
+            "name": "pub",
+            "policies": [
+                {"condition": "role = doc", "segments": ["clinical"],
+                 "document": "report"},
+                {"condition": "level >= 50", "segments": ["billing"],
+                 "document": "report"},
+            ],
+            "documents": [
+                {"name": "report",
+                 "segments": [["clinical", "MRI fine."], ["billing", "Acct 7."]]},
+            ],
+        },
     ],
     "users": {
         "carol": {"role": "doc", "level": 70},
@@ -91,11 +106,61 @@ def test_expected_registrations_counts_matching_conditions(tmp_path):
 
 
 def test_scenario_validation(tmp_path):
+    nobody = {k: v for k, v in SCENARIO.items() if k != "users"}
     with pytest.raises(InvalidParameterError, match="users"):
-        _loaded(tmp_path, {"group": "nist-p192", "seed": 1, "policies": []})
-    bad = dict(SCENARIO, gkm_field="nope")
-    with pytest.raises(InvalidParameterError, match="gkm_field"):
-        _loaded(tmp_path, bad)
+        _loaded(tmp_path, nobody)
+    # The GKM settings pass the rules a LoadScenario's do.
+    for key, value in (("gkm_field", "nope"), ("gkm", "sparse"),
+                       ("gkm_bucket_size", -1)):
+        with pytest.raises(InvalidParameterError, match=key):
+            _loaded(tmp_path, dict(SCENARIO, **{key: value}))
+    with pytest.raises(InvalidParameterError, match="revoke"):
+        _loaded(tmp_path, dict(SCENARIO, revoke=["mallory"]))
+
+
+def _mutated(edit):
+    scenario = copy.deepcopy(SCENARIO)
+    edit(scenario)
+    return scenario
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("revokes", lambda s: s.update(revokes=["carol"])),
+    ("gkm_buckets", lambda s: s.update(gkm_buckets=4)),
+    # the retired classic shape and relay section
+    ("policies", lambda s: s.update(policies=[])),
+    ("topology", lambda s: s.update(topology={})),
+    ("gkm", lambda s: s["publishers"][0].update(gkm="bucketed")),
+    ("segment", lambda s: s["publishers"][0]["policies"][0].update(segment="x")),
+    ("title", lambda s: s["publishers"][0]["documents"][0].update(title="x")),
+])
+def test_unknown_keys_are_refused_at_every_level(tmp_path, key, edit):
+    with pytest.raises(InvalidParameterError, match="unknown .*'%s'" % key):
+        _loaded(tmp_path, _mutated(edit))
+
+
+def test_policy_must_protect_published_segments(tmp_path):
+    # A misnamed document would drop the policy at publish time and ship
+    # its segments under a throwaway key; a misnamed segment would fail
+    # only at the first publish.  Both are refused at load.
+    def retarget(field, value):
+        return _mutated(
+            lambda s: s["publishers"][0]["policies"][0].update({field: value})
+        )
+
+    with pytest.raises(InvalidParameterError, match="unknown document"):
+        _loaded(tmp_path, retarget("document", "reprot"))
+    with pytest.raises(InvalidParameterError, match="unknown segment"):
+        _loaded(tmp_path, retarget("segments", ["clinicle"]))
+
+
+def test_publisher_rng_is_salted_with_its_name(tmp_path):
+    scenario = _loaded(tmp_path)
+    _, idmgr, _, _ = build_identity_stack(scenario)
+    publisher = build_publisher(scenario, idmgr.public_key)
+    # The derivation LoadEngine uses for its publishers.
+    expected = random.Random("99/publisher/pub").getrandbits(64)
+    assert publisher._rng.getrandbits(64) == expected
 
 
 def test_unknown_user_rejected(tmp_path):
@@ -120,6 +185,7 @@ MULTI_SCENARIO = {
                 {"condition": "news_tier >= 10", "segments": ["wire"],
                  "document": "daily"},
             ],
+            "documents": [{"name": "daily", "segments": [["wire", "Rain."]]}],
         },
         {
             "name": "sports",
@@ -127,6 +193,7 @@ MULTI_SCENARIO = {
                 {"condition": "sports_tier >= 50", "segments": ["scores"],
                  "document": "scores"},
             ],
+            "documents": [{"name": "scores", "segments": [["scores", "3-1"]]}],
         },
     ],
     "assignments": {"dave": "sports"},
@@ -138,10 +205,8 @@ MULTI_SCENARIO = {
 
 
 def test_multi_publisher_specs_and_assignment(tmp_path):
-    from repro.net.bootstrap import publisher_for_user, publisher_specs
-
     scenario = _loaded(tmp_path, MULTI_SCENARIO)
-    assert [s["name"] for s in publisher_specs(scenario)] == ["news", "sports"]
+    assert [s.name for s in scenario["publishers"]] == ["news", "sports"]
     assert publisher_for_user(scenario, "carol") == "news"  # default: first
     assert publisher_for_user(scenario, "dave") == "sports"
 
@@ -162,26 +227,20 @@ def test_multi_publisher_builds_are_independent(tmp_path):
 
 
 def test_multi_publisher_expected_registrations(tmp_path):
-    from repro.net.bootstrap import conditions_per_attribute
-
     scenario = _loaded(tmp_path, MULTI_SCENARIO)
     # carol registers news_tier at news; dave registers sports_tier at
     # sports: one condition each.
     assert expected_registrations(scenario) == 2
     assert expected_registrations(scenario, publisher="news") == 1
     assert expected_registrations(scenario, publisher="sports") == 1
-    assert conditions_per_attribute(scenario, "news") == {"news_tier": 1}
-    assert conditions_per_attribute(scenario) == {
-        "news_tier": 1, "sports_tier": 1,
+    assert publisher_spec(scenario, "news").conditions_per_attribute() == {
+        "news_tier": 1,
     }
 
 
 def test_multi_publisher_validation(tmp_path):
     dupe = dict(MULTI_SCENARIO)
-    dupe["publishers"] = [
-        {"name": "news", "policies": []},
-        {"name": "news", "policies": []},
-    ]
+    dupe["publishers"] = [MULTI_SCENARIO["publishers"][0]] * 2
     with pytest.raises(InvalidParameterError, match="duplicate publisher"):
         _loaded(tmp_path, dupe)
     stray = dict(MULTI_SCENARIO, assignments={"carol": "ghost"})
@@ -191,7 +250,7 @@ def test_multi_publisher_validation(tmp_path):
     with pytest.raises(InvalidParameterError, match="unknown user"):
         _loaded(tmp_path, nobody)
     neither = {"group": "nist-p192", "seed": 1, "users": {}}
-    with pytest.raises(InvalidParameterError, match="policies"):
+    with pytest.raises(InvalidParameterError, match="publishers"):
         _loaded(tmp_path, neither)
 
 

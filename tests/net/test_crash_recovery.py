@@ -37,18 +37,21 @@ SCENARIO = {
     "gkm_field": "fast",
     "idp": "hr",
     "idmgr": "idmgr",
-    "publisher": "pub",
-    "policies": [
-        {"condition": "role = doc", "segments": ["Clinical"], "document": "EHR"},
-        {"condition": "level >= 50", "segments": ["Billing"], "document": "EHR"},
-    ],
+    "publishers": [{
+        "name": "pub",
+        "policies": [
+            {"condition": "role = doc", "segments": ["Clinical"], "document": "EHR"},
+            {"condition": "level >= 50", "segments": ["Billing"], "document": "EHR"},
+        ],
+        "documents": [
+            {"name": "EHR",
+             "segments": [["Clinical", "MRI fine."], ["Billing", "Acct 7."]]},
+        ],
+    }],
     "users": {
         "carol": {"role": "doc", "level": 70},
         "dave": {"role": "doc"},
     },
-    "documents": [
-        {"name": "EHR", "segments": {"Clinical": "MRI fine.", "Billing": "Acct 7."}},
-    ],
     "revoke": [],
 }
 
@@ -94,7 +97,7 @@ def test_publisher_sigkill_recovery_zero_unicast(tmp_path):
                 subscriber = build_subscriber(scenario, bundle, user)
                 clients[user] = SubscriberClient(
                     subscriber, transport,
-                    publisher_name=scenario["publisher"],
+                    publisher_name="pub",
                     idmgr_name=scenario["idmgr"],
                 )
             endpoints = [idmgr_ep, *clients.values()]

@@ -165,9 +165,13 @@ def test_cli_servers_full_run_and_graceful_sigterm(tmp_path, unmatched_attribute
         "seed": 77,
         "attribute_bits": 8,
         "gkm_field": "fast",
-        "policies": [
-            {"condition": "role = doc", "segments": ["s"], "document": "d"},
-        ],
+        "publishers": [{
+            "name": "pub",
+            "policies": [
+                {"condition": "role = doc", "segments": ["s"], "document": "d"},
+            ],
+            "documents": [{"name": "d", "segments": [["s", "text"]]}],
+        }],
         # "shoe_size" matches no condition: regression for the wedged
         # registration-phase predicate.
         "users": {"u": {"role": "doc", "shoe_size": 43}},
