@@ -72,14 +72,13 @@ from repro.wire.codec import (
     STR,
     TRACE,
     U32,
-    Cursor,
+    Record,
     decode_fields,
     decode_frame,
     encode_frame,
     fixed,
     pack_fields,
     pack_trace,
-    read_fields,
     read_trace,
     seq,
     struct_of,
@@ -271,7 +270,7 @@ class StatsRequest(NetMessage):
 
 
 @dataclass(frozen=True)
-class TrafficRecord:
+class TrafficRecord(Record):
     """One accounted transmission, as reported in :class:`StatsReply`."""
 
     sender: str
@@ -287,13 +286,6 @@ class TrafficRecord:
         ("size", U32),
         ("note", STR),
     )
-
-    def to_bytes(self) -> bytes:
-        return pack_fields(self.FIELDS, self)
-
-    @classmethod
-    def read_from(cls, cursor: Cursor) -> "TrafficRecord":
-        return read_fields(cls.FIELDS, cursor, None, cls)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,10 @@ for tests and benchmarks.
 
 from __future__ import annotations
 
-import abc
 import random
 import secrets
 from dataclasses import dataclass, field
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
 
 from repro.crypto.hashes import HashFunction, default_hash
 from repro.crypto.kdf import derive_key
@@ -31,9 +30,7 @@ from repro.ocbe.predicates import (
     NePredicate,
     Predicate,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    pass
+from repro.wire.codec import Record
 
 __all__ = ["OCBESetup", "Envelope", "run_ocbe", "sender_for", "receiver_for"]
 
@@ -83,12 +80,8 @@ class OCBESetup:
         return secrets.token_bytes(n)
 
 
-class Envelope(abc.ABC):
-    """A sender->receiver OCBE payload."""
-
-    @abc.abstractmethod
-    def byte_size(self) -> int:
-        """Wire size in bytes (for bandwidth accounting)."""
+class Envelope(Record):
+    """A sender->receiver OCBE payload; ``byte_size()`` is its wire size."""
 
 
 def sender_for(

@@ -22,7 +22,6 @@ from repro.errors import (
     ProtocolStateError,
     SerializationError,
 )
-from repro.groups.base import CyclicGroup
 from repro.ocbe.base import Envelope, OCBESetup
 from repro.ocbe.ge import BitCommitMessage, BitwiseEnvelope, GeOCBEReceiver, GeOCBESender
 from repro.ocbe.le import LeOCBEReceiver, LeOCBESender
@@ -31,7 +30,7 @@ from repro.ocbe.predicates import (
     LtPredicate,
     NePredicate,
 )
-from repro.wire.codec import Cursor, pack_u8
+from repro.wire.codec import Cursor, Field, Record, pack_u8, struct_of
 
 __all__ = [
     "GtOCBESender",
@@ -45,24 +44,26 @@ __all__ = [
 ]
 
 
-def _pack_halves(gt_part, lt_part) -> bytes:
-    """Flags byte + the live halves' encodings (each self-delimiting)."""
-    flags = (1 if gt_part is not None else 0) | (2 if lt_part is not None else 0)
-    out = bytearray(pack_u8(flags))
-    if gt_part is not None:
-        out += gt_part.to_bytes()
-    if lt_part is not None:
-        out += lt_part.to_bytes()
-    return bytes(out)
+def _halves(item) -> Field:
+    """The two optional halves of a disjunction behind one flags byte
+    (bit 0: the ``>`` half, bit 1: the ``<`` half), live halves in order."""
 
+    def pack(halves) -> bytes:
+        gt_part, lt_part = halves
+        flags = (gt_part is not None) | (lt_part is not None) << 1
+        return pack_u8(flags) + b"".join(
+            [item.pack(part) for part in halves if part is not None]
+        )
 
-def _read_halves(cursor: Cursor, group: CyclicGroup, part_cls):
-    flags = cursor.read_u8()
-    if flags > 3:
-        raise SerializationError("invalid disjunction flags byte %#x" % flags)
-    gt_part = part_cls.read_from(cursor, group) if flags & 1 else None
-    lt_part = part_cls.read_from(cursor, group) if flags & 2 else None
-    return gt_part, lt_part
+    def read(cursor: Cursor, group):
+        flags = cursor.read_u8()
+        if flags > 3:
+            raise SerializationError("invalid disjunction flags byte %#x" % flags)
+        return tuple(
+            [item.read(cursor, group) if flags & bit else None for bit in (1, 2)]
+        )
+
+    return Field(pack, read)
 
 
 class GtOCBESender(GeOCBESender):
@@ -139,51 +140,27 @@ class NeEnvelope(Envelope):
     gt_envelope: Optional[BitwiseEnvelope]
     lt_envelope: Optional[BitwiseEnvelope]
 
-    def to_bytes(self) -> bytes:
-        return _pack_halves(self.gt_envelope, self.lt_envelope)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, group: CyclicGroup) -> "NeEnvelope":
-        cursor = Cursor(data)
-        envelope = cls.read_from(cursor, group)
-        cursor.expect_end()
-        return envelope
-
-    @classmethod
-    def read_from(cls, cursor: Cursor, group: CyclicGroup) -> "NeEnvelope":
-        gt_envelope, lt_envelope = _read_halves(cursor, group, BitwiseEnvelope)
-        return cls(gt_envelope=gt_envelope, lt_envelope=lt_envelope)
-
-    def byte_size(self) -> int:
-        """Exact wire size: ``len(self.to_bytes())``."""
-        return len(self.to_bytes())
+    FIELDS = (
+        (
+            ("gt_envelope", "lt_envelope"),
+            _halves(struct_of(BitwiseEnvelope, BitwiseEnvelope.FIELDS)),
+        ),
+    )
 
 
 @dataclass(frozen=True)
-class NeCommitMessage:
+class NeCommitMessage(Record):
     """Receiver commitments for the live halves of the disjunction."""
 
     gt_message: Optional[BitCommitMessage]
     lt_message: Optional[BitCommitMessage]
 
-    def to_bytes(self) -> bytes:
-        return _pack_halves(self.gt_message, self.lt_message)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, group: CyclicGroup) -> "NeCommitMessage":
-        cursor = Cursor(data)
-        message = cls.read_from(cursor, group)
-        cursor.expect_end()
-        return message
-
-    @classmethod
-    def read_from(cls, cursor: Cursor, group: CyclicGroup) -> "NeCommitMessage":
-        gt_message, lt_message = _read_halves(cursor, group, BitCommitMessage)
-        return cls(gt_message=gt_message, lt_message=lt_message)
-
-    def byte_size(self) -> int:
-        """Exact wire size: ``len(self.to_bytes())``."""
-        return len(self.to_bytes())
+    FIELDS = (
+        (
+            ("gt_message", "lt_message"),
+            _halves(struct_of(BitCommitMessage, BitCommitMessage.FIELDS)),
+        ),
+    )
 
 
 def _ne_halves(predicate: NePredicate) -> Tuple[bool, bool]:
@@ -303,6 +280,8 @@ class NeOCBEReceiver:
 
     def open(self, envelope: NeEnvelope) -> bytes:
         """Try every live half; succeed iff ``x != x0``."""
+        if not isinstance(envelope, NeEnvelope):
+            raise ProtocolStateError("NE-OCBE expects a NeEnvelope")
         if self._gt is not None and envelope.gt_envelope is not None:
             try:
                 return self._gt.open(envelope.gt_envelope)

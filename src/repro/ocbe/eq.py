@@ -21,10 +21,10 @@ from typing import Optional
 from repro.crypto.pedersen import PedersenCommitment
 from repro.crypto.symmetric import NONCE_LEN
 from repro.errors import ProtocolStateError
-from repro.groups.base import CyclicGroup, GroupElement
+from repro.groups.base import GroupElement
 from repro.ocbe.base import Envelope, OCBESetup
 from repro.ocbe.predicates import EqPredicate
-from repro.wire.codec import Cursor, pack_bytes, pack_element, read_element
+from repro.wire.codec import BYTES, ELEMENT
 
 __all__ = ["EqEnvelope", "EqOCBESender", "EqOCBEReceiver"]
 
@@ -36,27 +36,7 @@ class EqEnvelope(Envelope):
     eta: GroupElement
     ciphertext: bytes
 
-    def to_bytes(self) -> bytes:
-        """Canonical wire encoding: ``eta`` then the ciphertext."""
-        return pack_element(self.eta) + pack_bytes(self.ciphertext)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, group: CyclicGroup) -> "EqEnvelope":
-        """Decode within ``group`` (which validates element membership)."""
-        cursor = Cursor(data)
-        envelope = cls.read_from(cursor, group)
-        cursor.expect_end()
-        return envelope
-
-    @classmethod
-    def read_from(cls, cursor: Cursor, group: CyclicGroup) -> "EqEnvelope":
-        eta = read_element(cursor, group)
-        ciphertext = cursor.read_bytes()
-        return cls(eta=eta, ciphertext=ciphertext)
-
-    def byte_size(self) -> int:
-        """Exact wire size: ``len(self.to_bytes())``."""
-        return len(self.to_bytes())
+    FIELDS = (("eta", ELEMENT), ("ciphertext", BYTES))
 
 
 class EqOCBESender:
@@ -142,8 +122,12 @@ class EqOCBEReceiver:
         """Derive ``sigma' = eta^r`` and decrypt.
 
         Raises :class:`~repro.errors.DecryptionError` when the committed
-        value does not equal the predicate threshold.
+        value does not equal the predicate threshold, and
+        :class:`~repro.errors.ProtocolStateError` on another variant's
+        envelope.
         """
+        if not isinstance(envelope, EqEnvelope):
+            raise ProtocolStateError("EQ-OCBE expects an EqEnvelope")
         sigma = envelope.eta ** self.r
         key = self.setup.envelope_key(sigma.to_bytes())
         return self.setup.cipher.decrypt(key, envelope.ciphertext)

@@ -28,17 +28,11 @@ from repro.crypto.modes import xor_bytes
 from repro.crypto.pedersen import PedersenCommitment
 from repro.crypto.symmetric import NONCE_LEN
 from repro.errors import PredicateError, ProtocolStateError
-from repro.groups.base import CyclicGroup, GroupElement
+from repro.groups.base import GroupElement
 from repro.groups.precompute import recombines_to, same_base_powers
 from repro.ocbe.base import Envelope, OCBESetup
 from repro.ocbe.predicates import GePredicate
-from repro.wire.codec import (
-    Cursor,
-    pack_bytes,
-    pack_element,
-    pack_u16,
-    read_element,
-)
+from repro.wire.codec import BYTES, ELEMENT, U16, Record, fixed, seq, struct_of
 
 __all__ = [
     "BitCommitMessage",
@@ -48,37 +42,17 @@ __all__ = [
 ]
 
 
+#: A Pedersen commitment on the wire: its group element.
+COMMITMENT = struct_of(PedersenCommitment, (("value", ELEMENT),))
+
+
 @dataclass(frozen=True)
-class BitCommitMessage:
+class BitCommitMessage(Record):
     """The receiver's first message: one commitment per bit position."""
 
     commitments: Tuple[PedersenCommitment, ...]
 
-    def to_bytes(self) -> bytes:
-        """Canonical wire encoding: count, then each ``c_i`` in order."""
-        out = bytearray(pack_u16(len(self.commitments)))
-        for commitment in self.commitments:
-            out += pack_element(commitment.value)
-        return bytes(out)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, group: CyclicGroup) -> "BitCommitMessage":
-        cursor = Cursor(data)
-        message = cls.read_from(cursor, group)
-        cursor.expect_end()
-        return message
-
-    @classmethod
-    def read_from(cls, cursor: Cursor, group: CyclicGroup) -> "BitCommitMessage":
-        count = cursor.read_u16()
-        commitments = tuple(
-            PedersenCommitment(read_element(cursor, group)) for _ in range(count)
-        )
-        return cls(commitments=commitments)
-
-    def byte_size(self) -> int:
-        """Exact wire size: ``len(self.to_bytes())``."""
-        return len(self.to_bytes())
+    FIELDS = (("commitments", seq(COMMITMENT, U16)),)
 
 
 @dataclass(frozen=True)
@@ -89,35 +63,11 @@ class BitwiseEnvelope(Envelope):
     bit_ciphers: Tuple[Tuple[bytes, bytes], ...]  # (C_i^0, C_i^1) per position
     ciphertext: bytes
 
-    def to_bytes(self) -> bytes:
-        out = bytearray(pack_element(self.eta))
-        out += pack_u16(len(self.bit_ciphers))
-        for c0, c1 in self.bit_ciphers:
-            out += pack_bytes(c0)
-            out += pack_bytes(c1)
-        out += pack_bytes(self.ciphertext)
-        return bytes(out)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, group: CyclicGroup) -> "BitwiseEnvelope":
-        cursor = Cursor(data)
-        envelope = cls.read_from(cursor, group)
-        cursor.expect_end()
-        return envelope
-
-    @classmethod
-    def read_from(cls, cursor: Cursor, group: CyclicGroup) -> "BitwiseEnvelope":
-        eta = read_element(cursor, group)
-        count = cursor.read_u16()
-        bit_ciphers = tuple(
-            (cursor.read_bytes(), cursor.read_bytes()) for _ in range(count)
-        )
-        ciphertext = cursor.read_bytes()
-        return cls(eta=eta, bit_ciphers=bit_ciphers, ciphertext=ciphertext)
-
-    def byte_size(self) -> int:
-        """Exact wire size: ``len(self.to_bytes())``."""
-        return len(self.to_bytes())
+    FIELDS = (
+        ("eta", ELEMENT),
+        ("bit_ciphers", seq(fixed(BYTES, BYTES), U16)),
+        ("ciphertext", BYTES),
+    )
 
 
 class _BitwiseSenderBase:
@@ -287,8 +237,12 @@ class _BitwiseReceiverBase:
 
         Raises :class:`~repro.errors.DecryptionError` when the predicate is
         not satisfied by the committed value (``d_0`` is then not a bit and
-        the recovered share is garbage).
+        the recovered share is garbage), and
+        :class:`~repro.errors.ProtocolStateError` on another variant's
+        envelope.
         """
+        if not isinstance(envelope, BitwiseEnvelope):
+            raise ProtocolStateError("bitwise OCBE expects a BitwiseEnvelope")
         if self._bit_values is None or self._bit_blindings is None:
             raise ProtocolStateError("open() before commitment_message()")
         if len(envelope.bit_ciphers) != self.predicate.ell:

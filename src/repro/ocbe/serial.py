@@ -3,7 +3,8 @@
 The registration wire messages (:mod:`repro.wire.messages`) carry "some
 auxiliary commitment message" and "some envelope" without knowing which
 OCBE variant produced them.  This module assigns each concrete class a
-one-byte tag and provides the encode/decode dispatch:
+one-byte tag; the dispatch is two :func:`~repro.wire.codec.tagged`
+tables:
 
 =====  =======================  =====================================
 tag    auxiliary message        envelope
@@ -23,12 +24,11 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.errors import SerializationError
 from repro.groups.base import CyclicGroup
 from repro.ocbe.derived import NeCommitMessage, NeEnvelope
 from repro.ocbe.eq import EqEnvelope
 from repro.ocbe.ge import BitCommitMessage, BitwiseEnvelope
-from repro.wire.codec import Cursor, pack_u8
+from repro.wire.codec import decode_value, tagged
 
 __all__ = [
     "AuxMessage",
@@ -44,67 +44,25 @@ AuxMessage = Optional[Union[BitCommitMessage, NeCommitMessage]]
 #: Everything a sender's envelope can be.
 OcbeEnvelope = Union[EqEnvelope, BitwiseEnvelope, NeEnvelope]
 
-_TAG_NONE = 0
-_TAG_BITWISE = 1
-_TAG_NE = 2
-_TAG_EQ = 3
+_AUX = tagged({0: None, 1: BitCommitMessage, 2: NeCommitMessage}, "auxiliary message")
+_ENVELOPE = tagged({1: BitwiseEnvelope, 2: NeEnvelope, 3: EqEnvelope}, "envelope")
 
 
 def encode_aux(aux: AuxMessage) -> bytes:
     """Serialize a receiver commitment message (or its absence, for EQ)."""
-    if aux is None:
-        return pack_u8(_TAG_NONE)
-    if isinstance(aux, BitCommitMessage):
-        return pack_u8(_TAG_BITWISE) + aux.to_bytes()
-    if isinstance(aux, NeCommitMessage):
-        return pack_u8(_TAG_NE) + aux.to_bytes()
-    raise SerializationError("unknown auxiliary message type %r" % type(aux).__name__)
+    return _AUX.pack(aux)
 
 
 def decode_aux(data: bytes, group: CyclicGroup) -> AuxMessage:
     """Inverse of :func:`encode_aux`."""
-    cursor = Cursor(data)
-    aux = read_aux(cursor, group)
-    cursor.expect_end()
-    return aux
-
-
-def read_aux(cursor: Cursor, group: CyclicGroup) -> AuxMessage:
-    tag = cursor.read_u8()
-    if tag == _TAG_NONE:
-        return None
-    if tag == _TAG_BITWISE:
-        return BitCommitMessage.read_from(cursor, group)
-    if tag == _TAG_NE:
-        return NeCommitMessage.read_from(cursor, group)
-    raise SerializationError("unknown auxiliary message tag %d" % tag)
+    return decode_value(_AUX, data, group)
 
 
 def encode_envelope(envelope: OcbeEnvelope) -> bytes:
     """Serialize any OCBE envelope with its variant tag."""
-    if isinstance(envelope, EqEnvelope):
-        return pack_u8(_TAG_EQ) + envelope.to_bytes()
-    if isinstance(envelope, BitwiseEnvelope):
-        return pack_u8(_TAG_BITWISE) + envelope.to_bytes()
-    if isinstance(envelope, NeEnvelope):
-        return pack_u8(_TAG_NE) + envelope.to_bytes()
-    raise SerializationError("unknown envelope type %r" % type(envelope).__name__)
+    return _ENVELOPE.pack(envelope)
 
 
 def decode_envelope(data: bytes, group: CyclicGroup) -> OcbeEnvelope:
     """Inverse of :func:`encode_envelope`."""
-    cursor = Cursor(data)
-    envelope = read_envelope(cursor, group)
-    cursor.expect_end()
-    return envelope
-
-
-def read_envelope(cursor: Cursor, group: CyclicGroup) -> OcbeEnvelope:
-    tag = cursor.read_u8()
-    if tag == _TAG_EQ:
-        return EqEnvelope.read_from(cursor, group)
-    if tag == _TAG_BITWISE:
-        return BitwiseEnvelope.read_from(cursor, group)
-    if tag == _TAG_NE:
-        return NeEnvelope.read_from(cursor, group)
-    raise SerializationError("unknown envelope tag %d" % tag)
+    return decode_value(_ENVELOPE, data, group)

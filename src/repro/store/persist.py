@@ -22,8 +22,6 @@ configuration) is durable from the first moment.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 from repro.errors import LogCorruptionError, SnapshotMismatchError
 from repro.obs.metrics import get_registry
 from repro.store.snapshots import (
@@ -280,7 +278,7 @@ class SubscriberPersistence(_Persistence):
                 "snapshot nym %r does not match subscriber %r"
                 % (snapshot.nym, subscriber.nym)
             )
-        for token, x, r in snapshot.tokens(self._group()):
+        for token, x, r in snapshot.wallet:
             subscriber.hold_token(token, x, r)
         for condition_key, css in snapshot.css:
             subscriber.store_css(condition_key, css)
@@ -288,7 +286,7 @@ class SubscriberPersistence(_Persistence):
     def _apply_record(self, record: StateRecord) -> None:
         subscriber = self.entity
         if isinstance(record, TokenHeldRecord):
-            subscriber.hold_token(record.token(self._group()), record.x, record.r)
+            subscriber.hold_token(record.token, record.x, record.r)
         elif isinstance(record, CssExtractedRecord):
             subscriber.store_css(record.condition_key, record.css)
         else:
@@ -298,20 +296,19 @@ class SubscriberPersistence(_Persistence):
 
     def _build_snapshot(self) -> SubscriberSnapshot:
         subscriber = self.entity
-        wallet: List[Tuple[bytes, int, int]] = [
-            (entry.token.to_bytes(), entry.x, entry.r)
-            for entry in subscriber.wallet_entries()
-        ]
         return SubscriberSnapshot(
             nym=subscriber.nym,
-            wallet=tuple(wallet),
+            wallet=tuple(
+                (entry.token, entry.x, entry.r)
+                for entry in subscriber.wallet_entries()
+            ),
             css=tuple(sorted(subscriber.css_store.items())),
         )
 
     # journal protocol (called by Subscriber)
 
     def token_held(self, token, x: int, r: int) -> None:
-        self._journal(TokenHeldRecord(token_raw=token.to_bytes(), x=x, r=r))
+        self._journal(TokenHeldRecord(token=token, x=x, r=r))
 
     def css_extracted(self, condition_key: str, css: bytes) -> None:
         self._journal(CssExtractedRecord(condition_key=condition_key, css=css))

@@ -39,15 +39,14 @@ from repro.wire.codec import (
     STR,
     U16,
     U32,
-    decode_fields,
+    Record,
     fixed,
     member_of,
-    pack_fields,
     seq,
     sorted_set,
     struct_of,
 )
-from repro.wire.messages import CONDITION
+from repro.wire.messages import CONDITION, TOKEN
 
 __all__ = [
     "StateRecord",
@@ -67,23 +66,15 @@ __all__ = [
 ]
 
 
-class StateRecord:
+class StateRecord(Record):
     """Base class: subclasses define ``TYPE_ID`` and their ``FIELDS`` in
     wire order (:mod:`repro.wire.codec`)."""
 
     TYPE_ID: int = -1
-    FIELDS: tuple = ()
-
-    def to_bytes(self) -> bytes:
-        return pack_fields(self.FIELDS, self)
 
     @classmethod
     def from_payload(cls, payload: bytes, group: CyclicGroup) -> "StateRecord":
-        return decode_fields(cls.FIELDS, payload, group, cls)
-
-    def byte_size(self) -> int:
-        """Exact encoded size: ``len(self.to_bytes())``."""
-        return len(self.to_bytes())
+        return cls.from_bytes(payload, group)
 
 
 POLICY = struct_of(
@@ -158,22 +149,15 @@ class SubscriberSnapshot(StateRecord):
     registrations.  This file is as sensitive as the wallet itself."""
 
     nym: str
-    wallet: Tuple[Tuple[bytes, int, int], ...]  # (token bytes, x, r)
+    wallet: Tuple[Tuple[IdentityToken, int, int], ...]  # (token, x, r)
     css: Tuple[Tuple[str, bytes], ...]
 
     TYPE_ID = 3
     FIELDS = (
         ("nym", STR),
-        ("wallet", seq(fixed(BYTES, SCALAR, SCALAR), U16)),
+        ("wallet", seq(fixed(TOKEN, SCALAR, SCALAR), U16)),
         ("css", CSS_CELLS),
     )
-
-    def tokens(self, group: CyclicGroup) -> Tuple[Tuple[IdentityToken, int, int], ...]:
-        """The wallet with token bytes decoded against ``group``."""
-        return tuple(
-            (IdentityToken.from_bytes(raw, group), x, r)
-            for raw, x, r in self.wallet
-        )
 
 
 # -- WAL records -------------------------------------------------------------
@@ -241,15 +225,12 @@ class EpochAdvancedRecord(StateRecord):
 class TokenHeldRecord(StateRecord):
     """Subscriber: a token plus its private opening entered the wallet."""
 
-    token_raw: bytes
+    token: IdentityToken
     x: int
     r: int
 
     TYPE_ID = 21
-    FIELDS = (("token_raw", BYTES), ("x", SCALAR), ("r", SCALAR))
-
-    def token(self, group: CyclicGroup) -> IdentityToken:
-        return IdentityToken.from_bytes(self.token_raw, group)
+    FIELDS = (("token", TOKEN), ("x", SCALAR), ("r", SCALAR))
 
 
 @dataclass(frozen=True)

@@ -14,28 +14,30 @@ from dataclasses import dataclass
 from repro.crypto.pedersen import PedersenCommitment
 from repro.crypto.schnorr_sig import SchnorrSignature
 from repro.errors import SerializationError
-from repro.groups.base import CyclicGroup
 from repro.policy.encoding import AttributeValue
 from repro.wire.codec import (
+    SCALAR,
+    STR,
     Cursor,
+    Field,
+    Record,
     pack_element,
     pack_scalar,
     pack_str,
     pack_u8,
     read_element,
+    struct_of,
 )
 
 __all__ = [
     "AttributeAssertion",
     "IdentityToken",
     "token_signing_bytes",
-    "pack_attribute_value",
-    "read_attribute_value",
+    "ATTRIBUTE_VALUE",
 ]
 
 
-def pack_attribute_value(value: AttributeValue) -> bytes:
-    """An attribute value: tag 0 = signed int, tag 1 = string."""
+def _pack_value(value: AttributeValue) -> bytes:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise SerializationError("attribute value must be int or str")
     if isinstance(value, int):
@@ -43,7 +45,7 @@ def pack_attribute_value(value: AttributeValue) -> bytes:
     return pack_u8(1) + pack_str(value)
 
 
-def read_attribute_value(cursor: Cursor) -> AttributeValue:
+def _read_value(cursor: Cursor, group) -> AttributeValue:
     tag = cursor.read_u8()
     if tag == 0:
         negative = cursor.read_bool()  # rejects non-canonical sign bytes
@@ -56,23 +58,40 @@ def read_attribute_value(cursor: Cursor) -> AttributeValue:
     raise SerializationError("unknown attribute value tag %d" % tag)
 
 
-def _pack_signature(signature: SchnorrSignature) -> bytes:
-    """Length-delimited signature scalars.
+#: An attribute value: tag 0 = signed int (sign byte, magnitude), tag 1 =
+#: string.
+ATTRIBUTE_VALUE = Field(_pack_value, _read_value)
 
-    Only used where transcript sizes are *not* privacy-relevant (IdP
-    assertions travel on the trusted Sub--IdMgr channel); identity tokens
-    use the fixed-width group encoding so registration transcripts have
-    value-independent sizes.
-    """
-    return pack_scalar(signature.e) + pack_scalar(signature.s)
+#: Length-delimited signature scalars.  Only used where transcript sizes
+#: are *not* privacy-relevant (IdP assertions travel on the trusted
+#: Sub--IdMgr channel); identity tokens use the fixed-width group
+#: encoding so registration transcripts have value-independent sizes.
+SIGNATURE = struct_of(SchnorrSignature, (("e", SCALAR), ("s", SCALAR)))
 
 
-def _read_signature(cursor: Cursor) -> SchnorrSignature:
-    return SchnorrSignature(cursor.read_scalar(), cursor.read_scalar())
+def _pack_commitment_and_signature(pair) -> bytes:
+    commitment, signature = pair
+    width = commitment.value.group.scalar_byte_length()
+    return pack_element(commitment.value) + signature.to_bytes(width)
+
+
+def _read_commitment_and_signature(cursor: Cursor, group):
+    commitment = PedersenCommitment(read_element(cursor, group))
+    width = group.scalar_byte_length()
+    return commitment, SchnorrSignature.from_bytes(cursor.take(2 * width), width)
+
+
+#: A token's commitment, then its signature scalars at the *fixed* width
+#: of the commitment's group, so every token for the same (nym, tag,
+#: group) has the same size -- the registration transcript must not leak
+#: through length variation.
+COMMITMENT_AND_SIGNATURE = Field(
+    _pack_commitment_and_signature, _read_commitment_and_signature
+)
 
 
 @dataclass(frozen=True)
-class AttributeAssertion:
+class AttributeAssertion(Record):
     """An IdP's certified statement "subject's <name> is <value>".
 
     This models the driver's license of Example 1: the Sub shows it to the
@@ -85,38 +104,19 @@ class AttributeAssertion:
     issuer: str
     signature: SchnorrSignature
 
+    FIELDS = (
+        ("subject", STR),
+        ("name", STR),
+        ("value", ATTRIBUTE_VALUE),
+        ("issuer", STR),
+        ("signature", SIGNATURE),
+    )
+
     def signing_bytes(self) -> bytes:
         """Canonical bytes covered by the issuer signature."""
         return b"repro/assertion" + b"|".join(
             part.encode("utf-8")
             for part in (self.subject, self.name, str(self.value), self.issuer)
-        )
-
-    def to_bytes(self) -> bytes:
-        """Wire encoding for the Sub -> IdMgr token request."""
-        return (
-            pack_str(self.subject)
-            + pack_str(self.name)
-            + pack_attribute_value(self.value)
-            + pack_str(self.issuer)
-            + _pack_signature(self.signature)
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "AttributeAssertion":
-        cursor = Cursor(data)
-        assertion = cls.read_from(cursor)
-        cursor.expect_end()
-        return assertion
-
-    @classmethod
-    def read_from(cls, cursor: Cursor) -> "AttributeAssertion":
-        return cls(
-            subject=cursor.read_str(),
-            name=cursor.read_str(),
-            value=read_attribute_value(cursor),
-            issuer=cursor.read_str(),
-            signature=_read_signature(cursor),
         )
 
 
@@ -135,7 +135,7 @@ def token_signing_bytes(nym: str, tag: str, commitment: PedersenCommitment) -> b
 
 
 @dataclass(frozen=True)
-class IdentityToken:
+class IdentityToken(Record):
     """``(nym, id-tag, c, sigma)`` -- the Sub's registered identity."""
 
     nym: str
@@ -143,49 +143,15 @@ class IdentityToken:
     commitment: PedersenCommitment
     signature: SchnorrSignature
 
+    FIELDS = (
+        ("nym", STR),
+        ("tag", STR),
+        (("commitment", "signature"), COMMITMENT_AND_SIGNATURE),
+    )
+
     def signing_bytes(self) -> bytes:
         """The bytes the IdMgr's signature covers."""
         return token_signing_bytes(self.nym, self.tag, self.commitment)
-
-    def to_bytes(self) -> bytes:
-        """Canonical wire encoding.
-
-        Signature scalars use the *fixed* width of the commitment group, so
-        every token for the same (nym, tag, group) has the same size -- the
-        registration transcript must not leak through length variation.
-        """
-        scalar_len = self.commitment.value.group.scalar_byte_length()
-        return (
-            pack_str(self.nym)
-            + pack_str(self.tag)
-            + pack_element(self.commitment.value)
-            + self.signature.to_bytes(scalar_len)
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes, group: CyclicGroup) -> "IdentityToken":
-        cursor = Cursor(data)
-        token = cls.read_from(cursor, group)
-        cursor.expect_end()
-        return token
-
-    @classmethod
-    def read_from(cls, cursor: Cursor, group: CyclicGroup) -> "IdentityToken":
-        nym = cursor.read_str()
-        tag = cursor.read_str()
-        commitment = PedersenCommitment(read_element(cursor, group))
-        scalar_len = group.scalar_byte_length()
-        raw_sig = cursor.take(2 * scalar_len)
-        return cls(
-            nym=nym,
-            tag=tag,
-            commitment=commitment,
-            signature=SchnorrSignature.from_bytes(raw_sig, scalar_len),
-        )
-
-    def byte_size(self) -> int:
-        """Exact wire size: ``len(self.to_bytes())``."""
-        return len(self.to_bytes())
 
     def __repr__(self) -> str:
         return "IdentityToken(nym=%r, tag=%r)" % (self.nym, self.tag)

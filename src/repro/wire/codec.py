@@ -18,10 +18,11 @@ The :class:`Cursor` reader enforces the bounds checking; the ``pack_*`` /
 ``Cursor.read_*`` pairs are inverses by construction, and every reader
 refuses bytes its packer never writes (decoding is canonical).
 
-Records -- every net frame, wire message and store record -- declare
-their fields once, in wire order, as ``FIELDS = (("name", codec), ...)``;
-:func:`pack_fields` and :func:`read_fields` are the one walker that
-encodes and decodes them all (DESIGN.md "Record codec").
+Records -- every net frame, wire message, store record, OCBE message,
+identity token and assertion -- declare their fields once, in wire
+order, as ``FIELDS = (("name", codec), ...)``; :func:`pack_fields` and
+:func:`read_fields` are the one walker that encodes and decodes them all
+(DESIGN.md "Record codec").
 """
 
 from __future__ import annotations
@@ -51,12 +52,14 @@ __all__ = [
     "pack_trace",
     "read_trace",
     "Field",
+    "U8",
     "U16",
     "U32",
     "BOOL",
     "STR",
     "BYTES",
     "SCALAR",
+    "ELEMENT",
     "TRACE",
     "seq",
     "fixed",
@@ -65,9 +68,12 @@ __all__ = [
     "member_of",
     "blob",
     "struct_of",
+    "tagged",
     "pack_fields",
     "read_fields",
     "decode_fields",
+    "decode_value",
+    "Record",
     "encode_frame",
     "decode_frame",
     "iter_frames",
@@ -162,8 +168,6 @@ def read_element(cursor: "Cursor", group):
     :class:`~repro.errors.GroupError` subclasses itself; anything else a
     hostile encoding provokes is normalized to :class:`SerializationError`.
     """
-    from repro.errors import ReproError
-
     raw = cursor.read_bytes()
     try:
         return group.element_from_bytes(raw)
@@ -290,18 +294,21 @@ def read_trace(cursor: Cursor) -> bytes:
 class Field(NamedTuple):
     """One field's wire form: ``pack(value) -> bytes`` and its inverse
     ``read(cursor, group) -> value``.  ``group`` is the commitment group
-    (``None`` for net frames); only opaque group-element codecs use it."""
+    (``None`` for net frames); only group-element codecs use it."""
 
     pack: Callable
     read: Callable
 
 
+U8 = Field(pack_u8, lambda cursor, group: cursor.read_u8())
 U16 = Field(pack_u16, lambda cursor, group: cursor.read_u16())
 U32 = Field(pack_u32, lambda cursor, group: cursor.read_u32())
 BOOL = Field(pack_bool, lambda cursor, group: cursor.read_bool())
 STR = Field(pack_str, lambda cursor, group: cursor.read_str())
 BYTES = Field(pack_bytes, lambda cursor, group: cursor.read_bytes())
 SCALAR = Field(pack_scalar, lambda cursor, group: cursor.read_scalar())
+#: A group element, validated against the commitment group.
+ELEMENT = Field(pack_element, read_element)
 #: The trailing trace id, encoded by omission; always the last field.
 TRACE = Field(pack_trace, lambda cursor, group: read_trace(cursor))
 
@@ -393,9 +400,44 @@ def struct_of(factory: Callable, fields) -> Field:
     )
 
 
+def tagged(table, what: str) -> Field:
+    """One of several records behind a one-byte tag: ``table`` maps each
+    tag to a :class:`Record` class, or to ``None`` for "nothing follows".
+    An unknown tag, or a value of a class the table does not name, is
+    refused."""
+    tags = {cls: tag for tag, cls in table.items()}
+
+    def pack(value) -> bytes:
+        tag = tags.get(None if value is None else type(value))
+        if tag is None:
+            raise SerializationError(
+                "unknown %s type %r" % (what, type(value).__name__)
+            )
+        return pack_u8(tag) + (b"" if value is None else value.to_bytes())
+
+    def read(cursor: Cursor, group):
+        tag = cursor.read_u8()
+        if tag not in table:
+            raise SerializationError("unknown %s tag %d" % (what, tag))
+        cls = table[tag]
+        return None if cls is None else cls.read_from(cursor, group)
+
+    return Field(pack, read)
+
+
 def pack_fields(fields, record) -> bytes:
-    """The walker's encoder: each declared field of ``record``, in order."""
-    return b"".join([field.pack(getattr(record, name)) for name, field in fields])
+    """The walker's encoder: each declared field of ``record``, in order.
+
+    A grouped entry ``(("a", "b"), codec)`` hands its codec the tuple of
+    those attributes, for layouts no one field can express alone."""
+    return b"".join([
+        field.pack(
+            getattr(record, name)
+            if isinstance(name, str)
+            else tuple([getattr(record, n) for n in name])
+        )
+        for name, field in fields
+    ])
 
 
 def read_fields(fields, cursor: Cursor, group, factory: Callable):
@@ -408,10 +450,15 @@ def read_fields(fields, cursor: Cursor, group, factory: Callable):
     values = {}
     try:
         for name, field in fields:
-            values[name] = field.read(cursor, group)
+            value = field.read(cursor, group)
+            if isinstance(name, str):
+                values[name] = value
+            else:
+                values.update(zip(name, value, strict=True))
     except SerializationError as exc:
+        label = name if isinstance(name, str) else "+".join(name)
         raise SerializationError(
-            "%s.%s: %s" % (factory.__name__, name, exc)
+            "%s.%s: %s" % (factory.__name__, label, exc)
         ) from exc
     try:
         return factory(**values)
@@ -425,6 +472,37 @@ def decode_fields(fields, payload: bytes, group, factory: Callable):
     record = read_fields(fields, cursor, group, factory)
     cursor.expect_end()
     return record
+
+
+def decode_value(field: Field, data: bytes, group=None):
+    """Decode ``data`` as exactly one ``field``, nothing left over."""
+    cursor = Cursor(data)
+    value = field.read(cursor, group)
+    cursor.expect_end()
+    return value
+
+
+class Record:
+    """A value that declares its ``FIELDS`` in wire order; its codec
+    derives from them (DESIGN.md "Record codec").  ``group`` is the
+    commitment group the decoder validates elements against."""
+
+    FIELDS: tuple = ()
+
+    def to_bytes(self) -> bytes:
+        return pack_fields(self.FIELDS, self)
+
+    @classmethod
+    def from_bytes(cls, data: bytes, group=None):
+        return decode_fields(cls.FIELDS, data, group, cls)
+
+    @classmethod
+    def read_from(cls, cursor: Cursor, group=None):
+        return read_fields(cls.FIELDS, cursor, group, cls)
+
+    def byte_size(self) -> int:
+        """Exact encoded size: ``len(self.to_bytes())``."""
+        return len(self.to_bytes())
 
 
 # -- frames -----------------------------------------------------------------

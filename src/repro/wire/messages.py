@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Type
 
 from repro.documents.package import BroadcastPackage
-from repro.errors import PolicyParseError, SerializationError
+from repro.errors import SerializationError
 from repro.groups.base import CyclicGroup
 from repro.ocbe.serial import (
     AuxMessage,
@@ -41,19 +41,13 @@ from repro.ocbe.serial import (
     encode_envelope,
 )
 from repro.policy.condition import AttributeCondition
-from repro.system.identity import (
-    AttributeAssertion,
-    IdentityToken,
-    pack_attribute_value,
-    read_attribute_value,
-)
+from repro.system.identity import ATTRIBUTE_VALUE, AttributeAssertion, IdentityToken
 from repro.wire.codec import (
     BOOL,
     DEFAULT_MAX_FRAME_PAYLOAD,
     SCALAR,
     STR,
     U16,
-    Cursor,
     Field,
     blob,
     decode_fields,
@@ -61,8 +55,8 @@ from repro.wire.codec import (
     encode_frame,
     optional,
     pack_fields,
-    pack_str,
     seq,
+    struct_of,
 )
 
 __all__ = [
@@ -77,39 +71,17 @@ __all__ = [
     "TokenGrant",
     "BroadcastMessage",
     "encode_message",
-    "pack_condition",
-    "read_condition",
     "decode_message",
     "MESSAGE_TYPES",
 ]
 
 
-def pack_condition(condition: AttributeCondition) -> bytes:
-    return (
-        pack_str(condition.name)
-        + pack_str(condition.op)
-        + pack_attribute_value(condition.value)
-    )
-
-
-def read_condition(cursor: Cursor) -> AttributeCondition:
-    name = cursor.read_str()
-    op = cursor.read_str()
-    value = read_attribute_value(cursor)
-    try:
-        return AttributeCondition(name=name, op=op, value=value)
-    except PolicyParseError as exc:
-        # Keep the codec contract: malformed wire input is always a
-        # SerializationError, whatever layer detects it.
-        raise SerializationError("invalid condition on the wire: %s" % exc) from exc
-
-
-#: The opaque field codecs: each value keeps its own encoding.
-CONDITION = Field(pack_condition, lambda cursor, group: read_condition(cursor))
-TOKEN = blob(IdentityToken.to_bytes, IdentityToken.from_bytes)
-ASSERTION = blob(
-    AttributeAssertion.to_bytes, lambda raw, group: AttributeAssertion.from_bytes(raw)
+CONDITION = struct_of(
+    AttributeCondition, (("name", STR), ("op", STR), ("value", ATTRIBUTE_VALUE))
 )
+#: Values that travel length-prefixed, each a record of its own.
+TOKEN = blob(IdentityToken.to_bytes, IdentityToken.from_bytes)
+ASSERTION = blob(AttributeAssertion.to_bytes, AttributeAssertion.from_bytes)
 AUX = blob(encode_aux, decode_aux)
 ENVELOPE = blob(encode_envelope, decode_envelope)
 #: A broadcast package fills the whole payload, unprefixed.

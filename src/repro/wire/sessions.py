@@ -151,9 +151,10 @@ class SubscriberRegistrationSession:
             # failure locally.  The publisher cannot observe this branch.
             self.succeeded = False
             return None
-        except (OCBEError, SerializationError, AttributeError, TypeError) as exc:
+        except (OCBEError, SerializationError) as exc:
             # A variant-mismatched or malformed envelope from a buggy/hostile
-            # publisher: fail this one registration, never the whole client.
+            # publisher (each receiver's ``open`` checks its variant): fail
+            # this one registration, never the whole client.
             self.succeeded = False
             self.failure_reason = "malformed envelope: %s" % exc
             return None

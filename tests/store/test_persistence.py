@@ -285,9 +285,7 @@ class TestMismatch:
         path = str(tmp_path / "d")
         wallet = sub.wallet_entries()[0]
         with StateStore(path, sync=False) as store:
-            record = TokenHeldRecord(
-                token_raw=wallet.token.to_bytes(), x=wallet.x, r=wallet.r
-            )
+            record = TokenHeldRecord(token=wallet.token, x=wallet.x, r=wallet.r)
             store.append(record.TYPE_ID, record.to_bytes())
         with pytest.raises(LogCorruptionError, match="publisher WAL"):
             PublisherPersistence.attach(path, pub)

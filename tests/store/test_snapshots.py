@@ -59,7 +59,7 @@ def _samples():
         ),
         SubscriberSnapshot(
             nym=sub.nym,
-            wallet=tuple((w.token.to_bytes(), w.x, w.r) for w in wallet),
+            wallet=tuple((w.token, w.x, w.r) for w in wallet),
             css=(("role = doc", b"\x01" * 16),),
         ),
         TokenIssuedRecord(nym=sub.nym, tag="role", decoy=False),
@@ -68,8 +68,7 @@ def _samples():
         CredentialRevokedRecord(nym=sub.nym, condition_key="role = doc"),
         SubscriptionRevokedRecord(nym=sub.nym),
         EpochAdvancedRecord(epoch=41),
-        TokenHeldRecord(token_raw=wallet[0].token.to_bytes(),
-                        x=wallet[0].x, r=wallet[0].r),
+        TokenHeldRecord(token=wallet[0].token, x=wallet[0].x, r=wallet[0].r),
         CssExtractedRecord(condition_key="level >= 50", css=b"t" * 16),
         GkmStrategyChangedRecord(gkm="bucketed", gkm_bucket_size=4),
         GkmStrategyChangedRecord(gkm="dense", gkm_bucket_size=0),
@@ -165,6 +164,6 @@ def test_unsorted_or_repeated_policy_objects_refused(group):
 
 def test_subscriber_snapshot_decodes_tokens(group):
     snapshot = next(s for s in SAMPLES if isinstance(s, SubscriberSnapshot))
-    tokens = snapshot.tokens(group)
+    tokens = type(snapshot).from_payload(snapshot.to_bytes(), group).wallet
     assert [t.tag for t, _, _ in tokens] == ["level", "role"]
     assert all(t.nym == snapshot.nym for t, _, _ in tokens)

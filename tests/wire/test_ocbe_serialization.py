@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ProtocolStateError, ReproError
 from repro.ocbe.base import receiver_for, sender_for
 from repro.ocbe.predicates import (
     EqPredicate,
@@ -132,3 +132,48 @@ class TestRobustness:
                 decode_envelope(bytes(corrupted), group)
             except ReproError:
                 pass
+
+
+class TestReceiversCheckTheirVariant:
+    def test_open_refuses_another_variants_envelope(self, exchanges):
+        for name, (_, _, receiver) in exchanges.items():
+            for other, (_, envelope, _) in exchanges.items():
+                if type(envelope) is type(exchanges[name][1]):
+                    continue
+                with pytest.raises(ProtocolStateError):
+                    receiver.open(envelope)
+
+    def test_mismatched_envelope_records_a_failure_reason(self, exchanges):
+        """Every wrong-variant envelope fails its session with a reason,
+        never as "the value does not satisfy the condition"."""
+        from repro.wire.messages import OCBEEnvelope, RegistrationAck
+        from repro.wire.sessions import SubscriberRegistrationSession
+        from tests.wire.conftest import build_wire_world
+
+        _, _, pub, sub = build_wire_world()
+        envelopes = {type(e): e for _, e, _ in exchanges.values()}
+        conditions = {
+            c.key(): c
+            for c in pub.conditions_for_attribute("role")
+            + pub.conditions_for_attribute("level")
+        }
+        owns = {"role = doc": "eq", "level >= 59": "ge", "role != doc": "ne"}
+        mismatched = 0
+        for key, own in owns.items():
+            for cls, envelope in envelopes.items():
+                if cls is type(exchanges[own][1]):
+                    continue
+                session = SubscriberRegistrationSession(sub, conditions[key])
+                session.start()
+                session.handle(
+                    RegistrationAck(nym=sub.nym, condition_key=key, ok=True).encode()
+                )
+                session.handle(
+                    OCBEEnvelope(
+                        nym=sub.nym, condition_key=key, envelope=envelope
+                    ).encode()
+                )
+                assert session.done and session.succeeded is False, (key, cls)
+                assert "malformed envelope" in session.failure_reason, (key, cls)
+                mismatched += 1
+        assert mismatched == 3 * 2

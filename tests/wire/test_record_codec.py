@@ -1,10 +1,13 @@
-"""The record codec over every net frame, wire message and store record.
+"""The record codec over every net frame, wire message, store record and
+the values registration carries (OCBE messages, tokens, assertions).
 
-Two checks span the three families at once:
+Two checks span the four tables at once:
 
 * a SHA-256 over ``(type id, encoded bytes)`` of every sample in the
   three seeded sample tables, computed before the families moved onto
-  the declarative codec, so the encoding itself is pinned byte for byte;
+  the declarative codec, and one over ``(class name, encoded bytes)`` of
+  the seeded value table (``tests/wire/values.py``), computed before the
+  values did, so the encoding itself is pinned byte for byte;
 * a structural fuzzer: starting from those samples, up to three
   truncations, byte flips, insertions or deletions, and either decoding
   raises a :class:`~repro.errors.ReproError` or the decoded value
@@ -21,6 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
+from repro.ocbe.derived import NeCommitMessage, NeEnvelope
+from repro.ocbe.eq import EqEnvelope
+from repro.ocbe.ge import BitCommitMessage, BitwiseEnvelope
 from repro.net.protocol import (
     NET_MESSAGE_TYPES,
     NetMessage,
@@ -28,27 +34,46 @@ from repro.net.protocol import (
     decode_net_payload,
 )
 from repro.store.snapshots import STORE_RECORD_TYPES, StateRecord, decode_state
+from repro.system.identity import AttributeAssertion, IdentityToken
 from repro.wire.codec import Cursor
 from repro.wire.messages import MESSAGE_TYPES
 from tests.net.samples import SAMPLES as NET_SAMPLES
 from tests.store.test_snapshots import SAMPLES as STORE_SAMPLES
 from tests.wire.conftest import build_wire_world
 from tests.wire.test_messages import _sample_messages
+from tests.wire.values import build_values
 
 #: SHA-256 over the three sample tables (net, wire, store, in table order).
 SAMPLE_TABLES_SHA256 = (
     "363e48167dfc03fac57d0c0c7204a045240cb3e73bb5e7a9affd2bff62ee9667"
 )
 
+#: SHA-256 over the value table (``tests/wire/values.py``), in order.
+VALUE_TABLE_SHA256 = (
+    "dcd62e640ef21be521667a62b810bb968f7c1747f16561eb65703fb6df86047e"
+)
+#: Every value type: no registry holds them, they travel inside messages.
+VALUE_TYPES = (
+    EqEnvelope,
+    BitCommitMessage,
+    BitwiseEnvelope,
+    NeCommitMessage,
+    NeEnvelope,
+    AttributeAssertion,
+    IdentityToken,
+)
+
 
 def _payload(record) -> bytes:
-    if isinstance(record, StateRecord):
+    if isinstance(record, (StateRecord, *VALUE_TYPES)):
         return record.to_bytes()
     return record.payload_bytes()
 
 
 def _decode(record, payload: bytes, group):
     """Decode ``payload`` through the registry of ``record``'s family."""
+    if isinstance(record, VALUE_TYPES):
+        return type(record).from_bytes(payload, group)
     type_id = type(record).TYPE_ID
     if isinstance(record, StateRecord):
         return decode_state(type_id, payload, group)
@@ -76,10 +101,40 @@ def group(wire_world):
     return wire_world[2].params.pedersen.group
 
 
-def test_sample_tables_cover_every_type(wire_samples):
+@pytest.fixture(scope="module")
+def value_samples():
+    return build_values()
+
+
+def test_sample_tables_cover_every_type(wire_samples, value_samples):
     assert {type(s) for s in NET_SAMPLES} == set(NET_MESSAGE_TYPES.values())
     assert {type(s) for s in wire_samples} == set(MESSAGE_TYPES.values())
     assert {type(s) for s in STORE_SAMPLES} == set(STORE_RECORD_TYPES.values())
+    assert {type(s) for s in value_samples} == set(VALUE_TYPES)
+
+
+def test_value_table_shapes(value_samples):
+    """Both ends of the ``!=`` domain omit one half, and the table holds
+    an int and a str assertion and a real and a decoy token."""
+    halves = [
+        (v.gt_envelope is None, v.lt_envelope is None)
+        for v in value_samples
+        if isinstance(v, NeEnvelope)
+    ]
+    assert halves == [(False, False), (False, True), (True, False)]
+    assertions = [v for v in value_samples if isinstance(v, AttributeAssertion)]
+    assert [type(a.value) for a in assertions] == [int, str]
+    tokens = [v for v in value_samples if isinstance(v, IdentityToken)]
+    assert [t.tag for t in tokens] == ["level", "clearance"]
+
+
+def test_value_table_bytes_are_pinned(value_samples):
+    digest = hashlib.sha256()
+    for value in value_samples:
+        name = type(value).__name__.encode()
+        raw = value.to_bytes()
+        digest.update(bytes([len(name)]) + name + len(raw).to_bytes(4, "big") + raw)
+    assert digest.hexdigest() == VALUE_TABLE_SHA256
 
 
 def test_sample_table_bytes_are_pinned(monkeypatch):
@@ -96,9 +151,13 @@ def test_every_type_declares_each_field_once():
     """A declaration names every dataclass field exactly once, so no
     field can be left off the wire; net frames end with the trace."""
     types = [TrafficRecord, *NET_MESSAGE_TYPES.values(), *MESSAGE_TYPES.values(),
-             *STORE_RECORD_TYPES.values()]
+             *STORE_RECORD_TYPES.values(), *VALUE_TYPES]
     for cls in types:
-        declared = [name for name, _ in cls.FIELDS]
+        declared = [
+            one
+            for name, _ in cls.FIELDS
+            for one in ((name,) if isinstance(name, str) else name)
+        ]
         assert sorted(declared) == sorted(f.name for f in dataclasses.fields(cls))
     for cls in NET_MESSAGE_TYPES.values():
         assert cls.FIELDS[-1][0] == "trace"
@@ -148,10 +207,12 @@ MUTATIONS = st.lists(
 
 @settings(max_examples=400)
 @given(data=st.data())
-def test_mutated_records_are_refused_or_canonical(wire_samples, group, data):
+def test_mutated_records_are_refused_or_canonical(
+    wire_samples, value_samples, group, data
+):
     """Every decoder is canonical: a mutated payload either raises a
     library error or decodes to a value whose encoding *is* that payload."""
-    samples = list(NET_SAMPLES) + wire_samples + list(STORE_SAMPLES)
+    samples = list(NET_SAMPLES) + wire_samples + list(STORE_SAMPLES) + value_samples
     record = data.draw(st.sampled_from(samples), label="sample")
     payload = _payload(record)
     starts = _field_starts(record, payload, group)
