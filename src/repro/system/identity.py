@@ -22,6 +22,7 @@ from repro.wire.codec import (
     Field,
     Record,
     pack_element,
+    pack_fields,
     pack_scalar,
     pack_str,
     pack_u8,
@@ -113,11 +114,10 @@ class AttributeAssertion(Record):
     )
 
     def signing_bytes(self) -> bytes:
-        """Canonical bytes covered by the issuer signature."""
-        return b"repro/assertion" + b"|".join(
-            part.encode("utf-8")
-            for part in (self.subject, self.name, str(self.value), self.issuer)
-        )
+        """The bytes the issuer signs: a domain tag, then every declared
+        field but the (last) signature, each length-prefixed or tagged, so
+        neither a value's type nor a field boundary can move under it."""
+        return b"repro/attribute-assertion" + pack_fields(self.FIELDS[:-1], self)
 
 
 def token_signing_bytes(nym: str, tag: str, commitment: PedersenCommitment) -> bytes:

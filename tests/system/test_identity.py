@@ -1,5 +1,6 @@
 """Tests for identity tokens, IdPs and the IdMgr."""
 
+import dataclasses
 
 import pytest
 
@@ -50,6 +51,29 @@ class TestIdp:
             signature=assertion.signature,
         )
         assert not idp.verify(forged)
+
+
+class TestAssertionSignatureBindsEveryField:
+    """The issuer signs each field length-prefixed or tagged, so neither a
+    value's type nor a boundary between fields can move under it."""
+
+    def test_retyped_value_rejected(self, world, rng):
+        idp, idmgr = world
+        idp.enroll("bob", "level", 5)
+        assertion = idp.assert_attribute("bob", "level")
+        retyped = dataclasses.replace(assertion, value="5")
+        assert not idp.verify(retyped)
+        with pytest.raises(SignatureError):
+            idmgr.issue_token("pn-5", retyped, rng=rng)
+
+    def test_resplit_fields_rejected(self, world, rng):
+        idp, idmgr = world
+        idp.enroll("bob", "role", "doc|idp")
+        assertion = idp.assert_attribute("bob", "role")
+        resplit = dataclasses.replace(assertion, name="role|doc", value="idp")
+        assert not idp.verify(resplit)
+        with pytest.raises(SignatureError):
+            idmgr.issue_token("pn-6", resplit, rng=rng)
 
 
 class TestIdMgr:

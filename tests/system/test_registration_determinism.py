@@ -124,9 +124,11 @@ USERS = {
 #: receiver, kind, payload), computed at the parent commit f66f6ec with
 #: both endpoints serial -- which that commit's
 #: ``test_pooled_frames_identical_to_serial`` proved equal to the pooled
-#: runs with 1 and 2 workers.
+#: runs with 1 and 2 workers.  The token requests carry IdP assertion
+#: signatures, so the digest moved (from 01387a10...) exactly once, when
+#: the issuer began to sign the assertion's declared fields.
 WAVE_FRAMES = 48
-WAVE_DIGEST = "01387a108da15eaa8e53f9c4d5b22267ee52bd89e33157daedb618fbb5013d4a"
+WAVE_DIGEST = "7e22c6a968845abb1effba389dc2040c5eec837ef7b29cfce4ae99a7788d30fa"
 
 
 class RecordingTransport(InMemoryTransport):
