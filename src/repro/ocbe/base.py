@@ -1,4 +1,4 @@
-"""Shared OCBE infrastructure: setup, envelopes, dispatch, local driver.
+"""Shared OCBE infrastructure: setup, dispatch, local driver.
 
 An OCBE run involves three messages (after the trusted party distributed
 the commitment): the receiver's (optional) auxiliary commitments, the
@@ -30,9 +30,8 @@ from repro.ocbe.predicates import (
     NePredicate,
     Predicate,
 )
-from repro.wire.codec import Record
 
-__all__ = ["OCBESetup", "Envelope", "run_ocbe", "sender_for", "receiver_for"]
+__all__ = ["OCBESetup", "run_ocbe", "sender_for", "receiver_for"]
 
 
 @dataclass(frozen=True)
@@ -78,10 +77,6 @@ class OCBESetup:
         if rng is not None:
             return bytes(rng.randrange(256) for _ in range(n))
         return secrets.token_bytes(n)
-
-
-class Envelope(Record):
-    """A sender->receiver OCBE payload; ``byte_size()`` is its wire size."""
 
 
 def sender_for(

@@ -22,7 +22,7 @@ from repro.errors import (
     ProtocolStateError,
     SerializationError,
 )
-from repro.ocbe.base import Envelope, OCBESetup
+from repro.ocbe.base import OCBESetup
 from repro.ocbe.ge import BitCommitMessage, BitwiseEnvelope, GeOCBEReceiver, GeOCBESender
 from repro.ocbe.le import LeOCBEReceiver, LeOCBESender
 from repro.ocbe.predicates import (
@@ -129,7 +129,7 @@ class LtOCBEReceiver(LeOCBEReceiver):
 
 
 @dataclass(frozen=True)
-class NeEnvelope(Envelope):
+class NeEnvelope(Record):
     """Both halves of the ``!=`` disjunction.
 
     At a domain boundary one half is unsatisfiable by *every* value (e.g.

@@ -22,15 +22,15 @@ from repro.crypto.pedersen import PedersenCommitment
 from repro.crypto.symmetric import NONCE_LEN
 from repro.errors import ProtocolStateError
 from repro.groups.base import GroupElement
-from repro.ocbe.base import Envelope, OCBESetup
+from repro.ocbe.base import OCBESetup
 from repro.ocbe.predicates import EqPredicate
-from repro.wire.codec import BYTES, ELEMENT
+from repro.wire.codec import BYTES, ELEMENT, Record
 
 __all__ = ["EqEnvelope", "EqOCBESender", "EqOCBEReceiver"]
 
 
 @dataclass(frozen=True)
-class EqEnvelope(Envelope):
+class EqEnvelope(Record):
     """The pair ``(eta, C)`` sent by an EQ-OCBE sender."""
 
     eta: GroupElement

@@ -30,7 +30,7 @@ from repro.crypto.symmetric import NONCE_LEN
 from repro.errors import PredicateError, ProtocolStateError
 from repro.groups.base import GroupElement
 from repro.groups.precompute import recombines_to, same_base_powers
-from repro.ocbe.base import Envelope, OCBESetup
+from repro.ocbe.base import OCBESetup
 from repro.ocbe.predicates import GePredicate
 from repro.wire.codec import BYTES, ELEMENT, U16, Record, fixed, seq, struct_of
 
@@ -56,7 +56,7 @@ class BitCommitMessage(Record):
 
 
 @dataclass(frozen=True)
-class BitwiseEnvelope(Envelope):
+class BitwiseEnvelope(Record):
     """The sender's message: ``eta``, the ``C_i^j`` table, and ``C``."""
 
     eta: GroupElement

@@ -8,7 +8,6 @@ in the token -- that is the privacy core of the system.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 from repro.crypto.pedersen import PedersenCommitment
@@ -122,15 +121,8 @@ class AttributeAssertion(Record):
 
 def token_signing_bytes(nym: str, tag: str, commitment: PedersenCommitment) -> bytes:
     """Canonical bytes the IdMgr signs for a token."""
-    nym_raw = nym.encode("utf-8")
-    tag_raw = tag.encode("utf-8")
     return (
-        b"repro/identity-token"
-        + struct.pack(">H", len(nym_raw))
-        + nym_raw
-        + struct.pack(">H", len(tag_raw))
-        + tag_raw
-        + commitment.to_bytes()
+        b"repro/identity-token" + pack_str(nym) + pack_str(tag) + commitment.to_bytes()
     )
 
 

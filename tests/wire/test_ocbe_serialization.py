@@ -136,12 +136,11 @@ class TestRobustness:
 
 class TestReceiversCheckTheirVariant:
     def test_open_refuses_another_variants_envelope(self, exchanges):
-        for name, (_, _, receiver) in exchanges.items():
-            for other, (_, envelope, _) in exchanges.items():
-                if type(envelope) is type(exchanges[name][1]):
-                    continue
-                with pytest.raises(ProtocolStateError):
-                    receiver.open(envelope)
+        for _, own, receiver in exchanges.values():
+            for _, envelope, _ in exchanges.values():
+                if type(envelope) is not type(own):
+                    with pytest.raises(ProtocolStateError):
+                        receiver.open(envelope)
 
     def test_mismatched_envelope_records_a_failure_reason(self, exchanges):
         """Every wrong-variant envelope fails its session with a reason,

@@ -25,15 +25,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.ocbe.derived import NeCommitMessage, NeEnvelope
-from repro.ocbe.eq import EqEnvelope
-from repro.ocbe.ge import BitCommitMessage, BitwiseEnvelope
 from repro.net.protocol import (
     NET_MESSAGE_TYPES,
     NetMessage,
     TrafficRecord,
     decode_net_payload,
 )
+from repro.ocbe.derived import NeCommitMessage, NeEnvelope
+from repro.ocbe.eq import EqEnvelope
+from repro.ocbe.ge import BitCommitMessage, BitwiseEnvelope
 from repro.store.snapshots import STORE_RECORD_TYPES, StateRecord, decode_state
 from repro.system.identity import AttributeAssertion, IdentityToken
 from repro.wire.codec import Cursor
@@ -116,21 +116,6 @@ def test_sample_tables_cover_every_type(wire_samples, value_samples):
     assert {type(s) for s in wire_samples} == set(MESSAGE_TYPES.values())
     assert {type(s) for s in STORE_SAMPLES} == set(STORE_RECORD_TYPES.values())
     assert {type(s) for s in value_samples} == set(VALUE_TYPES)
-
-
-def test_value_table_shapes(value_samples):
-    """Both ends of the ``!=`` domain omit one half, and the table holds
-    an int and a str assertion and a real and a decoy token."""
-    halves = [
-        (v.gt_envelope is None, v.lt_envelope is None)
-        for v in value_samples
-        if isinstance(v, NeEnvelope)
-    ]
-    assert halves == [(False, False), (False, True), (True, False)]
-    assertions = [v for v in value_samples if isinstance(v, AttributeAssertion)]
-    assert [type(a.value) for a in assertions] == [int, str]
-    tokens = [v for v in value_samples if isinstance(v, IdentityToken)]
-    assert [t.tag for t in tokens] == ["level", "clearance"]
 
 
 def test_value_table_bytes_are_pinned(value_samples):
