@@ -7,8 +7,7 @@ across runs.  Group/scale notes:
   the faster EC backend (same protocol, pure-Python-friendly).
 * GKM sweeps default to the word-sized field (numpy elimination kernel) at
   the paper's parameterisation (25 policies, ~2 conditions each); the
-  80-bit paper field is included at smaller N.  EXPERIMENTS.md reports the
-  full-scale harness runs.
+  80-bit paper field is included at smaller N.
 """
 
 import random

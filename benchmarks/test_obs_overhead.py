@@ -7,9 +7,11 @@ span parenting writing duration records to an ``obs_dir``), one with all
 of it disabled, alternating which leg goes first so host drift lands on
 both sides -- and gates the difference:
 
-* wall overhead of instrumentation must stay within 5% (plus a small
-  absolute epsilon so a sub-second scenario cannot fail on scheduler
-  noise alone);
+* the CPU the process spends with instrumentation must stay within 5%
+  (plus a small absolute epsilon) of the CPU it spends without.  The
+  broker runs as a thread, so ``time.process_time`` covers every hop;
+  unlike the wall, it does not count the time a busy host keeps this
+  process waiting (the wall ratio is still printed);
 * the byte-accounting stream must be *identical* frame for frame: with
   no ``--metrics-interval`` push configured, metrics collection rides
   only the engine's phase-boundary probe frames, which the broker
@@ -20,18 +22,23 @@ both sides -- and gates the difference:
 """
 
 import tempfile
+import time
 
 from repro.bench.runner import format_table
 from repro.load import run_scenario, smoke_scenario
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 
-#: Pairs of (off, on) runs; each leg's minimum is over this many walls.
+#: Pairs of (off, on) runs; each leg's minimum is over this many runs.
 ROUNDS = 8
-#: Allowed instrumentation cost: 5% relative plus 50 ms absolute (the
-#: smoke scenario settles in about a second; a pure ratio would gate on
-#: scheduler jitter, not on instrumentation).
+#: Allowed instrumentation cost: 5% relative plus 50 ms absolute of CPU
+#: (the smoke scenario uses about a second of it; a pure ratio would gate
+#: on scheduler jitter, not on instrumentation).
 REL_OVERHEAD = 0.05
 ABS_EPSILON_S = 0.05
+#: CPU the planted regression burns per counter increment while the
+#: registry is enabled: the smoke run's few hundred increments make it
+#: about half a second, ten times the absolute epsilon.
+PLANTED_S = 0.002
 
 
 def _run_once(enabled: bool):
@@ -54,36 +61,57 @@ def _run_once(enabled: bool):
         registry.reset()
 
 
-def test_obs_overhead_within_budget():
+def _interleaved():
+    """``ROUNDS`` interleaved (off, on) pairs: the reports and the
+    process CPU of each run, keyed by whether the registry was on."""
     reports = {False: [], True: []}
+    cpu = {False: [], True: []}
     for round_no in range(ROUNDS):
         first = bool(round_no % 2)  # alternate which leg leads the pair
         for enabled in (first, not first):
+            start = time.process_time()
             reports[enabled].append(_run_once(enabled))
+            cpu[enabled].append(time.process_time() - start)
+    return reports, cpu
+
+
+def _over_budget(cpu) -> float:
+    """How far the minimum CPU with instrumentation exceeds the budget
+    over the minimum without (positive: the gate fails)."""
+    off_min, on_min = min(cpu[False]), min(cpu[True])
+    return on_min - (off_min * (1 + REL_OVERHEAD) + ABS_EPSILON_S)
+
+
+def test_obs_overhead_within_budget():
+    reports, cpu = _interleaved()
     off_reports, on_reports = reports[False], reports[True]
-    off_walls = [report.wall_s for report in off_reports]
-    on_walls = [report.wall_s for report in on_reports]
-    off_min, on_min = min(off_walls), min(on_walls)
+    walls = {
+        enabled: [report.wall_s for report in reports[enabled]]
+        for enabled in (False, True)
+    }
 
     print()
     print(format_table(
         "smoke scenario over TCP, observability on vs off "
         "(%d interleaved pairs)" % ROUNDS,
-        ["registry", "mean ms", "min ms", "max ms"],
+        ["registry", "measure", "mean ms", "min ms", "max ms"],
         [
-            [label, sum(walls) / len(walls) * 1e3, min(walls) * 1e3,
-             max(walls) * 1e3]
-            for label, walls in (("off", off_walls), ("on", on_walls))
+            [label, measure, sum(values) / len(values) * 1e3,
+             min(values) * 1e3, max(values) * 1e3]
+            for measure, by_leg in (("cpu", cpu), ("wall", walls))
+            for label, values in (("off", by_leg[False]), ("on", by_leg[True]))
         ],
     ))
-    print("overhead ratio (min on / min off): %.3f" % (on_min / off_min))
+    print("overhead ratio (min on / min off): cpu %.3f, wall %.3f" % (
+        min(cpu[True]) / min(cpu[False]), min(walls[True]) / min(walls[False])
+    ))
 
     # Gate on the minimum (the stable estimator under scheduler noise).
-    assert on_min <= off_min * (1 + REL_OVERHEAD) + ABS_EPSILON_S, (
-        "instrumentation overhead %.1f ms exceeds %d%% + %d ms of the "
+    assert _over_budget(cpu) <= 0, (
+        "instrumentation CPU %.1f ms exceeds %d%% + %d ms of the "
         "%.1f ms baseline"
-        % ((on_min - off_min) * 1e3, REL_OVERHEAD * 100,
-           ABS_EPSILON_S * 1e3, off_min * 1e3)
+        % ((min(cpu[True]) - min(cpu[False])) * 1e3, REL_OVERHEAD * 100,
+           ABS_EPSILON_S * 1e3, min(cpu[False]) * 1e3)
     )
 
     # With no metrics interval configured, the accounted protocol traffic
@@ -105,3 +133,22 @@ def test_obs_overhead_within_budget():
     # And the disabled run's local registry stayed silent.
     off_last = off_reports[0].phases[-1]
     assert off_last.obs["local"]["counters"] == {}
+
+
+def test_planted_instrumentation_cost_fails_the_gate(monkeypatch):
+    """The gate catches a regression it exists for: a busy loop in the
+    counter increment, which runs only while the registry is enabled."""
+    increment = MetricsRegistry.inc
+
+    def busy_increment(self, name, amount=1):
+        if self.enabled:
+            deadline = time.process_time() + PLANTED_S
+            while time.process_time() < deadline:
+                pass
+        increment(self, name, amount)
+
+    monkeypatch.setattr(MetricsRegistry, "inc", busy_increment)
+    _, cpu = _interleaved()
+    print("\nplanted regression: %.1f ms of CPU over the budget"
+          % (_over_budget(cpu) * 1e3))
+    assert _over_budget(cpu) > 0

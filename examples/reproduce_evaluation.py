@@ -1,9 +1,13 @@
 """Reproduce the paper's evaluation section (Table II, Figures 2-6).
 
-Prints the same series the paper plots.  Default parameters are scaled
-for a quick pure-Python run (~2 minutes); pass ``--paper`` for the
-paper-scale sweep (N up to 1000; expect tens of minutes) whose results
-are recorded in EXPERIMENTS.md.
+Prints one table per experiment to stdout, separated by rules of ``#``:
+Table II (EQ-OCBE on the genus-2 group), Figure 2 (GE-OCBE over the
+attribute bit length), Figures 3 and 4 (ACV generation and key
+derivation over the capacity N), Figure 5 (ACV size) and Figure 6
+(conditions per policy).  Default parameters are scaled for a quick
+pure-Python run (~2 minutes); pass ``--paper`` for the paper-scale sweep
+(N up to 1000; expect tens of minutes).  The repository records no
+paper-scale run: the printed tables are the result.
 
 Run:  python examples/reproduce_evaluation.py [--paper]
 """

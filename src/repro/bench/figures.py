@@ -4,7 +4,7 @@ Every driver accepts the sweep parameters with defaults scaled for a
 pure-Python run and returns a list of result rows; pass ``verbose=True``
 to print the paper-style series.  The faithful parameterisation (the
 paper's genus-2 group, 80-bit GKM field, N up to 1000) is available by
-argument; ``benchmarks/`` and EXPERIMENTS.md state which was used.
+argument; the ``benchmarks/`` tests state which one each uses.
 
 Mapping to the paper:
 

@@ -3,11 +3,11 @@
 The paper's C/C++ system uses OpenSSL SHA-1, AES and NTL; this package
 reimplements the needed primitives in pure Python:
 
-* :mod:`repro.crypto.hashes` -- SHA-1/SHA-256 (from-scratch implementations
-  validated against ``hashlib``, plus fast ``hashlib``-backed defaults) and
-  the canonical ``H(r_1 || ... || r_m || z)`` used by the GKM scheme;
+* :mod:`repro.crypto.hashes` -- SHA-1/SHA-256 (``hashlib``-backed, with
+  from-scratch reference implementations in the module) and the
+  canonical ``H(r_1 || ... || r_m || z)`` used by the GKM scheme;
 * :mod:`repro.crypto.aes` -- FIPS-197 AES-128/192/256 block cipher;
-* :mod:`repro.crypto.modes` -- CTR and CBC/PKCS#7 modes;
+* :mod:`repro.crypto.modes` -- CTR mode (and CBC/PKCS#7 as references);
 * :mod:`repro.crypto.mac` / :mod:`repro.crypto.kdf` -- HMAC and HKDF;
 * :mod:`repro.crypto.symmetric` -- the semantically-secure symmetric
   envelope ``E_Key[M]`` the OCBE protocols require (AES-CTR with
@@ -20,8 +20,6 @@ reimplements the needed primitives in pure Python:
 
 from repro.crypto.hashes import (
     HashFunction,
-    PureSha1,
-    PureSha256,
     default_hash,
     hash_concat,
     hash_to_int,
@@ -30,7 +28,7 @@ from repro.crypto.hashes import (
 from repro.crypto.aes import AES
 from repro.crypto.kdf import hkdf_expand, hkdf_extract, derive_key
 from repro.crypto.mac import hmac_digest
-from repro.crypto.modes import cbc_decrypt, cbc_encrypt, ctr_keystream, ctr_xor
+from repro.crypto.modes import ctr_keystream, ctr_xor
 from repro.crypto.pedersen import PedersenCommitment, PedersenParams
 from repro.crypto.schnorr_sig import SchnorrKeyPair, SchnorrSignature
 from repro.crypto.symmetric import (
@@ -42,8 +40,6 @@ from repro.crypto.symmetric import (
 
 __all__ = [
     "HashFunction",
-    "PureSha1",
-    "PureSha256",
     "default_hash",
     "hash_concat",
     "hash_to_int",
@@ -53,8 +49,6 @@ __all__ = [
     "hkdf_extract",
     "derive_key",
     "hmac_digest",
-    "cbc_decrypt",
-    "cbc_encrypt",
     "ctr_keystream",
     "ctr_xor",
     "PedersenCommitment",

@@ -30,6 +30,8 @@ import random
 import secrets
 import struct
 from dataclasses import dataclass
+from functools import partial
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashes import HashFunction, default_hash, row_hasher
@@ -43,6 +45,7 @@ from repro.errors import (
 )
 from repro.mathx.field import PrimeField
 from repro.mathx.linalg import Matrix, RrefFactorization
+from repro.wire.codec import Cursor, Field, Record, magic, pack_scalar
 
 __all__ = [
     "AcvHeader",
@@ -101,37 +104,46 @@ def _draw_field_key(p: int, rng: Optional[random.Random]) -> int:
 #: format code of that width.
 _WIDE = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
-#: The longest literal run :meth:`AcvHeader.to_bytes` writes.
+#: The longest literal run the encoder writes.
 _MAX_LITERAL = 0xFFFF
 
 
-def _walk(
-    data: bytes,
-) -> Tuple[int, int, int, int, int, int, List[Tuple[int, int, int]]]:
-    """The ACV header format, checked in one pass over ``data``.
+def _pack_body(value) -> bytes:
+    """``q``, the nonces, then ``X`` as zero runs and literal runs."""
+    q, zs, x = value
+    q_raw = pack_scalar(q)
+    z_len = len(zs[0]) if zs else 0
+    if any(len(z) != z_len for z in zs):
+        raise SerializationError("inconsistent nonce lengths")
+    out = [q_raw, struct.pack(">IH", len(zs), z_len), *zs, struct.pack(">I", len(x))]
+    for nonzero, run in groupby(x, bool):
+        run = list(run)
+        if not nonzero:
+            out.append(b"\x00" + struct.pack(">I", len(run)))
+            continue
+        for i in range(0, len(run), _MAX_LITERAL):
+            literal = run[i : i + _MAX_LITERAL]
+            out.append(b"\x01" + struct.pack(">H", len(literal)))
+            out.extend(v.to_bytes(len(q_raw) - 2, "big") for v in literal)
+    return b"".join(out)
 
-    Returns ``(q, q_len, nonce offset, nonce count, nonce width, X arity,
-    literal runs)`` with one ``(index in X, byte offset, count)`` per
-    literal run, and raises :class:`SerializationError` on anything
-    :meth:`AcvHeader.to_bytes` would not have written -- so two accepted
-    encodings are equal exactly when their headers are.  Nothing is
-    decoded beyond the counts: :meth:`AcvHeader.from_bytes` materializes
-    from the returned offsets, :meth:`AcvHeader.validate` drops them.
-    """
+
+def _read_body(build: bool, cursor: Cursor, group):
+    """``(q, zs, x)``, checked in one pass; unless ``build``, the same
+    refusals and nothing decoded (the validate-only reader)."""
+    data = cursor.data
     try:
-        if data[:4] != ACV_MAGIC:
-            raise SerializationError("bad magic")
-        (q_len,) = struct.unpack_from(">H", data, 4)
-        offset = 6 + q_len
-        if offset > len(data):
+        (q_len,) = struct.unpack_from(">H", data, cursor.offset)
+        offset = cursor.offset + 2 + q_len
+        if offset > cursor.end:
             raise SerializationError("truncated modulus")
-        q = int.from_bytes(data[6:offset], "big")
+        q = int.from_bytes(data[offset - q_len : offset], "big")
         # The modulus is attacker-controlled: q < 2 would make derive()
         # divide by zero (or reduce everything to 0) instead of failing
         # typed.  No valid field has such a modulus, so refuse at parse.
         if q < 2:
             raise SerializationError("modulus q=%d is not a valid field" % q)
-        if data[6] == 0:
+        if data[offset - q_len] == 0:
             raise SerializationError("non-canonical modulus (leading zero byte)")
         n_z, z_len = struct.unpack_from(">IH", data, offset)
         offset += 6
@@ -141,18 +153,14 @@ def _walk(
         # headers.
         if n_z == 0 or z_len == 0:
             raise SerializationError("header must carry nonzero-width nonces")
-        # Bounds sanity: counts are attacker-controlled; never allocate
-        # more than the payload could possibly encode.
-        if n_z * z_len > len(data):
+        # Counts are attacker-controlled: never allocate more than the
+        # payload could possibly encode.
+        if offset + n_z * z_len > cursor.end:
             raise SerializationError("nonce count exceeds payload")
         zs_at = offset
         offset += n_z * z_len
-        if offset > len(data):
-            raise SerializationError("truncated nonce")
         (n_x,) = struct.unpack_from(">I", data, offset)
         offset += 4
-        if n_x > 8 * len(data) + 64:
-            raise SerializationError("X arity exceeds payload")
         zero = bytes(q_len)
         literals: List[Tuple[int, int, int]] = []
         filled = 0
@@ -177,7 +185,7 @@ def _walk(
                 if previous == 1:
                     raise SerializationError("short literal run split in two")
                 end = offset + count * q_len
-                if end > len(data):
+                if end > cursor.end:
                     raise SerializationError("literal run exceeds payload")
                 if count > n_x - filled:
                     raise SerializationError("X over-run")
@@ -196,93 +204,62 @@ def _walk(
             else:
                 raise SerializationError("bad RLE token %d" % token)
             previous = token
-        if offset != len(data):
-            raise SerializationError("trailing bytes after X")
-        return q, q_len, zs_at, n_z, z_len, n_x, literals
+        if offset > cursor.end:
+            raise IndexError(offset)
     except (IndexError, struct.error) as exc:
         raise SerializationError("truncated ACV header") from exc
+    # derive() refuses this arity too, but only after a subscriber has
+    # filed a KEV memo under the header's nonces.
+    if n_x != n_z + 1:
+        raise SerializationError(
+            "X arity %d is not the nonce count plus one (%d)" % (n_x, n_z + 1)
+        )
+    cursor.offset = offset
+    if not build:
+        return None
+    zs = tuple(data[i : i + z_len] for i in range(zs_at, zs_at + n_z * z_len, z_len))
+    x = [0] * n_x
+    wide = _WIDE.get(q_len)
+    for at, offset, count in literals:
+        if wide is not None:
+            x[at : at + count] = struct.unpack_from(
+                ">%d%s" % (count, wide), data, offset
+            )
+        else:
+            x[at : at + count] = [
+                int.from_bytes(data[i : i + q_len], "big")
+                for i in range(offset, offset + count * q_len, q_len)
+            ]
+    return q, zs, tuple(x)
+
+
+#: ``X``'s elements are as wide as ``q``'s encoding and there is one more
+#: of them than there are nonces, so ``q``, the nonces and ``X`` are one
+#: grouped entry.
+_BODY = Field(_pack_body, partial(_read_body, True), partial(_read_body, False))
 
 
 @dataclass(frozen=True)
-class AcvHeader:
-    """The public rekey payload ``(X, z_1..z_N)`` broadcast with documents."""
+class AcvHeader(Record):
+    """The public rekey payload ``(X, z_1..z_N)`` broadcast with documents.
+
+    ``X`` travels as zero runs (``0x00``, a ``u32`` length) and literal
+    runs (``0x01``, a ``u16`` count, elements as wide as ``q``); only the
+    encoder's own runs are accepted, so two accepted encodings are equal
+    exactly when their headers are.  :meth:`byte_size` is the compressed
+    size Figure 5 measures.
+    """
 
     q: int
     x: Tuple[int, ...]
     zs: Tuple[bytes, ...]
 
+    FIELDS = (((), magic(ACV_MAGIC)), (("q", "zs", "x"), _BODY))
+
     @property
     def capacity(self) -> int:
         """The maximum-user parameter N."""
         return len(self.zs)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Canonical wire encoding with zero-run-length compressed ``X``."""
-        q_raw = self.q.to_bytes((self.q.bit_length() + 7) // 8, "big")
-        z_len = len(self.zs[0]) if self.zs else 0
-        out = bytearray()
-        out += ACV_MAGIC
-        out += struct.pack(">H", len(q_raw))
-        out += q_raw
-        out += struct.pack(">IH", len(self.zs), z_len)
-        for z in self.zs:
-            if len(z) != z_len:
-                raise SerializationError("inconsistent nonce lengths")
-            out += z
-        elem_len = len(q_raw)
-        i = 0
-        n = len(self.x)
-        out += struct.pack(">I", n)
-        while i < n:
-            if self.x[i] == 0:
-                run = i
-                while run < n and self.x[run] == 0:
-                    run += 1
-                out += b"\x00" + struct.pack(">I", run - i)
-                i = run
-            else:
-                run = i
-                while run < n and self.x[run] != 0 and run - i < _MAX_LITERAL:
-                    run += 1
-                out += b"\x01" + struct.pack(">H", run - i)
-                for j in range(i, run):
-                    out += self.x[j].to_bytes(elem_len, "big")
-                i = run
-        return bytes(out)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "AcvHeader":
-        """Parse :meth:`to_bytes` output; canonical encodings only."""
-        q, q_len, zs_at, n_z, z_len, n_x, literals = _walk(data)
-        zs = tuple(
-            data[i : i + z_len] for i in range(zs_at, zs_at + n_z * z_len, z_len)
-        )
-        x = [0] * n_x
-        wide = _WIDE.get(q_len)
-        for at, offset, count in literals:
-            if wide is not None:
-                x[at : at + count] = struct.unpack_from(
-                    ">%d%s" % (count, wide), data, offset
-                )
-            else:
-                x[at : at + count] = [
-                    int.from_bytes(data[i : i + q_len], "big")
-                    for i in range(offset, offset + count * q_len, q_len)
-                ]
-        return cls(q=q, x=tuple(x), zs=zs)
-
-    @staticmethod
-    def validate(data: bytes) -> None:
-        """Every refusal :meth:`from_bytes` makes, without building ``zs``
-        or ``X`` -- the same walk, so the two accept exactly the same
-        inputs and fail with the same error."""
-        _walk(data)
-
-    def byte_size(self) -> int:
-        """Compressed wire size (what Figure 5 measures)."""
-        return len(self.to_bytes())
 
 
 class AcvBgkm:

@@ -19,14 +19,12 @@ buckets of size ``N/B`` cost ``B * (N/B)^3 = N^3/B^2``.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from typing import Callable, List, Tuple, TypeVar
+from typing import Callable, Tuple
 
 from repro.errors import SerializationError
 from repro.gkm.acv import AcvHeader
-
-T = TypeVar("T")
+from repro.wire.codec import Cursor, Field, Record, magic, pack_bytes, seq
 
 __all__ = [
     "BucketedHeader",
@@ -43,83 +41,56 @@ BKT_MAGIC = b"BKT1"
 MAX_BUCKETS = 65535
 
 
+def _bucket_bytes(cursor: Cursor, group) -> bytes:
+    length = cursor.read_u32()
+    if length > cursor.remaining():
+        raise SerializationError("truncated bucket header")
+    return cursor.take(length)
+
+
+def _bucket_list(bucket: Callable) -> Callable:
+    """A reader of the bucket list that runs ``bucket(raw, group)`` on
+    each bucket's bytes, in order.
+
+    The ACV codec under ``bucket`` refuses non-canonical encodings, so
+    comparing bytes refuses every pair of equal buckets, and its nonce
+    check refuses an empty bucket (capacity 0).
+    """
+
+    def read(cursor: Cursor, group) -> tuple:
+        raws = _BUCKET_BYTES.read(cursor, group)
+        if not raws:
+            raise SerializationError("empty bucket list")
+        if len(set(raws)) != len(raws):
+            raise SerializationError("duplicate bucket header")
+        return tuple([bucket(raw, group) for raw in raws])
+
+    return read
+
+
+#: Each bucket's bytes behind a ``u32`` length; a forged count is capped
+#: before a single bucket is read.
+_BUCKET_BYTES = seq(Field(pack_bytes, _bucket_bytes), bound=MAX_BUCKETS)
+_BUCKETS = Field(
+    lambda buckets: _BUCKET_BYTES.pack([header.to_bytes() for header in buckets]),
+    _bucket_list(AcvHeader.from_bytes),
+    _bucket_list(AcvHeader.validate),
+)
+
+
 @dataclass(frozen=True)
-class BucketedHeader:
-    """One :class:`AcvHeader` per bucket, all carrying the same key."""
+class BucketedHeader(Record):
+    """One :class:`AcvHeader` per bucket, all carrying the same key.
+
+    Counts and lengths are attacker-controlled (this rides inside every
+    bucketed broadcast): every declared size is checked against the
+    payload before anything is allocated, and an empty list, a duplicate
+    bucket or a truncated one is refused.
+    """
 
     buckets: Tuple[AcvHeader, ...]
 
-    def to_bytes(self) -> bytes:
-        out = bytearray(BKT_MAGIC)
-        out += struct.pack(">I", len(self.buckets))
-        for header in self.buckets:
-            raw = header.to_bytes()
-            out += struct.pack(">I", len(raw))
-            out += raw
-        return bytes(out)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BucketedHeader":
-        """Parse :meth:`to_bytes` output; canonical encodings only.
-
-        Counts and lengths are attacker-controlled (this rides inside
-        every bucketed broadcast): every declared size is checked against
-        the actual payload *before* any allocation, inflated or duplicate
-        or empty buckets are refused, and every failure is a typed
-        :class:`SerializationError` -- never ``struct.error``.
-        """
-        return cls(buckets=tuple(_walk(data, AcvHeader.from_bytes)))
-
-    @staticmethod
-    def validate(data: bytes) -> None:
-        """Every refusal :meth:`from_bytes` makes, without building a
-        bucket: the same walk with :meth:`AcvHeader.validate` per bucket."""
-        _walk(data, AcvHeader.validate)
-
-    def byte_size(self) -> int:
-        return len(self.to_bytes())
-
-
-def _walk(data: bytes, bucket: Callable[[bytes], T]) -> List[T]:
-    """The bucket list format, checked in one pass; ``bucket`` runs on
-    each bucket's bytes in order and its results are returned.
-
-    The ACV walk under ``bucket`` refuses non-canonical encodings, so
-    the byte comparison here refuses every pair of equal buckets, and
-    its nonce check refuses an empty bucket (capacity 0).
-    """
-    try:
-        if data[:4] != BKT_MAGIC:
-            raise SerializationError("bad magic")
-        offset = 4
-        (count,) = struct.unpack_from(">I", data, offset)
-        offset += 4
-        if count == 0:
-            raise SerializationError("empty bucket list")
-        if count > MAX_BUCKETS:
-            raise SerializationError(
-                "bucket count %d exceeds the cap of %d" % (count, MAX_BUCKETS)
-            )
-        if count * 4 > len(data):
-            raise SerializationError("bucket count exceeds payload")
-        out: List[T] = []
-        seen = set()
-        for _ in range(count):
-            (h_len,) = struct.unpack_from(">I", data, offset)
-            offset += 4
-            if offset + h_len > len(data):
-                raise SerializationError("truncated bucket header")
-            raw = data[offset : offset + h_len]
-            if raw in seen:
-                raise SerializationError("duplicate bucket header")
-            seen.add(raw)
-            out.append(bucket(raw))
-            offset += h_len
-        if offset != len(data):
-            raise SerializationError("trailing bytes after bucket list")
-        return out
-    except (IndexError, struct.error) as exc:
-        raise SerializationError("truncated bucketed header") from exc
+    FIELDS = (((), magic(BKT_MAGIC)), ("buckets", _BUCKETS))
 
 
 def auto_bucket_size(row_count: int) -> int:

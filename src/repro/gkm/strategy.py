@@ -38,15 +38,21 @@ weakened; any join or revoke starts a fresh epoch with fresh nonces.
 from __future__ import annotations
 
 import random
-import secrets
 from collections import Counter, OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import InvalidParameterError, SerializationError
-from repro.gkm.acv import ACV_MAGIC, AcvBgkm, AcvFactorization, AcvHeader
+from repro.errors import InvalidParameterError
+from repro.gkm.acv import (
+    ACV_MAGIC,
+    AcvBgkm,
+    AcvFactorization,
+    AcvHeader,
+    _draw_field_key,
+)
 from repro.gkm.buckets import BKT_MAGIC, BucketedHeader, auto_bucket_size
 from repro.obs.metrics import get_registry
 from repro.obs.trace import stage
+from repro.wire.codec import by_magic, check_value, decode_value
 
 __all__ = [
     "GKM_STRATEGIES",
@@ -66,31 +72,24 @@ GKM_STRATEGIES = ("dense", "bucketed")
 KeyingHeader = Union[AcvHeader, BucketedHeader]
 
 
-def _keying_format(data: bytes):
-    """The header class a keying payload's magic tag names."""
-    magic = data[:4]
-    if magic == ACV_MAGIC:
-        return AcvHeader
-    if magic == BKT_MAGIC:
-        return BucketedHeader
-    raise SerializationError("unknown keying header magic %r" % magic)
+#: Every keying header format, by the 4-byte magic tag it starts with.
+KEYING_HEADER = by_magic(
+    {ACV_MAGIC: AcvHeader, BKT_MAGIC: BucketedHeader}, "keying header"
+)
 
 
 def decode_keying_header(data: bytes) -> KeyingHeader:
-    """Parse a config header's keying payload, dense or bucketed.
-
-    Subscribers dispatch on the magic tag, so a package may freely mix
-    dense and bucketed configurations and old receivers of dense headers
-    keep working unchanged.
-    """
-    return _keying_format(data).from_bytes(data)
+    """Parse a config header's keying payload, dense or bucketed: the
+    magic tag picks the format, so a package may freely mix dense and
+    bucketed configurations."""
+    return decode_value(KEYING_HEADER, data)
 
 
 def validate_keying_header(data: bytes) -> None:
     """Refuse exactly what :func:`decode_keying_header` refuses, with the
     same error, without building the header (the package parse runs this;
     a subscriber decodes only the headers it derives from)."""
-    _keying_format(data).validate(data)
+    check_value(KEYING_HEADER, data)
 
 
 class AcvBuildCache:
@@ -212,13 +211,6 @@ class AcvBuildCache:
         }
 
 
-def _draw_key(p: int, rng: Optional[random.Random]) -> int:
-    """A fresh group key, uniform in ``F_q^*`` (same draw as the core)."""
-    if rng is not None:
-        return rng.randrange(1, p)
-    return secrets.randbelow(p - 1) + 1
-
-
 class _CachedAcvBuilder:
     """Shared per-chunk build step: cache hit -> recombine, miss -> solve."""
 
@@ -254,7 +246,7 @@ class _CachedAcvBuilder:
             if cached is not None:
                 zs, y = cached
                 if key is None:
-                    key = _draw_key(p, rng)
+                    key = _draw_field_key(p, rng)
                 x = list(y)
                 x[0] = (x[0] + key) % p
                 return key, AcvHeader(q=p, x=tuple(x), zs=zs)

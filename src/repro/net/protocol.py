@@ -333,7 +333,7 @@ class StatsReply(NetMessage):
         ("delivered_total", U32),
         ("dropped", U32),
         ("log_complete", BOOL),
-        ("log", seq(struct_of(TrafficRecord, TrafficRecord.FIELDS))),
+        ("log", seq(struct_of(TrafficRecord))),
         ("counters", seq(fixed(STR, U32))),
         ("entity", STR),
         ("metrics", BYTES),

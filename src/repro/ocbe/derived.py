@@ -143,7 +143,7 @@ class NeEnvelope(Record):
     FIELDS = (
         (
             ("gt_envelope", "lt_envelope"),
-            _halves(struct_of(BitwiseEnvelope, BitwiseEnvelope.FIELDS)),
+            _halves(struct_of(BitwiseEnvelope)),
         ),
     )
 
@@ -158,7 +158,7 @@ class NeCommitMessage(Record):
     FIELDS = (
         (
             ("gt_message", "lt_message"),
-            _halves(struct_of(BitCommitMessage, BitCommitMessage.FIELDS)),
+            _halves(struct_of(BitCommitMessage)),
         ),
     )
 

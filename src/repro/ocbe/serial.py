@@ -33,6 +33,8 @@ from repro.wire.codec import decode_value, tagged
 __all__ = [
     "AuxMessage",
     "OcbeEnvelope",
+    "AUX_MESSAGE",
+    "OCBE_ENVELOPE",
     "encode_aux",
     "decode_aux",
     "encode_envelope",
@@ -44,25 +46,27 @@ AuxMessage = Optional[Union[BitCommitMessage, NeCommitMessage]]
 #: Everything a sender's envelope can be.
 OcbeEnvelope = Union[EqEnvelope, BitwiseEnvelope, NeEnvelope]
 
-_AUX = tagged({0: None, 1: BitCommitMessage, 2: NeCommitMessage}, "auxiliary message")
-_ENVELOPE = tagged({1: BitwiseEnvelope, 2: NeEnvelope, 3: EqEnvelope}, "envelope")
+AUX_MESSAGE = tagged(
+    {0: None, 1: BitCommitMessage, 2: NeCommitMessage}, "auxiliary message"
+)
+OCBE_ENVELOPE = tagged({1: BitwiseEnvelope, 2: NeEnvelope, 3: EqEnvelope}, "envelope")
 
 
 def encode_aux(aux: AuxMessage) -> bytes:
     """Serialize a receiver commitment message (or its absence, for EQ)."""
-    return _AUX.pack(aux)
+    return AUX_MESSAGE.pack(aux)
 
 
 def decode_aux(data: bytes, group: CyclicGroup) -> AuxMessage:
     """Inverse of :func:`encode_aux`."""
-    return decode_value(_AUX, data, group)
+    return decode_value(AUX_MESSAGE, data, group)
 
 
 def encode_envelope(envelope: OcbeEnvelope) -> bytes:
     """Serialize any OCBE envelope with its variant tag."""
-    return _ENVELOPE.pack(envelope)
+    return OCBE_ENVELOPE.pack(envelope)
 
 
 def decode_envelope(data: bytes, group: CyclicGroup) -> OcbeEnvelope:
     """Inverse of :func:`encode_envelope`."""
-    return decode_value(_ENVELOPE, data, group)
+    return decode_value(OCBE_ENVELOPE, data, group)

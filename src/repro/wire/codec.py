@@ -19,16 +19,17 @@ The :class:`Cursor` reader enforces the bounds checking; the ``pack_*`` /
 refuses bytes its packer never writes (decoding is canonical).
 
 Records -- every net frame, wire message, store record, OCBE message,
-identity token and assertion -- declare their fields once, in wire
-order, as ``FIELDS = (("name", codec), ...)``; :func:`pack_fields` and
-:func:`read_fields` are the one walker that encodes and decodes them all
-(DESIGN.md "Record codec").
+identity token, assertion, broadcast package and keying header --
+declare their fields once, in wire order, as
+``FIELDS = (("name", codec), ...)``; :func:`pack_fields`,
+:func:`read_fields` and :func:`check_fields` are the one walker that
+encodes, decodes and validates them all (DESIGN.md "Record codec").
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ReproError, SerializationError
 from repro.obs.trace import TRACE_LEN, ZERO_TRACE
@@ -66,13 +67,18 @@ __all__ = [
     "optional",
     "sorted_set",
     "member_of",
-    "blob",
+    "sized",
     "struct_of",
     "tagged",
+    "magic",
+    "by_magic",
+    "lazy",
     "pack_fields",
     "read_fields",
+    "check_fields",
     "decode_fields",
     "decode_value",
+    "check_value",
     "Record",
     "encode_frame",
     "decode_frame",
@@ -86,6 +92,8 @@ WIRE_MAGIC = b"RW"
 WIRE_VERSION = 1
 
 _FRAME_HEADER = struct.Struct(">2sBBI")  # magic, version, type, payload length
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
 
 #: Fixed size of the frame header (magic + version + type + u32 length).
 FRAME_HEADER_SIZE = _FRAME_HEADER.size
@@ -185,66 +193,85 @@ class Cursor:
 
     Every ``read_*`` raises :class:`SerializationError` on truncation; a
     fully-parsed message should end with :meth:`expect_end` so trailing
-    garbage is rejected rather than silently ignored.
+    garbage is rejected rather than silently ignored.  Each also takes
+    (and ignores) the walker's ``group``, so the method itself is a
+    field reader: ``Field(pack_u16, Cursor.read_u16)``.
     """
 
-    __slots__ = ("data", "offset")
+    __slots__ = ("data", "offset", "end")
 
     def __init__(self, data: bytes, offset: int = 0):
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise SerializationError(
-                "wire input must be bytes, got %s" % type(data).__name__
-            )
-        self.data = bytes(data)
+        if type(data) is not bytes:
+            if not isinstance(data, (bytes, bytearray, memoryview)):
+                raise SerializationError(
+                    "wire input must be bytes, got %s" % type(data).__name__
+                )
+            data = bytes(data)
+        self.data = data
         self.offset = offset
+        #: Where reading stops: the end of ``data``, or of the
+        #: :func:`sized` field being walked.
+        self.end = len(self.data)
 
     def remaining(self) -> int:
-        return len(self.data) - self.offset
+        return self.end - self.offset
+
+    def _truncated(self, n: int):
+        raise SerializationError(
+            "truncated input: need %d bytes at offset %d, have %d"
+            % (n, self.offset, self.remaining())
+        )
 
     def take(self, n: int) -> bytes:
-        if n < 0 or self.remaining() < n:
-            raise SerializationError(
-                "truncated input: need %d bytes at offset %d, have %d"
-                % (n, self.offset, self.remaining())
-            )
-        out = self.data[self.offset : self.offset + n]
-        self.offset += n
-        return out
+        start = self.offset
+        if n < 0 or start + n > self.end:
+            self._truncated(n)
+        self.offset = start + n
+        return self.data[start : start + n]
 
-    def read_u8(self) -> int:
+    def read_u8(self, group=None) -> int:
         return self.take(1)[0]
 
-    def read_u16(self) -> int:
-        return int.from_bytes(self.take(2), "big")
+    # Counts and lengths are read dozens of times per frame: these check
+    # their own bounds rather than calling take().
+    def read_u16(self, group=None) -> int:
+        start = self.offset
+        if start + 2 > self.end:
+            self._truncated(2)
+        self.offset = start + 2
+        return _U16.unpack_from(self.data, start)[0]
 
-    def read_u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
+    def read_u32(self, group=None) -> int:
+        start = self.offset
+        if start + 4 > self.end:
+            self._truncated(4)
+        self.offset = start + 4
+        return _U32.unpack_from(self.data, start)[0]
 
-    def read_bool(self) -> bool:
+    def read_bool(self, group=None) -> bool:
         flag = self.read_u8()
         if flag not in (0, 1):
             raise SerializationError("bad boolean byte %#x" % flag)
         return bool(flag)
 
-    def read_str(self) -> str:
-        length = self.read_u16()
-        raw = self.take(length)
+    def read_str(self, group=None) -> str:
+        raw = self.take(self.read_u16())
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise SerializationError("invalid UTF-8 in string field") from exc
 
-    def read_bytes(self) -> bytes:
+    def read_bytes(self, group=None) -> bytes:
         return self.take(self.read_u32())
 
-    def read_scalar(self) -> int:
+    def read_scalar(self, group=None) -> int:
         raw = self.take(self.read_u16())
         if not raw or (raw[0] == 0 and len(raw) > 1):
             raise SerializationError("non-canonical scalar: empty or leading zero")
         return int.from_bytes(raw, "big")
 
     def expect_end(self) -> None:
-        if self.remaining():
+        if self.offset != self.end:
             raise SerializationError(
                 "%d trailing bytes after message" % self.remaining()
             )
@@ -294,19 +321,22 @@ def read_trace(cursor: Cursor) -> bytes:
 class Field(NamedTuple):
     """One field's wire form: ``pack(value) -> bytes`` and its inverse
     ``read(cursor, group) -> value``.  ``group`` is the commitment group
-    (``None`` for net frames); only group-element codecs use it."""
+    (``None`` for net frames); only group-element codecs use it.  The
+    optional validate-only reader ``check(cursor, group)`` refuses what
+    ``read`` refuses, with the same error, and builds nothing."""
 
     pack: Callable
     read: Callable
+    check: Optional[Callable] = None
 
 
-U8 = Field(pack_u8, lambda cursor, group: cursor.read_u8())
-U16 = Field(pack_u16, lambda cursor, group: cursor.read_u16())
-U32 = Field(pack_u32, lambda cursor, group: cursor.read_u32())
-BOOL = Field(pack_bool, lambda cursor, group: cursor.read_bool())
-STR = Field(pack_str, lambda cursor, group: cursor.read_str())
-BYTES = Field(pack_bytes, lambda cursor, group: cursor.read_bytes())
-SCALAR = Field(pack_scalar, lambda cursor, group: cursor.read_scalar())
+U8 = Field(pack_u8, Cursor.read_u8)
+U16 = Field(pack_u16, Cursor.read_u16)
+U32 = Field(pack_u32, Cursor.read_u32)
+BOOL = Field(pack_bool, Cursor.read_bool)
+STR = Field(pack_str, Cursor.read_str)
+BYTES = Field(pack_bytes, Cursor.read_bytes)
+SCALAR = Field(pack_scalar, Cursor.read_scalar)
 #: A group element, validated against the commitment group.
 ELEMENT = Field(pack_element, read_element)
 #: The trailing trace id, encoded by omission; always the last field.
@@ -383,17 +413,34 @@ def member_of(item: Field, allowed: Sequence, what: str) -> Field:
     return Field(item.pack, read)
 
 
-def blob(encode: Callable, decode: Callable) -> Field:
-    """An opaque value behind a ``u32`` length: ``encode(value) -> bytes``
-    and ``decode(raw, group) -> value`` are the value's own codec."""
+def sized(item: Field) -> Field:
+    """An ``item`` behind a ``u32`` length, walked in place -- no copy,
+    no second cursor -- and held to exactly that length."""
+
+    def bounded(reader: Callable) -> Callable:
+        def read(cursor: Cursor, group):
+            length, outer = cursor.read_u32(), cursor.end
+            if length > cursor.remaining():
+                cursor._truncated(length)
+            cursor.end = cursor.offset + length
+            value = reader(cursor, group)
+            cursor.expect_end()
+            cursor.end = outer
+            return value
+
+        return read
+
     return Field(
-        lambda value: pack_bytes(encode(value)),
-        lambda cursor, group: decode(cursor.read_bytes(), group),
+        lambda value: pack_bytes(item.pack(value)),
+        bounded(item.read),
+        bounded(item.check or item.read),
     )
 
 
-def struct_of(factory: Callable, fields) -> Field:
-    """A nested record: ``fields`` walked in place, built by ``factory``."""
+def struct_of(factory: Callable, fields=None) -> Field:
+    """A nested record: ``fields`` (by default the :class:`Record`
+    ``factory``'s own) walked in place, built by ``factory``."""
+    fields = factory.FIELDS if fields is None else fields
     return Field(
         lambda value: pack_fields(fields, value),
         lambda cursor, group: read_fields(fields, cursor, group, factory),
@@ -425,6 +472,77 @@ def tagged(table, what: str) -> Field:
     return Field(pack, read)
 
 
+def magic(tag: bytes) -> Field:
+    """A constant format tag, declared as a group of no attributes --
+    ``((), magic(b"ACV1"))`` -- so it adds no field to the record; any
+    other bytes are refused."""
+
+    def read(cursor: Cursor, group) -> tuple:
+        found = cursor.data[cursor.offset : min(cursor.offset + len(tag), cursor.end)]
+        if found != tag:
+            raise SerializationError("bad magic %r" % found)
+        cursor.offset += len(tag)
+        return ()
+
+    return Field(lambda values: tag, read)
+
+
+def by_magic(table: Dict[bytes, type], what: str) -> Field:
+    """One of several :class:`Record` classes, each beginning with its own
+    :func:`magic` tag: ``table`` maps each tag to its class.  The record
+    reads its tag itself, so nothing is added on the wire."""
+    width = len(next(iter(table)))
+
+    def walk(fields_walker: Callable) -> Callable:
+        def read(cursor: Cursor, group):
+            tag = cursor.data[cursor.offset : min(cursor.offset + width, cursor.end)]
+            if tag not in table:
+                raise SerializationError("unknown %s magic %r" % (what, tag))
+            return fields_walker(table[tag].FIELDS, cursor, group, table[tag])
+
+        return read
+
+    return Field(lambda value: value.to_bytes(), walk(read_fields), walk(check_fields))
+
+
+#: The bytes a :class:`lazy` field spanned, not decoded yet.
+_Pending = NamedTuple("_Pending", [("raw", bytes), ("group", object)])
+
+
+class lazy:
+    """A record attribute validated when read, decoded on first access:
+    ``acv: Optional[KeyingHeader] = lazy(KEYING)`` in the class body,
+    ``("acv", acv)`` in ``FIELDS``.  ``read`` runs ``field``'s validate-only
+    reader and keeps a copy of the bytes it spanned (never a view pinning
+    the frame); the first access decodes them into the instance
+    ``__dict__``.  There is no class-level default."""
+
+    def __init__(self, field: Field):
+        self.field, self.pack, self.check = field, field.pack, field.check
+        self._validate = field.check or field.read
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name, self.pending = name, "_%s_pending" % name
+
+    def read(self, cursor: Cursor, group) -> _Pending:
+        start = cursor.offset
+        self._validate(cursor, group)
+        return _Pending(cursor.data[start : cursor.offset], group)
+
+    def __set__(self, record, value) -> None:
+        key = self.pending if type(value) is _Pending else self.name
+        record.__dict__[key] = value
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            raise AttributeError(self.name)
+        values = record.__dict__
+        if self.name not in values:
+            raw, group = values.pop(self.pending)
+            values[self.name] = decode_value(self.field, raw, group)
+        return values[self.name]
+
+
 def pack_fields(fields, record) -> bytes:
     """The walker's encoder: each declared field of ``record``, in order.
 
@@ -440,6 +558,14 @@ def pack_fields(fields, record) -> bytes:
     ])
 
 
+def _refusal(factory: Callable, name, exc: Exception) -> SerializationError:
+    """``exc`` re-raised as a refusal of ``factory``'s field ``name``."""
+    label = name if isinstance(name, str) else "+".join(name)
+    return SerializationError(
+        "%s%s: %s" % (factory.__name__, label and "." + label, exc)
+    )
+
+
 def read_fields(fields, cursor: Cursor, group, factory: Callable):
     """The walker's decoder: read each declared field, then build.
 
@@ -453,17 +579,25 @@ def read_fields(fields, cursor: Cursor, group, factory: Callable):
             value = field.read(cursor, group)
             if isinstance(name, str):
                 values[name] = value
-            else:
-                values.update(zip(name, value, strict=True))
+            elif name:
+                values.update(zip(name, value))
     except SerializationError as exc:
-        label = name if isinstance(name, str) else "+".join(name)
-        raise SerializationError(
-            "%s.%s: %s" % (factory.__name__, label, exc)
-        ) from exc
+        raise _refusal(factory, name, exc) from exc
     try:
         return factory(**values)
     except ReproError as exc:
         raise SerializationError("invalid %s: %s" % (factory.__name__, exc)) from exc
+
+
+def check_fields(fields, cursor: Cursor, group, factory: Callable) -> None:
+    """The walker's validator: every refusal :func:`read_fields` makes
+    while reading, with the same error, and nothing built (each field's
+    ``check``, or its ``read`` with the value dropped)."""
+    try:
+        for name, field in fields:
+            (field.check or field.read)(cursor, group)
+    except SerializationError as exc:
+        raise _refusal(factory, name, exc) from exc
 
 
 def decode_fields(fields, payload: bytes, group, factory: Callable):
@@ -480,6 +614,13 @@ def decode_value(field: Field, data: bytes, group=None):
     value = field.read(cursor, group)
     cursor.expect_end()
     return value
+
+
+def check_value(field: Field, data: bytes, group=None) -> None:
+    """Every refusal :func:`decode_value` makes, building nothing."""
+    cursor = Cursor(data)
+    (field.check or field.read)(cursor, group)
+    cursor.expect_end()
 
 
 class Record:
@@ -499,6 +640,13 @@ class Record:
     @classmethod
     def read_from(cls, cursor: Cursor, group=None):
         return read_fields(cls.FIELDS, cursor, group, cls)
+
+    @classmethod
+    def validate(cls, data: bytes, group=None) -> None:
+        """Every refusal :meth:`from_bytes` makes, building nothing."""
+        cursor = Cursor(data)
+        check_fields(cls.FIELDS, cursor, group, cls)
+        cursor.expect_end()
 
     def byte_size(self) -> int:
         """Exact encoded size: ``len(self.to_bytes())``."""

@@ -32,14 +32,7 @@ from typing import Dict, Optional, Tuple, Type
 from repro.documents.package import BroadcastPackage
 from repro.errors import SerializationError
 from repro.groups.base import CyclicGroup
-from repro.ocbe.serial import (
-    AuxMessage,
-    OcbeEnvelope,
-    decode_aux,
-    decode_envelope,
-    encode_aux,
-    encode_envelope,
-)
+from repro.ocbe.serial import AUX_MESSAGE, OCBE_ENVELOPE, AuxMessage, OcbeEnvelope
 from repro.policy.condition import AttributeCondition
 from repro.system.identity import ATTRIBUTE_VALUE, AttributeAssertion, IdentityToken
 from repro.wire.codec import (
@@ -48,14 +41,13 @@ from repro.wire.codec import (
     SCALAR,
     STR,
     U16,
-    Field,
-    blob,
     decode_fields,
     decode_frame,
     encode_frame,
     optional,
     pack_fields,
     seq,
+    sized,
     struct_of,
 )
 
@@ -80,15 +72,12 @@ CONDITION = struct_of(
     AttributeCondition, (("name", STR), ("op", STR), ("value", ATTRIBUTE_VALUE))
 )
 #: Values that travel length-prefixed, each a record of its own.
-TOKEN = blob(IdentityToken.to_bytes, IdentityToken.from_bytes)
-ASSERTION = blob(AttributeAssertion.to_bytes, AttributeAssertion.from_bytes)
-AUX = blob(encode_aux, decode_aux)
-ENVELOPE = blob(encode_envelope, decode_envelope)
+TOKEN = sized(struct_of(IdentityToken))
+ASSERTION = sized(struct_of(AttributeAssertion))
+AUX = sized(AUX_MESSAGE)
+ENVELOPE = sized(OCBE_ENVELOPE)
 #: A broadcast package fills the whole payload, unprefixed.
-PACKAGE = Field(
-    BroadcastPackage.to_bytes,
-    lambda cursor, group: BroadcastPackage.from_bytes(cursor.take(cursor.remaining())),
-)
+PACKAGE = struct_of(BroadcastPackage)
 
 
 class WireMessage:

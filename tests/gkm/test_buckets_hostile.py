@@ -186,7 +186,9 @@ def test_modulus_with_a_leading_zero_and_trailing_bytes_rejected():
 def test_full_literal_run_may_continue():
     # to_bytes splits a literal run at 0xFFFF elements: the continuation
     # is canonical and round-trips byte for byte.
-    header = AcvHeader(q=FAST_FIELD.p, x=tuple(range(1, 0x10003)), zs=(b"zzzz",))
+    header = AcvHeader(
+        q=FAST_FIELD.p, x=tuple(range(1, 0x10003)), zs=(b"zzzz",) * 0x10001
+    )
     raw = header.to_bytes()
     assert [kind for kind, _ in _canonical_runs(header.x)] == ["literal"] * 2
     assert AcvHeader.from_bytes(raw) == header

@@ -21,6 +21,7 @@ import contextlib
 import json
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from repro.crypto.symmetric import AesCtrHmacCipher
 from repro.documents import Document
 from repro.documents import package as package_module
 from repro.documents.package import BroadcastPackage, ConfigHeader
-from repro.errors import KeyDerivationError
+from repro.errors import KeyDerivationError, SerializationError
 from repro.gkm.acv import FAST_FIELD, AcvHeader
 from repro.gkm.buckets import BucketedHeader
 from repro.groups import get_group
@@ -51,6 +52,7 @@ from repro.system import (
     run_until_idle,
 )
 from repro.system.subscriber import KEV_MEMO_ENTRIES
+from repro.wire.messages import BroadcastMessage, decode_message
 from tests.gkm.scratch import from_scratch
 
 MEMBERS = 9
@@ -589,6 +591,34 @@ def _long_lived_subscriber_equals_a_fresh_one(gkm, ops, seed):
 
 def _hostile_package(header):
     return BroadcastPackage(document="feed", headers=(header,), subdocuments=())
+
+
+def test_wrong_arity_header_is_refused_at_decode_and_keeps_the_memo():
+    """An ``X`` whose arity is not N + 1, under fresh nonces, is refused
+    when the frame is decoded -- before the subscriber files a KEV memo
+    under those nonces -- so the memo of the last honest header survives
+    and the next delivery of that header costs no Eq. 2 hash."""
+    world = _World("dense", AesCtrHmacCipher(), members=2)
+    service, client = world.service, world.clients[0]
+    good = service.publish(_document(1))
+    run_until_idle(world.clients)
+    remembered = _remembered(client.subscriber)
+    assert remembered
+    template = good.headers[0]
+    acv = template.acv
+    fresh = tuple(bytes(reversed(z)) for z in acv.zs)
+    hostile = replace(
+        template, acv=AcvHeader(q=acv.q, x=acv.x + (7,), zs=fresh)
+    )
+    frame = BroadcastMessage(
+        package=replace(good, headers=(hostile,) + good.headers[1:])
+    ).encode()
+    with pytest.raises(SerializationError, match="arity"):
+        decode_message(frame, world.publisher.params.pedersen.group)
+    world.transport.broadcast(service.name, BroadcastMessage.KIND, frame)
+    with pytest.raises(SerializationError, match="arity"):
+        client.pump()
+    assert _remembered(client.subscriber) == remembered
 
 
 def test_hostile_headers_fail_typed_and_leave_the_memo_bounded():

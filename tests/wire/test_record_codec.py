@@ -1,18 +1,23 @@
-"""The record codec over every net frame, wire message, store record and
-the values registration carries (OCBE messages, tokens, assertions).
+"""The record codec over every net frame, wire message, store record,
+the values registration carries (OCBE messages, tokens, assertions) and
+the broadcast package with its keying headers.
 
-Two checks span the four tables at once:
+Two checks span the five tables at once:
 
 * a SHA-256 over ``(type id, encoded bytes)`` of every sample in the
   three seeded sample tables, computed before the families moved onto
   the declarative codec, and one over ``(class name, encoded bytes)`` of
-  the seeded value table (``tests/wire/values.py``), computed before the
-  values did, so the encoding itself is pinned byte for byte (both
+  the seeded value table (``tests/wire/values.py``) and of the package
+  table (``tests/wire/packages.py``), each computed before its types
+  did, so the encoding itself is pinned byte for byte (the first two
   re-pinned once since, for new assertion signatures only);
 * a structural fuzzer: starting from those samples, up to three
   truncations, byte flips, insertions or deletions, and either decoding
   raises a :class:`~repro.errors.ReproError` or the decoded value
   re-encodes to exactly the mutated input (every decoder is canonical).
+  A decoded package re-encodes through its lazily decoded keying
+  headers, so the fuzzer also checks that every header the package
+  parse validated does decode.
 """
 
 import dataclasses
@@ -24,7 +29,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.documents.package import (
+    BroadcastPackage,
+    ConfigHeader,
+    EncryptedSubdocument,
+)
 from repro.errors import ReproError
+from repro.gkm.acv import AcvHeader
+from repro.gkm.buckets import BucketedHeader
 from repro.net.protocol import (
     NET_MESSAGE_TYPES,
     NetMessage,
@@ -41,6 +53,7 @@ from repro.wire.messages import MESSAGE_TYPES
 from tests.net.samples import SAMPLES as NET_SAMPLES
 from tests.store.test_snapshots import SAMPLES as STORE_SAMPLES
 from tests.wire.conftest import build_wire_world
+from tests.wire.packages import build_packages
 from tests.wire.test_messages import _sample_messages
 from tests.wire.values import build_values
 
@@ -68,16 +81,30 @@ VALUE_TYPES = (
     IdentityToken,
 )
 
+#: SHA-256 over the package table (``tests/wire/packages.py``), in order,
+#: computed with the hand-written package and keying-header codecs.
+PACKAGE_TABLE_SHA256 = (
+    "4196f057959975626a4959a294a77b354d139d85a767fece6fc51c4503fd3ea6"
+)
+#: The broadcast package's records and the two keying header formats.
+PACKAGE_TYPES = (
+    BroadcastPackage,
+    ConfigHeader,
+    EncryptedSubdocument,
+    AcvHeader,
+    BucketedHeader,
+)
+
 
 def _payload(record) -> bytes:
-    if isinstance(record, (StateRecord, *VALUE_TYPES)):
+    if isinstance(record, (StateRecord, *VALUE_TYPES, *PACKAGE_TYPES)):
         return record.to_bytes()
     return record.payload_bytes()
 
 
 def _decode(record, payload: bytes, group):
     """Decode ``payload`` through the registry of ``record``'s family."""
-    if isinstance(record, VALUE_TYPES):
+    if isinstance(record, (*VALUE_TYPES, *PACKAGE_TYPES)):
         return type(record).from_bytes(payload, group)
     type_id = type(record).TYPE_ID
     if isinstance(record, StateRecord):
@@ -111,20 +138,34 @@ def value_samples():
     return build_values()
 
 
-def test_sample_tables_cover_every_type(wire_samples, value_samples):
+@pytest.fixture(scope="module")
+def package_samples():
+    return build_packages()
+
+
+def test_sample_tables_cover_every_type(wire_samples, value_samples, package_samples):
     assert {type(s) for s in NET_SAMPLES} == set(NET_MESSAGE_TYPES.values())
     assert {type(s) for s in wire_samples} == set(MESSAGE_TYPES.values())
     assert {type(s) for s in STORE_SAMPLES} == set(STORE_RECORD_TYPES.values())
     assert {type(s) for s in value_samples} == set(VALUE_TYPES)
+    assert {type(s) for s in package_samples} == {BroadcastPackage, BucketedHeader}
 
 
-def test_value_table_bytes_are_pinned(value_samples):
+def _named_digest(values) -> str:
     digest = hashlib.sha256()
-    for value in value_samples:
+    for value in values:
         name = type(value).__name__.encode()
         raw = value.to_bytes()
         digest.update(bytes([len(name)]) + name + len(raw).to_bytes(4, "big") + raw)
-    assert digest.hexdigest() == VALUE_TABLE_SHA256
+    return digest.hexdigest()
+
+
+def test_value_table_bytes_are_pinned(value_samples):
+    assert _named_digest(value_samples) == VALUE_TABLE_SHA256
+
+
+def test_package_table_bytes_are_pinned(package_samples):
+    assert _named_digest(package_samples) == PACKAGE_TABLE_SHA256
 
 
 def test_sample_table_bytes_are_pinned(monkeypatch):
@@ -137,11 +178,25 @@ def test_sample_table_bytes_are_pinned(monkeypatch):
     assert _digest(records) == SAMPLE_TABLES_SHA256
 
 
+def test_lazy_keying_field_keeps_a_copied_slice(package_samples):
+    """A parsed header holds its keying bytes -- the ``u32`` length and
+    the header, copied out of the frame -- until ``acv`` is first read."""
+    package = package_samples[3]
+    parsed = BroadcastPackage.from_bytes(package.to_bytes())
+    for header, built in zip(parsed.headers, package.headers):
+        (pending,) = [v for k, v in vars(header).items() if k.endswith("_pending")]
+        keying = b"" if built.acv is None else built.acv.to_bytes()
+        assert type(pending.raw) is bytes
+        assert pending.raw == len(keying).to_bytes(4, "big") + keying
+        assert header.acv == built.acv
+        assert not [k for k in vars(header) if k.endswith("_pending")]
+
+
 def test_every_type_declares_each_field_once():
     """A declaration names every dataclass field exactly once, so no
     field can be left off the wire; net frames end with the trace."""
     types = [TrafficRecord, *NET_MESSAGE_TYPES.values(), *MESSAGE_TYPES.values(),
-             *STORE_RECORD_TYPES.values(), *VALUE_TYPES]
+             *STORE_RECORD_TYPES.values(), *VALUE_TYPES, *PACKAGE_TYPES]
     for cls in types:
         declared = [
             one
@@ -195,14 +250,7 @@ MUTATIONS = st.lists(
 )
 
 
-@settings(max_examples=400)
-@given(data=st.data())
-def test_mutated_records_are_refused_or_canonical(
-    wire_samples, value_samples, group, data
-):
-    """Every decoder is canonical: a mutated payload either raises a
-    library error or decodes to a value whose encoding *is* that payload."""
-    samples = list(NET_SAMPLES) + wire_samples + list(STORE_SAMPLES) + value_samples
+def _refused_or_canonical(samples, group, data) -> None:
     record = data.draw(st.sampled_from(samples), label="sample")
     payload = _payload(record)
     starts = _field_starts(record, payload, group)
@@ -212,3 +260,36 @@ def test_mutated_records_are_refused_or_canonical(
     except ReproError:
         return
     assert _payload(decoded) == mutated
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_mutated_records_are_refused_or_canonical(
+    wire_samples, value_samples, group, data
+):
+    """Every decoder is canonical: a mutated payload either raises a
+    library error or decodes to a value whose encoding *is* that payload."""
+    samples = list(NET_SAMPLES) + wire_samples + list(STORE_SAMPLES) + value_samples
+    _refused_or_canonical(samples, group, data)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_mutated_packages_are_refused_or_canonical(package_samples, group, data):
+    """The same property over the package table."""
+    _refused_or_canonical(package_samples, group, data)
+
+
+def test_every_package_byte_flip_is_refused_or_canonical(package_samples):
+    """Exhaustively, one byte at a time: a flip inside a keying header
+    keeps every length intact, so only the header's own validation can
+    refuse it -- and a header the parse let through must then decode."""
+    for record in package_samples:
+        payload = record.to_bytes()
+        for at in range(len(payload)):
+            mutated = payload[:at] + bytes([payload[at] ^ 0xFF]) + payload[at + 1 :]
+            try:
+                decoded = type(record).from_bytes(mutated)
+            except ReproError:
+                continue
+            assert decoded.to_bytes() == mutated
