@@ -16,6 +16,10 @@ A qualified subscriber recomputes its row -- the *key extraction vector*
 ``nu = (1, a_1, ..., a_N)`` -- and recovers ``K = nu . X``; everyone else
 sees only uniformly random-looking values (Section VI-B).  Rekeying =
 regenerate and re-publish; no unicast, no subscriber state change.
+:meth:`AcvBgkm.generate` is that regeneration.  The publish path instead
+carries the elimination across membership changes
+(:class:`AcvFactorization`): a join extends it and a revoke removes rows
+from it, reusing the nonces.
 
 The published vector is serialized with zero-run-length compression, which
 reproduces the paper's Figure 5 behaviour (ACV size growing with the number
@@ -505,12 +509,20 @@ class AcvFactorization:
     matrix ``A``, so a membership *join* -- a pure row/column extension --
     costs ``O(m^2)`` instead of the ``O(m^3)`` from-scratch elimination.
 
+    A revoke runs the other way: :meth:`remove` takes the dead rows out of
+    the carried state and cuts the nonces back to the Eq.-1 capacity,
+    with no hashing and no elimination.
+
     Security envelope: reusing the nonces across an extension is safe
     precisely because a join only ever *adds* rows -- every previously
     qualified CSS tuple stays qualified, and no tuple loses entitlement.
-    A revoke or credential replacement removes/changes a row, which
-    demands fresh nonces and a full re-solve; callers enforce that by
-    dropping the factorization (see ``AcvBuildCache.invalidate``).
+    Reusing them across a removal is safe because the next header draws
+    a fresh combination from the null space of the *surviving* rows only:
+    a removed row is no longer annihilated, so its KEV yields ``K'`` plus
+    a fresh random multiple of a value it cannot predict.  Callers never
+    serve a vector built before the removal (``AcvBuildCache.note_revoke``),
+    and the bucketed strategy, whose buckets share ``K``, re-solves
+    instead (DESIGN.md, "GKM strategies").
     """
 
     __slots__ = ("_core", "rows", "zs", "_rref", "_basis")
@@ -572,6 +584,40 @@ class AcvFactorization:
             self._rref.extend_row([1] + [a(z) for z in self.zs])
             self.rows.append(tuple(row))
         self._basis = None
+
+    def remove(self, dead: Sequence[int], n_max: int) -> bool:
+        """Fold a revoke in, the inverse of :meth:`extend`: drop the rows at
+        indices ``dead`` (feed order), then keep the first ``n_max`` nonces.
+
+        No row is hashed and nothing is eliminated: each removal is one
+        :meth:`~repro.mathx.linalg.RrefFactorization.remove_row`, and the
+        cut drops matrix columns the removals freed.  The state then
+        equals :meth:`AcvBgkm.factorize` of the surviving rows under the
+        kept nonces, so the header has the byte length of a fresh solve
+        at ``n_max``.  Refused (False) when the kept nonce width is not
+        the one a fresh solve at ``n_max`` would draw (a small ``N`` needs
+        wider nonces for ``tau * N > 160``; nothing is changed then) or
+        when a dropped column is a pivot (the rows are removed by then,
+        so the state is spent).  The caller re-solves on a refusal.
+        """
+        dead = sorted(set(dead), reverse=True)
+        if n_max > self.capacity:
+            raise InvalidParameterError("remove() cannot grow the capacity")
+        if n_max < len(self.rows) - len(dead):
+            raise CapacityError(
+                "capacity N=%d below the %d qualified rows (Eq. 1)"
+                % (n_max, len(self.rows) - len(dead))
+            )
+        if n_max < self.capacity and len(self.zs[0]) != _auto_z_bytes(n_max):
+            return False
+        for index in dead:
+            self._rref.remove_row(index)
+            del self.rows[index]
+        self._basis = None
+        if not self._rref.truncate(n_max + 1):
+            return False
+        self.zs = self.zs[:n_max]
+        return True
 
     def null_basis(self) -> List[Tuple[int, ...]]:
         """The null-space basis of the carried matrix (cached per state)."""

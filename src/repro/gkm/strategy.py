@@ -23,23 +23,30 @@ re-running the elimination.  The cache is keyed on the exact row tuples.
 A *pure join* keeps entries (:meth:`AcvBuildCache.note_join`): untouched
 configurations exact-hit, and a grown configuration extends the stored
 :class:`~repro.gkm.acv.AcvFactorization` row by row -- O(m^2) per join
-instead of the O(m^3) re-solve.  Every revoke / credential replacement /
-policy change still invalidates outright, so a stale vector can never
-outlive a membership it over-approximates.
+instead of the O(m^3) re-solve.  A *dense revoke* or credential
+replacement keeps them too (:meth:`AcvBuildCache.note_revoke`): an
+entry that held a dead row is never served again, only taken as the
+base its configuration's next build removes the dead rows from -- no
+hashing, no elimination, the nonces cut back to the Eq.-1 capacity.
+A bucketed revoke and every policy or strategy change invalidate
+outright, so a stale vector can never outlive a membership it
+over-approximates.
 
 Security envelope of the cache (documented in DESIGN.md): two headers
 built from one cache entry share ``(zs, Y)`` and differ only in
 ``X[0] = Y[0] + K``, so their *difference* reveals ``K' - K``.  Within
 one membership epoch every holder of ``K`` is entitled to ``K'`` as well
 (the membership is unchanged by construction), so no lockout property is
-weakened; any join or revoke starts a fresh epoch with fresh nonces.
+weakened.  A join or revoke starts a new epoch with a fresh ``Y``: drawn
+over fresh nonces, or from the null space of the changed rows over
+reused ones, which a removed row no longer lies in.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter, OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import InvalidParameterError
 from repro.gkm.acv import (
@@ -105,22 +112,27 @@ class AcvBuildCache:
     insertion order, which is exactly backwards at publish cadence: the
     hottest configuration was also the oldest insertion.)
 
-    Membership changes split two ways:
+    Membership changes split three ways:
 
-    * :meth:`invalidate` -- revoke / credential replacement / policy or
-      strategy change: advances the epoch and drops everything, because a
-      removed or replaced row must never stay annihilated by a cached
-      vector (fresh nonces are mandatory).
+    * :meth:`invalidate` -- policy or strategy change, or a bucketed
+      revoke: advances the epoch and drops everything; the next builds
+      re-solve under fresh nonces.
     * :meth:`note_join` -- a *pure join* (a brand-new CSS cell): advances
       the epoch but keeps entries.  A configuration the join did not
       touch recurs with the identical row tuple and may exact-hit -- its
       membership is unchanged by construction.  A configuration the join
-      did touch now has a strict row superset, which
-      :meth:`take_extendable` serves as an O(m^2)-per-row incremental
-      extension of the stored factorization instead of a fresh
-      elimination (see :class:`~repro.gkm.acv.AcvFactorization` for the
-      security argument: extension only ever adds entitlements that the
-      join itself granted).
+      did touch now has a strict row superset, which :meth:`take_base`
+      serves as an O(m^2)-per-row incremental extension of the stored
+      factorization instead of a fresh elimination (see
+      :class:`~repro.gkm.acv.AcvFactorization` for the security
+      argument: extension only ever adds entitlements that the join
+      itself granted).
+    * :meth:`note_revoke` -- a dense revoke or credential replacement:
+      advances the epoch and names the CSS values that died.  Untouched
+      configurations keep exact-hitting; a touched one's entry becomes
+      the base its next build removes the dead rows from
+      (:meth:`~repro.gkm.acv.AcvFactorization.remove`), and
+      :meth:`drop_dead` forgets the bases no build took.
     """
 
     def __init__(self, max_entries: int = 256):
@@ -129,9 +141,15 @@ class AcvBuildCache:
         self.max_entries = max_entries
         self._entries: "OrderedDict[tuple, Tuple[Tuple[bytes, ...], Tuple[int, ...], AcvFactorization]]" = OrderedDict()
         self.epoch = 0
+        #: CSS values of rows removed since the last :meth:`drop_dead`.
+        self._dead: Set[bytes] = set()
         self.hits = 0
         self.misses = 0
         self.extends = 0
+        self.downdates = 0
+
+    def _dead_row(self, row: Tuple[bytes, ...]) -> bool:
+        return any(css in self._dead for css in row)
 
     def lookup(
         self, rows: tuple, n_max: int
@@ -146,35 +164,51 @@ class AcvBuildCache:
         get_registry().inc("gkm.acv_cache.hit")
         return entry[0], entry[1]
 
-    def take_extendable(
+    def take_base(
         self, rows: tuple, n_max: int
-    ) -> Optional[Tuple[AcvFactorization, List[Tuple[bytes, ...]]]]:
-        """Pop the best join-delta base for ``(rows, n_max)``.
+    ) -> Optional[Tuple[AcvFactorization, List[int], List[Tuple[bytes, ...]]]]:
+        """Pop the best delta base for ``(rows, n_max)``.
 
-        Most-recently-used first, an entry qualifies when it holds a
-        nonempty *strict sub-multiset* of ``rows``
-        and its capacity fits inside ``n_max`` (capacity only ever grows
-        -- shrinking would drop nonces that published headers already
-        used).  Returns ``(factorization, missing_rows)``; the entry is
-        removed because extension mutates it (the extended state is
-        re-stored under the new key by the builder).
+        Most-recently-used first.  An entry with no dead row qualifies
+        when it holds a nonempty *strict sub-multiset* of ``rows`` and its
+        capacity fits inside ``n_max`` (a join: capacity only grows).  An
+        entry holding dead rows (:meth:`note_revoke`) qualifies when its
+        surviving rows are a nonempty sub-multiset of ``rows``, equal
+        included, at any capacity: removing the dead rows and cutting the
+        nonces back is the revoke's whole build.  Returns
+        ``(factorization, dead row indices, missing rows)``; the entry is
+        removed because the builder mutates it (and re-stores the result
+        under the new key).
         """
         if n_max < len(rows):
             return None
         needed = Counter(rows)
         for key in reversed(self._entries):
             old_rows, old_n = key
-            if not old_rows or len(old_rows) >= len(rows) or old_n > n_max:
+            live = (
+                [row for row in old_rows if not self._dead_row(row)]
+                if self._dead else old_rows
+            )
+            revoked = len(live) < len(old_rows)
+            if not live or not revoked and (
+                len(old_rows) >= len(rows) or old_n > n_max
+            ):
                 continue
             missing = needed.copy()
-            missing.subtract(old_rows)
+            missing.subtract(live)
             if any(count < 0 for count in missing.values()):
                 continue
             fact = self._entries.pop(key)[2]
-            self.extends += 1
-            get_registry().inc("gkm.acv_cache.extend")
+            dead = []
+            if revoked:
+                self.downdates += 1
+                get_registry().inc("gkm.acv_cache.downdate")
+                dead = [i for i, row in enumerate(fact.rows) if self._dead_row(row)]
+            else:
+                self.extends += 1
+                get_registry().inc("gkm.acv_cache.extend")
             extra = [row for row, count in missing.items() for _ in range(count)]
-            return fact, extra
+            return fact, dead, extra
         return None
 
     def store(
@@ -195,10 +229,29 @@ class AcvBuildCache:
         """A pure join happened: new epoch, entries stay extendable."""
         self.epoch += 1
 
+    def note_revoke(self, css_values: Iterable[bytes]) -> None:
+        """Rows holding any of ``css_values`` were removed (a dense revoke
+        or credential replacement): new epoch.  An entry holding such a
+        row is never served again -- its key names a CSS value no current
+        row holds, so no lookup matches it -- and is only taken as a base
+        by :meth:`take_base`; an entry holding none keeps exact-hitting."""
+        self.epoch += 1
+        self._dead.update(css_values)
+
+    def drop_dead(self) -> None:
+        """Forget every entry still holding a dead row (called after each
+        publish: whatever the publish did not take as a base goes)."""
+        if self._dead:
+            for key in [k for k in self._entries if any(map(self._dead_row, k[0]))]:
+                del self._entries[key]
+            self._dead.clear()
+
     def invalidate(self) -> None:
-        """A row was removed or replaced: new epoch, no entry survives."""
+        """Policy or strategy change, or a bucketed revoke: new epoch, no
+        entry survives."""
         self.epoch += 1
         self._entries.clear()
+        self._dead.clear()
 
     def stats(self) -> Dict[str, int]:
         """Counters for tests, metrics and reports."""
@@ -250,21 +303,16 @@ class _CachedAcvBuilder:
                 x = list(y)
                 x[0] = (x[0] + key) % p
                 return key, AcvHeader(q=p, x=tuple(x), zs=zs)
-            base = self.cache.take_extendable(rows_key, n_max)
+            base = self.cache.take_base(rows_key, n_max)
             if base is not None:
-                fact, extra = base
-                with stage("acv.update", rows=len(rows), added=len(extra)):
-                    with get_registry().timer("gkm.acv_update_seconds"):
-                        fact.extend(
-                            extra, added_capacity=n_max - fact.capacity, rng=rng
-                        )
-                        key, header = self.core.rekey_from_factorization(
-                            fact, rng=rng, key=key
-                        )
-                y = list(header.x)
-                y[0] = (y[0] - key) % p
-                self.cache.store(rows_key, n_max, header.zs, tuple(y), fact)
-                return key, header
+                fact, dead, extra = base
+                built = self._update(fact, dead, extra, n_max, rng, key)
+                if built is not None:
+                    key, header = built
+                    y = list(header.x)
+                    y[0] = (y[0] - key) % p
+                    self.cache.store(rows_key, n_max, header.zs, tuple(y), fact)
+                    return key, header
         with stage("acv.solve", rows=len(rows)):
             with get_registry().timer("gkm.acv_solve_seconds"):
                 fresh_key, header, fact = self.core.generate_with_factorization(
@@ -278,6 +326,25 @@ class _CachedAcvBuilder:
         x = list(header.x)
         x[0] = (x[0] - fresh_key + key) % p
         return key, AcvHeader(q=p, x=tuple(x), zs=header.zs)
+
+    def _update(
+        self,
+        fact: AcvFactorization,
+        dead: List[int],
+        extra: List[Tuple[bytes, ...]],
+        n_max: int,
+        rng: Optional[random.Random],
+        key: Optional[int],
+    ) -> Optional[Tuple[int, AcvHeader]]:
+        """Remove the ``dead`` rows from a base, fold ``extra`` in, rekey;
+        None when the removal is refused (the caller re-solves)."""
+        rows = len(fact.rows) - len(dead) + len(extra)
+        with stage("acv.update", rows=rows, added=len(extra), removed=len(dead)):
+            with get_registry().timer("gkm.acv_update_seconds"):
+                if dead and not fact.remove(dead, min(n_max, fact.capacity)):
+                    return None
+                fact.extend(extra, added_capacity=n_max - fact.capacity, rng=rng)
+                return self.core.rekey_from_factorization(fact, rng=rng, key=key)
 
 
 class DenseGkmStrategy:

@@ -125,7 +125,8 @@ def warm_churn_scenario(
     the rekey each broadcast forces takes the incremental O(m^2) update
     path (``acv.update``) instead of a fresh elimination -- the workload
     the rank-1 join maintenance exists for.  A closing revoke asserts the
-    full-invalidation fallback still locks members out afterwards.
+    revoke's row removal (dense) or re-solve (bucketed) still locks
+    members out afterwards.
 
     Run it again with the build cache's lookups disabled for the
     from-scratch baseline: same seed and phases, so delivered plaintexts

@@ -457,9 +457,11 @@ class RrefFactorization:
     :meth:`extend_row` reduces one new source row against the existing
     pivots -- ``O(r * n)`` work instead of re-running the full ``O(m^2 n)``
     elimination -- and :meth:`extend_column` maps one new source column
-    through ``T`` without ever revisiting ``A``.  Because the RREF is
-    canonical (unique per row space), the maintained state equals a
-    from-scratch :meth:`Matrix.rref` of the extended matrix, so
+    through ``T`` without ever revisiting ``A``.  It also runs backwards:
+    :meth:`remove_row` takes one source row out with one rank-1 update
+    and :meth:`truncate` drops trailing non-pivot columns.  Because the
+    RREF is canonical (unique per row space), the maintained state
+    equals a from-scratch :meth:`Matrix.rref` of the changed matrix, so
     :meth:`null_space` returns the *identical* basis, in the identical
     order, as :meth:`Matrix.null_space` on the rebuilt matrix.
 
@@ -692,6 +694,111 @@ class RrefFactorization:
                 self._t.append(t_p)
                 self.pivots.append(self.ncols - 1)
                 del self._free_t[j]
+
+    # -- shrinking ---------------------------------------------------------
+
+    def remove_row(self, source: int) -> None:
+        """Drop source row ``source`` (feed order), the dual of :meth:`extend_row`.
+
+        ``[T; F]`` (pivot transforms over free-row transforms) is
+        invertible, so some row uses source ``source``.  When a free row
+        does, it eliminates the source from every other transform and
+        goes; ``R`` is unchanged, since a free row maps ``A`` to zero.
+        Otherwise the *largest* pivot row ``k`` that uses the source
+        eliminates it from the others and goes, with its pivot.  Every
+        other row using the source lies above ``k``, and row ``k`` is zero
+        left of its pivot and on every other pivot column, so each
+        remaining leading 1 stays where it is: the result is the
+        canonical RREF of the matrix without the row.
+        """
+        if not 0 <= source < self.n_source:
+            raise InvalidParameterError(
+                "source row %d out of range for %d rows" % (source, self.n_source)
+            )
+        p = self.field.p
+        if self._numpy:
+            self._remove_row_numpy(source, p)
+        else:
+            self._remove_row_python(source, p)
+        self.n_source -= 1
+
+    def _remove_row_numpy(self, g: int, p: int) -> None:
+        users = np.flatnonzero(self._free_t[:, g])
+        if users.size:
+            f = int(users[0])
+            pivot = self._free_t[f] * pow(int(self._free_t[f, g]), p - 2, p) % p
+            col = self._t[:, g].copy()
+            touched = np.flatnonzero(col)
+            if touched.size:
+                self._t[touched] = (self._t[touched] - np.outer(col[touched], pivot)) % p
+            rest = users[1:]
+            if rest.size:
+                factors = self._free_t[rest, g].copy()
+                self._free_t[rest] = (self._free_t[rest] - np.outer(factors, pivot)) % p
+            self._free_t = np.delete(self._free_t, f, axis=0)
+        else:
+            users = np.flatnonzero(self._t[:, g])
+            k = int(users[-1])
+            inv = pow(int(self._t[k, g]), p - 2, p)
+            r_k = self._rows[k] * inv % p
+            t_k = self._t[k] * inv % p
+            rest = users[:-1]
+            if rest.size:
+                factors = self._t[rest, g].copy()
+                self._rows[rest] = (self._rows[rest] - np.outer(factors, r_k)) % p
+                self._t[rest] = (self._t[rest] - np.outer(factors, t_k)) % p
+            self._rows = np.delete(self._rows, k, axis=0)
+            self._t = np.delete(self._t, k, axis=0)
+            del self.pivots[k]
+        self._t = np.delete(self._t, g, axis=1)
+        self._free_t = np.delete(self._free_t, g, axis=1)
+
+    def _remove_row_python(self, g: int, p: int) -> None:
+        f = next((i for i, t_row in enumerate(self._free_t) if t_row[g]), None)
+        if f is not None:
+            inv = pow(self._free_t[f][g], p - 2, p)
+            pivot = [(x * inv) % p for x in self._free_t.pop(f)]
+            for rows in (self._t, self._free_t):
+                for i, t_row in enumerate(rows):
+                    factor = t_row[g]
+                    if factor:
+                        rows[i] = [(x - factor * y) % p for x, y in zip(t_row, pivot)]
+        else:
+            k = max(i for i, t_row in enumerate(self._t) if t_row[g])
+            inv = pow(self._t[k][g], p - 2, p)
+            r_k = [(x * inv) % p for x in self._rows.pop(k)]
+            t_k = [(x * inv) % p for x in self._t.pop(k)]
+            del self.pivots[k]
+            for i in range(k):
+                factor = self._t[i][g]
+                if factor:
+                    self._rows[i] = [(x - factor * y) % p for x, y in zip(self._rows[i], r_k)]
+                    self._t[i] = [(x - factor * y) % p for x, y in zip(self._t[i], t_k)]
+        for t_row in self._t:
+            del t_row[g]
+        for t_row in self._free_t:
+            del t_row[g]
+
+    def truncate(self, ncols: int) -> bool:
+        """Keep the first ``ncols`` source columns; True when done.
+
+        Refused (False, nothing changed) when a dropped column is a
+        pivot.  Otherwise every reduced row keeps its leading 1, so the
+        reduced rows cut to ``ncols`` are the canonical RREF of the cut
+        matrix, and the transforms do not change.
+        """
+        if not 0 <= ncols <= self.ncols:
+            raise InvalidParameterError(
+                "cannot truncate %d columns to %d" % (self.ncols, ncols)
+            )
+        if self.pivots and self.pivots[-1] >= ncols:
+            return False
+        if self._numpy:
+            self._rows = self._rows[:, :ncols].copy()
+        else:
+            self._rows = [row[:ncols] for row in self._rows]
+        self.ncols = ncols
+        return True
 
     # -- results -----------------------------------------------------------
 

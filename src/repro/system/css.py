@@ -56,6 +56,13 @@ class CssTable:
         """Cell-presence test."""
         return condition_key in self._rows.get(nym, {})
 
+    def secrets_of(self, nym: str, condition_key: Optional[str] = None) -> List[bytes]:
+        """The CSS values a pseudonym holds (one cell's, if named)."""
+        row = self._rows.get(nym, {})
+        if condition_key is None:
+            return list(row.values())
+        return [row[condition_key]] if condition_key in row else []
+
     def pseudonyms(self) -> List[str]:
         """All pseudonyms with at least one CSS."""
         return sorted(self._rows)

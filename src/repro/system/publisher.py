@@ -15,6 +15,9 @@ The Pub's lifecycle per Section V:
 4. **Rekey** -- any table mutation (new subscription, credential update or
    revocation, subscription revocation) simply marks configurations dirty;
    the next broadcast re-publishes fresh headers.  No unicast happens.
+   Under the dense strategy a join extends and a revoke downdates the
+   carried elimination of each configuration it touches; the paper
+   re-solves every rekey from fresh nonces (DESIGN.md, "GKM strategies").
 """
 
 from __future__ import annotations
@@ -106,7 +109,8 @@ class Publisher:
         (``0`` = the auto ``ceil(sqrt(m))`` policy).  Both strategies
         build through one member-row-keyed elimination cache, so
         unchanged configurations across consecutive publishes skip the
-        cubic solve; joins extend it and revocations invalidate it.
+        cubic solve; joins extend it, dense revocations remove rows from
+        it and bucketed revocations invalidate it.
         """
         self.name = name
         self.params = SystemParams(
@@ -186,10 +190,22 @@ class Publisher:
         return self._acv_cache.stats()
 
     def _invalidate_acv_cache(self) -> None:
-        """A row was removed or replaced (revoke / credential replacement /
-        policy or strategy change): cached ``(zs, Y)`` pairs and their
+        """A policy or strategy change: cached ``(zs, Y)`` pairs and their
         factorizations must not survive into the new epoch."""
         self._acv_cache.invalidate()
+
+    def _note_acv_revoke(self, css_values: Sequence[bytes]) -> None:
+        """Rows holding ``css_values`` were removed (revoke / credential
+        replacement).  Dense: the next publish removes them from the
+        carried elimination of each configuration that held them, and no
+        vector built before is served again.  Bucketed: everything is
+        dropped, because all buckets of a configuration share ``K`` --
+        an unchanged bucket would repeat its ``Y``, and the difference of
+        its two ``X[0]`` would hand the revoked member ``K' - K``."""
+        if self.gkm == "dense":
+            self._acv_cache.note_revoke(css_values)
+        else:
+            self._acv_cache.invalidate()
 
     def _note_acv_join(self) -> None:
         """A brand-new CSS cell was installed (pure join): entries stay --
@@ -281,12 +297,12 @@ class Publisher:
         sender = sender_for(self._ocbe, predicate, sender_rng)
         # A brand-new cell is a pure join: the ACV cache keeps (and later
         # extends) its entries.  Overwriting an existing cell is a
-        # credential *replacement*: the old CSS must stop deriving, which
-        # demands fresh nonces -- full invalidation.
-        credential_update = self.table.has(token.nym, condition.key())
+        # credential *replacement*: the old CSS must stop deriving, so its
+        # rows die (and the new ones join).
+        replaced = self.table.secrets_of(token.nym, condition.key())
         self.table.set(token.nym, condition.key(), css)
-        if credential_update:
-            self._invalidate_acv_cache()
+        if replaced:
+            self._note_acv_revoke(replaced)
         else:
             self._note_acv_join()
         if self.journal is not None:
@@ -299,9 +315,10 @@ class Publisher:
 
     def revoke_subscription(self, nym: str) -> bool:
         """Remove a pseudonym entirely; next publish is the rekey."""
+        dead = self.table.secrets_of(nym)
         removed = self.table.remove_row(nym)
         if removed:
-            self._invalidate_acv_cache()
+            self._note_acv_revoke(dead)
             if self.journal is not None:
                 self.journal.subscription_revoked(nym)
         return removed
@@ -311,17 +328,18 @@ class Publisher:
 
         Returns how many were actually present.  The point of batching is
         the rekey cost model: a churn step that revokes ``k`` members and
-        then calls :meth:`publish` *once* pays for one ACV matrix build,
-        where the naive revoke-publish-revoke-publish loop pays ``k``
-        (measured by ``benchmarks/test_load_scenarios.py``).
+        then calls :meth:`publish` *once* pays for one rekey per
+        configuration, where the naive revoke-publish-revoke-publish loop
+        pays ``k`` (measured by ``benchmarks/test_load_scenarios.py``).
         """
         return sum(1 for nym in nyms if self.revoke_subscription(nym))
 
     def revoke_credential(self, nym: str, condition_key: str) -> bool:
         """Remove one CSS; next publish is the rekey."""
+        dead = self.table.secrets_of(nym, condition_key)
         removed = self.table.remove_cell(nym, condition_key)
         if removed:
-            self._invalidate_acv_cache()
+            self._note_acv_revoke(dead)
             if self.journal is not None:
                 self.journal.credential_revoked(nym, condition_key)
         return removed
@@ -393,6 +411,7 @@ class Publisher:
                         ciphertext=self.params.cipher.encrypt(sym_key, content),
                     )
                 )
+        self._acv_cache.drop_dead()
         self.epoch += 1
         if self.journal is not None:
             # Journaled before the package leaves: a publisher that crashes

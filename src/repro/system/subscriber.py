@@ -13,9 +13,10 @@ the CSSs it managed to extract during registration.  Receiving a broadcast
   policy).
 
 The KEV entries depend on the CSSs and the nonces only, and the nonces
-change only when the membership does, so a Sub remembers them between
-broadcasts (:data:`KEV_MEMO_ENTRIES`): an unchanged configuration costs a
-nonce comparison and the inner product instead of ``N`` hashes.
+change only when the membership does (a join appends nonces, a dense
+revoke drops trailing ones), so a Sub remembers them between broadcasts
+(:data:`KEV_MEMO_ENTRIES`): an unchanged configuration costs a nonce
+comparison and the inner product instead of ``N`` hashes.
 """
 
 from __future__ import annotations
@@ -191,11 +192,14 @@ class Subscriber:
         Failing that, one whose nonces extend the last header's ACV *at the
         same index* (same modulus, old nonces a strict prefix) -- a join
         that grew the capacity and kept the factorization -- continues a
-        copy of that memo padded for the appended nonces.  Any other starts
+        copy of that memo padded for the appended nonces; one whose nonces
+        are a strict prefix of it -- a dense revoke that cut the capacity
+        back -- continues a copy cut to the kept nonces.  Any other starts
         empty.  What the last header had and this one lacks is dropped, so
-        a rekey with fresh nonces -- every revoke and every join that
-        re-solves -- replaces the entry wholesale.  Matching by index keeps
-        the scan linear in the buckets, hostile headers included.
+        a rekey with fresh nonces -- a bucketed revoke, a policy change,
+        a join that re-solves -- replaces the entry wholesale.  Matching by
+        index keeps the scan linear in the buckets, hostile headers
+        included.
         """
         key = (config_id, css)
         last = self._kev_memo.get(key, [])
@@ -207,8 +211,11 @@ class Subscriber:
             memo = current.get(nonces) or exact.get(nonces)
             if memo is None and index < len(last):
                 (q, zs), old = last[index]
-                if q == acv.q and len(zs) < acv.capacity and acv.zs[: len(zs)] == zs:
-                    memo = old + [None] * (acv.capacity - len(zs))
+                n = acv.capacity
+                if q == acv.q and len(zs) < n and acv.zs[: len(zs)] == zs:
+                    memo = old + [None] * (n - len(zs))
+                elif q == acv.q and len(zs) > n and zs[:n] == acv.zs:
+                    memo = old[:n]
             if memo is None:
                 memo = [None] * acv.capacity
             current[nonces] = memo

@@ -15,7 +15,11 @@ on rekey) and doubles as the privacy-audit log -- everything the publisher
 ever "sees" crossed this boundary.
 
 ``broadcast`` models the paper's multicast: one accounted transmission
-(receiver ``"*"``), delivered into every registered inbox.
+(receiver ``"*"``), delivered into every registered inbox.  Inboxes queue
+``(sender, kind, payload, note, trace)`` records and :meth:`poll` builds
+the :class:`Delivery`, so one multicast queues one shared record however
+many inboxes it reaches -- an inbox nobody polls costs a slot per
+delivery, not an object.
 """
 
 from __future__ import annotations
@@ -70,6 +74,11 @@ class Delivery:
     trace: bytes = b""
 
 
+#: What an inbox queues: a :class:`Delivery` without its receiver, which
+#: is the inbox's owner.
+_Record = Tuple[str, str, bytes, str, bytes]
+
+
 @runtime_checkable
 class Transport(Protocol):
     """What the session/facade layer requires of any message backend.
@@ -109,7 +118,7 @@ class Transport(Protocol):
 class InMemoryTransport:
     """In-process router with byte accounting.
 
-    Routing: per-entity FIFO inboxes of :class:`Delivery`.  Accounting:
+    Routing: per-entity FIFO inboxes, polled as :class:`Delivery`.  Accounting:
     the historical :class:`Message` log and per-channel byte counters,
     preserved verbatim from the seed API (including the accounting-only
     :meth:`send` used by older callers and tests).
@@ -118,7 +127,7 @@ class InMemoryTransport:
     def __init__(self) -> None:
         self.messages: List[Message] = []
         self._bytes: Dict[Tuple[str, str], int] = defaultdict(int)
-        self._inboxes: Dict[str, Deque[Delivery]] = {}
+        self._inboxes: Dict[str, Deque[_Record]] = {}
 
     # -- routing ------------------------------------------------------------
 
@@ -155,8 +164,7 @@ class InMemoryTransport:
         self.register(receiver)
         self.send(sender, receiver, kind, len(payload), note=note)
         self._inboxes[receiver].append(
-            Delivery(sender=sender, receiver=receiver, kind=kind, payload=payload,
-                     note=note, trace=current_trace())
+            (sender, kind, payload, note, current_trace())
         )
 
     def broadcast(
@@ -174,13 +182,10 @@ class InMemoryTransport:
         self.register(sender)
         self.send(sender, BROADCAST, kind, len(payload), note=note)
         skip = exclude if exclude is not None else frozenset()
-        trace = current_trace()
+        record = (sender, kind, payload, note, current_trace())
         for receiver, inbox in self._inboxes.items():
             if receiver != sender and receiver not in skip:
-                inbox.append(
-                    Delivery(sender=sender, receiver=receiver, kind=kind,
-                             payload=payload, note=note, trace=trace)
-                )
+                inbox.append(record)
 
     def poll(self, entity: str, limit: Optional[int] = None) -> List[Delivery]:
         """Drain pending deliveries for ``entity`` (FIFO)."""
@@ -188,13 +193,19 @@ class InMemoryTransport:
         if not inbox:
             return []
         count = len(inbox) if limit is None else min(limit, len(inbox))
-        return [inbox.popleft() for _ in range(count)]
+        polled = []
+        for _ in range(count):
+            sender, kind, payload, note, trace = inbox.popleft()
+            polled.append(Delivery(sender, entity, kind, payload, note, trace))
+        return polled
 
     def requeue(self, entity: str, deliveries: List[Delivery]) -> None:
         """Return unprocessed deliveries to the front of the inbox, keeping
         their original order.  Not accounted: the bytes already were."""
         inbox = self._inboxes.setdefault(entity, deque())
-        inbox.extendleft(reversed(deliveries))
+        inbox.extendleft(
+            (d.sender, d.kind, d.payload, d.note, d.trace) for d in reversed(deliveries)
+        )
 
     def pending(self, entity: Optional[str] = None) -> int:
         """Queued deliveries for one entity, or across the whole router."""

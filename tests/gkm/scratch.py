@@ -2,8 +2,9 @@
 
 The publish path always builds through an
 :class:`~repro.gkm.strategy.AcvBuildCache`.  Inside :func:`from_scratch`
-the cache never answers: every lookup misses (and is counted) and nothing
-is extendable, so each build runs the full elimination.  Headers are
+the cache never answers: every lookup misses (and is counted) and no
+entry is a base -- neither a join's extension nor a revoke's row
+removal -- so each build runs the full elimination over fresh nonces.  Headers are
 byte-identical to :meth:`~repro.gkm.acv.AcvBgkm.generate` for the same
 RNG state.
 """
@@ -24,5 +25,5 @@ def _miss(cache, rows, n_max):
 def from_scratch():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(AcvBuildCache, "lookup", _miss)
-        patch.setattr(AcvBuildCache, "take_extendable", lambda *_: None)
+        patch.setattr(AcvBuildCache, "take_base", lambda *_: None)
         yield

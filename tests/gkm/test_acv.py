@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.hashes import hash_concat, sha1, sha256
+from repro.crypto.hashes import HashFunction, hash_concat, sha1, sha256
 from repro.errors import (
     CapacityError,
     InvalidParameterError,
@@ -286,6 +286,62 @@ def test_multi_panel_bytes_match_the_scalar_kernel():
         out.update(header.to_bytes() + b"%d" % key)
         out.update(repr(fact.null_basis()).encode())
     assert out.hexdigest() == _MULTI_PANEL_TRANSCRIPT
+
+
+def _nonces(count):
+    return tuple(b"z%03d" % j for j in range(count))
+
+
+class TestRowRemoval:
+    """:meth:`AcvFactorization.remove`, the inverse of ``extend``."""
+
+    @pytest.mark.parametrize("field", [FAST_FIELD, PAPER_FIELD], ids=["fast", "paper"])
+    def test_remove_equals_a_factorization_of_the_surviving_rows(self, field, rng):
+        core = AcvBgkm(field)
+        rows = make_rows(rng, 12)
+        rows[7] = rows[2]  # a duplicate row: one of the pair is dependent
+        fact = core.factorize(rows, _nonces(14))
+        assert fact.remove([11, 0, 7], 10) is True
+        survivors = [row for i, row in enumerate(rows) if i not in (0, 7, 11)]
+        rebuilt = core.factorize(survivors, _nonces(10))
+        assert (fact.rows, fact.zs) == (rebuilt.rows, rebuilt.zs)
+        assert fact.null_basis() == rebuilt.null_basis()
+        one = core.rekey_from_factorization(fact, rng=random.Random(5))
+        other = core.rekey_from_factorization(rebuilt, rng=random.Random(5))
+        assert one[0] == other[0]
+        assert one[1].to_bytes() == other[1].to_bytes()
+        for row in survivors:
+            assert core.derive(one[1], row) == one[0]
+
+    def test_a_narrower_nonce_than_a_fresh_solve_draws_is_refused(self, gkm, rng):
+        """At N = 5 a fresh solve draws 5-byte nonces (tau * N > 160): a cut
+        from 8 four-byte nonces would fall short, so nothing changes."""
+        rows = make_rows(rng, 8)
+        fact = gkm.factorize(rows, _nonces(8))
+        assert _auto_z_bytes(5) == 5
+        assert fact.remove([0, 1, 2], 5) is False
+        assert (len(fact.rows), fact.capacity) == (8, 8)
+
+    def test_cutting_a_pivot_column_is_refused(self, rng):
+        """A hash blind to the CSS on the first six nonces makes every row
+        equal there, so the surviving rows need pivots among the nonces a
+        cut back to N = 6 would drop."""
+        blind = set(_nonces(6))
+
+        def digest(data):
+            return hashlib.sha256(data[-4:] if data[-4:] in blind else data).digest()
+
+        core = AcvBgkm(FAST_FIELD, HashFunction("blind", 32, digest))
+        fact = core.factorize(make_rows(rng, 8), _nonces(10))
+        assert fact.remove([0, 1], 6) is False
+
+    def test_capacity_bounds(self, gkm, rng):
+        fact = gkm.factorize(make_rows(rng, 8), _nonces(10))
+        with pytest.raises(CapacityError):
+            fact.remove([0], 6)
+        with pytest.raises(InvalidParameterError):
+            fact.remove([0], 11)
+        assert fact.remove([], 10) is True and len(fact.rows) == 8
 
 
 class TestHeaderSerialization:

@@ -203,6 +203,77 @@ def test_revoke_invalidation_forces_full_resolve(core, rng):
     }
 
 
+def test_dense_revoke_removes_rows_instead_of_resolving(core, rng):
+    """After note_revoke, a configuration that lost rows is built from its
+    entry by row removal: the nonces are a prefix of the old ones, cut to
+    the Eq.-1 capacity, the revoked row no longer derives, and the result
+    is re-stored, so the next build hits."""
+    cache = AcvBuildCache()
+    strategy = DenseGkmStrategy(core, cache)
+    rows = make_css_rows(8, rng=rng)
+    _, header1 = strategy.build(rows, capacity=None, slack=0, rng=rng)
+    cache.note_revoke(rows[3])
+    live = rows[:3] + rows[4:]
+    key2, header2 = strategy.build(live, capacity=None, slack=0, rng=rng)
+    assert (cache.downdates, cache.stats()["misses"]) == (1, 2)
+    assert header2.zs == header1.zs[:7]
+    assert core.derive(header2, rows[3]) != key2
+    for row in live:
+        assert core.derive(header2, row) == key2
+    cache.drop_dead()
+    _, header3 = strategy.build(live, capacity=None, slack=0, rng=rng)
+    assert cache.stats()["hits"] == 1
+    assert header3.zs == header2.zs
+
+
+def test_revoke_keeps_untouched_entries_and_drop_dead_forgets_the_rest(core, rng):
+    cache = AcvBuildCache()
+    strategy = DenseGkmStrategy(core, cache)
+    kept, touched = make_css_rows(6, rng=rng), make_css_rows(6, rng=rng)
+    strategy.build(kept, capacity=None, slack=0, rng=rng)
+    strategy.build(touched, capacity=None, slack=0, rng=rng)
+    cache.note_revoke([touched[0][1]])  # one CSS of one row
+    strategy.build(kept, capacity=None, slack=0, rng=rng)
+    assert cache.stats()["hits"] == 1
+    cache.drop_dead()
+    assert cache.stats()["entries"] == 1
+    strategy.build(touched[1:], capacity=None, slack=0, rng=rng)
+    assert cache.downdates == 0  # its base went with drop_dead
+
+
+def test_revoke_and_join_before_one_build(core, rng):
+    """A dead row and a new row at once: remove, then extend, over the
+    same capacity."""
+    cache = AcvBuildCache()
+    strategy = DenseGkmStrategy(core, cache)
+    rows = make_css_rows(8, rng=rng)
+    _, header1 = strategy.build(rows, capacity=None, slack=0, rng=rng)
+    cache.note_revoke(rows[0])
+    cache.note_join()
+    changed = rows[1:] + make_css_rows(1, rng=rng)
+    key, header = strategy.build(changed, capacity=None, slack=0, rng=rng)
+    assert (cache.downdates, cache.stats()["extends"]) == (1, 0)
+    assert header.zs == header1.zs
+    assert core.derive(header, rows[0]) != key
+    for row in changed:
+        assert core.derive(header, row) == key
+
+
+def test_refused_downdate_resolves_under_fresh_nonces(core, rng):
+    """At N = 4 a fresh solve draws 6-byte nonces: the cut from 4-byte
+    ones is refused and the build re-solves."""
+    cache = AcvBuildCache()
+    strategy = DenseGkmStrategy(core, cache)
+    rows = make_css_rows(6, rng=rng)
+    _, header1 = strategy.build(rows, capacity=None, slack=0, rng=rng)
+    cache.note_revoke(rows[0] + rows[1])
+    key, header = strategy.build(rows[2:], capacity=None, slack=0, rng=rng)
+    assert set(header.zs).isdisjoint(header1.zs)
+    assert {len(z) for z in header.zs} == {6}
+    for row in rows[2:]:
+        assert core.derive(header, row) == key
+
+
 def test_delta_capacity_never_shrinks_published_nonces(core, rng):
     """A candidate whose capacity exceeds the new build's n_max must not
     be extended (nonces cannot be dropped); the build re-solves instead."""

@@ -383,6 +383,117 @@ def test_property_factorization_tracks_growth(seed):
             assert all(x == 0 for x in scratch.mat_vec(v))
 
 
+def _arrays(fact):
+    """``(R, T, F)`` of a factorization as nested lists, either kernel."""
+    if fact._numpy:
+        return fact._rows.tolist(), fact._t.tolist(), fact._free_t.tolist()
+    return [r[:] for r in fact._rows], [r[:] for r in fact._t], [r[:] for r in fact._free_t]
+
+
+def _assert_equals_rebuild(fact, field, rows, ncols):
+    """``fact`` against :meth:`RrefFactorization.from_matrix` of ``rows``.
+
+    Pivots, ``R`` and the null basis must be equal.  ``T`` must be equal
+    too when the rows are independent (``R = T A`` then fixes it); with
+    dependent rows any ``T`` with ``R = T A`` is valid, so the check is
+    that one and that the free-row transforms span the left null space.
+    """
+    scratch = Matrix(field, rows)
+    scratch.ncols = ncols
+    rebuilt = (
+        RrefFactorization.from_matrix(scratch) if rows
+        else RrefFactorization(field, ncols)
+    )
+    (r, t, free), (r2, t2, _) = _arrays(fact), _arrays(rebuilt)
+    assert (fact.pivots, r, fact.n_source, fact.ncols) == (
+        rebuilt.pivots, r2, len(rows), ncols
+    )
+    assert fact.null_space() == rebuilt.null_space()
+    if len(fact.pivots) == len(rows):
+        assert (t, free) == (t2, [])
+        return
+    if t:
+        assert (Matrix(field, t) @ scratch).rows == r
+    assert len(free) == len(rows) - len(r)
+    assert Matrix(field, t + free).rank() == len(rows)
+    for row in free:
+        assert not any((Matrix(field, [row]) @ scratch).rows[0])
+
+
+@pytest.mark.parametrize("field", FIELDS + [PrimeField(3)],
+                         ids=["numpy-kernel", "python-kernel", "p=3"])
+@settings(max_examples=40, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["row", "duplicate", "column", "remove", "truncate"]),
+            st.integers(0, 2**16),
+        ),
+        max_size=16,
+    ),
+    ncols=st.integers(1, 5),
+)
+def test_property_growth_and_removal_equal_a_rebuild(field, ops, ncols):
+    """Random interleavings of :meth:`~RrefFactorization.extend_row`,
+    :meth:`~RrefFactorization.extend_column`,
+    :meth:`~RrefFactorization.remove_row` and
+    :meth:`~RrefFactorization.truncate`, duplicate rows included, leave
+    the state a from-scratch factorization of the changed matrix has."""
+    fact = RrefFactorization(field, ncols)
+    rows = []
+    for op, draw in ops:
+        rng = random.Random(draw)
+        if op == "duplicate" and rows:
+            new_row = rows[draw % len(rows)][:]
+            fact.extend_row(new_row)
+            rows.append(new_row)
+        elif op in ("row", "duplicate"):
+            new_row = [rng.randrange(field.p) for _ in range(ncols)]
+            fact.extend_row(new_row)
+            rows.append(new_row)
+        elif op == "column":
+            col = [rng.randrange(field.p) for _ in rows]
+            fact.extend_column(col)
+            for row, x in zip(rows, col):
+                row.append(x)
+            ncols += 1
+        elif op == "remove" and rows:
+            source = draw % len(rows)
+            fact.remove_row(source)
+            del rows[source]
+        elif op == "truncate":
+            keep = draw % (ncols + 1)
+            pivots = fact.pivots[:]
+            assert fact.truncate(keep) == all(pc < keep for pc in pivots)
+            if fact.ncols == keep:
+                rows = [row[:keep] for row in rows]
+                ncols = keep
+        _assert_equals_rebuild(fact, field, rows, ncols)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["numpy-kernel", "python-kernel"])
+def test_remove_row_picks_the_largest_pivot_and_refuses_bad_input(field):
+    """Three independent rows, then the middle one twice over: removing a
+    source no free row uses drops the largest pivot that uses it; removing
+    one a free row uses leaves ``R`` alone."""
+    rng = random.Random(17)
+    rows = [[rng.randrange(field.p) for _ in range(5)] for _ in range(3)]
+    rows.append(rows[1][:])
+    fact = Matrix(field, rows).rref_factorization()
+    assert fact.rank == 3 and fact.pivots == [0, 1, 2]
+    before = _arrays(fact)[0]
+    fact.remove_row(3)  # the duplicate: its free row goes, R stays
+    assert _arrays(fact)[0] == before
+    _assert_equals_rebuild(fact, field, rows[:3], 5)
+    fact.remove_row(0)
+    _assert_equals_rebuild(fact, field, rows[1:3], 5)
+    with pytest.raises(InvalidParameterError):
+        fact.remove_row(2)
+    with pytest.raises(InvalidParameterError):
+        fact.truncate(6)
+    assert fact.truncate(1) is False and fact.ncols == 5
+
+
 @settings(max_examples=15)
 @given(
     nrows=st.integers(1, 6),

@@ -36,6 +36,7 @@ from repro.errors import KeyDerivationError, SerializationError
 from repro.gkm.acv import FAST_FIELD, AcvHeader
 from repro.gkm.buckets import BucketedHeader
 from repro.groups import get_group
+from repro.mathx.linalg import RrefFactorization
 from repro.obs.trace import SpanWriter, set_span_writer
 from repro.ocbe.base import OCBESetup
 from repro.ocbe.eq import EqOCBEReceiver, EqOCBESender
@@ -294,17 +295,94 @@ def test_unchanged_header_costs_no_eq2_digest_and_a_rekey_costs_them_all(
         for client in clients:
             assert client.latest_plaintexts() == world.entitled(client, document)
 
-    # A revoke rekeys under fresh nonces: nothing remembered applies.
+    # A dense revoke removes the row and cuts the trailing nonces: every
+    # remaining member already holds what it needs.  A bucketed revoke
+    # re-solves every bucket under fresh nonces: nothing remembered applies.
     revoked = clients[4]
     assert service.publisher.revoke_subscription(revoked.subscriber.nym)
     document = _document(4)
     package = service.publish(document)
     del calls[:]
     run_until_idle(clients)
-    assert len(calls) == _cold_digests(package, clients) > 0
+    if gkm == "dense":
+        assert calls == []
+    else:
+        assert len(calls) == _cold_digests(package, clients) > 0
     for client in clients:
         expected = {} if client is revoked else world.entitled(client, document)
         assert client.latest_plaintexts() == expected
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """A list that grows by one on every from-scratch factorization."""
+    calls = []
+    original = RrefFactorization.from_matrix.__func__
+
+    def counting(cls, matrix):
+        calls.append(matrix.shape)
+        return original(cls, matrix)
+
+    monkeypatch.setattr(RrefFactorization, "from_matrix", classmethod(counting))
+    return calls
+
+
+@pytest.mark.parametrize("revoke", ["subscription", "credential"])
+def test_dense_revoke_costs_no_digest_and_no_elimination(
+    revoke, counting_hash, eliminations
+):
+    """A dense revoke is a row removal from the carried elimination: the
+    publisher hashes no Eq. 2 value and factors no matrix, and no member
+    hashes either (the kept nonces are a prefix of the ones it saw).  A
+    policy change still re-solves everything under fresh nonces."""
+    h, calls = counting_hash
+    world = _World("dense", AesCtrHmacCipher(), hash_fn=h)
+    service, clients = world.service, world.clients
+    publisher = service.publisher
+    service.publish(_document(1))
+    run_until_idle(clients)
+
+    victim = clients[4].subscriber.nym
+    if revoke == "subscription":
+        assert publisher.revoke_subscription(victim)
+        lost = {text for text, _ in POLICIES}
+    else:
+        assert publisher.revoke_credential(victim, "clr >= 40")
+        lost = {"clr >= 40"}
+    del calls[:], eliminations[:]
+    document = _document(2)
+    package = service.publish(document)
+    assert (calls, eliminations) == ([], [])
+    run_until_idle(clients)
+    assert calls == []
+    for client in clients:
+        expected = world.entitled(client, document)
+        if client.subscriber.nym == victim:
+            expected = {
+                name: content for name, content in expected.items()
+                if not any(name in segments and text in lost
+                           for text, segments in POLICIES)
+            }
+        assert client.latest_plaintexts() == expected
+
+    # vip1 gains a second policy that nobody holds a CSS for: entitlements
+    # do not move, but every configuration re-solves from fresh nonces
+    # (one solve per distinct row set: the split-off vip2 configuration
+    # has vip1's rows and hits the entry vip1 just stored).
+    publisher.add_policy(parse_policy("clr >= 95", ["vip1"], "feed"))
+    del calls[:], eliminations[:]
+    package = service.publish(_document(3))
+    row_sets = {
+        tuple(row for bucket in publisher.table.rows_for_policies(header.policies)
+              for row in bucket)
+        for header in package.headers
+        if header.acv is not None
+    }
+    assert len(calls) == sum(len(rows) ** 2 for rows in row_sets) > 0
+    assert len(eliminations) == len(row_sets)
+    del calls[:]
+    run_until_idle(clients)
+    assert len(calls) == _cold_digests(package, clients) > 0
 
 
 def test_incremental_join_computes_only_the_missing_coordinates(counting_hash):
@@ -474,8 +552,10 @@ def _remembered(subscriber):
 def test_revoked_subscriber_with_a_warm_memo_is_locked_out(gkm, cached):
     """The adversary keeps everything it ever computed: CSSs *and* the KEV
     entries of every header it saw.  Post-revoke headers carry fresh
-    nonces, so none of it applies -- on the dense, bucketed and
-    from-scratch paths, and for a colluding pair."""
+    nonces (bucketed, from scratch) or a strict prefix of the old ones
+    (dense: the row removal cuts the capacity back), so none of it
+    applies -- on the dense, bucketed and from-scratch paths, and for a
+    colluding pair."""
     with contextlib.nullcontext() if cached else from_scratch():
         _revoked_subscriber_with_a_warm_memo_is_locked_out(gkm)
 

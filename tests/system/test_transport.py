@@ -1,6 +1,8 @@
 """Tests for the accounting transport."""
 
-from repro.system.transport import InMemoryTransport, Message
+import tracemalloc
+
+from repro.system.transport import Delivery, InMemoryTransport, Message
 
 
 class TestAccounting:
@@ -42,3 +44,38 @@ class TestAccounting:
         t.reset()
         assert t.messages == []
         assert t.bytes_between("a", "b") == 0
+
+
+class TestInboxes:
+    def test_broadcast_polls_as_deliveries_addressed_to_each_inbox(self):
+        t = InMemoryTransport()
+        for entity in ("a", "b", "c"):
+            t.register(entity)
+        t.broadcast("a", "k", b"payload", note="n")
+        (b,) = t.poll("b")
+        assert b == Delivery("a", "b", "k", b"payload", "n", b"")
+        assert t.poll("c")[0].receiver == "c"
+        assert t.poll("a") == []
+        t.requeue("b", [b])
+        t.deliver("a", "b", "k2", b"later")
+        assert [d.kind for d in t.poll("b")] == ["k", "k2"]
+
+    def test_an_unpolled_inbox_costs_a_slot_per_broadcast(self):
+        """A multicast queues one shared record: 200 broadcasts into 32
+        inboxes nobody polls allocate under 64 B per delivery, the
+        accounting log included."""
+        t = InMemoryTransport()
+        for index in range(33):
+            t.register("e%d" % index)
+        payload = bytes(512)
+        t.broadcast("e0", "k", payload)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(200):
+                t.broadcast("e0", "k", payload)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert t.pending() == 201 * 32
+        assert grown < 64 * 200 * 32
