@@ -56,9 +56,7 @@ _EXPORTS = {
     "AcvHeader": "repro.gkm",
     "default_group": "repro.groups",
     "get_group": "repro.groups",
-    "list_groups": "repro.groups",
     "OCBESetup": "repro.ocbe",
-    "run_ocbe": "repro.ocbe",
     "AccessControlPolicy": "repro.policy",
     "AttributeCondition": "repro.policy",
     "PolicyConfiguration": "repro.policy",
@@ -77,7 +75,6 @@ _EXPORTS = {
     "register_for_attribute": "repro.system",
     "run_until_idle": "repro.system",
     "decode_message": "repro.wire",
-    "encode_message": "repro.wire",
 }
 
 
@@ -100,9 +97,7 @@ __all__ = [
     "document_from_xml",
     "default_group",
     "get_group",
-    "list_groups",
     "OCBESetup",
-    "run_ocbe",
     "AccessControlPolicy",
     "AttributeCondition",
     "PolicyConfiguration",
@@ -118,7 +113,6 @@ __all__ = [
     "SubscriberClient",
     "IdentityManagerEndpoint",
     "run_until_idle",
-    "encode_message",
     "decode_message",
     "register_all_attributes",
     "register_for_attribute",

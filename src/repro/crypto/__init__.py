@@ -1,13 +1,13 @@
 """Cryptographic primitives built from scratch.
 
 The paper's C/C++ system uses OpenSSL SHA-1, AES and NTL; this package
-reimplements the needed primitives in pure Python:
+takes SHA-1/SHA-256 from ``hashlib`` and builds the rest in Python:
 
-* :mod:`repro.crypto.hashes` -- SHA-1/SHA-256 (``hashlib``-backed, with
-  from-scratch reference implementations in the module) and the
-  canonical ``H(r_1 || ... || r_m || z)`` used by the GKM scheme;
-* :mod:`repro.crypto.aes` -- FIPS-197 AES-128/192/256 block cipher;
-* :mod:`repro.crypto.modes` -- CTR mode (and CBC/PKCS#7 as references);
+* :mod:`repro.crypto.hashes` -- named SHA-1/SHA-256 (``hashlib``-backed)
+  and the canonical ``H(r_1 || ... || r_m || z)`` used by the GKM scheme;
+* :mod:`repro.crypto.aes` -- the FIPS-197 AES-128/192/256 forward cipher
+  (CTR mode never inverts a block);
+* :mod:`repro.crypto.modes` -- CTR mode;
 * :mod:`repro.crypto.mac` / :mod:`repro.crypto.kdf` -- HMAC and HKDF;
 * :mod:`repro.crypto.symmetric` -- the semantically-secure symmetric
   envelope ``E_Key[M]`` the OCBE protocols require (AES-CTR with

@@ -5,12 +5,13 @@ inverse followed by the affine transform, rather than pasted as a table, so
 the construction is auditable; known-answer tests in the suite pin the
 result to the FIPS-197 vectors.
 
-Only the raw 16-byte block transform lives here; chaining modes are in
-:mod:`repro.crypto.modes`.
+Only the raw 16-byte block transform lives here; CTR mode is in
+:mod:`repro.crypto.modes`.  CTR decrypts by encrypting counters, so there
+is no inverse cipher.
 
 There are exactly two forward paths.  :meth:`AES.encrypt_block` is the
 byte-list reference: one block, every FIPS-197 step spelled out, the path
-the known-answer tests, CBC and :meth:`AES.decrypt_block` use.
+the known-answer tests and the short OCBE envelopes use.
 :meth:`AES.encrypt_counter_blocks` is the bulk path behind CTR mode: it
 runs *n* consecutive counter blocks through the same rounds as one numpy
 ``(n, 16)`` matrix with SubBytes and MixColumns folded into four 256-entry
@@ -66,21 +67,14 @@ def _build_sbox() -> tuple:
         for shift in range(1, 5):
             r ^= ((b << shift) | (b >> (8 - shift))) & 0xFF
         sbox[a] = r ^ 0x63
-    inv_sbox = [0] * 256
-    for a, s in enumerate(sbox):
-        inv_sbox[s] = a
-    return tuple(sbox), tuple(inv_sbox)
+    return tuple(sbox)
 
 
-_SBOX, _INV_SBOX = _build_sbox()
+_SBOX = _build_sbox()
 
 # Precomputed GF(2^8) multiplication tables for MixColumns.
 _MUL2 = tuple(_gf_mul(x, 2) for x in range(256))
 _MUL3 = tuple(_gf_mul(x, 3) for x in range(256))
-_MUL9 = tuple(_gf_mul(x, 9) for x in range(256))
-_MUL11 = tuple(_gf_mul(x, 11) for x in range(256))
-_MUL13 = tuple(_gf_mul(x, 13) for x in range(256))
-_MUL14 = tuple(_gf_mul(x, 14) for x in range(256))
 
 _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8)
 
@@ -130,9 +124,8 @@ class AES:
     """AES-128/192/256 raw block cipher.
 
     >>> cipher = AES(bytes(range(16)))
-    >>> block = cipher.encrypt_block(bytes(16))
-    >>> cipher.decrypt_block(block) == bytes(16)
-    True
+    >>> cipher.encrypt_block(bytes(16)).hex()
+    'c6a13b37878f5b826f4f8162a1c8d879'
     """
 
     block_size = 16
@@ -189,22 +182,6 @@ class AES:
         s = [_SBOX[b] for b in s]
         s = self._shift_rows(s)
         rk = self._round_keys[self.rounds]
-        return bytes(b ^ k for b, k in zip(s, rk))
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt one 16-byte block."""
-        if len(block) != 16:
-            raise InvalidParameterError("block must be 16 bytes")
-        s = [b ^ k for b, k in zip(block, self._round_keys[self.rounds])]
-        s = self._inv_shift_rows(s)
-        s = [_INV_SBOX[b] for b in s]
-        for rnd in range(self.rounds - 1, 0, -1):
-            rk = self._round_keys[rnd]
-            s = [b ^ k for b, k in zip(s, rk)]
-            s = self._inv_mix_columns(s)
-            s = self._inv_shift_rows(s)
-            s = [_INV_SBOX[b] for b in s]
-        rk = self._round_keys[0]
         return bytes(b ^ k for b, k in zip(s, rk))
 
     def encrypt_counter_blocks(self, counter: int, count: int) -> bytes:
@@ -272,15 +249,6 @@ class AES:
             s[8], s[13], s[2], s[7],
             s[12], s[1], s[6], s[11],
         ]
-
-    @staticmethod
-    def _inv_shift_rows(s: Sequence[int]) -> List[int]:
-        return [
-            s[0], s[13], s[10], s[7],
-            s[4], s[1], s[14], s[11],
-            s[8], s[5], s[2], s[15],
-            s[12], s[9], s[6], s[3],
-        ]
     # fmt: on
 
     @staticmethod
@@ -292,15 +260,4 @@ class AES:
             out[c + 1] = a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3
             out[c + 2] = a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3]
             out[c + 3] = _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3]
-        return out
-
-    @staticmethod
-    def _inv_mix_columns(s: Sequence[int]) -> List[int]:
-        out = [0] * 16
-        for c in range(0, 16, 4):
-            a0, a1, a2, a3 = s[c], s[c + 1], s[c + 2], s[c + 3]
-            out[c] = _MUL14[a0] ^ _MUL11[a1] ^ _MUL13[a2] ^ _MUL9[a3]
-            out[c + 1] = _MUL9[a0] ^ _MUL14[a1] ^ _MUL11[a2] ^ _MUL13[a3]
-            out[c + 2] = _MUL13[a0] ^ _MUL9[a1] ^ _MUL14[a2] ^ _MUL11[a3]
-            out[c + 3] = _MUL11[a0] ^ _MUL13[a1] ^ _MUL9[a2] ^ _MUL14[a3]
         return out

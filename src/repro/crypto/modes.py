@@ -1,24 +1,15 @@
-"""Block-cipher modes of operation: CTR and CBC with PKCS#7 padding.
+"""CTR mode over the raw :class:`~repro.crypto.aes.AES` block transform.
 
-These operate over the raw :class:`~repro.crypto.aes.AES` block transform.
-CTR is the library default (no padding, seekable); CBC is provided for
-completeness and interoperability tests.
+CTR needs no padding, is seekable, and decrypts with the forward cipher;
+it is the only mode the system uses (:mod:`repro.crypto.symmetric`).
 """
 
 from __future__ import annotations
 
 from repro.crypto.aes import AES
-from repro.errors import DecryptionError, InvalidParameterError
+from repro.errors import InvalidParameterError
 
-__all__ = [
-    "xor_bytes",
-    "ctr_keystream",
-    "ctr_xor",
-    "cbc_encrypt",
-    "cbc_decrypt",
-    "pkcs7_pad",
-    "pkcs7_unpad",
-]
+__all__ = ["xor_bytes", "ctr_keystream", "ctr_xor"]
 
 _BLOCK = 16
 
@@ -59,48 +50,3 @@ def ctr_keystream(cipher: AES, nonce: bytes, length: int) -> bytes:
 def ctr_xor(cipher: AES, nonce: bytes, data: bytes) -> bytes:
     """CTR-mode transform (encryption and decryption are identical)."""
     return xor_bytes(data, ctr_keystream(cipher, nonce, len(data)))
-
-
-def pkcs7_pad(data: bytes) -> bytes:
-    """Pad to a multiple of the block size (always adds 1..16 bytes)."""
-    pad = _BLOCK - len(data) % _BLOCK
-    return data + bytes([pad]) * pad
-
-
-def pkcs7_unpad(data: bytes) -> bytes:
-    """Strip PKCS#7 padding, raising :class:`DecryptionError` if malformed."""
-    if not data or len(data) % _BLOCK:
-        raise DecryptionError("ciphertext length is not a block multiple")
-    pad = data[-1]
-    if pad < 1 or pad > _BLOCK or data[-pad:] != bytes([pad]) * pad:
-        raise DecryptionError("invalid PKCS#7 padding")
-    return data[:-pad]
-
-
-def cbc_encrypt(cipher: AES, iv: bytes, plaintext: bytes) -> bytes:
-    """CBC-encrypt with PKCS#7 padding."""
-    if len(iv) != _BLOCK:
-        raise InvalidParameterError("CBC IV must be 16 bytes")
-    padded = pkcs7_pad(plaintext)
-    out = bytearray()
-    prev = iv
-    for offset in range(0, len(padded), _BLOCK):
-        block = xor_bytes(padded[offset : offset + _BLOCK], prev)
-        prev = cipher.encrypt_block(block)
-        out += prev
-    return bytes(out)
-
-
-def cbc_decrypt(cipher: AES, iv: bytes, ciphertext: bytes) -> bytes:
-    """CBC-decrypt and strip PKCS#7 padding."""
-    if len(iv) != _BLOCK:
-        raise InvalidParameterError("CBC IV must be 16 bytes")
-    if len(ciphertext) % _BLOCK:
-        raise DecryptionError("ciphertext length is not a block multiple")
-    out = bytearray()
-    prev = iv
-    for offset in range(0, len(ciphertext), _BLOCK):
-        block = ciphertext[offset : offset + _BLOCK]
-        out += xor_bytes(cipher.decrypt_block(block), prev)
-        prev = block
-    return pkcs7_unpad(bytes(out))

@@ -72,11 +72,6 @@ class Document:
                 return sub
         raise DocumentError("no subdocument %r in %r" % (name, self.name))
 
-    @property
-    def total_size(self) -> int:
-        """Total payload bytes across subdocuments."""
-        return sum(s.size for s in self.subdocuments)
-
     def __iter__(self):
         return iter(self.subdocuments)
 

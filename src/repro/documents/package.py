@@ -59,9 +59,9 @@ KEYING = sized(Field(
 
 def _distinct(items: Field, key: str, what: str) -> Field:
     """``items`` with no two alike in ``key``.  The publisher never
-    repeats a configuration or a subdocument; a repeat would make
-    :meth:`BroadcastPackage.header_for` (first wins) and a receiver keyed
-    by id (last wins) disagree about which one a package carries."""
+    repeats a configuration or a subdocument; a repeat would make a
+    lookup by id (first wins) and a receiver keyed by id (last wins)
+    disagree about which one a package carries."""
 
     def read(cursor, group) -> tuple:
         values = items.read(cursor, group)
@@ -124,13 +124,6 @@ class BroadcastPackage(Record):
             seq(struct_of(EncryptedSubdocument), U16), "name", "subdocument name"
         )),
     )
-
-    def header_for(self, config_id: str) -> ConfigHeader:
-        """Look up a configuration header by id."""
-        for header in self.headers:
-            if header.config_id == config_id:
-                return header
-        raise SerializationError("no header for configuration %r" % config_id)
 
     def header_overhead(self) -> int:
         """Bytes spent on keying headers (the paper's bandwidth overhead)."""

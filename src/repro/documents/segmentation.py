@@ -32,19 +32,6 @@ class SegmentPlan:
     document: str
     groups: Tuple[Tuple[str, PolicyConfiguration, Tuple[str, ...]], ...]
 
-    def configuration_of(self, subdocument: str) -> Tuple[str, PolicyConfiguration]:
-        """The (config id, configuration) governing a subdocument."""
-        for config_id, config, names in self.groups:
-            if subdocument in names:
-                return config_id, config
-        raise DocumentError("subdocument %r not in plan" % subdocument)
-
-    def non_empty_groups(
-        self,
-    ) -> List[Tuple[str, PolicyConfiguration, Tuple[str, ...]]]:
-        """Groups whose configuration has at least one policy."""
-        return [g for g in self.groups if not g[1].is_empty]
-
 
 def segment(
     document: Document, policies: Sequence[AccessControlPolicy]

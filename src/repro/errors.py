@@ -27,10 +27,6 @@ class FieldMismatchError(MathError):
     """Operands belong to different fields / rings."""
 
 
-class SingularMatrixError(MathError):
-    """A linear-algebra routine required an invertible matrix."""
-
-
 class GroupError(ReproError):
     """Errors from the cyclic-group backends."""
 
@@ -47,12 +43,8 @@ class CryptoError(ReproError):
     """Errors from symmetric/asymmetric primitives."""
 
 
-class AuthenticationError(CryptoError):
-    """A MAC or signature failed to verify."""
-
-
 class DecryptionError(CryptoError):
-    """Ciphertext could not be decrypted (bad key, padding, or tag)."""
+    """Ciphertext could not be decrypted (bad key or tag)."""
 
 
 class CommitmentError(CryptoError):
@@ -138,16 +130,6 @@ class SystemError_(ReproError):
 class NetworkError(SystemError_):
     """A socket-transport operation failed (connect, handshake, I/O,
     broker unreachable, or a peer closed the connection)."""
-
-
-class SlowConsumerError(NetworkError):
-    """A connection's outbound backlog exceeded its bound.
-
-    The broker/relay slow-consumer policy: rather than queue without
-    limit for a downstream that has stopped reading, the server
-    disconnects the connection, counts the event (surfaced in
-    ``StatsReply.counters``), and lets the entity's traffic fall back to
-    its bounded offline inbox at the root."""
 
 
 class RegistrationError(SystemError_):

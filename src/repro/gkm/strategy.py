@@ -59,7 +59,7 @@ from repro.gkm.acv import (
 from repro.gkm.buckets import BKT_MAGIC, BucketedHeader, auto_bucket_size
 from repro.obs.metrics import get_registry
 from repro.obs.trace import stage
-from repro.wire.codec import by_magic, check_value, decode_value
+from repro.wire.codec import by_magic, decode_value
 
 __all__ = [
     "GKM_STRATEGIES",
@@ -69,7 +69,6 @@ __all__ = [
     "KeyingHeader",
     "build_strategy",
     "decode_keying_header",
-    "validate_keying_header",
 ]
 
 #: The publish-path strategy names a publisher (and a scenario) may pick.
@@ -90,13 +89,6 @@ def decode_keying_header(data: bytes) -> KeyingHeader:
     magic tag picks the format, so a package may freely mix dense and
     bucketed configurations."""
     return decode_value(KEYING_HEADER, data)
-
-
-def validate_keying_header(data: bytes) -> None:
-    """Refuse exactly what :func:`decode_keying_header` refuses, with the
-    same error, without building the header (the package parse runs this;
-    a subscriber decodes only the headers it derives from)."""
-    check_value(KEYING_HEADER, data)
 
 
 class AcvBuildCache:

@@ -27,11 +27,9 @@ from repro.groups.params import (
     SECP256K1,
     default_group,
     get_group,
-    list_groups,
 )
 from repro.groups.precompute import (
     FixedBaseTable,
-    fixed_base_table,
     generator_table,
     window_size,
 )
@@ -41,7 +39,6 @@ __all__ = [
     "CyclicGroup",
     "GroupElement",
     "FixedBaseTable",
-    "fixed_base_table",
     "generator_table",
     "window_size",
     "SchnorrGroup",
@@ -55,5 +52,4 @@ __all__ = [
     "PAPER_GENUS2",
     "default_group",
     "get_group",
-    "list_groups",
 ]

@@ -124,8 +124,10 @@ class GenusTwoJacobian(CyclicGroup):
         for x, y in ((x1, y1), (x2, y2)):
             if self.f(x) != fe(y) * fe(y):
                 raise NotOnCurveError("(%d, %d) is not on the curve" % (x, y))
-        u = Poly.from_roots(fe, (x1, x2))
-        v = Poly.interpolate(fe, ((x1, y1), (x2, y2)))
+        # u = (x - x1)(x - x2); v is the line through the two points.
+        u = Poly(fe, (fe(x1) * x2, -(fe(x1) + x2), 1))
+        slope = (fe(y2) - y1) / (fe(x2) - x1)
+        v = Poly(fe, (fe(y1) - slope * x1, slope))
         return MumfordDivisor(self, u, v)
 
     def lift_x(self, x: int, y_parity: int = 0) -> Tuple[int, int]:

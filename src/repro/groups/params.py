@@ -6,13 +6,13 @@ paper: the Gaudry--Schost genus-2 curve over ``F_q`` with
 ``p = 24999999999994130438600999402209463966197516075699``.  Both primality
 claims and the Hasse--Weil consistency are verified by the test suite.
 
-The Schnorr safe primes were generated with this library's own
-``random_safe_prime`` (seed ``0xC0FFEE``) and are re-verified in tests.
+The Schnorr safe primes are constants (drawn once by safe-prime search,
+seed ``0xC0FFEE``); the test suite re-verifies that both are safe primes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.errors import InvalidParameterError
 from repro.groups.base import CyclicGroup
@@ -30,7 +30,6 @@ __all__ = [
     "TOY_SCHNORR_PRIME",
     "get_group",
     "default_group",
-    "list_groups",
 ]
 
 # ---------------------------------------------------------------------------
@@ -86,7 +85,7 @@ PAPER_GENUS2 = JacobianParams(
 )
 
 # ---------------------------------------------------------------------------
-# Safe primes for Schnorr groups (generated with random_safe_prime, seed
+# Safe primes for Schnorr groups (drawn once by safe-prime search, seed
 # 0xC0FFEE; primality re-verified in tests/groups/test_params.py)
 # ---------------------------------------------------------------------------
 
@@ -138,7 +137,3 @@ def default_group() -> CyclicGroup:
     """
     return get_group("nist-p192")
 
-
-def list_groups() -> List[str]:
-    """Names of all registered parameter sets."""
-    return sorted(_REGISTRY)

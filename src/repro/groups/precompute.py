@@ -46,7 +46,6 @@ from repro.groups.elliptic import ECPoint, naf_digits
 
 __all__ = [
     "FixedBaseTable",
-    "fixed_base_table",
     "generator_table",
     "recombines_to",
     "same_base_powers",
@@ -184,13 +183,6 @@ class FixedBaseTable:
             self.base.group.name,
             self.window,
         )
-
-
-def fixed_base_table(
-    base: GroupElement, window: Optional[int] = None
-) -> FixedBaseTable:
-    """Build a :class:`FixedBaseTable` for ``base``."""
-    return FixedBaseTable(base, window=window)
 
 
 # One table per (group, base bytes) per process.  Groups from the

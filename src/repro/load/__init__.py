@@ -45,9 +45,7 @@ from repro.load.spec import (
     PolicySpec,
     PublisherSpec,
     RelaySpec,
-    churn_phases,
     load_scenario_file,
-    save_scenario_file,
 )
 
 __all__ = [
@@ -72,13 +70,11 @@ __all__ = [
     "check_members",
     "check_rekey_window",
     "check_relay_hops",
-    "churn_phases",
     "churn_scenario",
     "expected_plaintexts",
     "feed_publisher",
     "load_scenario_file",
     "run_scenario",
-    "save_scenario_file",
     "smoke_scenario",
     "with_relays",
 ]

@@ -9,10 +9,9 @@ data with an exact JSON round trip, so the same scenario file drives the
 in-process driver, the TCP driver and the ``python -m repro.load`` CLI.
 
 Churn rates are expressed as phases: a "5%/min departure rate at N=500
-over 10 minutes" is ten ``revoke`` phases of 25 -- the helper
-:func:`churn_phases` expands exactly that arithmetic so scenario authors
-write rates and the engine still sees discrete, checkable steps (every
-phase ends in a rekey whose invariants are asserted).
+over 10 minutes" is ten ``revoke`` phases of 25, so the engine sees
+discrete, checkable steps (every phase ends in a rekey whose invariants
+are asserted).
 
 Multi-publisher scenarios must keep their attribute universes disjoint:
 condition keys are strings shared across a subscriber's publishers, so
@@ -23,8 +22,6 @@ registrations.  :meth:`LoadScenario.validate` enforces this.
 from __future__ import annotations
 
 import json
-import math
-import os
 import re
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
@@ -44,9 +41,7 @@ __all__ = [
     "PolicySpec",
     "PublisherSpec",
     "RelaySpec",
-    "churn_phases",
     "load_scenario_file",
-    "save_scenario_file",
     "validate_gkm",
 ]
 
@@ -537,51 +532,8 @@ class LoadScenario:
         return scenario.validate()
 
 
-def churn_phases(
-    population: int,
-    arrival_rate: float,
-    departure_rate: float,
-    steps: int,
-    publisher: Optional[str] = None,
-) -> Tuple[PhaseSpec, ...]:
-    """Expand per-step arrival/departure *rates* into discrete phases.
-
-    Rates are fractions of ``population`` per step (``0.05`` = 5% churn
-    per step); counts are rounded up so a nonzero rate always moves at
-    least one member.  Each step contributes its revoke phase before its
-    join phase, so the population dips and recovers -- the worst case
-    for capacity reuse.
-    """
-    if population < 1 or steps < 1:
-        raise InvalidParameterError("population and steps must be >= 1")
-    if arrival_rate < 0 or departure_rate < 0:
-        raise InvalidParameterError("rates must be >= 0")
-    phases: List[PhaseSpec] = []
-    for _ in range(steps):
-        departures = math.ceil(population * departure_rate)
-        arrivals = math.ceil(population * arrival_rate)
-        if departures:
-            phases.append(
-                PhaseSpec(kind="revoke", count=departures, publisher=publisher)
-            )
-        if arrivals:
-            phases.append(
-                PhaseSpec(kind="join", count=arrivals, publisher=publisher)
-            )
-    return tuple(phases)
-
-
 def load_scenario_file(path: str) -> LoadScenario:
     """Read and validate a scenario JSON file."""
     with open(path, "r", encoding="utf-8") as handle:
         return LoadScenario.from_payload(json.load(handle))
 
-
-def save_scenario_file(scenario: LoadScenario, path: str) -> None:
-    """Write a validated scenario as JSON (atomically)."""
-    scenario.validate()
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(scenario.to_payload(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)

@@ -12,11 +12,10 @@ The GKM layer works over ``F_q`` for an 80-bit (paper-faithful) or 31-bit
 
 from __future__ import annotations
 
-import random
-from typing import Iterator, Optional, Union
+from typing import Union
 
 from repro.errors import FieldMismatchError, InvalidParameterError
-from repro.mathx.modular import modinv, modsqrt
+from repro.mathx.modular import modinv
 from repro.mathx.primes import is_prime
 
 __all__ = ["PrimeField", "FieldElement"]
@@ -56,16 +55,6 @@ class PrimeField:
         """The multiplicative identity."""
         return FieldElement(self, 1)
 
-    def random(self, rng: Optional[random.Random] = None) -> "FieldElement":
-        """Uniformly random element (including zero)."""
-        rng = rng or random
-        return FieldElement(self, rng.randrange(self.p))
-
-    def random_nonzero(self, rng: Optional[random.Random] = None) -> "FieldElement":
-        """Uniformly random element of ``F_p^*``."""
-        rng = rng or random
-        return FieldElement(self, rng.randrange(1, self.p))
-
     def from_bytes(self, data: bytes) -> "FieldElement":
         """Interpret big-endian bytes as an element (reduced mod p)."""
         return FieldElement(self, int.from_bytes(data, "big") % self.p)
@@ -86,11 +75,6 @@ class PrimeField:
     def byte_length(self) -> int:
         """Bytes needed to serialize one element."""
         return (self.p.bit_length() + 7) // 8
-
-    def elements(self) -> Iterator["FieldElement"]:
-        """Iterate all elements (only sensible for tiny fields / tests)."""
-        for v in range(self.p):
-            yield FieldElement(self, v)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -179,16 +163,6 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse; raises :class:`NotInvertibleError` at 0."""
         return FieldElement(self.field, modinv(self.value, self.field.p))
-
-    def sqrt(self) -> "FieldElement":
-        """A square root; raises :class:`NoSquareRootError` for non-residues."""
-        return FieldElement(self.field, modsqrt(self.value, self.field.p))
-
-    def is_square(self) -> bool:
-        """True if this element is a quadratic residue (0 counts as square)."""
-        if self.value == 0:
-            return True
-        return pow(self.value, (self.field.p - 1) // 2, self.field.p) == 1
 
     # -- predicates / conversions ------------------------------------------
 

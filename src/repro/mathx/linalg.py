@@ -32,16 +32,12 @@ import numpy as np
 from repro.errors import (
     FieldMismatchError,
     InvalidParameterError,
-    SingularMatrixError,
 )
 from repro.mathx.field import PrimeField
 
 __all__ = [
     "Matrix",
     "RrefFactorization",
-    "null_space",
-    "solve",
-    "vec_dot",
     "NUMPY_MODULUS_LIMIT",
 ]
 
@@ -54,15 +50,6 @@ NUMPY_MODULUS_LIMIT = 1 << 31
 # sum stays below 2**52, hence exact.
 _PANEL = ((1 << 52) - 1) // ((NUMPY_MODULUS_LIMIT - 2) * 0xFFFF)
 assert _PANEL * (NUMPY_MODULUS_LIMIT - 2) * 0xFFFF < 1 << 52
-
-
-def vec_dot(u: Sequence[int], v: Sequence[int], p: int) -> int:
-    """Inner product of two integer vectors modulo ``p``."""
-    if len(u) != len(v):
-        raise InvalidParameterError(
-            "dot product of vectors with lengths %d and %d" % (len(u), len(v))
-        )
-    return sum(a * b for a, b in zip(u, v)) % p
 
 
 class Matrix:
@@ -152,36 +139,6 @@ class Matrix:
         if self.field.p != other.field.p:
             raise FieldMismatchError("matrices over different fields")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if self.shape != other.shape:
-            raise InvalidParameterError(
-                "shape mismatch %s vs %s" % (self.shape, other.shape)
-            )
-        p = self.field.p
-        return Matrix(
-            self.field,
-            [
-                [(a + b) % p for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if self.shape != other.shape:
-            raise InvalidParameterError(
-                "shape mismatch %s vs %s" % (self.shape, other.shape)
-            )
-        p = self.field.p
-        return Matrix(
-            self.field,
-            [
-                [(a - b) % p for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check(other)
         if self.ncols != other.nrows:
@@ -206,18 +163,6 @@ class Matrix:
             )
         p = self.field.p
         return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.rows)
-
-    def transpose(self) -> "Matrix":
-        """The transpose."""
-        if not self.rows:
-            return Matrix(self.field, [])
-        return Matrix(self.field, [list(col) for col in zip(*self.rows)])
-
-    def scale(self, c: int) -> "Matrix":
-        """Multiply every entry by the scalar ``c``."""
-        p = self.field.p
-        c %= p
-        return Matrix(self.field, [[(a * c) % p for a in row] for row in self.rows])
 
     # -- elimination ---------------------------------------------------------
 
@@ -273,25 +218,6 @@ class Matrix:
                 v[pc] = (-reduced.rows[i][j]) % p
             basis.append(tuple(v))
         return basis
-
-    def solve(self, b: Sequence[int]) -> Tuple[int, ...]:
-        """Solve ``A x = b`` for square invertible ``A``.
-
-        Raises :class:`SingularMatrixError` when no unique solution exists.
-        """
-        n = self.nrows
-        if n != self.ncols:
-            raise SingularMatrixError("solve() requires a square matrix")
-        if len(b) != n:
-            raise InvalidParameterError("right-hand side has wrong length")
-        p = self.field.p
-        augmented = Matrix(self.field, [])
-        augmented.rows = [row[:] + [int(bv) % p] for row, bv in zip(self.rows, b)]
-        augmented.ncols = n + 1
-        reduced, pivots = augmented.rref()
-        if len(pivots) != n or any(pc >= n for pc in pivots):
-            raise SingularMatrixError("matrix is singular or system inconsistent")
-        return tuple(reduced.rows[i][n] for i in range(n))
 
     # -- comparisons / formatting --------------------------------------------
 
@@ -826,12 +752,3 @@ class RrefFactorization:
             self.ncols,
         )
 
-
-def null_space(matrix: Matrix) -> List[Tuple[int, ...]]:
-    """Module-level convenience wrapper for :meth:`Matrix.null_space`."""
-    return matrix.null_space()
-
-
-def solve(matrix: Matrix, b: Sequence[int]) -> Tuple[int, ...]:
-    """Module-level convenience wrapper for :meth:`Matrix.solve`."""
-    return matrix.solve(b)

@@ -8,10 +8,9 @@ pair ``(u, v)`` of polynomials) and the access-control-polynomial baseline.
 
 from __future__ import annotations
 
-import random
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
-from repro.errors import FieldMismatchError, InvalidParameterError
+from repro.errors import FieldMismatchError
 from repro.mathx.field import FieldElement, PrimeField
 
 __all__ = ["Poly"]
@@ -47,63 +46,6 @@ class Poly:
     def constant(cls, field: PrimeField, c: IntoCoeff) -> "Poly":
         """The constant polynomial ``c``."""
         return cls(field, (c,))
-
-    @classmethod
-    def x(cls, field: PrimeField) -> "Poly":
-        """The monomial ``x``."""
-        return cls(field, (0, 1))
-
-    @classmethod
-    def monomial(cls, field: PrimeField, degree: int, c: IntoCoeff = 1) -> "Poly":
-        """The monomial ``c * x**degree``."""
-        if degree < 0:
-            raise InvalidParameterError("degree must be >= 0, got %r" % degree)
-        return cls(field, (0,) * degree + (c,))
-
-    @classmethod
-    def from_roots(cls, field: PrimeField, roots: Sequence[IntoCoeff]) -> "Poly":
-        """Monic polynomial ``prod (x - r)`` over the given roots."""
-        result = cls.one(field)
-        for r in roots:
-            result = result * cls(field, (-field(r), 1))
-        return result
-
-    @classmethod
-    def random(
-        cls,
-        field: PrimeField,
-        degree: int,
-        rng: Optional[random.Random] = None,
-        monic: bool = False,
-    ) -> "Poly":
-        """Random polynomial of exactly ``degree`` (leading coeff nonzero)."""
-        rng = rng or random
-        if degree < 0:
-            return cls.zero(field)
-        coeffs = [field.random(rng) for _ in range(degree)]
-        coeffs.append(field.one() if monic else field.random_nonzero(rng))
-        return cls(field, coeffs)
-
-    @classmethod
-    def interpolate(
-        cls, field: PrimeField, points: Sequence[Tuple[IntoCoeff, IntoCoeff]]
-    ) -> "Poly":
-        """Lagrange interpolation through ``points`` (distinct x values)."""
-        xs = [field(x) for x, _ in points]
-        ys = [field(y) for _, y in points]
-        if len({int(x) for x in xs}) != len(xs):
-            raise InvalidParameterError("interpolation points must have distinct x")
-        result = cls.zero(field)
-        for i, (xi, yi) in enumerate(zip(xs, ys)):
-            basis = cls.one(field)
-            denom = field.one()
-            for j, xj in enumerate(xs):
-                if i == j:
-                    continue
-                basis = basis * cls(field, (-xj, 1))
-                denom = denom * (xi - xj)
-            result = result + basis * (yi / denom)
-        return result
 
     # -- metadata -------------------------------------------------------------
 
@@ -224,38 +166,11 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    def __pow__(self, exponent: int) -> "Poly":
-        if exponent < 0:
-            raise InvalidParameterError("negative polynomial powers not supported")
-        result = Poly.one(self.field)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
     def monic(self) -> "Poly":
         """Scale so the leading coefficient is 1 (zero stays zero)."""
         if self.is_zero() or self.is_monic():
             return self
         return self * self.leading_coefficient().inverse()
-
-    def derivative(self) -> "Poly":
-        """Formal derivative."""
-        p = self.field.p
-        return Poly(
-            self.field, [(i * c) % p for i, c in enumerate(self.coeffs)][1:]
-        )
-
-    def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor."""
-        self._check(other)
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
 
     def xgcd(self, other: "Poly") -> Tuple["Poly", "Poly", "Poly"]:
         """Extended gcd: returns monic ``(g, s, t)`` with ``s*a + t*b = g``."""

@@ -1,8 +1,9 @@
-"""Primality testing and prime generation.
+"""Primality testing.
 
 Miller--Rabin with the deterministic witness sets for 64-bit integers and a
-randomised round count beyond that, plus helpers for generating the field
-moduli used by the group backends and the GKM schemes.
+randomised round count beyond that.  Every modulus the library uses is a
+constant (:mod:`repro.groups.params`, :mod:`repro.gkm.acv`); this test
+checks them when a field or group is built.
 """
 
 from __future__ import annotations
@@ -10,15 +11,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.errors import InvalidParameterError
-
-__all__ = [
-    "is_prime",
-    "next_prime",
-    "prev_prime",
-    "random_prime",
-    "random_safe_prime",
-]
+__all__ = ["is_prime"]
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -72,57 +65,3 @@ def is_prime(n: int, rounds: int = 40, rng: Optional[random.Random] = None) -> b
             return False
     return True
 
-
-def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than ``n``."""
-    candidate = max(n + 1, 2)
-    if candidate > 2 and candidate % 2 == 0:
-        candidate += 1
-    while not is_prime(candidate):
-        candidate += 1 if candidate == 2 else 2
-    return candidate
-
-
-def prev_prime(n: int) -> int:
-    """Largest prime strictly smaller than ``n``.
-
-    Raises :class:`InvalidParameterError` when no such prime exists (n <= 2).
-    """
-    if n <= 2:
-        raise InvalidParameterError("no prime below %r" % n)
-    candidate = n - 1
-    if candidate > 2 and candidate % 2 == 0:
-        candidate -= 1
-    while candidate >= 2:
-        if is_prime(candidate):
-            return candidate
-        candidate -= 1 if candidate == 3 else 2
-    raise InvalidParameterError("no prime below %r" % n)
-
-
-def random_prime(bits: int, rng: Optional[random.Random] = None) -> int:
-    """Random prime with exactly ``bits`` bits (top bit set)."""
-    if bits < 2:
-        raise InvalidParameterError("need bits >= 2, got %r" % bits)
-    rng = rng or random
-    while True:
-        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_prime(candidate):
-            return candidate
-
-
-def random_safe_prime(bits: int, rng: Optional[random.Random] = None) -> int:
-    """Random safe prime ``p`` (``(p-1)/2`` also prime) with ``bits`` bits.
-
-    Used to construct Schnorr groups where the full multiplicative group has
-    a large prime-order subgroup.  This is slow for large ``bits``; the
-    library ships precomputed parameters for common sizes.
-    """
-    if bits < 3:
-        raise InvalidParameterError("need bits >= 3, got %r" % bits)
-    rng = rng or random
-    while True:
-        q = random_prime(bits - 1, rng)
-        p = 2 * q + 1
-        if p.bit_length() == bits and is_prime(p):
-            return p

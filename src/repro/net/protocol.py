@@ -74,7 +74,6 @@ from repro.wire.codec import (
     U32,
     Record,
     decode_fields,
-    decode_frame,
     encode_frame,
     fixed,
     pack_fields,
@@ -110,7 +109,6 @@ __all__ = [
     "RelayDetach",
     "RelayBroadcast",
     "NET_MESSAGE_TYPES",
-    "decode_net_message",
     "decode_net_payload",
 ]
 
@@ -511,8 +509,3 @@ def decode_net_payload(type_id: int, payload: bytes) -> NetMessage:
         raise SerializationError("unknown net frame type %d" % type_id)
     return cls.from_payload(payload)
 
-
-def decode_net_message(frame: bytes) -> NetMessage:
-    """Decode one complete net frame from bytes."""
-    type_id, payload = decode_frame(frame)
-    return decode_net_payload(type_id, payload)

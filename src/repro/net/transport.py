@@ -420,7 +420,7 @@ class TcpTransport:
             asyncio.run_coroutine_threadsafe(
                 conn.stream.aclose(), self._loop
             ).result(self.timeout)
-        except concurrent.futures.TimeoutError:
+        except (concurrent.futures.TimeoutError, concurrent.futures.CancelledError):
             pass  # best-effort: the reader's teardown also closes it
 
     def entities(self) -> List[str]:

@@ -20,11 +20,12 @@ EQ-OCBE, GE-OCBE and LE-OCBE"):
 * ``>`` via ``GE(x0+1)``, ``<`` via ``LE(x0-1)``,
 * ``!=`` via a two-envelope GT-or-LT disjunction.
 
-Use :func:`~repro.ocbe.base.run_ocbe` for a one-call local execution, or
-drive the sender/receiver sessions manually to model the network exchange.
+:func:`~repro.ocbe.base.sender_for` and :func:`~repro.ocbe.base.receiver_for`
+pick the session classes for a predicate; the registration sessions
+(:mod:`repro.wire.sessions`) put the network exchange between them.
 """
 
-from repro.ocbe.base import OCBESetup, run_ocbe, sender_for, receiver_for
+from repro.ocbe.base import OCBESetup, sender_for, receiver_for
 from repro.ocbe.eq import EqOCBEReceiver, EqOCBESender, EqEnvelope
 from repro.ocbe.ge import (
     BitCommitMessage,
@@ -43,12 +44,6 @@ from repro.ocbe.derived import (
     NeOCBEReceiver,
     NeOCBESender,
 )
-from repro.ocbe.serial import (
-    decode_aux,
-    decode_envelope,
-    encode_aux,
-    encode_envelope,
-)
 from repro.ocbe.predicates import (
     EqPredicate,
     GePredicate,
@@ -62,7 +57,6 @@ from repro.ocbe.predicates import (
 
 __all__ = [
     "OCBESetup",
-    "run_ocbe",
     "sender_for",
     "receiver_for",
     "EqOCBESender",
@@ -82,10 +76,6 @@ __all__ = [
     "NeOCBEReceiver",
     "NeCommitMessage",
     "NeEnvelope",
-    "encode_aux",
-    "decode_aux",
-    "encode_envelope",
-    "decode_envelope",
     "Predicate",
     "EqPredicate",
     "GePredicate",

@@ -1,12 +1,11 @@
-"""Shared OCBE infrastructure: setup, dispatch, local driver.
+"""Shared OCBE infrastructure: setup and sender/receiver dispatch.
 
 An OCBE run involves three messages (after the trusted party distributed
 the commitment): the receiver's (optional) auxiliary commitments, the
 sender's envelope, and the receiver's local opening.  The sender/receiver
 session classes in :mod:`repro.ocbe.eq` / :mod:`repro.ocbe.ge` /
 :mod:`repro.ocbe.le` model those steps explicitly so the system layer can
-put a real network between them; :func:`run_ocbe` wires them back-to-back
-for tests and benchmarks.
+put a real network between them (:mod:`repro.wire.sessions`).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from repro.ocbe.predicates import (
     Predicate,
 )
 
-__all__ = ["OCBESetup", "run_ocbe", "sender_for", "receiver_for"]
+__all__ = ["OCBESetup", "sender_for", "receiver_for"]
 
 
 @dataclass(frozen=True)
@@ -64,13 +63,6 @@ class OCBESetup:
         if rng is not None:
             return rng.randrange(1, p)
         return secrets.randbelow(p - 1) + 1
-
-    def random_field(self, rng: Optional[random.Random]) -> int:
-        """Uniform scalar in ``[0, p)``."""
-        p = self.pedersen.order
-        if rng is not None:
-            return rng.randrange(p)
-        return secrets.randbelow(p)
 
     def random_bytes(self, n: int, rng: Optional[random.Random]) -> bytes:
         """``n`` uniform bytes from ``rng`` or the system CSPRNG."""
@@ -131,25 +123,3 @@ def receiver_for(
         return LeOCBEReceiver(setup, predicate, x, r, commitment, rng)
     raise PredicateError("no OCBE receiver for %r" % predicate)
 
-
-def run_ocbe(
-    setup: OCBESetup,
-    predicate: Predicate,
-    x: int,
-    r: int,
-    commitment: PedersenCommitment,
-    message: bytes,
-    rng: Optional[random.Random] = None,
-) -> bytes:
-    """Execute a complete OCBE exchange locally and return the receiver's
-    decrypted message.
-
-    Raises :class:`~repro.errors.DecryptionError` when the receiver's
-    committed value does not satisfy ``predicate`` -- which is exactly the
-    protocol's guarantee.
-    """
-    sender = sender_for(setup, predicate, rng)
-    receiver = receiver_for(setup, predicate, x, r, commitment, rng)
-    aux = receiver.commitment_message()
-    envelope = sender.compose(commitment, aux, message)
-    return receiver.open(envelope)

@@ -19,7 +19,6 @@ from repro.policy.condition import AttributeCondition, parse_condition
 from repro.policy.configuration import (
     PolicyConfiguration,
     build_configurations,
-    dominates,
 )
 from repro.policy.encoding import encode_value, MAX_STRING_BITS
 from repro.policy.evaluate import satisfies_condition, satisfies_policy
@@ -31,7 +30,6 @@ __all__ = [
     "parse_policy",
     "PolicyConfiguration",
     "build_configurations",
-    "dominates",
     "encode_value",
     "MAX_STRING_BITS",
     "satisfies_condition",

@@ -40,11 +40,6 @@ class AccessControlPolicy:
         if not self.objects:
             raise PolicyParseError("a policy needs at least one object")
 
-    @property
-    def attribute_names(self) -> FrozenSet[str]:
-        """Names of all attributes the subject expression mentions."""
-        return frozenset(c.name for c in self.conditions)
-
     def condition_keys(self) -> Tuple[str, ...]:
         """Stable identifiers of the conditions (CSS-table columns)."""
         return tuple(c.key() for c in self.conditions)

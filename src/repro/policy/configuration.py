@@ -15,7 +15,7 @@ from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.policy.acp import AccessControlPolicy
 
-__all__ = ["PolicyConfiguration", "build_configurations", "dominates", "dominance_order"]
+__all__ = ["PolicyConfiguration", "build_configurations", "dominance_order"]
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,6 @@ class PolicyConfiguration:
             return "{}"
         return "{%s}" % ", ".join(a.describe() for a in self.sorted_policies())
 
-
-def dominates(a: PolicyConfiguration, b: PolicyConfiguration) -> bool:
-    """Module-level alias for :meth:`PolicyConfiguration.dominates`."""
-    return a.dominates(b)
 
 
 def build_configurations(

@@ -13,10 +13,9 @@ from typing import Mapping
 from repro.errors import PolicyError
 from repro.policy.acp import AccessControlPolicy
 from repro.policy.condition import AttributeCondition
-from repro.policy.configuration import PolicyConfiguration
 from repro.policy.encoding import AttributeValue
 
-__all__ = ["satisfies_condition", "satisfies_policy", "satisfies_configuration"]
+__all__ = ["satisfies_condition", "satisfies_policy"]
 
 
 def satisfies_condition(
@@ -57,9 +56,3 @@ def satisfies_policy(
     """True when every condition of the conjunction holds."""
     return all(satisfies_condition(attributes, c) for c in policy.conditions)
 
-
-def satisfies_configuration(
-    attributes: Mapping[str, AttributeValue], configuration: PolicyConfiguration
-) -> bool:
-    """True when at least one member policy is satisfied."""
-    return any(satisfies_policy(attributes, acp) for acp in configuration.policies)

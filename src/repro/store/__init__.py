@@ -42,7 +42,7 @@ from repro.store.snapshots import (
     decode_state,
 )
 from repro.store.state import STORE_VERSION, StateStore
-from repro.store.wal import WalRecord, WriteAheadLog, replay, scan_records
+from repro.store.wal import WalRecord, WriteAheadLog, scan_records
 
 __all__ = [
     "DEFAULT_COMPACT_EVERY",
@@ -66,6 +66,5 @@ __all__ = [
     "StateStore",
     "WalRecord",
     "WriteAheadLog",
-    "replay",
     "scan_records",
 ]

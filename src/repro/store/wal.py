@@ -29,7 +29,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.errors import LogCorruptionError
 from repro.obs.metrics import get_registry
@@ -50,7 +50,6 @@ __all__ = [
     "encode_record",
     "decode_record",
     "scan_records",
-    "replay",
 ]
 
 #: Width of the CRC-32 suffix on every record.
@@ -123,22 +122,6 @@ def scan_records(
         )
         offset = frame_end + CRC_SIZE
     return records, offset
-
-
-def replay(
-    path: str, max_payload: int = DEFAULT_MAX_FRAME_PAYLOAD
-) -> Iterator[WalRecord]:
-    """Yield every complete record in the log at ``path``.
-
-    A missing file replays as empty (a fresh data dir); a torn tail is
-    dropped; interior damage raises :class:`LogCorruptionError`.
-    """
-    if not os.path.exists(path):
-        return iter(())
-    with open(path, "rb") as handle:
-        data = handle.read()
-    records, _ = scan_records(data, max_payload)
-    return iter(records)
 
 
 class WriteAheadLog:

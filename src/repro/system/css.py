@@ -67,33 +67,17 @@ class CssTable:
         """All pseudonyms with at least one CSS."""
         return sorted(self._rows)
 
-    def pseudonyms_with(self, condition_keys: Sequence[str]) -> List[str]:
-        """Pseudonyms holding CSSs for *all* the given conditions.
-
-        This is the paper's ``SELECT * FROM T WHERE 'cond' <> NULL`` query
-        generalised to a conjunction -- it computes the set ``U_k`` for a
-        policy ``acp_k``.
-        """
-        return sorted(
-            nym
-            for nym, row in self._rows.items()
-            if all(key in row for key in condition_keys)
-        )
-
-    def css_row(self, nym: str, condition_keys: Sequence[str]) -> tuple:
-        """The ordered CSS tuple for one (policy, subscriber) matrix row."""
-        return tuple(self.get(nym, key) for key in condition_keys)
-
     def rows_for_policies(
         self, policy_keys: Sequence[Sequence[str]]
     ) -> List[List[tuple]]:
         """The ACV matrix rows for *many* policies in one table pass.
 
         Returns one bucket per entry of ``policy_keys``: the ordered CSS
-        tuples of every pseudonym qualified for that policy, pseudonyms
-        sorted -- exactly ``[self.css_row(nym, keys) for nym in
-        self.pseudonyms_with(keys)]`` per policy, but the table is walked
-        once instead of once per policy.  This is the per-broadcast row
+        tuples of every pseudonym holding a CSS for *all* of that policy's
+        conditions, pseudonyms sorted -- the paper's ``SELECT * FROM T
+        WHERE 'cond' <> NULL`` generalised to a conjunction (the set
+        ``U_k`` of ``acp_k``), for every policy in one pass over the
+        table.  This is the per-broadcast row
         setup of :meth:`repro.system.publisher.Publisher.publish`; under
         churn it runs after every membership change, so the constant
         factor matters.

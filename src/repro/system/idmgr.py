@@ -85,10 +85,6 @@ class IdentityManager:
         """The commitment group."""
         return self.pedersen.group
 
-    def verify_token(self, token: IdentityToken) -> bool:
-        """Anyone-with-the-public-key token verification (the Pub does this)."""
-        return self._keys.verify(token.signing_bytes(), token.signature)
-
     # -- durable state (the secret half) -------------------------------------
 
     @property

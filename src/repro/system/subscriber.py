@@ -121,10 +121,6 @@ class Subscriber:
         if self.journal is not None:
             self.journal.css_extracted(condition_key, css)
 
-    def token_for(self, attribute: str) -> IdentityToken:
-        """The held token for an attribute tag."""
-        return self.wallet_for(attribute).token
-
     def wallet_for(self, attribute: str) -> TokenWallet:
         """The held token *with its private opening* for an attribute tag.
 

@@ -25,7 +25,6 @@ from repro.wire.codec import (  # the cycle-free base layer
     Cursor,
     decode_frame,
     encode_frame,
-    iter_frames,
 )
 
 _MESSAGE_NAMES = (
@@ -40,7 +39,6 @@ _MESSAGE_NAMES = (
     "TokenRequest",
     "TokenGrant",
     "BroadcastMessage",
-    "encode_message",
     "decode_message",
 )
 _SESSION_NAMES = (
@@ -54,7 +52,6 @@ __all__ = [
     "Cursor",
     "encode_frame",
     "decode_frame",
-    "iter_frames",
     *_MESSAGE_NAMES,
     *_SESSION_NAMES,
 ]

@@ -29,7 +29,7 @@ encodes, decodes and validates them all (DESIGN.md "Record codec").
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ReproError, SerializationError
 from repro.obs.trace import TRACE_LEN, ZERO_TRACE
@@ -78,11 +78,9 @@ __all__ = [
     "check_fields",
     "decode_fields",
     "decode_value",
-    "check_value",
     "Record",
     "encode_frame",
     "decode_frame",
-    "iter_frames",
     "parse_frame_header",
 ]
 
@@ -616,13 +614,6 @@ def decode_value(field: Field, data: bytes, group=None):
     return value
 
 
-def check_value(field: Field, data: bytes, group=None) -> None:
-    """Every refusal :func:`decode_value` makes, building nothing."""
-    cursor = Cursor(data)
-    (field.check or field.read)(cursor, group)
-    cursor.expect_end()
-
-
 class Record:
     """A value that declares its ``FIELDS`` in wire order; its codec
     derives from them (DESIGN.md "Record codec").  ``group`` is the
@@ -670,20 +661,15 @@ def decode_frame(
     data: bytes, max_payload: int = DEFAULT_MAX_FRAME_PAYLOAD
 ) -> Tuple[int, bytes]:
     """Parse exactly one frame; rejects bad magic/version/length."""
-    type_id, payload, end = _decode_frame_at(data, 0, max_payload)
-    if end != len(data):
-        raise SerializationError("%d trailing bytes after frame" % (len(data) - end))
+    cursor = Cursor(data)
+    type_id, length = parse_frame_header(cursor.take(FRAME_HEADER_SIZE))
+    check_frame_length(length, max_payload)
+    payload = cursor.take(length)
+    if cursor.offset != len(data):
+        raise SerializationError(
+            "%d trailing bytes after frame" % (len(data) - cursor.offset)
+        )
     return type_id, payload
-
-
-def iter_frames(
-    data: bytes, max_payload: int = DEFAULT_MAX_FRAME_PAYLOAD
-) -> Iterator[Tuple[int, bytes]]:
-    """Split a concatenation of frames (a stream read) back into messages."""
-    offset = 0
-    while offset < len(data):
-        type_id, payload, offset = _decode_frame_at(data, offset, max_payload)
-        yield type_id, payload
 
 
 def parse_frame_header(header: bytes) -> Tuple[int, int]:
@@ -706,13 +692,3 @@ def parse_frame_header(header: bytes) -> Tuple[int, int]:
         )
     return type_id, length
 
-
-def _decode_frame_at(
-    data: bytes, offset: int, max_payload: int = DEFAULT_MAX_FRAME_PAYLOAD
-) -> Tuple[int, bytes, int]:
-    cursor = Cursor(data, offset)
-    header = cursor.take(FRAME_HEADER_SIZE)
-    type_id, length = parse_frame_header(header)
-    check_frame_length(length, max_payload)
-    payload = cursor.take(length)
-    return type_id, payload, cursor.offset

@@ -2,9 +2,9 @@
 
 Every inter-entity interaction in the system is one of the frozen message
 classes below, each with a stable numeric ``TYPE_ID``, a transport
-accounting ``KIND`` string, and an exact byte encoding.  :func:`encode_message`
-wraps a message in the versioned frame from :mod:`repro.wire.codec`;
-:func:`decode_message` is its inverse (it needs the commitment group to
+accounting ``KIND`` string, and an exact byte encoding.
+:meth:`WireMessage.encode` wraps a message in the versioned frame from
+:mod:`repro.wire.codec`; :func:`decode_message` is its inverse (it needs the commitment group to
 validate embedded group elements).
 
 Message flow (also in ``DESIGN.md``)::
@@ -62,7 +62,6 @@ __all__ = [
     "TokenRequest",
     "TokenGrant",
     "BroadcastMessage",
-    "encode_message",
     "decode_message",
     "MESSAGE_TYPES",
 ]
@@ -249,13 +248,6 @@ MESSAGE_TYPES: Dict[int, Type[WireMessage]] = {
         BroadcastMessage,
     )
 }
-
-
-def encode_message(
-    message: WireMessage, max_payload: int = DEFAULT_MAX_FRAME_PAYLOAD
-) -> bytes:
-    """Frame any wire message for transmission."""
-    return message.encode(max_payload)
 
 
 def decode_message(

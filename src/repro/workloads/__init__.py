@@ -3,9 +3,9 @@
 * :mod:`repro.workloads.ehr` -- the paper's running healthcare scenario
   (Example 4): the EHR.xml document, the six role-based policies and a
   ready-to-run hospital with enrolled employees.
-* :mod:`repro.workloads.generator` -- synthetic CSS-row and policy
-  generators matching the parameterisation of the evaluation section
-  (user configurations, policies with a given average condition count).
+* :mod:`repro.workloads.generator` -- synthetic CSS rows matching the
+  parameterisation of the evaluation section (user configurations with a
+  given average condition count) and seeded attribute draws.
 """
 
 from repro.workloads.ehr import (
@@ -18,9 +18,7 @@ from repro.workloads.ehr import (
     build_hospital,
 )
 from repro.workloads.generator import (
-    SyntheticPolicySet,
     make_css_rows,
-    make_policy_set,
     user_configuration_rows,
 )
 
@@ -32,8 +30,6 @@ __all__ = [
     "build_ehr_document",
     "build_ehr_policies",
     "build_hospital",
-    "SyntheticPolicySet",
     "make_css_rows",
-    "make_policy_set",
     "user_configuration_rows",
 ]

@@ -5,27 +5,18 @@ Section VII's group-key-management experiments use *user configurations*:
 user limit N ... We use 25 policies, each on average containing two
 conditions.  Each Sub satisfies the policy in the policy configuration
 under consideration."  These helpers produce exactly those inputs for the
-ACV-BGKM core API (CSS rows), plus synthetic policy sets for the
-system-level sweeps.
+ACV-BGKM core API (CSS rows), plus the attribute draws of a
+:mod:`repro.load` scenario's population.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import InvalidParameterError
-from repro.policy.acp import AccessControlPolicy, parse_policy
 
-__all__ = [
-    "draw_attribute_values",
-    "make_css_rows",
-    "make_subscriber_population",
-    "user_configuration_rows",
-    "SyntheticPolicySet",
-    "make_policy_set",
-]
+__all__ = ["draw_attribute_values", "make_css_rows", "user_configuration_rows"]
 
 
 def make_css_rows(
@@ -106,71 +97,3 @@ def draw_attribute_values(
             )
         values[name] = rng.randint(low, high)
     return values
-
-
-def make_subscriber_population(
-    count: int,
-    mix: Dict[str, Tuple[int, int]],
-    rng: Optional[random.Random] = None,
-    prefix: str = "user",
-    start: int = 0,
-) -> Dict[str, Dict[str, int]]:
-    """``count`` named subscribers with attributes drawn from ``mix``.
-
-    Returns ``{name: {attribute: value}}`` with names
-    ``<prefix><start>..<prefix><start+count-1>`` -- the population input
-    of a :mod:`repro.load` scenario (``start`` lets churn phases mint
-    users that never collide with the existing population).
-    """
-    if count < 0:
-        raise InvalidParameterError("population count must be >= 0")
-    rng = rng or random.Random(0)
-    return {
-        "%s%d" % (prefix, start + i): draw_attribute_values(mix, rng)
-        for i in range(count)
-    }
-
-
-@dataclass(frozen=True)
-class SyntheticPolicySet:
-    """A generated policy set plus the attribute universe it draws from."""
-
-    policies: Tuple[AccessControlPolicy, ...]
-    attributes: Tuple[str, ...]
-    document: str
-
-
-def make_policy_set(
-    num_policies: int,
-    conditions_per_policy: int,
-    subdocuments: Sequence[str],
-    document: str = "doc",
-    rng: Optional[random.Random] = None,
-) -> SyntheticPolicySet:
-    """Random conjunctive policies over a synthetic attribute universe.
-
-    Attribute ``attr_i`` takes integer values; conditions are drawn from
-    ``>=``/``<=``/``=`` with thresholds in [0, 100).  Each policy protects
-    a random non-empty subset of ``subdocuments``.
-    """
-    if num_policies < 1 or conditions_per_policy < 1:
-        raise InvalidParameterError("invalid policy-set shape")
-    rng = rng or random.Random(0)
-    attributes = tuple(
-        "attr_%d" % i for i in range(max(4, conditions_per_policy * 2))
-    )
-    policies = []
-    for _ in range(num_policies):
-        chosen = rng.sample(attributes, conditions_per_policy)
-        parts = []
-        for attr in chosen:
-            op = rng.choice([">=", "<=", "="])
-            threshold = rng.randrange(100)
-            parts.append("%s %s %d" % (attr, op, threshold))
-        objects = rng.sample(
-            list(subdocuments), rng.randrange(1, len(subdocuments) + 1)
-        )
-        policies.append(parse_policy(" AND ".join(parts), objects, document))
-    return SyntheticPolicySet(
-        policies=tuple(policies), attributes=attributes, document=document
-    )

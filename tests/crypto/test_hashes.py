@@ -9,15 +9,11 @@ from hypothesis import strategies as st
 
 from repro.crypto.hashes import (
     HashFunction,
-    PureSha1,
-    PureSha256,
     default_hash,
     expand_message,
     hash_concat,
     hash_to_int,
     hash_to_range,
-    pure_sha1,
-    pure_sha256,
     row_hasher,
     sha1,
     sha256,
@@ -26,7 +22,8 @@ from repro.errors import InvalidParameterError
 
 
 class TestPureImplementations:
-    """The from-scratch SHA implementations agree with hashlib."""
+    """The named instances compute SHA-1 / SHA-256, and the row hasher's
+    absorbed prefix state is exact across the 64-byte block boundary."""
 
     KNOWN_SHA256 = [
         (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -39,31 +36,21 @@ class TestPureImplementations:
 
     @pytest.mark.parametrize("data,expected", KNOWN_SHA256)
     def test_sha256_known_answers(self, data, expected):
-        assert PureSha256.hash(data).hex() == expected
+        assert sha256.digest(data).hex() == expected
 
     @pytest.mark.parametrize("data,expected", KNOWN_SHA1)
     def test_sha1_known_answers(self, data, expected):
-        assert PureSha1.hash(data).hex() == expected
-
-    @given(st.binary(max_size=300))
-    def test_sha256_matches_hashlib(self, data):
-        assert PureSha256.hash(data) == hashlib.sha256(data).digest()
-
-    @given(st.binary(max_size=300))
-    def test_sha1_matches_hashlib(self, data):
-        assert PureSha1.hash(data) == hashlib.sha1(data).digest()
+        assert sha1.digest(data).hex() == expected
 
     @pytest.mark.parametrize("n", [55, 56, 63, 64, 65, 119, 120, 128])
     def test_padding_boundaries(self, n):
-        """Lengths around the 64-byte block boundary exercise padding."""
-        data = bytes(range(256))[:n] * 1
-        assert PureSha256.hash(data) == hashlib.sha256(data).digest()
-        assert PureSha1.hash(data) == hashlib.sha1(data).digest()
-
-    def test_instances_consistent(self):
-        data = b"cross-check"
-        assert sha256.digest(data) == pure_sha256.digest(data)
-        assert sha1.digest(data) == pure_sha1.digest(data)
+        """Prefix lengths around the 64-byte block boundary: the copied
+        state must carry a partial block exactly."""
+        part = bytes(range(256))[:n]
+        for h in (sha256, sha1):
+            for q in (1073741827, 604462909807314587353111):
+                a = row_hasher(h, [part], q)
+                assert a(b"z") == hash_concat(h, [part, b"z"], q)
 
     def test_metadata(self):
         assert sha256.digest_size == 32
@@ -158,7 +145,7 @@ _ADHOC = HashFunction("adhoc-md5", 16, lambda data: hashlib.md5(data).digest())
 #: not mistake it for the hashlib-backed ``sha256``.
 _IMPOSTOR = HashFunction("sha256", 32, lambda data: hashlib.sha256(data + b"!").digest())
 
-ROW_HASHES = [sha256, sha1, pure_sha256, pure_sha1, _ADHOC, _IMPOSTOR]
+ROW_HASHES = [sha256, sha1, _ADHOC, _IMPOSTOR]
 
 
 class TestRowHasher:
@@ -211,7 +198,7 @@ class TestRowHasher:
             with pytest.raises(InvalidParameterError):
                 row_hasher(h, [b"css"], 1)
 
-    @pytest.mark.parametrize("h", [sha256, sha1, pure_sha256, pure_sha1])
+    @pytest.mark.parametrize("h", [sha256, sha1])
     def test_registered_hashes_still_pickle_by_name(self, h):
         assert pickle.loads(pickle.dumps(h)) is h
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.hashes import pure_sha256, sha1, sha256
+from repro.crypto.hashes import HashFunction, sha1, sha256
 from repro.crypto.kdf import derive_key, hkdf_expand, hkdf_extract
 from repro.crypto.mac import constant_time_equal, hmac_digest
 from repro.errors import InvalidParameterError
@@ -33,8 +33,10 @@ class TestHmac:
         ).digest()
 
     def test_pure_hash_backend(self):
-        assert hmac_digest(b"key", b"msg", pure_sha256) == std_hmac.new(
-            b"key", b"msg", hashlib.sha256
+        """Any :class:`HashFunction`, not only the registered ones."""
+        md5 = HashFunction("md5", 16, lambda data: hashlib.md5(data).digest())
+        assert hmac_digest(b"key", b"msg", md5) == std_hmac.new(
+            b"key", b"msg", hashlib.md5
         ).digest()
 
     def test_rfc4231_case_1(self):

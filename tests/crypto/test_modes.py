@@ -1,4 +1,4 @@
-"""Tests for CTR and CBC modes and PKCS#7 padding."""
+"""Tests for CTR mode: known answers, the bulk kernel, counter wrap."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,43 +7,14 @@ from hypothesis import strategies as st
 from repro.crypto.aes import _KERNEL_PASS_BLOCKS, AES
 from repro.crypto.modes import (
     _BULK_MIN_BLOCKS,
-    cbc_decrypt,
-    cbc_encrypt,
     ctr_keystream,
     ctr_xor,
-    pkcs7_pad,
-    pkcs7_unpad,
     xor_bytes,
 )
-from repro.errors import DecryptionError, InvalidParameterError
+from repro.errors import InvalidParameterError
 
 KEY = bytes(range(16))
 IV = bytes(range(16, 32))
-
-
-class TestPkcs7:
-    def test_pad_lengths(self):
-        assert pkcs7_pad(b"") == bytes([16]) * 16
-        assert pkcs7_pad(b"a" * 15) == b"a" * 15 + b"\x01"
-        assert pkcs7_pad(b"a" * 16)[-16:] == bytes([16]) * 16
-
-    @given(st.binary(max_size=100))
-    def test_roundtrip(self, data):
-        padded = pkcs7_pad(data)
-        assert len(padded) % 16 == 0
-        assert pkcs7_unpad(padded) == data
-
-    def test_unpad_rejects_bad_length(self):
-        with pytest.raises(DecryptionError):
-            pkcs7_unpad(b"12345")
-
-    def test_unpad_rejects_bad_padding(self):
-        with pytest.raises(DecryptionError):
-            pkcs7_unpad(b"a" * 15 + b"\x03")
-        with pytest.raises(DecryptionError):
-            pkcs7_unpad(b"a" * 15 + b"\x00")
-        with pytest.raises(DecryptionError):
-            pkcs7_unpad(b"")
 
 
 class TestCtr:
@@ -198,39 +169,3 @@ class TestXorBytes:
     def test_length_mismatch(self):
         with pytest.raises(InvalidParameterError):
             xor_bytes(b"abc", b"ab")
-
-
-class TestCbc:
-    @given(st.binary(max_size=200))
-    def test_roundtrip(self, data):
-        cipher = AES(KEY)
-        assert cbc_decrypt(cipher, IV, cbc_encrypt(cipher, IV, data)) == data
-
-    def test_iv_matters(self):
-        cipher = AES(KEY)
-        ct1 = cbc_encrypt(cipher, IV, b"hello world")
-        ct2 = cbc_encrypt(cipher, bytes(16), b"hello world")
-        assert ct1 != ct2
-
-    def test_chaining(self):
-        """Identical plaintext blocks produce distinct ciphertext blocks."""
-        cipher = AES(KEY)
-        ct = cbc_encrypt(cipher, IV, b"A" * 32)
-        assert ct[:16] != ct[16:32]
-
-    def test_tampered_ciphertext_breaks_padding_or_plaintext(self):
-        cipher = AES(KEY)
-        ct = bytearray(cbc_encrypt(cipher, IV, b"hello"))
-        ct[-1] ^= 0xFF
-        try:
-            out = cbc_decrypt(cipher, IV, bytes(ct))
-            assert out != b"hello"
-        except DecryptionError:
-            pass
-
-    def test_bad_lengths(self):
-        cipher = AES(KEY)
-        with pytest.raises(InvalidParameterError):
-            cbc_encrypt(cipher, b"x", b"data")
-        with pytest.raises(DecryptionError):
-            cbc_decrypt(cipher, IV, b"123")

@@ -33,7 +33,6 @@ class TestDocument:
 
     def test_sizes_and_iteration(self):
         doc = Document.of("d", {"a": b"12", "b": b"345"})
-        assert doc.total_size == 5
         assert len(doc) == 2
         assert [s.name for s in doc] == ["a", "b"]
 

@@ -22,8 +22,7 @@ class TestSegment:
             parse_policy("b = 2", ["s3"], "d"),
         ]
         plan = segment(doc(), policies)
-        ids = {name: plan.configuration_of(name)[0] for name in
-               ("s1", "s2", "s3", "s4")}
+        ids = {name: cid for cid, _, names in plan.groups for name in names}
         assert ids["s1"] == ids["s2"]          # same configuration
         assert ids["s3"] != ids["s1"]
         assert ids["s4"] == "pc0"              # empty configuration
@@ -44,15 +43,10 @@ class TestSegment:
         with pytest.raises(DocumentError):
             segment(doc(), policies)
 
-    def test_configuration_of_unknown(self):
-        plan = segment(doc(), [])
-        with pytest.raises(DocumentError):
-            plan.configuration_of("ghost")
-
     def test_non_empty_groups(self):
         policies = [parse_policy("a = 1", ["s1"], "d")]
         plan = segment(doc(), policies)
-        non_empty = plan.non_empty_groups()
+        non_empty = [g for g in plan.groups if not g[1].is_empty]
         assert len(non_empty) == 1
         assert non_empty[0][2] == ("s1",)
 
@@ -62,18 +56,19 @@ class TestEhrPlan:
 
     def test_group_count(self):
         plan = segment(build_ehr_document(), build_ehr_policies())
-        non_empty = plan.non_empty_groups()
+        non_empty = [g for g in plan.groups if not g[1].is_empty]
         assert len(non_empty) == 5
         assert len(plan.groups) == 6
 
     def test_physical_exams_and_plan_share_key_group(self):
         plan = segment(build_ehr_document(), build_ehr_policies())
-        pe_id, _ = plan.configuration_of("PhysicalExams")
-        plan_id, _ = plan.configuration_of("Plan")
-        assert pe_id == plan_id
+        ids = {name: cid for cid, _, names in plan.groups for name in names}
+        assert ids["PhysicalExams"] == ids["Plan"]
 
     def test_rest_is_empty_config(self):
         plan = segment(build_ehr_document(), build_ehr_policies())
-        rest_id, rest_config = plan.configuration_of("_rest")
+        [(rest_id, rest_config)] = [
+            (cid, config) for cid, config, names in plan.groups if "_rest" in names
+        ]
         assert rest_id == "pc0"
         assert rest_config.is_empty

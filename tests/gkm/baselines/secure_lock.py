@@ -20,17 +20,63 @@ import random
 import secrets
 import struct
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.crypto.mac import hmac_digest
-from repro.errors import KeyDerivationError, SerializationError
-from repro.mathx.modular import crt
-from repro.mathx.primes import random_prime
+from repro.errors import (
+    InvalidParameterError,
+    KeyDerivationError,
+    NotInvertibleError,
+    SerializationError,
+)
+from repro.mathx.primes import is_prime
 from tests.gkm.baselines.base import BroadcastGkm, RekeyBroadcast
+from tests.groups.reference import egcd
 
-__all__ = ["SecureLockGkm"]
+__all__ = ["SecureLockGkm", "crt", "random_prime"]
 
 _MAGIC = b"SLK1"
+
+
+def crt(residues: Sequence[int], moduli: Sequence[int]) -> Tuple[int, int]:
+    """Chinese Remainder Theorem for pairwise-coprime moduli.
+
+    Given ``x = r_i (mod m_i)`` returns ``(x, M)`` with ``M = prod(m_i)`` and
+    ``0 <= x < M``.  Raises :class:`InvalidParameterError` on length mismatch
+    and :class:`NotInvertibleError` if the moduli are not pairwise coprime.
+    """
+    if len(residues) != len(moduli):
+        raise InvalidParameterError(
+            "need equally many residues (%d) and moduli (%d)"
+            % (len(residues), len(moduli))
+        )
+    if not moduli:
+        raise InvalidParameterError("need at least one congruence")
+    x = residues[0] % moduli[0]
+    m = moduli[0]
+    for r_i, m_i in zip(residues[1:], moduli[1:]):
+        g, p, _ = egcd(m, m_i)
+        if g != 1:
+            raise NotInvertibleError(
+                "moduli are not pairwise coprime (gcd(%d, %d) = %d)" % (m, m_i, g)
+            )
+        # x' = x + m * t  with  x + m*t = r_i (mod m_i)  =>  t = (r_i - x) / m
+        t = ((r_i - x) * p) % m_i
+        x = x + m * t
+        m *= m_i
+        x %= m
+    return x, m
+
+
+def random_prime(bits: int, rng: Optional[random.Random] = None) -> int:
+    """Random prime with exactly ``bits`` bits (top bit set)."""
+    if bits < 2:
+        raise InvalidParameterError("need bits >= 2, got %r" % bits)
+    rng = rng or random
+    while True:
+        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if is_prime(candidate):
+            return candidate
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,19 @@ from hypothesis import strategies as st
 from repro.errors import SerializationError
 from repro.gkm.acv import FAST_FIELD, PAPER_FIELD, AcvBgkm
 from repro.gkm.strategy import (
+    KEYING_HEADER,
     AcvBuildCache,
     BucketedGkmStrategy,
     decode_keying_header,
-    validate_keying_header,
 )
+from repro.wire.codec import Cursor
+
+
+def validate_keying_header(raw):
+    """What a package parse runs on a keying header: the field's check."""
+    cursor = Cursor(raw)
+    KEYING_HEADER.check(cursor, None)
+    cursor.expect_end()
 
 
 def _honest():

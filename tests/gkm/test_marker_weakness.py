@@ -14,8 +14,8 @@ import pytest
 from repro.gkm.acv import FAST_FIELD, AcvBgkm
 from repro.gkm.strategy import AcvBuildCache, DenseGkmStrategy
 from repro.errors import InvalidParameterError
-from repro.mathx.linalg import vec_dot
 from tests.gkm.baselines.marker import MarkerBgkm
+from tests.mathx.reference import vec_dot
 
 
 class TestMarkerNonceReuseLeak:

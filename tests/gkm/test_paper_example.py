@@ -16,7 +16,8 @@ import random
 
 
 from repro.mathx.field import PrimeField
-from repro.mathx.linalg import Matrix, vec_dot
+from repro.mathx.linalg import Matrix
+from tests.mathx.reference import vec_dot
 
 F17 = PrimeField(17)
 

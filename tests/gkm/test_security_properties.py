@@ -4,7 +4,7 @@
 import pytest
 
 from repro.gkm.acv import FAST_FIELD, AcvBgkm
-from repro.mathx.linalg import vec_dot
+from tests.mathx.reference import vec_dot
 
 
 @pytest.fixture

@@ -3,17 +3,18 @@ the toy curves they are pinned on.
 
 ``binary_pow`` is the right-to-left double-and-add ladder with full
 Jacobian additions that ``ECPoint.__pow__`` ran before the width-4 NAF
-kernel; ``egcd_modinv`` is ``modinv`` by the extended Euclid, as it was
-before the built-in ``pow(a, -1, m)``.  They live beside the tests, not
+kernel; ``egcd`` is the extended Euclid and ``egcd_modinv`` is ``modinv``
+by it, as it was before the built-in ``pow(a, -1, m)``.  They live beside the tests, not
 in ``src/``, so the library keeps one path per operation;
 ``benchmarks/test_ocbe_registration.py`` also patches them in to rebuild
 the seed's arithmetic for its ``naive`` baseline.
 """
 
+from typing import Tuple
+
 from repro.errors import InvalidParameterError, NotInvertibleError
 from repro.groups import _native
 from repro.groups.elliptic import CurveParams, ECPoint
-from repro.mathx.modular import egcd
 
 #: Prime-order toy curves.  Orders up to 7 put the identity among the
 #: NAF kernel's odd multiples ``P, 3P, 5P, 7P`` (and in fixed-base table
@@ -47,6 +48,25 @@ def binary_pow(point: ECPoint, exponent: int) -> ECPoint:
         base = g._jac_double(base)
         e >>= 1
     return ECPoint(g, g._jac_to_affine(acc))
+
+
+def egcd(a: int, b: int) -> Tuple[int, int, int]:
+    """Extended Euclidean algorithm.
+
+    Returns ``(g, x, y)`` such that ``a*x + b*y == g == gcd(a, b)``.
+    Works for negative inputs; ``g`` is always non-negative.
+    """
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
 
 
 def egcd_modinv(a: int, m: int) -> int:

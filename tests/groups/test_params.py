@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.groups import default_group, get_group, list_groups
+from repro.groups import default_group, get_group
 from repro.groups.params import (
+    _REGISTRY,
     SCHNORR_256_PRIME,
     SCHNORR_512_PRIME,
     TOY_SCHNORR_PRIME,
@@ -13,7 +14,7 @@ from repro.mathx.primes import is_prime
 
 
 def test_all_registered_groups_instantiate():
-    for name in list_groups():
+    for name in sorted(_REGISTRY):
         group = get_group(name)
         assert group.order > 1
         g = group.generator()
@@ -30,7 +31,7 @@ def test_unknown_name():
 
 
 def test_default_group_is_registered():
-    assert default_group().name in list_groups()
+    assert default_group().name in sorted(_REGISTRY)
 
 
 @pytest.mark.parametrize(
@@ -42,7 +43,7 @@ def test_safe_primes_are_safe(p):
 
 
 def test_expected_names_present():
-    names = list_groups()
+    names = sorted(_REGISTRY)
     for expected in (
         "nist-p192",
         "nist-p256",

@@ -26,7 +26,6 @@ from repro.groups import _native
 from repro.groups.elliptic import EllipticCurveGroup
 from repro.groups.precompute import (
     FixedBaseTable,
-    fixed_base_table,
     generator_table,
     recombines_to,
     same_base_powers,
@@ -57,7 +56,7 @@ class TestDifferential:
     def test_edges_and_random_scalars(self, name):
         group = get_group(name)
         base = group.generator()
-        table = fixed_base_table(base)
+        table = FixedBaseTable(base)
         rng = random.Random(0xF1DE)
         exponents = _edge_exponents(group.order, table.window)
         exponents += [rng.randrange(group.order) for _ in range(24)]
@@ -69,14 +68,14 @@ class TestDifferential:
         group = get_group(name)
         rng = random.Random(0xBA5E)
         base = group.random_element(rng)
-        table = fixed_base_table(base)
+        table = FixedBaseTable(base)
         for e in (0, 1, 7, group.order - 1, rng.randrange(group.order)):
             assert table.pow(e) == base ** e
 
     def test_identity_base(self, name):
         group = get_group(name)
         identity = group.identity()
-        table = fixed_base_table(identity)
+        table = FixedBaseTable(identity)
         for e in (0, 1, 5, group.order - 1):
             assert table.pow(e).is_identity()
 
@@ -87,7 +86,7 @@ class TestProperties:
     def test_p192_matches_naive(self, e):
         group = get_group("nist-p192")
         base = group.generator()
-        assert fixed_base_table(base).pow(e) == base ** e
+        assert FixedBaseTable(base).pow(e) == base ** e
 
     def test_window_size_rule(self):
         assert window_size(256) == 5

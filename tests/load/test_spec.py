@@ -1,5 +1,7 @@
 """Scenario spec validation and the JSON round trip."""
 
+import json
+
 import pytest
 
 from repro.errors import InvalidParameterError
@@ -9,11 +11,9 @@ from repro.load import (
     LoadScenario,
     PhaseSpec,
     builtin_scenario,
-    churn_phases,
     churn_scenario,
     feed_publisher,
     load_scenario_file,
-    save_scenario_file,
     smoke_scenario,
 )
 
@@ -30,7 +30,8 @@ def test_builtins_validate():
 def test_json_round_trip(tmp_path):
     scenario = smoke_scenario()
     path = str(tmp_path / "scenario.json")
-    save_scenario_file(scenario, path)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(scenario.to_payload(), handle)
     assert load_scenario_file(path) == scenario
     # Exact for every builtin: from_payload refuses any key it does not read.
     for name in BUILTIN_SCENARIOS:
@@ -172,23 +173,6 @@ def test_policy_must_reference_declared_things():
         bad.validate(attribute_bits=8)
 
 
-def test_churn_phases_expansion():
-    phases = churn_phases(
-        population=500, arrival_rate=0.05, departure_rate=0.05, steps=3
-    )
-    assert len(phases) == 6
-    assert [p.kind for p in phases] == ["revoke", "join"] * 3
-    assert all(p.count == 25 for p in phases)  # 5% of 500
-    # A tiny nonzero rate still moves one member per step.
-    tiny = churn_phases(population=10, arrival_rate=0.01,
-                        departure_rate=0.0, steps=2)
-    assert [p.kind for p in tiny] == ["join", "join"]
-    assert all(p.count == 1 for p in tiny)
-    with pytest.raises(InvalidParameterError):
-        churn_phases(population=0, arrival_rate=0.1, departure_rate=0.1,
-                     steps=1)
-
-
 def test_segment_order_survives_the_round_trip(tmp_path):
     from repro.load import DocumentSpec, PolicySpec, PublisherSpec
 
@@ -206,7 +190,8 @@ def test_segment_order_survives_the_round_trip(tmp_path):
         phases=(PhaseSpec(kind="join", count=1),),
     ).validate()
     path = str(tmp_path / "ordered.json")
-    save_scenario_file(scenario, path)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(scenario.to_payload(), handle)
     loaded = load_scenario_file(path)
     assert loaded == scenario
     assert loaded.publishers[0].documents[0].segment_names() == ("zz", "aa")

@@ -8,16 +8,16 @@ the dataclass validator, the file round trip and the engine's driver
 gate.
 """
 
-import pytest
-
+import json
 from dataclasses import replace
+
+import pytest
 
 from repro.errors import InvalidParameterError, LoadScenarioError
 from repro.load import (
     LoadEngine,
     RelaySpec,
     load_scenario_file,
-    save_scenario_file,
     smoke_scenario,
     with_relays,
 )
@@ -78,7 +78,8 @@ class TestRelaySpec:
     def test_json_round_trip_preserves_topology(self, tmp_path):
         scenario = with_relays(smoke_scenario(), 2)
         path = str(tmp_path / "scenario.json")
-        save_scenario_file(scenario, path)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(scenario.to_payload(), handle)
         loaded = load_scenario_file(path)
         assert loaded == scenario
         assert loaded.topology == scenario.topology

@@ -1,4 +1,4 @@
-"""Reference implementation the blocked elimination kernel is pinned against.
+"""Reference implementations the linear algebra is pinned against.
 
 ``rref_scalar`` is the numpy Gauss--Jordan loop that ``_rref_numpy`` ran
 before the panel-blocked kernel: per pivot, one rank-1 update and one
@@ -7,11 +7,25 @@ int64 ``%`` over every touched row of the whole matrix.  Like
 and reduces whole rows, so it reduces ``[A | I]`` as well.  It lives
 beside the tests, not in ``src/``, so the library keeps one elimination
 loop per backend; ablation A4 times it against the panel kernel.
+
+``vec_dot`` is the inner product the GKM tests derive keys with
+(``k = v . X``), independently of :class:`~repro.gkm.acv.AcvBgkm`.
 """
 
 from typing import List, Sequence, Tuple
 
 import numpy as np
+
+from repro.errors import InvalidParameterError
+
+
+def vec_dot(u: Sequence[int], v: Sequence[int], p: int) -> int:
+    """Inner product of two integer vectors modulo ``p``."""
+    if len(u) != len(v):
+        raise InvalidParameterError(
+            "dot product of vectors with lengths %d and %d" % (len(u), len(v))
+        )
+    return sum(a * b for a, b in zip(u, v)) % p
 
 
 def rref_scalar(

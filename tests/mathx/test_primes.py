@@ -1,4 +1,5 @@
-"""Tests for Miller-Rabin and prime generation."""
+"""Tests for Miller-Rabin, and the prime generation of the secure-lock
+baseline (its only user)."""
 
 import random
 
@@ -7,13 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import InvalidParameterError
-from repro.mathx.primes import (
-    is_prime,
-    next_prime,
-    prev_prime,
-    random_prime,
-    random_safe_prime,
-)
+from repro.mathx.primes import is_prime
+from tests.gkm.baselines.secure_lock import random_prime
 
 _PRIMES_UNDER_100 = {
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -51,18 +47,6 @@ class TestIsPrime:
 
 
 class TestGeneration:
-    def test_next_prime(self):
-        assert next_prime(0) == 2
-        assert next_prime(2) == 3
-        assert next_prime(14) == 17
-        assert next_prime(97) == 101
-
-    def test_prev_prime(self):
-        assert prev_prime(3) == 2
-        assert prev_prime(100) == 97
-        with pytest.raises(InvalidParameterError):
-            prev_prime(2)
-
     def test_random_prime_bits(self):
         rng = random.Random(1)
         for bits in (8, 16, 32, 80):
@@ -74,8 +58,3 @@ class TestGeneration:
         with pytest.raises(InvalidParameterError):
             random_prime(1)
 
-    def test_random_safe_prime(self):
-        rng = random.Random(2)
-        p = random_safe_prime(16, rng)
-        assert is_prime(p) and is_prime((p - 1) // 2)
-        assert p.bit_length() == 16

@@ -3,7 +3,7 @@
 At least one instance of every net frame type (several where a type has
 distinct shapes: refusals, truncated logs, routed reports), shared by
 the round-trip/robustness cases in ``test_protocol.py`` and the trace
-trailer cases in ``test_obs_net.py``.
+trailer cases in ``test_obs_net.py``, and the frame decode they share.
 """
 
 from repro.net.protocol import (
@@ -22,7 +22,16 @@ from repro.net.protocol import (
     StatsRequest,
     TrafficRecord,
     Welcome,
+    decode_net_payload,
 )
+from repro.wire.codec import decode_frame
+
+
+def decode_net_frame(frame: bytes):
+    """One complete net frame, decoded as a node decodes it: the frame
+    split, then the type dispatch."""
+    return decode_net_payload(*decode_frame(frame))
+
 
 SAMPLES = [
     Hello(entity="pn-0001"),

@@ -11,11 +11,10 @@ from repro.errors import SerializationError
 from repro.net.protocol import (
     TRACE_LEN,
     ZERO_TRACE,
-    decode_net_message,
     pack_trace,
 )
 from repro.obs.trace import new_trace_id, tracing
-from tests.net.samples import SAMPLES
+from tests.net.samples import SAMPLES, decode_net_frame
 
 TRACE = bytes(range(1, TRACE_LEN + 1))
 
@@ -23,7 +22,7 @@ TRACE = bytes(range(1, TRACE_LEN + 1))
 @pytest.mark.parametrize("message", SAMPLES, ids=lambda m: type(m).__name__)
 def test_trace_round_trips_on_every_frame_type(message):
     traced = dataclasses.replace(message, trace=TRACE)
-    decoded = decode_net_message(traced.encode())
+    decoded = decode_net_frame(traced.encode())
     assert decoded == traced
     assert decoded.trace == TRACE
 
@@ -35,7 +34,7 @@ def test_untraced_frames_stay_pre_trace_identical(message):
     ``trace == ZERO_TRACE``."""
     plain = dataclasses.replace(message, trace=ZERO_TRACE).encode()
     assert plain == dataclasses.replace(message, trace=b"").encode()
-    decoded = decode_net_message(plain)
+    decoded = decode_net_frame(plain)
     assert decoded.trace == ZERO_TRACE
     # And a traced frame costs exactly TRACE_LEN extra bytes.
     assert len(dataclasses.replace(message, trace=TRACE).encode()) == (

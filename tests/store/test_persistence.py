@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.crypto.schnorr_sig import verify
 from repro.documents.model import Document
 from repro.errors import LogCorruptionError, SnapshotMismatchError
 from repro.policy.acp import parse_policy
@@ -224,7 +225,9 @@ class TestFullLifecycleRecovery:
         assert idmgr2.issued == issued_before
         assert idmgr2.nym_counter == idmgr.nym_counter
         # recovered key verifies tokens signed before the "crash"
-        assert idmgr2.verify_token(sub.token_for("role"))
+        token = sub.wallet_for("role").token
+        pk = idmgr2.public_key
+        assert verify(pk.group, pk, token.signing_bytes(), token.signature)
         store2.close()
 
 

@@ -13,7 +13,6 @@ from repro.store.wal import (
     WriteAheadLog,
     decode_record,
     encode_record,
-    replay,
     scan_records,
 )
 from repro.wire.codec import FRAME_HEADER_SIZE
@@ -41,7 +40,8 @@ class TestRoundTrip:
             decode_record(encode_record(7, b"payload") + b"\x00")
 
     def test_replay_missing_file_is_empty(self, tmp_path):
-        assert list(replay(str(tmp_path / "absent.log"))) == []
+        with WriteAheadLog(str(tmp_path / "absent.log"), sync=False) as wal:
+            assert wal.recovered == []
 
 
 class TestTornTail:
@@ -69,7 +69,9 @@ class TestTornTail:
                 (1, b"one"), (2, b"two")
             ]
             wal.append(4, b"four")
-        assert [(r.type_id, r.payload) for r in replay(path)] == [
+        with open(path, "rb") as handle:
+            records, _ = scan_records(handle.read())
+        assert [(r.type_id, r.payload) for r in records] == [
             (1, b"one"), (2, b"two"), (4, b"four")
         ]
 

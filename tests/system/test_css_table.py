@@ -26,14 +26,19 @@ def table():
 class TestQueries:
     def test_select_single_condition(self, table):
         """The paper's SELECT * FROM T WHERE 'role = doc' <> NULL."""
-        assert table.pseudonyms_with(["role = doc"]) == ["pn-0012", "pn-1492"]
+        assert table.rows_for_policies([["role = doc"]]) == [[
+            (table.get("pn-0012", "role = doc"),),
+            (table.get("pn-1492", "role = doc"),),
+        ]]
 
     def test_select_conjunction(self, table):
         """acp4's conjunction: only pn-1492 may satisfy both conditions."""
-        assert table.pseudonyms_with(["role = nur", "level >= 59"]) == ["pn-1492"]
+        [bucket] = table.rows_for_policies([["role = nur", "level >= 59"]])
+        assert bucket == [(table.get("pn-1492", "role = nur"),
+                           table.get("pn-1492", "level >= 59"))]
 
     def test_css_row_ordering(self, table):
-        row = table.css_row("pn-1492", ["role = nur", "level >= 59"])
+        [[row]] = table.rows_for_policies([["role = nur", "level >= 59"]])
         assert row == (b"\x60\x98\x70", b"\x11\x10\x90")
 
     def test_get_missing_cell(self, table):

@@ -142,5 +142,5 @@ class TestCapacitySlack:
         package = h1.publisher.publish(h1.document)
         for name, sub in h1.subscribers.items():
             assert set(sub.receive(package)) == EXPECTED_ACCESS[name]
-        header = package.header_for("pc1")
+        [header] = [h for h in package.headers if h.config_id == "pc1"]
         assert header.acv.capacity > 10

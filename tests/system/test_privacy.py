@@ -84,7 +84,7 @@ class TestPublisherObliviousness:
         identically -- here we check the Pub cannot brute-force small
         values because the blinding is 192-bit."""
         _, sub_high, _ = build_world(61, seed=46)
-        token = sub_high.token_for("level")
+        token = sub_high.wallet_for("level").token
         params = sub_high.params.pedersen
         # Exhaustive value guesses without r fail:
         assert all(

@@ -88,12 +88,12 @@ class TestRegistration:
         sub = make_sub(idp, idmgr, pub, "dd", {"role": "doc"}, rng)
         level_cond = pub.conditions_for_attribute("level")[0]
         with pytest.raises(RegistrationError):
-            pub.open_registration(sub.token_for("role"), level_cond)
+            pub.open_registration(sub.wallet_for("role").token, level_cond)
 
     def test_forged_token_rejected(self, world, rng):
         idp, idmgr, pub = world
         sub = make_sub(idp, idmgr, pub, "dd", {"role": "doc"}, rng)
-        genuine = sub.token_for("role")
+        genuine = sub.wallet_for("role").token
         forged = IdentityToken(
             nym="pn-9999",
             tag=genuine.tag,
@@ -108,7 +108,7 @@ class TestRegistration:
         idp, idmgr, pub = world
         sub = make_sub(idp, idmgr, pub, "dd", {"role": "doc"}, rng)
         with pytest.raises(RegistrationError):
-            sub.token_for("level")
+            sub.wallet_for("level").token
 
     def test_wrong_nym_token_rejected_by_subscriber(self, world, rng):
         idp, idmgr, pub = world

@@ -23,6 +23,7 @@ import random
 import pytest
 
 from repro.crypto.pedersen import PedersenParams
+from repro.crypto.schnorr_sig import verify
 from repro.gkm.acv import FAST_FIELD
 from repro.groups import get_group
 from repro.ocbe.base import OCBESetup, receiver_for, sender_for
@@ -111,7 +112,8 @@ def test_issue_token_is_begin_then_finish(decoy):
     assert split_token.to_bytes() == token.to_bytes()
     assert (split_x, split_r) == (x, r)
     assert split_idmgr.issued == whole_idmgr.issued == [("pn-0001", "level", decoy)]
-    assert whole_idmgr.verify_token(split_token)
+    pk = whole_idmgr.public_key
+    assert verify(pk.group, pk, split_token.signing_bytes(), split_token.signature)
 
 
 USERS = {

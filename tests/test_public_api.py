@@ -100,9 +100,9 @@ class TestErrorHierarchy:
         [
             (errors.NotInvertibleError, errors.MathError),
             (errors.NoSquareRootError, errors.MathError),
-            (errors.SingularMatrixError, errors.MathError),
+            (errors.FieldMismatchError, errors.MathError),
             (errors.NotOnCurveError, errors.GroupError),
-            (errors.AuthenticationError, errors.CryptoError),
+            (errors.CommitmentError, errors.CryptoError),
             (errors.DecryptionError, errors.CryptoError),
             (errors.ProtocolStateError, errors.OCBEError),
             (errors.PolicyParseError, errors.PolicyError),

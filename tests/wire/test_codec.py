@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ReproError, SerializationError
+from repro.net.stream import FrameDecoder
 from repro.wire.codec import (
     DEFAULT_MAX_FRAME_PAYLOAD,
     FRAME_HEADER_SIZE,
@@ -11,7 +12,6 @@ from repro.wire.codec import (
     Cursor,
     decode_frame,
     encode_frame,
-    iter_frames,
     pack_bool,
     pack_bytes,
     pack_scalar,
@@ -106,7 +106,7 @@ class TestFrames:
     def test_stream_splitting(self):
         frames = [encode_frame(i, bytes([i]) * i) for i in range(5)]
         stream = b"".join(frames)
-        parsed = list(iter_frames(stream))
+        parsed = FrameDecoder().feed(stream)
         assert parsed == [(i, bytes([i]) * i) for i in range(5)]
 
     def test_bad_magic(self):
@@ -153,7 +153,7 @@ class TestFrameSizeCap:
         with pytest.raises(SerializationError, match="cap"):
             decode_frame(frame)
         with pytest.raises(SerializationError, match="cap"):
-            list(iter_frames(frame))
+            FrameDecoder().feed(frame)
 
     def test_cap_is_configurable(self):
         frame = encode_frame(1, b"x" * 100)
@@ -161,10 +161,11 @@ class TestFrameSizeCap:
         with pytest.raises(SerializationError, match="cap"):
             decode_frame(frame, max_payload=99)
         with pytest.raises(SerializationError, match="cap"):
-            list(iter_frames(frame, max_payload=99))
-        # iter_frames applies the cap per frame, not to the concatenation.
+            FrameDecoder(max_payload=99).feed(frame)
+        # The stream splitter applies the cap per frame, not to the
+        # concatenation.
         stream = encode_frame(1, b"a" * 60) + encode_frame(2, b"b" * 60)
-        assert len(list(iter_frames(stream, max_payload=64))) == 2
+        assert len(FrameDecoder(max_payload=64).feed(stream)) == 2
 
     def test_frame_at_cap_round_trips(self):
         payload = b"z" * 128

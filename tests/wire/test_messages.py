@@ -23,7 +23,6 @@ from repro.wire.messages import (
     TokenGrant,
     TokenRequest,
     decode_message,
-    encode_message,
 )
 
 
@@ -44,7 +43,7 @@ def _ocbe_exchange(pub, sub, condition_text):
 
 def _sample_messages(wire_world):
     idp, idmgr, pub, sub = wire_world
-    token = sub.token_for("role")
+    token = sub.wallet_for("role").token
     level_aux, level_env = _ocbe_exchange(pub, sub, "level >= 59")
     ne_aux, ne_env = _ocbe_exchange(pub, sub, "role != doc")
     eq_aux, eq_env = _ocbe_exchange(pub, sub, "role = doc")
@@ -92,14 +91,14 @@ class TestRoundTrips:
 
     def test_encode_decode_reencode_identical(self, samples, group):
         for message in samples:
-            frame = encode_message(message)
+            frame = message.encode()
             decoded = decode_message(frame, group)
             assert type(decoded) is type(message)
-            assert encode_message(decoded) == frame, type(message).__name__
+            assert decoded.encode() == frame, type(message).__name__
 
     def test_decoded_equals_original(self, samples, group):
         for message in samples:
-            decoded = decode_message(encode_message(message), group)
+            decoded = decode_message(message.encode(), group)
             assert decoded == message, type(message).__name__
 
     def test_kind_strings_unique(self):
@@ -117,7 +116,7 @@ class TestRobustness:
     def test_every_truncation_raises_library_error(self, samples, group):
         # Cutting a frame anywhere must be detected, for every message type.
         for message in samples:
-            frame = encode_message(message)
+            frame = message.encode()
             step = max(1, len(frame) // 23)  # sample cut points, keep it fast
             for cut in list(range(0, len(frame), step)) + [len(frame) - 1]:
                 with pytest.raises(ReproError):
@@ -126,13 +125,13 @@ class TestRobustness:
     def test_trailing_garbage_raises(self, samples, group):
         for message in samples:
             with pytest.raises(ReproError):
-                decode_message(encode_message(message) + b"\x00", group)
+                decode_message(message.encode() + b"\x00", group)
 
     def test_corrupted_interior_never_raises_raw_errors(self, samples, group):
         # Flip bytes across each frame; decoding may succeed (e.g. flips in
         # ciphertext bodies) but must never raise a non-library error.
         for message in samples:
-            frame = bytearray(encode_message(message))
+            frame = bytearray(message.encode())
             step = max(1, len(frame) // 17)
             for position in range(8, len(frame), step):
                 corrupted = bytearray(frame)

@@ -10,7 +10,8 @@ from repro.ocbe.predicates import (
     LePredicate,
     NePredicate,
 )
-from repro.ocbe.serial import decode_aux, decode_envelope, encode_aux, encode_envelope
+from repro.ocbe.serial import AUX_MESSAGE, OCBE_ENVELOPE
+from repro.wire.codec import decode_value
 
 MESSAGE = b"sixteen-byte-css"
 
@@ -78,58 +79,59 @@ class TestTaggedDispatch:
     def test_aux_dispatch_round_trip(self, exchanges, ec_setup):
         group = ec_setup.pedersen.group
         for name, (aux, _, _) in exchanges.items():
-            blob = encode_aux(aux)
-            decoded = decode_aux(blob, group)
+            blob = AUX_MESSAGE.pack(aux)
+            decoded = decode_value(AUX_MESSAGE, blob, group)
             assert decoded == aux, name
-            assert encode_aux(decoded) == blob, name
+            assert AUX_MESSAGE.pack(decoded) == blob, name
 
     def test_envelope_dispatch_round_trip(self, exchanges, ec_setup):
         group = ec_setup.pedersen.group
         for name, (_, envelope, _) in exchanges.items():
-            blob = encode_envelope(envelope)
-            decoded = decode_envelope(blob, group)
+            blob = OCBE_ENVELOPE.pack(envelope)
+            decoded = decode_value(OCBE_ENVELOPE, blob, group)
             assert decoded == envelope, name
-            assert encode_envelope(decoded) == blob, name
+            assert OCBE_ENVELOPE.pack(decoded) == blob, name
 
     def test_none_aux_round_trips(self, ec_setup):
-        assert decode_aux(encode_aux(None), ec_setup.pedersen.group) is None
+        group = ec_setup.pedersen.group
+        assert decode_value(AUX_MESSAGE, AUX_MESSAGE.pack(None), group) is None
 
     def test_unknown_tags_rejected(self, ec_setup):
         from repro.errors import SerializationError
 
         group = ec_setup.pedersen.group
         with pytest.raises(SerializationError):
-            decode_aux(b"\x09", group)
+            decode_value(AUX_MESSAGE, b"\x09", group)
         with pytest.raises(SerializationError):
-            decode_envelope(b"\x09", group)
+            decode_value(OCBE_ENVELOPE, b"\x09", group)
 
 
 class TestRobustness:
     def test_truncations_raise_library_errors(self, exchanges, ec_setup):
         group = ec_setup.pedersen.group
         for name, (aux, envelope, _) in exchanges.items():
-            blobs = [encode_envelope(envelope)]
+            blobs = [OCBE_ENVELOPE.pack(envelope)]
             if aux is not None:
-                blobs.append(encode_aux(aux))
+                blobs.append(AUX_MESSAGE.pack(aux))
             for blob in blobs:
                 step = max(1, len(blob) // 19)
                 for cut in range(0, len(blob), step):
                     with pytest.raises(ReproError):
-                        decode_envelope(blob[:cut], group) if blob is blobs[
+                        decode_value(OCBE_ENVELOPE, blob[:cut], group) if blob is blobs[
                             0
-                        ] else decode_aux(blob[:cut], group)
+                        ] else decode_value(AUX_MESSAGE, blob[:cut], group)
 
     def test_corrupted_elements_raise_library_errors(self, exchanges, ec_setup):
         """Bit-flips inside group-element encodings must surface as library
         errors (membership validation), never raw ValueErrors."""
         group = ec_setup.pedersen.group
         _, envelope, _ = exchanges["ge"]
-        blob = bytearray(encode_envelope(envelope))
+        blob = bytearray(OCBE_ENVELOPE.pack(envelope))
         for position in range(1, 40):
             corrupted = bytearray(blob)
             corrupted[position] ^= 0xFF
             try:
-                decode_envelope(bytes(corrupted), group)
+                decode_value(OCBE_ENVELOPE, bytes(corrupted), group)
             except ReproError:
                 pass
 

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import InvalidParameterError
 from repro.workloads.generator import (
     make_css_rows,
-    make_policy_set,
     user_configuration_rows,
 )
 
@@ -57,22 +56,3 @@ class TestUserConfiguration:
     def test_fraction_validation(self):
         with pytest.raises(InvalidParameterError):
             user_configuration_rows(10, 1.5)
-
-
-class TestPolicySet:
-    def test_shape(self):
-        ps = make_policy_set(10, 2, ["s1", "s2", "s3"])
-        assert len(ps.policies) == 10
-        assert all(len(p.conditions) == 2 for p in ps.policies)
-        assert all(p.objects <= {"s1", "s2", "s3"} for p in ps.policies)
-        assert all(p.objects for p in ps.policies)
-
-    def test_attributes_drawn_from_universe(self):
-        ps = make_policy_set(5, 3, ["s"])
-        for policy in ps.policies:
-            for cond in policy.conditions:
-                assert cond.name in ps.attributes
-
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            make_policy_set(0, 1, ["s"])
