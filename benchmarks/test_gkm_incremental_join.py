@@ -11,7 +11,7 @@ build cache lookup misses) does the same joins with a full solve each
 time.
 
 The quick leg asserts the >= 3x floor and that both paths publish a
-byte-identical-size package (pinned: 2240 B at N=256 + 8 joins).  The
+byte-identical-size package (pinned: 1203 B at N=256 + 8 joins).  The
 nightly leg drives the same workload end-to-end through the load
 engine's warm-churn scenario.
 """
@@ -99,7 +99,7 @@ def test_incremental_join_quick():
     assert stats["hits"] == stats["extends"] == 0 and stats["misses"] > 0
     # Seeded draws: the package size is exact, and the incremental path
     # must not change it.
-    assert incr_bytes == scratch_bytes == 2240
+    assert incr_bytes == scratch_bytes == 1203
 
     speedup = scratch_time.mean / max(incr_time.mean, 1e-9)
 

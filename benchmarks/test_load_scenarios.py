@@ -15,12 +15,17 @@ revoke-publish loop (k matrix builds).
 """
 
 import random
+from collections import Counter
+
+import pytest
 
 from repro.bench.runner import avg_time, format_table
 from repro.documents.model import Document
 from repro.gkm.acv import FAST_FIELD
 from repro.groups import get_group
 from repro.load import bucketed, churn_scenario, run_scenario
+from repro.load.engine import LoadEngine
+from repro.mathx.linalg import RrefFactorization
 from repro.policy.acp import parse_policy
 from repro.system.idmgr import IdentityManager
 from repro.system.idp import IdentityProvider
@@ -61,58 +66,99 @@ def test_churn_scenario_over_both_drivers():
         assert all(p.rekeys >= 1 for p in report.phases)
 
 
+def _elimination_work(scenario):
+    """Run ``scenario`` in memory: its report and the elimination work of
+    every phase, ``{phase label: field multiply-adds}``, counted on the
+    :class:`~repro.mathx.linalg.RrefFactorization` calls the publishers
+    make -- ``m^2 n`` per factorization of an ``m x n`` matrix (the cubic
+    re-solve), ``r n`` per row folded into or removed from a rank-``r``
+    state of ``n`` columns, ``r s`` per column mapped through the
+    ``r x s`` transform of ``s`` source rows.  Counts repeat exactly for
+    a seeded scenario, whatever else the host runs."""
+    work = Counter()
+    label = [None]
+    run_phase, from_matrix = LoadEngine.run_phase, RrefFactorization.from_matrix
+    extend_row = RrefFactorization.extend_row
+    extend_column = RrefFactorization.extend_column
+    remove_row = RrefFactorization.remove_row
+
+    def phase(engine, index, spec):
+        label[0] = "%02d_%s" % (index, spec.kind)
+        return run_phase(engine, index, spec)
+
+    def factor(cls, matrix):
+        work[label[0]] += matrix.nrows**2 * matrix.ncols
+        return from_matrix(matrix)
+
+    def row(self, values):
+        work[label[0]] += len(self.pivots) * self.ncols
+        return extend_row(self, values)
+
+    def column(self, values):
+        work[label[0]] += len(self.pivots) * self.n_source
+        return extend_column(self, values)
+
+    def removal(self, source):
+        work[label[0]] += len(self.pivots) * self.ncols
+        return remove_row(self, source)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LoadEngine, "run_phase", phase)
+        patch.setattr(RrefFactorization, "from_matrix", classmethod(factor))
+        patch.setattr(RrefFactorization, "extend_row", row)
+        patch.setattr(RrefFactorization, "extend_column", column)
+        patch.setattr(RrefFactorization, "remove_row", removal)
+        report = run_scenario(scenario, driver="memory")
+    return report, work
+
+
+def _assert_less_elimination(report, split, dense):
+    """The bucketed claim on counts: strictly less elimination work than
+    the dense re-solve, in total and in every revoke phase."""
+    assert sum(split.values()) < sum(dense.values())
+    for phase in report.phases:
+        if phase.kind == "revoke":
+            assert split[phase.label] < dense[phase.label], phase.label
+
+
 def test_bucketed_churn_rekey_beats_dense():
-    """The ISSUE-5 acceptance number: the bucketed churn scenario at
-    N=64 spends strictly less wall time in the publish-path rekey than
-    the dense re-solve, with every invariant (incl. the bucket-layout
-    audit) asserted after each phase by the engine itself.
+    """The ISSUE-5 acceptance claim: the bucketed churn scenario at N=64
+    eliminates strictly less than the dense re-solve, with every
+    invariant (incl. the bucket-layout audit) asserted after each phase
+    by the engine itself.
 
     The dense leg runs under ``from_scratch()``: every rekey is the full
     elimination over fresh nonces, the cubic cost bucketing exists to
-    cut.  The dense path as shipped turns a revoke into a row removal
-    from the carried elimination, so its walls are printed beside the
-    other two as input for the GKM-default decision, not gated.
-
-    Best of three interleaved runs per side, in total and per phase: the
-    walls compared are ~5-10 ms per phase, the host is shared (it only
-    ever adds time, in bursts), and since the Eq. 2 row kernel halved the
-    hashing that was most of the dense build at this size the lead is
-    ~1.3x rather than ~2x -- one run per side would gate on the
-    neighbours.
+    cut.  The claim is gated on exact elimination counts
+    (:func:`_elimination_work`), in total and in every revoke phase,
+    where the elimination reruns on the dense side; the ~5-10 ms rekey
+    walls are printed beside them, with the dense path as shipped (a
+    revoke removes rows from the carried elimination), as input for the
+    GKM-default decision, not gated.
     """
-    dense_runs, split_runs, downdate_runs = [], [], []
-    for _ in range(3):
-        with from_scratch():
-            dense_runs.append(run_scenario(churn_scenario(), driver="memory"))
-        split_runs.append(run_scenario(bucketed(churn_scenario()), driver="memory"))
-        downdate_runs.append(run_scenario(churn_scenario(), driver="memory"))
-    dense_report, split_report = dense_runs[0], split_runs[0]
+    with from_scratch():
+        dense_report, dense = _elimination_work(churn_scenario())
+    split_report, split = _elimination_work(bucketed(churn_scenario()))
+    downdate_report, downdate = _elimination_work(churn_scenario())
     _print_report(split_report)
 
-    def best(reports, label=None):
-        if label is None:
-            return min(r.rekey_publish_s for r in reports)
-        return min(
-            p.rekey_publish_s for r in reports for p in r.phases if p.label == label
-        )
-
-    print("rekey publish wall: dense re-solve %.1f ms, bucketed %.1f ms, "
-          "dense with row removal %.1f ms"
-          % (best(dense_runs) * 1e3, best(split_runs) * 1e3,
-             best(downdate_runs) * 1e3))
+    walls = [
+        {p.label: p.rekey_publish_s * 1e3 for p in r.phases}
+        for r in (dense_report, split_report, downdate_report)
+    ]
+    print("elimination work (rekey publish wall): dense re-solve %d (%.1f ms), "
+          "bucketed %d (%.1f ms), dense with row removal %d (%.1f ms)"
+          % (sum(dense.values()), dense_report.rekey_publish_s * 1e3,
+             sum(split.values()), split_report.rekey_publish_s * 1e3,
+             sum(downdate.values()), downdate_report.rekey_publish_s * 1e3))
     for phase in split_report.phases:
         if phase.kind == "revoke":
-            print("  %s: dense re-solve %.1f ms, bucketed %.1f ms, "
-                  "dense with row removal %.1f ms"
-                  % (phase.label, best(dense_runs, phase.label) * 1e3,
-                     best(split_runs, phase.label) * 1e3,
-                     best(downdate_runs, phase.label) * 1e3))
-    # Strictly below the dense re-solve: in total, and in every revoke
-    # phase (where the elimination reruns on the dense side).
-    assert best(split_runs) < best(dense_runs)
-    for phase in split_report.phases:
-        if phase.kind == "revoke":
-            assert best(split_runs, phase.label) < best(dense_runs, phase.label)
+            print("  %s: dense re-solve %d (%.1f ms), bucketed %d (%.1f ms), "
+                  "dense with row removal %d (%.1f ms)"
+                  % (phase.label, dense[phase.label], walls[0][phase.label],
+                     split[phase.label], walls[1][phase.label],
+                     downdate[phase.label], walls[2][phase.label]))
+    _assert_less_elimination(split_report, split, dense)
 
     # Same membership trajectory on both sides (same seed, same spec).
     assert [p.members_alive for p in split_report.phases] == [
@@ -121,6 +167,16 @@ def test_bucketed_churn_rekey_beats_dense():
     assert split_report.params["members_total"] == (
         dense_report.params["members_total"]
     )
+
+
+def test_elimination_gate_catches_a_one_bucket_layout():
+    """The planted regression: one bucket holding every row is the dense
+    re-solve under another name, and the gate above must refuse it."""
+    with from_scratch():
+        _, dense = _elimination_work(churn_scenario())
+    report, one_bucket = _elimination_work(bucketed(churn_scenario(), 1 << 10))
+    with pytest.raises(AssertionError):
+        _assert_less_elimination(report, one_bucket, dense)
 
 
 # -- the batched-rekey hot path ----------------------------------------------

@@ -12,10 +12,10 @@ Two parts live here:
   canonical encoding explicit -- every part is length-prefixed so distinct
   tuples can never collide by concatenation ambiguity -- and reduce into
   ``F_q`` with doubled output length to keep the modular bias negligible.
-  :func:`row_hasher` is the same function for one fixed CSS tuple and many
-  nonces: it absorbs the shared prefix once and is what the ACV code
-  calls; ``hash_concat`` stays as the one-shot reference it is tested
-  against.
+  :func:`row_hasher` is the same function for one fixed CSS tuple and
+  the seeded nonces ``seed || u32(j)``: it absorbs the CSS tuple and the
+  seed once and is what the ACV code calls; ``hash_concat`` stays as the
+  one-shot reference it is tested against.
 """
 
 from __future__ import annotations
@@ -165,41 +165,44 @@ def hash_concat(
 
 
 def row_hasher(
-    h: HashFunction, parts: Sequence[BytesLike], modulus: int
-) -> Callable[[BytesLike], int]:
-    """Eq. 2 along one matrix row: ``z -> hash_concat(h, parts + [z], modulus)``.
+    h: HashFunction, parts: Sequence[BytesLike], seed: bytes, modulus: int
+) -> Callable[[int], int]:
+    """Eq. 2 along one matrix row under seeded nonces:
+    ``j -> hash_concat(h, parts + [seed || u32(j)], modulus)``.
 
     A row of the access matrix (and a subscriber's KEV) hashes one fixed
-    CSS tuple against every nonce, so everything but the last part is
-    shared.  When one counter block covers the expansion (both library
-    fields under either hashlib hash) and ``h`` is hashlib-backed, the
-    shared prefix ``0 || LP(part_1) || ... || LP(part_k)`` is absorbed
-    once and each value costs a state copy, the nonce and a reduction of
-    that single digest.  Wider moduli, and any other :class:`HashFunction`
-    (which only offers one-shot ``digest``), hash the whole input per
-    value.  The values are those of :func:`hash_concat` either way.
+    CSS tuple against every nonce, and nonce ``j`` is the header's seed
+    followed by the big-endian ``u32`` index, so everything but those four
+    bytes is shared.  When one counter block covers the expansion (both
+    library fields under either hashlib hash) and ``h`` is hashlib-backed,
+    the shared prefix ``0 || LP(part_1) || ... || LP(part_k) ||
+    u32(len(seed) + 4) || seed`` is absorbed once and each value costs a
+    state copy, the index and a reduction of that single digest.  Wider
+    moduli, and any other :class:`HashFunction` (which only offers
+    one-shot ``digest``), hash the whole input per value.  The values are
+    those of :func:`hash_concat` either way.
     """
     if modulus < 2:
         raise InvalidParameterError("modulus must be >= 2")
-    prefix = b"".join(struct.pack(">I", len(raw)) + raw for raw in map(bytes, parts))
+    stem = b"".join(struct.pack(">I", len(raw)) + raw for raw in map(bytes, parts))
+    stem += struct.pack(">I", len(seed) + 4) + seed
     bits = 2 * modulus.bit_length()
     nbytes = (bits + 7) // 8
+    index = _U32.pack
     new = _INCREMENTAL.get(h)
     if new is None or nbytes > h.digest_size:
 
-        def one_shot(z: BytesLike) -> int:
-            z = bytes(z)
-            return hash_to_range(h, prefix + struct.pack(">I", len(z)) + z, modulus)
+        def one_shot(j: int) -> int:
+            return hash_to_range(h, stem + index(j), modulus)
 
         return one_shot
 
     excess = nbytes * 8 - bits
-    state = new(struct.pack(">I", 0) + prefix)
-    length = _U32.pack
+    state = new(struct.pack(">I", 0) + stem)
 
-    def from_one_block(z: BytesLike) -> int:
+    def from_one_block(j: int) -> int:
         one = state.copy()
-        one.update(length(len(z)) + z)
+        one.update(index(j))
         return (int.from_bytes(one.digest()[:nbytes], "big") >> excess) % modulus
 
     return from_one_block

@@ -5,7 +5,7 @@ subdocuments (Section V: "documents are divided in subdocuments based on
 the access control policies").  :func:`~repro.documents.segmentation.segment`
 groups subdocuments by policy configuration, and
 :class:`~repro.documents.package.BroadcastPackage` is the self-contained
-broadcast artifact: per-configuration key headers (ACV + nonces + the
+broadcast artifact: per-configuration key headers (ACV + nonce seed + the
 public policy descriptions) and the encrypted subdocuments.
 
 XML documents (the paper's EHR.xml scenario) are supported through

@@ -6,11 +6,14 @@ configuration the publisher:
 1. collects, for every access control policy ``acp_k`` and every subscriber
    qualified for it, the ordered tuple of CSS values ``(r_{i,1}..r_{i,m_k})``
    matching ``acp_k``'s conditions -- one *row* per (policy, subscriber);
-2. draws nonces ``z_1..z_N`` (``tau * N > 160`` bits total, Section V-C) and
-   forms the matrix ``A`` with rows ``(1, a_{i,1}, ..., a_{i,N})`` where
+2. draws one seed of :data:`SEED_BYTES` bytes; nonce ``z_j`` is
+   ``seed || u32(j)`` (``j = 0..N-1``), so the 160-bit seed alone meets
+   the paper's ``tau * N > 160`` bound (Section V-C); and forms the matrix
+   ``A`` with rows ``(1, a_{i,1}, ..., a_{i,N})`` where
    ``a_{i,j} = H(r_{i,1} || ... || r_{i,m_k} || z_j) mod q``   (Eq. 2);
 3. solves ``A Y = 0`` for a nonzero access control vector ``Y`` and
-   publishes ``X = (K, 0, ..., 0)^T + Y`` together with the nonces.
+   publishes ``X = (K, 0, ..., 0)^T + Y`` together with the seed and the
+   count ``N`` (the paper publishes the ``N`` nonces themselves).
 
 A qualified subscriber recomputes its row -- the *key extraction vector*
 ``nu = (1, a_1, ..., a_N)`` -- and recovers ``K = nu . X``; everyone else
@@ -19,7 +22,7 @@ regenerate and re-publish; no unicast, no subscriber state change.
 :meth:`AcvBgkm.generate` is that regeneration.  The publish path instead
 carries the elimination across membership changes
 (:class:`AcvFactorization`): a join extends it and a revoke removes rows
-from it, reusing the nonces.
+from it, keeping the seed and changing only the count.
 
 The published vector is serialized with zero-run-length compression, which
 reproduces the paper's Figure 5 behaviour (ACV size growing with the number
@@ -70,31 +73,17 @@ GKM_FIELDS: Dict[str, PrimeField] = {"fast": FAST_FIELD, "paper": PAPER_FIELD}
 #: The format tag every ACV keying header starts with.
 ACV_MAGIC = b"ACV1"
 
-
-def _auto_z_bytes(n: int) -> int:
-    """Nonce width: the paper requires ``tau * N > 160`` bits in total.
-
-    We additionally floor the width at 4 bytes so individual nonces stay
-    collision-free up to tens of thousands of columns -- duplicate nonces
-    are harmless for correctness but would make matrix columns coincide,
-    distorting the size/derivation profile the benchmarks measure.
-    """
-    return max(4, -(-168 // (8 * max(n, 1))))
+#: Seed length: the nonces ``seed || u32(j)`` carry the paper's
+#: ``tau * N > 160`` bits in the seed alone, and a header with a shorter
+#: seed is refused.
+SEED_BYTES = 20
 
 
-def _draw_nonces(
-    count: int, width: int, rng: Optional[random.Random]
-) -> Tuple[bytes, ...]:
-    """``count`` nonces of ``width`` bytes, in the canonical draw order.
-
-    Shared by :meth:`AcvBgkm.generate` and the incremental extension path so
-    a seeded ``rng`` produces the same stream either way.
-    """
+def _draw_seed(rng: Optional[random.Random]) -> bytes:
+    """A fresh nonce seed from ``rng`` (or the system CSPRNG)."""
     if rng is not None:
-        return tuple(
-            bytes(rng.randrange(256) for _ in range(width)) for _ in range(count)
-        )
-    return tuple(secrets.token_bytes(width) for _ in range(count))
+        return rng.getrandbits(8 * SEED_BYTES).to_bytes(SEED_BYTES, "big")
+    return secrets.token_bytes(SEED_BYTES)
 
 
 def _draw_field_key(p: int, rng: Optional[random.Random]) -> int:
@@ -113,13 +102,10 @@ _MAX_LITERAL = 0xFFFF
 
 
 def _pack_body(value) -> bytes:
-    """``q``, the nonces, then ``X`` as zero runs and literal runs."""
-    q, zs, x = value
+    """``q``, the seed, the count, then ``X`` as zero runs and literal runs."""
+    q, seed, count, x = value
     q_raw = pack_scalar(q)
-    z_len = len(zs[0]) if zs else 0
-    if any(len(z) != z_len for z in zs):
-        raise SerializationError("inconsistent nonce lengths")
-    out = [q_raw, struct.pack(">IH", len(zs), z_len), *zs, struct.pack(">I", len(x))]
+    out = [q_raw, struct.pack(">B", len(seed)), seed, struct.pack(">II", count, len(x))]
     for nonzero, run in groupby(x, bool):
         run = list(run)
         if not nonzero:
@@ -133,8 +119,8 @@ def _pack_body(value) -> bytes:
 
 
 def _read_body(build: bool, cursor: Cursor, group):
-    """``(q, zs, x)``, checked in one pass; unless ``build``, the same
-    refusals and nothing decoded (the validate-only reader)."""
+    """``(q, seed, count, x)``, checked in one pass; unless ``build``, the
+    same refusals and nothing decoded (the validate-only reader)."""
     data = cursor.data
     try:
         (q_len,) = struct.unpack_from(">H", data, cursor.offset)
@@ -149,22 +135,26 @@ def _read_body(build: bool, cursor: Cursor, group):
             raise SerializationError("modulus q=%d is not a valid field" % q)
         if data[offset - q_len] == 0:
             raise SerializationError("non-canonical modulus (leading zero byte)")
-        n_z, z_len = struct.unpack_from(">IH", data, offset)
-        offset += 6
-        # Zero-width (or absent) nonces would collapse every matrix
-        # column into the same hash; the publisher never emits them
-        # (z_bytes >= 4, capacity >= 1), so they only appear in hostile
-        # headers.
-        if n_z == 0 or z_len == 0:
-            raise SerializationError("header must carry nonzero-width nonces")
-        # Counts are attacker-controlled: never allocate more than the
-        # payload could possibly encode.
-        if offset + n_z * z_len > cursor.end:
-            raise SerializationError("nonce count exceeds payload")
-        zs_at = offset
-        offset += n_z * z_len
-        (n_x,) = struct.unpack_from(">I", data, offset)
-        offset += 4
+        seed_len = data[offset]
+        offset += 1 + seed_len
+        # A short seed falls below the paper's 160 bits of nonce; the
+        # publisher always draws SEED_BYTES.
+        if seed_len < SEED_BYTES:
+            raise SerializationError("nonce seed shorter than %d bytes" % SEED_BYTES)
+        seed_at = offset - seed_len
+        n_z, n_x = struct.unpack_from(">II", data, offset)
+        offset += 8
+        # The count costs no payload bytes, yet it sizes X, the KEV and a
+        # subscriber's memo: refuse any count no explicit-nonce header of
+        # this length could have carried (one byte per nonce at least)
+        # before anything is allocated.  A capacity-0 header only appears
+        # forged (the publisher's capacity is at least 1).
+        if n_z == 0:
+            raise SerializationError("header must carry at least one nonce")
+        if n_z > cursor.end:
+            raise SerializationError(
+                "nonce count %d exceeds the %d-byte header" % (n_z, cursor.end)
+            )
         zero = bytes(q_len)
         literals: List[Tuple[int, int, int]] = []
         filled = 0
@@ -213,7 +203,7 @@ def _read_body(build: bool, cursor: Cursor, group):
     except (IndexError, struct.error) as exc:
         raise SerializationError("truncated ACV header") from exc
     # derive() refuses this arity too, but only after a subscriber has
-    # filed a KEV memo under the header's nonces.
+    # filed a KEV memo under the header's seed.
     if n_x != n_z + 1:
         raise SerializationError(
             "X arity %d is not the nonce count plus one (%d)" % (n_x, n_z + 1)
@@ -221,7 +211,6 @@ def _read_body(build: bool, cursor: Cursor, group):
     cursor.offset = offset
     if not build:
         return None
-    zs = tuple(data[i : i + z_len] for i in range(zs_at, zs_at + n_z * z_len, z_len))
     x = [0] * n_x
     wide = _WIDE.get(q_len)
     for at, offset, count in literals:
@@ -234,36 +223,40 @@ def _read_body(build: bool, cursor: Cursor, group):
                 int.from_bytes(data[i : i + q_len], "big")
                 for i in range(offset, offset + count * q_len, q_len)
             ]
-    return q, zs, tuple(x)
+    return q, data[seed_at : seed_at + seed_len], n_z, tuple(x)
 
 
 #: ``X``'s elements are as wide as ``q``'s encoding and there is one more
-#: of them than there are nonces, so ``q``, the nonces and ``X`` are one
+#: of them than the count, so ``q``, the seed, the count and ``X`` are one
 #: grouped entry.
 _BODY = Field(_pack_body, partial(_read_body, True), partial(_read_body, False))
 
 
 @dataclass(frozen=True)
 class AcvHeader(Record):
-    """The public rekey payload ``(X, z_1..z_N)`` broadcast with documents.
+    """The public rekey payload ``(X, seed, N)`` broadcast with documents.
 
-    ``X`` travels as zero runs (``0x00``, a ``u32`` length) and literal
-    runs (``0x01``, a ``u16`` count, elements as wide as ``q``); only the
-    encoder's own runs are accepted, so two accepted encodings are equal
-    exactly when their headers are.  :meth:`byte_size` is the compressed
-    size Figure 5 measures.
+    The seed (a ``u8`` length, at least :data:`SEED_BYTES`) and the
+    capacity ``N`` (a ``u32``) stand for the nonces ``seed || u32(j)``,
+    ``j < N``.  ``X`` travels as zero runs (``0x00``, a ``u32`` length) and
+    literal runs (``0x01``, a ``u16`` count, elements as wide as ``q``);
+    only the encoder's own runs are accepted, so two accepted encodings
+    are equal exactly when their headers are.  :meth:`byte_size` is the
+    compressed size Figure 5 measures.
     """
 
     q: int
     x: Tuple[int, ...]
-    zs: Tuple[bytes, ...]
+    seed: bytes
+    #: The maximum-user parameter N: the number of nonces.
+    capacity: int
 
-    FIELDS = (((), magic(ACV_MAGIC)), (("q", "zs", "x"), _BODY))
+    FIELDS = (((), magic(ACV_MAGIC)), (("q", "seed", "capacity", "x"), _BODY))
 
     @property
-    def capacity(self) -> int:
-        """The maximum-user parameter N."""
-        return len(self.zs)
+    def zs(self) -> Tuple[bytes, ...]:
+        """The nonces ``seed || u32(j)`` the seed and count stand for."""
+        return tuple(self.seed + struct.pack(">I", j) for j in range(self.capacity))
 
 
 class AcvBgkm:
@@ -288,17 +281,16 @@ class AcvBgkm:
     # -- publisher side -----------------------------------------------------
 
     def build_matrix(
-        self,
-        rows: Sequence[Sequence[bytes]],
-        zs: Sequence[bytes],
+        self, rows: Sequence[Sequence[bytes]], seed: bytes, capacity: int
     ) -> Matrix:
-        """The matrix ``A`` of Section V-C.1 for given CSS rows and nonces."""
+        """The matrix ``A`` of Section V-C.1 for given CSS rows and the
+        ``capacity`` nonces of ``seed``."""
         q = self.field.p
         h = self.hash_fn
         data = []
         for css_tuple in rows:
-            a = row_hasher(h, css_tuple, q)
-            data.append([1] + [a(z) for z in zs])
+            a = row_hasher(h, css_tuple, seed, q)
+            data.append([1] + [a(j) for j in range(capacity)])
         return Matrix(self.field, data)
 
     def generate(
@@ -306,7 +298,6 @@ class AcvBgkm:
         rows: Sequence[Sequence[bytes]],
         n_max: Optional[int] = None,
         rng: Optional[random.Random] = None,
-        z_bytes: Optional[int] = None,
     ) -> Tuple[int, AcvHeader]:
         """Run one rekey: returns ``(K, header)`` with ``K`` uniform in
         ``F_q^*``.
@@ -321,12 +312,11 @@ class AcvBgkm:
             raise CapacityError(
                 "capacity N=%d below the %d qualified rows (Eq. 1)" % (n, m)
             )
-        zb = z_bytes if z_bytes is not None else _auto_z_bytes(n)
-        zs = _draw_nonces(n, zb, rng)
+        seed = _draw_seed(rng)
         key = _draw_field_key(self.field.p, rng)
 
         if rows:
-            matrix = self.build_matrix(rows, zs)
+            matrix = self.build_matrix(rows, seed, n)
             basis = matrix.null_space()
         else:
             # No qualified subscriber: any nonzero vector is a valid ACV.
@@ -338,33 +328,33 @@ class AcvBgkm:
         y = self._random_combination(basis, n + 1, rng)
         x = list(y)
         x[0] = (x[0] + key) % self.field.p
-        return key, AcvHeader(q=self.field.p, x=tuple(x), zs=zs)
+        return key, AcvHeader(q=self.field.p, x=tuple(x), seed=seed, capacity=n)
 
     def factorize(
-        self, rows: Sequence[Sequence[bytes]], zs: Sequence[bytes]
+        self, rows: Sequence[Sequence[bytes]], seed: bytes, capacity: int
     ) -> "AcvFactorization":
-        """The carried elimination state for ``rows`` under nonces ``zs``."""
-        if len(rows) > len(zs):
+        """The carried elimination state for ``rows`` under the
+        ``capacity`` nonces of ``seed``."""
+        if len(rows) > capacity:
             raise CapacityError(
                 "capacity N=%d below the %d qualified rows (Eq. 1)"
-                % (len(zs), len(rows))
+                % (capacity, len(rows))
             )
         if rows:
-            rref = self.build_matrix(rows, zs).rref_factorization()
+            rref = self.build_matrix(rows, seed, capacity).rref_factorization()
         else:
-            rref = RrefFactorization(self.field, len(zs) + 1)
-        return AcvFactorization(self, rows, zs, rref)
+            rref = RrefFactorization(self.field, capacity + 1)
+        return AcvFactorization(self, rows, seed, capacity, rref)
 
     def generate_with_factorization(
         self,
         rows: Sequence[Sequence[bytes]],
         n_max: Optional[int] = None,
         rng: Optional[random.Random] = None,
-        z_bytes: Optional[int] = None,
     ) -> Tuple[int, AcvHeader, "AcvFactorization"]:
         """:meth:`generate`, additionally returning the elimination state.
 
-        Draw order (nonces, key, combination coefficients) and the
+        Draw order (seed, key, combination coefficients) and the
         null-space basis (RREF is canonical) match :meth:`generate` exactly,
         so for the same seeded ``rng`` the header is byte-identical -- the
         factorization rides along for free, ready for later
@@ -376,14 +366,11 @@ class AcvBgkm:
             raise CapacityError(
                 "capacity N=%d below the %d qualified rows (Eq. 1)" % (n, m)
             )
-        zb = z_bytes if z_bytes is not None else _auto_z_bytes(n)
-        zs = _draw_nonces(n, zb, rng)
+        seed = _draw_seed(rng)
         key = _draw_field_key(self.field.p, rng)
-        fact = self.factorize(rows, zs)
-        y = self._random_combination(fact.null_basis(), n + 1, rng)
-        x = list(y)
-        x[0] = (x[0] + key) % self.field.p
-        return key, AcvHeader(q=self.field.p, x=tuple(x), zs=zs), fact
+        fact = self.factorize(rows, seed, n)
+        key, header = self.rekey_from_factorization(fact, rng, key)
+        return key, header, fact
 
     def rekey_from_factorization(
         self,
@@ -404,7 +391,8 @@ class AcvBgkm:
         y = self._random_combination(fact.null_basis(), fact.capacity + 1, rng)
         x = list(y)
         x[0] = (x[0] + key) % p
-        return key, AcvHeader(q=p, x=tuple(x), zs=fact.zs)
+        header = AcvHeader(q=p, x=tuple(x), seed=fact.seed, capacity=fact.capacity)
+        return key, header
 
     def _random_combination(
         self,
@@ -448,14 +436,14 @@ class AcvBgkm:
         which both mirrors the compressed broadcast and speeds derivation.
 
         ``memo`` is the caller's record of the Eq. 2 values it already
-        holds for exactly this ``(css, header.q, header.zs)``: one slot per
-        nonce, ``None`` where ``a_j`` was never needed.  Known slots are
+        holds for exactly this ``(css, header.q, header.seed)``: one slot
+        per nonce, ``None`` where ``a_j`` was never needed.  Known slots are
         used as they are and the ones computed here are written back, so
         the same header seen again costs no hash at all.  This object
         keeps no such record itself -- Figure 4 times :meth:`derive` in a
         loop on one instance and must keep measuring N hashes -- and
         whether a memo still belongs to a header is the caller's decision
-        (:class:`~repro.system.subscriber.Subscriber` compares nonces).
+        (:class:`~repro.system.subscriber.Subscriber` compares seeds).
 
         The arity/modulus checks live here (not only in :meth:`derive`)
         because the bucketed candidate scan calls this directly with
@@ -472,10 +460,10 @@ class AcvBgkm:
             raise InvalidParameterError("KEV memo does not match the header")
         kev = [a if x_j else 0 for a, x_j in zip(memo, header.x[1:])]
         if None in kev:
-            a = row_hasher(self.hash_fn, css, header.q)
-            for j, z in enumerate(header.zs):
-                if kev[j] is None:
-                    kev[j] = memo[j] = a(z)
+            a = row_hasher(self.hash_fn, css, header.seed, header.q)
+            for j, value in enumerate(kev):
+                if value is None:
+                    kev[j] = memo[j] = a(j)
         return (1, *kev)
 
     def derive(
@@ -504,14 +492,17 @@ class AcvBgkm:
 class AcvFactorization:
     """Carried elimination state of one configuration (or one bucket).
 
-    Bundles the CSS rows (in matrix feed order), the nonce tuple, and a
-    tracked :class:`~repro.mathx.linalg.RrefFactorization` of the access
-    matrix ``A``, so a membership *join* -- a pure row/column extension --
-    costs ``O(m^2)`` instead of the ``O(m^3)`` from-scratch elimination.
+    Bundles the CSS rows (in matrix feed order), the nonce seed and count,
+    and a tracked :class:`~repro.mathx.linalg.RrefFactorization` of the
+    access matrix ``A``, so a membership *join* -- a pure row/column
+    extension -- costs ``O(m^2)`` instead of the ``O(m^3)`` from-scratch
+    elimination.
 
     A revoke runs the other way: :meth:`remove` takes the dead rows out of
-    the carried state and cuts the nonces back to the Eq.-1 capacity,
-    with no hashing and no elimination.
+    the carried state and cuts the count back to the Eq.-1 capacity, with
+    no hashing and no elimination.  Either way the seed stays: nonce ``j``
+    is ``seed || u32(j)``, so growth appends nonces and a cut drops the
+    trailing ones.
 
     Security envelope: reusing the nonces across an extension is safe
     precisely because a join only ever *adds* rows -- every previously
@@ -519,69 +510,64 @@ class AcvFactorization:
     Reusing them across a removal is safe because the next header draws
     a fresh combination from the null space of the *surviving* rows only:
     a removed row is no longer annihilated, so its KEV yields ``K'`` plus
-    a fresh random multiple of a value it cannot predict.  Callers never
-    serve a vector built before the removal (``AcvBuildCache.note_revoke``),
-    and the bucketed strategy, whose buckets share ``K``, re-solves
-    instead (DESIGN.md, "GKM strategies").
+    a fresh random multiple of a value it cannot predict.  A join that
+    grows the count back over indices a removed row already hashed is
+    the same column set a fresh extension would add, and the same
+    argument holds.  Callers never serve a vector built before the
+    removal (``AcvBuildCache.note_revoke``), and the bucketed strategy,
+    whose buckets share ``K``, re-solves instead (DESIGN.md, "GKM
+    strategies").
     """
 
-    __slots__ = ("_core", "rows", "zs", "_rref", "_basis")
+    __slots__ = ("_core", "rows", "seed", "capacity", "_rref", "_basis")
 
     def __init__(
         self,
         core: AcvBgkm,
         rows: Sequence[Sequence[bytes]],
-        zs: Sequence[bytes],
+        seed: bytes,
+        capacity: int,
         rref: RrefFactorization,
     ):
         self._core = core
         self.rows: List[Tuple[bytes, ...]] = [tuple(r) for r in rows]
-        self.zs: Tuple[bytes, ...] = tuple(zs)
+        self.seed = seed
+        #: The maximum-user parameter N: the number of nonces.
+        self.capacity = capacity
         self._rref = rref
         self._basis: Optional[List[Tuple[int, ...]]] = None
 
-    @property
-    def capacity(self) -> int:
-        """The maximum-user parameter N carried by this state."""
-        return len(self.zs)
-
     def extend(
-        self,
-        new_rows: Sequence[Sequence[bytes]],
-        added_capacity: int = 0,
-        rng: Optional[random.Random] = None,
+        self, new_rows: Sequence[Sequence[bytes]], added_capacity: int = 0
     ) -> None:
-        """Fold a join in: grow capacity by ``added_capacity`` fresh nonces,
-        then reduce each new CSS row against the carried pivots.
+        """Fold a join in: grow the count by ``added_capacity`` nonces of
+        the same seed, then reduce each new CSS row against the carried
+        pivots.
 
-        Fresh nonces are drawn at the *existing* nonce width (the header
-        wire format requires uniform lengths), each contributing one new
-        matrix column mapped through the carried row transform; each new
-        row then costs one reduction pass.  Existing rows, nonces, and the
-        annihilation property for every old row are untouched.
+        Each appended nonce contributes one new matrix column mapped
+        through the carried row transform; each new row then costs one
+        reduction pass.  Existing rows, nonces, and the annihilation
+        property for every old row are untouched.
         """
         if added_capacity < 0:
             raise InvalidParameterError("negative capacity extension")
         total = len(self.rows) + len(new_rows)
-        if total > self.capacity + added_capacity:
+        capacity = self.capacity + added_capacity
+        if total > capacity:
             raise CapacityError(
                 "capacity N=%d below the %d qualified rows (Eq. 1)"
-                % (self.capacity + added_capacity, total)
+                % (capacity, total)
             )
         q = self._core.field.p
         h = self._core.hash_fn
-        width = len(self.zs[0]) if self.zs else _auto_z_bytes(
-            self.capacity + added_capacity
-        )
-        fresh = _draw_nonces(added_capacity, width, rng)
-        if fresh:
-            hashers = [row_hasher(h, row, q) for row in self.rows]
-            for z in fresh:
-                self._rref.extend_column([a(z) for a in hashers])
-        self.zs = self.zs + fresh
+        if added_capacity:
+            hashers = [row_hasher(h, row, self.seed, q) for row in self.rows]
+            for j in range(self.capacity, capacity):
+                self._rref.extend_column([a(j) for a in hashers])
+        self.capacity = capacity
         for row in new_rows:
-            a = row_hasher(h, row, q)
-            self._rref.extend_row([1] + [a(z) for z in self.zs])
+            a = row_hasher(h, row, self.seed, q)
+            self._rref.extend_row([1] + [a(j) for j in range(capacity)])
             self.rows.append(tuple(row))
         self._basis = None
 
@@ -593,12 +579,10 @@ class AcvFactorization:
         :meth:`~repro.mathx.linalg.RrefFactorization.remove_row`, and the
         cut drops matrix columns the removals freed.  The state then
         equals :meth:`AcvBgkm.factorize` of the surviving rows under the
-        kept nonces, so the header has the byte length of a fresh solve
-        at ``n_max``.  Refused (False) when the kept nonce width is not
-        the one a fresh solve at ``n_max`` would draw (a small ``N`` needs
-        wider nonces for ``tau * N > 160``; nothing is changed then) or
-        when a dropped column is a pivot (the rows are removed by then,
-        so the state is spent).  The caller re-solves on a refusal.
+        same seed at ``n_max``, so the header has the byte length of a
+        fresh solve at ``n_max``.  Refused (False) when a dropped column
+        is a pivot (the rows are removed by then, so the state is spent);
+        the caller then re-solves.
         """
         dead = sorted(set(dead), reverse=True)
         if n_max > self.capacity:
@@ -608,15 +592,13 @@ class AcvFactorization:
                 "capacity N=%d below the %d qualified rows (Eq. 1)"
                 % (n_max, len(self.rows) - len(dead))
             )
-        if n_max < self.capacity and len(self.zs[0]) != _auto_z_bytes(n_max):
-            return False
         for index in dead:
             self._rref.remove_row(index)
             del self.rows[index]
         self._basis = None
         if not self._rref.truncate(n_max + 1):
             return False
-        self.zs = self.zs[:n_max]
+        self.capacity = n_max
         return True
 
     def null_basis(self) -> List[Tuple[int, ...]]:

@@ -53,8 +53,9 @@ def _bucket_list(bucket: Callable) -> Callable:
     each bucket's bytes, in order.
 
     The ACV codec under ``bucket`` refuses non-canonical encodings, so
-    comparing bytes refuses every pair of equal buckets, and its nonce
-    check refuses an empty bucket (capacity 0).
+    comparing bytes refuses every pair of equal buckets, and its count
+    check refuses an empty bucket (capacity 0).  Every bucket is solved
+    under its own freshly drawn seed, so honest buckets never share one.
     """
 
     def read(cursor: Cursor, group) -> tuple:

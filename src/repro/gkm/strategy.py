@@ -18,7 +18,7 @@ header per policy configuration.  The *strategy* decides how:
 Both strategies share an :class:`AcvBuildCache`: solving ``A Y = 0`` only
 depends on the member-row set and the nonces, so when consecutive
 publishes see the *same* rows (same configuration, no membership change)
-the cached ``(zs, Y)`` pair is recombined with a **fresh** key instead of
+the cached ``(seed, Y)`` pair is recombined with a **fresh** key instead of
 re-running the elimination.  The cache is keyed on the exact row tuples.
 A *pure join* keeps entries (:meth:`AcvBuildCache.note_join`): untouched
 configurations exact-hit, and a grown configuration extends the stored
@@ -27,19 +27,20 @@ instead of the O(m^3) re-solve.  A *dense revoke* or credential
 replacement keeps them too (:meth:`AcvBuildCache.note_revoke`): an
 entry that held a dead row is never served again, only taken as the
 base its configuration's next build removes the dead rows from -- no
-hashing, no elimination, the nonces cut back to the Eq.-1 capacity.
+hashing, no elimination, the nonce count cut back to the Eq.-1 capacity
+under the same seed.
 A bucketed revoke and every policy or strategy change invalidate
 outright, so a stale vector can never outlive a membership it
 over-approximates.
 
 Security envelope of the cache (documented in DESIGN.md): two headers
-built from one cache entry share ``(zs, Y)`` and differ only in
+built from one cache entry share ``(seed, Y)`` and differ only in
 ``X[0] = Y[0] + K``, so their *difference* reveals ``K' - K``.  Within
 one membership epoch every holder of ``K`` is entitled to ``K'`` as well
 (the membership is unchanged by construction), so no lockout property is
 weakened.  A join or revoke starts a new epoch with a fresh ``Y``: drawn
-over fresh nonces, or from the null space of the changed rows over
-reused ones, which a removed row no longer lies in.
+under a fresh seed, or from the null space of the changed rows under the
+kept one, which a removed row no longer lies in.
 """
 
 from __future__ import annotations
@@ -92,12 +93,12 @@ def decode_keying_header(data: bytes) -> KeyingHeader:
 
 
 class AcvBuildCache:
-    """Memoizes the expensive half of an ACV build: ``(zs, Y)`` + the
-    carried elimination state.
+    """Memoizes the expensive half of an ACV build: ``Y`` and the carried
+    elimination state, whose seed it was solved under.
 
     Entries are keyed on ``(member-row tuple, capacity)``.  A hit
-    re-randomizes only the key: the header becomes ``X = Y + K e_0`` over
-    the cached nonces -- no matrix, no elimination.  Eviction is true LRU
+    re-randomizes only the key: the header becomes ``X = Y + K e_0`` under
+    the cached seed -- no matrix, no elimination.  Eviction is true LRU
     over an :class:`~collections.OrderedDict`: a lookup hit refreshes
     recency, so under more than ``max_entries`` recurring configurations
     the *coldest* entry goes first.  (The cache used to evict in plain
@@ -108,7 +109,7 @@ class AcvBuildCache:
 
     * :meth:`invalidate` -- policy or strategy change, or a bucketed
       revoke: advances the epoch and drops everything; the next builds
-      re-solve under fresh nonces.
+      re-solve under fresh seeds.
     * :meth:`note_join` -- a *pure join* (a brand-new CSS cell): advances
       the epoch but keeps entries.  A configuration the join did not
       touch recurs with the identical row tuple and may exact-hit -- its
@@ -131,7 +132,7 @@ class AcvBuildCache:
         if max_entries < 1:
             raise InvalidParameterError("max_entries must be >= 1")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[tuple, Tuple[Tuple[bytes, ...], Tuple[int, ...], AcvFactorization]]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, Tuple[Tuple[int, ...], AcvFactorization]]" = OrderedDict()
         self.epoch = 0
         #: CSS values of rows removed since the last :meth:`drop_dead`.
         self._dead: Set[bytes] = set()
@@ -145,7 +146,8 @@ class AcvBuildCache:
 
     def lookup(
         self, rows: tuple, n_max: int
-    ) -> Optional[Tuple[Tuple[bytes, ...], Tuple[int, ...]]]:
+    ) -> Optional[Tuple[Tuple[int, ...], bytes]]:
+        """``(Y, seed)`` of the entry for ``(rows, n_max)``, or None."""
         entry = self._entries.get((rows, n_max))
         if entry is None:
             self.misses += 1
@@ -154,7 +156,7 @@ class AcvBuildCache:
         self._entries.move_to_end((rows, n_max))
         self.hits += 1
         get_registry().inc("gkm.acv_cache.hit")
-        return entry[0], entry[1]
+        return entry[0], entry[1].seed
 
     def take_base(
         self, rows: tuple, n_max: int
@@ -167,7 +169,7 @@ class AcvBuildCache:
         entry holding dead rows (:meth:`note_revoke`) qualifies when its
         surviving rows are a nonempty sub-multiset of ``rows``, equal
         included, at any capacity: removing the dead rows and cutting the
-        nonces back is the revoke's whole build.  Returns
+        count back is the revoke's whole build.  Returns
         ``(factorization, dead row indices, missing rows)``; the entry is
         removed because the builder mutates it (and re-stores the result
         under the new key).
@@ -190,7 +192,7 @@ class AcvBuildCache:
             missing.subtract(live)
             if any(count < 0 for count in missing.values()):
                 continue
-            fact = self._entries.pop(key)[2]
+            fact = self._entries.pop(key)[1]
             dead = []
             if revoked:
                 self.downdates += 1
@@ -207,14 +209,13 @@ class AcvBuildCache:
         self,
         rows: tuple,
         n_max: int,
-        zs: Tuple[bytes, ...],
         y: Tuple[int, ...],
         factorization: AcvFactorization,
     ) -> None:
         key = (rows, n_max)
         if key not in self._entries and len(self._entries) >= self.max_entries:
             self._entries.popitem(last=False)
-        self._entries[key] = (zs, y, factorization)
+        self._entries[key] = (y, factorization)
         self._entries.move_to_end(key)
 
     def note_join(self) -> None:
@@ -275,7 +276,7 @@ class _CachedAcvBuilder:
         existing one (bucket 2..B of a shared-key build).
 
         The null-space combination ``Y`` never depends on the key --
-        ``X = Y + K e_0`` -- so one cached ``(zs, Y)`` serves any key,
+        ``X = Y + K e_0`` -- so one cached ``(seed, Y)`` serves any key,
         and a cache miss with ``key=None`` is byte-identical to a plain
         :meth:`AcvBgkm.generate` call (same RNG draws, in order).
         ``use_cache=False`` forces a fresh solve (still stored): a
@@ -289,12 +290,12 @@ class _CachedAcvBuilder:
         if use_cache:
             cached = self.cache.lookup(rows_key, n_max)
             if cached is not None:
-                zs, y = cached
+                y, seed = cached
                 if key is None:
                     key = _draw_field_key(p, rng)
                 x = list(y)
                 x[0] = (x[0] + key) % p
-                return key, AcvHeader(q=p, x=tuple(x), zs=zs)
+                return key, AcvHeader(q=p, x=tuple(x), seed=seed, capacity=n_max)
             base = self.cache.take_base(rows_key, n_max)
             if base is not None:
                 fact, dead, extra = base
@@ -303,7 +304,7 @@ class _CachedAcvBuilder:
                     key, header = built
                     y = list(header.x)
                     y[0] = (y[0] - key) % p
-                    self.cache.store(rows_key, n_max, header.zs, tuple(y), fact)
+                    self.cache.store(rows_key, n_max, tuple(y), fact)
                     return key, header
         with stage("acv.solve", rows=len(rows)):
             with get_registry().timer("gkm.acv_solve_seconds"):
@@ -312,12 +313,12 @@ class _CachedAcvBuilder:
                 )
         y = list(header.x)
         y[0] = (y[0] - fresh_key) % p
-        self.cache.store(rows_key, n_max, header.zs, tuple(y), fact)
+        self.cache.store(rows_key, n_max, tuple(y), fact)
         if key is None or key == fresh_key:
             return fresh_key, header
         x = list(header.x)
         x[0] = (x[0] - fresh_key + key) % p
-        return key, AcvHeader(q=p, x=tuple(x), zs=header.zs)
+        return key, AcvHeader(q=p, x=tuple(x), seed=fact.seed, capacity=n_max)
 
     def _update(
         self,
@@ -335,7 +336,7 @@ class _CachedAcvBuilder:
             with get_registry().timer("gkm.acv_update_seconds"):
                 if dead and not fact.remove(dead, min(n_max, fact.capacity)):
                     return None
-                fact.extend(extra, added_capacity=n_max - fact.capacity, rng=rng)
+                fact.extend(extra, added_capacity=n_max - fact.capacity)
                 return self.core.rekey_from_factorization(fact, rng=rng, key=key)
 
 

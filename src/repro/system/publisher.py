@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 import secrets
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,6 +51,11 @@ from repro.system.css import CssTable
 from repro.system.identity import IdentityToken
 
 __all__ = ["SystemParams", "Publisher", "RegistrationOffer"]
+
+#: How many verified ``(signed bytes, signature)`` pairs a publisher keeps,
+#: least recently used first out: a token registering for several
+#: conditions is verified once, not once per condition.
+VERIFIED_TOKENS = 256
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,8 @@ class Publisher:
             key_len=key_len,
         )
         self._rng = rng
+        #: ``(signed bytes, signature)`` of tokens that already verified.
+        self._verified: "OrderedDict[tuple, None]" = OrderedDict()
         #: Keys of the most recent publish, per (document, config id) --
         #: retained for tests/audits only; a real Pub may discard them.
         self.last_keys: Dict[Tuple[str, str], int] = {}
@@ -256,13 +264,19 @@ class Publisher:
     def _verify_token(self, token: IdentityToken) -> None:
         from repro.crypto.schnorr_sig import verify
 
+        signed = (token.signing_bytes(), token.signature)
+        if signed in self._verified:
+            self._verified.move_to_end(signed)
+            return
         if not verify(
             self.params.pedersen.group,
             self.params.idmgr_public_key,
-            token.signing_bytes(),
-            token.signature,
+            *signed,
         ):
             raise SignatureError("identity token signature invalid")
+        self._verified[signed] = None
+        if len(self._verified) > VERIFIED_TOKENS:
+            self._verified.popitem(last=False)
 
     def open_registration(
         self, token: IdentityToken, condition: AttributeCondition

@@ -13,10 +13,10 @@ the CSSs it managed to extract during registration.  Receiving a broadcast
   policy).
 
 The KEV entries depend on the CSSs and the nonces only, and the nonces
-change only when the membership does (a join appends nonces, a dense
-revoke drops trailing ones), so a Sub remembers them between broadcasts
-(:data:`KEV_MEMO_ENTRIES`): an unchanged configuration costs a nonce
-comparison and the inner product instead of ``N`` hashes.
+change only when the membership does (a join raises the count, a dense
+revoke lowers it, both under the same seed), so a Sub remembers them
+between broadcasts (:data:`KEV_MEMO_ENTRIES`): an unchanged configuration
+costs a seed comparison and the inner product instead of ``N`` hashes.
 """
 
 from __future__ import annotations
@@ -74,12 +74,12 @@ class Subscriber:
             key_len=params.key_len,
         )
         self._rng = rng
-        #: (config id, CSS tuple) -> one ``((q, nonces), Eq. 2 values)``
+        #: (config id, CSS tuple) -> one ``((q, seed), Eq. 2 values)``
         #: pair per ACV of the last header seen under that key, in bucket
         #: order, ``None`` where a value was not yet needed (ACVs with equal
-        #: nonces share one list).  Derived from what the Sub holds anyway
-        #: (its CSSs, the public nonces), so it is rebuilt on demand and
-        #: never journaled.
+        #: seeds and counts share one list).  Derived from what the Sub
+        #: holds anyway (its CSSs, the public seeds), so it is rebuilt on
+        #: demand and never journaled.
         self._kev_memo: (
             "OrderedDict[tuple, List[Tuple[tuple, List[Optional[int]]]]]"
         ) = OrderedDict()
@@ -183,39 +183,27 @@ class Subscriber:
     ) -> List[List[Optional[int]]]:
         """The Eq. 2 memo to derive each of ``acvs`` with, kept for next time.
 
-        An ACV whose modulus and nonces equal one of the last header's
-        continues that one's memo (per bucket, wherever the bucket moved).
-        Failing that, one whose nonces extend the last header's ACV *at the
-        same index* (same modulus, old nonces a strict prefix) -- a join
-        that grew the capacity and kept the factorization -- continues a
-        copy of that memo padded for the appended nonces; one whose nonces
-        are a strict prefix of it -- a dense revoke that cut the capacity
-        back -- continues a copy cut to the kept nonces.  Any other starts
-        empty.  What the last header had and this one lacks is dropped, so
-        a rekey with fresh nonces -- a bucketed revoke, a policy change,
-        a join that re-solves -- replaces the entry wholesale.  Matching by
-        index keeps the scan linear in the buckets, hostile headers
-        included.
+        Nonce ``j`` is ``seed || u32(j)``, so the values filed under one
+        ``(q, seed)`` hold for any count: an ACV whose modulus and seed
+        match one of the last header's ACVs (per bucket, wherever the
+        bucket moved) continues that memo, padded with empty slots when the
+        count grew -- a join that kept the factorization -- and cut to the
+        count when it shrank -- a dense revoke.  Any other starts empty.
+        What the last header had and this one lacks is dropped, so a rekey
+        under a fresh seed -- a bucketed revoke, a policy change, a join
+        that re-solves -- replaces the entry wholesale.
         """
         key = (config_id, css)
-        last = self._kev_memo.get(key, [])
-        exact = dict(last)
-        current: Dict[tuple, List[Optional[int]]] = {}
+        known = dict(self._kev_memo.get(key, ()))
         entry = []
-        for index, acv in enumerate(acvs):
-            nonces = (acv.q, acv.zs)
-            memo = current.get(nonces) or exact.get(nonces)
-            if memo is None and index < len(last):
-                (q, zs), old = last[index]
-                n = acv.capacity
-                if q == acv.q and len(zs) < n and acv.zs[: len(zs)] == zs:
-                    memo = old + [None] * (n - len(zs))
-                elif q == acv.q and len(zs) > n and zs[:n] == acv.zs:
-                    memo = old[:n]
-            if memo is None:
-                memo = [None] * acv.capacity
-            current[nonces] = memo
-            entry.append((nonces, memo))
+        for acv in acvs:
+            seeded = (acv.q, acv.seed)
+            memo = known.get(seeded) or []
+            n = acv.capacity
+            if len(memo) != n:
+                memo = memo[:n] + [None] * (n - len(memo))
+            known[seeded] = memo
+            entry.append((seeded, memo))
         self._kev_memo[key] = entry
         self._kev_memo.move_to_end(key)
         while len(self._kev_memo) > KEV_MEMO_ENTRIES:

@@ -2,6 +2,7 @@
 
 import hashlib
 import pickle
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -49,8 +50,8 @@ class TestPureImplementations:
         part = bytes(range(256))[:n]
         for h in (sha256, sha1):
             for q in (1073741827, 604462909807314587353111):
-                a = row_hasher(h, [part], q)
-                assert a(b"z") == hash_concat(h, [part, b"z"], q)
+                a = row_hasher(h, [part], b"seed", q)
+                assert a(7) == hash_concat(h, [part, _nonce(b"seed", 7)], q)
 
     def test_metadata(self):
         assert sha256.digest_size == 32
@@ -148,13 +149,20 @@ _IMPOSTOR = HashFunction("sha256", 32, lambda data: hashlib.sha256(data + b"!").
 ROW_HASHES = [sha256, sha1, _ADHOC, _IMPOSTOR]
 
 
+def _nonce(seed: bytes, j: int) -> bytes:
+    """The explicit nonce ``seed || u32(j)`` a seeded row stands for."""
+    return seed + struct.pack(">I", j)
+
+
 class TestRowHasher:
-    """The prefix-state Eq. 2 kernel equals ``hash_concat``, value for value."""
+    """The prefix-state Eq. 2 kernel equals ``hash_concat`` over the
+    explicit nonces ``seed || u32(j)``, value for value."""
 
     @settings(max_examples=100)
     @given(
         parts=st.lists(st.binary(max_size=24), min_size=0, max_size=4),
-        nonces=st.lists(st.binary(min_size=1, max_size=32), min_size=1, max_size=4),
+        seed=st.binary(max_size=32),
+        indices=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
         # 2 .. 521 bits: up to 131 output bytes, i.e. 5 SHA-256 / 7 SHA-1 /
         # 9 MD5 counter blocks, and the shift that trims a bit count which
         # is not a multiple of eight.
@@ -164,39 +172,42 @@ class TestRowHasher:
             st.integers(2, 2**521),
         ),
     )
-    def test_equals_hash_concat(self, parts, nonces, modulus):
+    def test_equals_hash_concat(self, parts, seed, indices, modulus):
         for h in ROW_HASHES:
-            a = row_hasher(h, parts, modulus)
-            for z in nonces:
-                assert a(z) == hash_concat(h, parts + [z], modulus)
-                assert a(bytearray(z)) == a(z)
+            a = row_hasher(h, parts, seed, modulus)
+            for j in indices:
+                assert a(j) == hash_concat(h, parts + [_nonce(seed, j)], modulus)
 
     @pytest.mark.parametrize("h", ROW_HASHES, ids=lambda h: repr(h))
     def test_paper_and_fast_fields(self, h):
         parts = [b"css-one", b"", b"css-three"]
         for q in (1073741827, 604462909807314587353111):
-            a = row_hasher(h, parts, q)
-            for z in (b"\x00" * 4, b"nonce", bytes(range(32))):
-                assert a(z) == hash_concat(h, parts + [z], q)
+            for seed in (b"\x00" * 20, b"nonce", bytes(range(32))):
+                a = row_hasher(h, parts, seed, q)
+                for j in (0, 1, 2**32 - 1):
+                    assert a(j) == hash_concat(h, parts + [_nonce(seed, j)], q)
 
     def test_accepts_any_sequence_of_byteslike_parts(self):
         q = 1073741827
-        expected = hash_concat(sha256, [b"r1", b"r2", b"z"], q)
-        assert row_hasher(sha256, (b"r1", b"r2"), q)(b"z") == expected
-        assert row_hasher(sha256, [bytearray(b"r1"), memoryview(b"r2")], q)(b"z") == expected
+        expected = hash_concat(sha256, [b"r1", b"r2", _nonce(b"z", 3)], q)
+        assert row_hasher(sha256, (b"r1", b"r2"), b"z", q)(3) == expected
+        assert row_hasher(
+            sha256, [bytearray(b"r1"), memoryview(b"r2")], b"z", q
+        )(3) == expected
 
     def test_one_hasher_is_reusable_and_order_free(self):
         q = 604462909807314587353111
-        a = row_hasher(sha1, [b"css"], q)
-        nonces = [bytes([i]) * 5 for i in range(20)]
-        forward = [a(z) for z in nonces]
-        assert [a(z) for z in reversed(nonces)] == forward[::-1]
-        assert forward == [hash_concat(sha1, [b"css", z], q) for z in nonces]
+        a = row_hasher(sha1, [b"css"], b"seed", q)
+        forward = [a(j) for j in range(20)]
+        assert [a(j) for j in reversed(range(20))] == forward[::-1]
+        assert forward == [
+            hash_concat(sha1, [b"css", _nonce(b"seed", j)], q) for j in range(20)
+        ]
 
     def test_rejects_tiny_modulus(self):
         for h in (sha256, _ADHOC):
             with pytest.raises(InvalidParameterError):
-                row_hasher(h, [b"css"], 1)
+                row_hasher(h, [b"css"], b"seed", 1)
 
     @pytest.mark.parametrize("h", [sha256, sha1])
     def test_registered_hashes_still_pickle_by_name(self, h):

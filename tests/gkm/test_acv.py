@@ -15,7 +15,7 @@ from repro.errors import (
     KeyDerivationError,
     SerializationError,
 )
-from repro.gkm.acv import FAST_FIELD, PAPER_FIELD, AcvBgkm, AcvHeader, _auto_z_bytes
+from repro.gkm.acv import FAST_FIELD, PAPER_FIELD, SEED_BYTES, AcvBgkm, AcvHeader
 
 
 @pytest.fixture
@@ -89,15 +89,16 @@ class TestCapacityAndParameters:
         key, header = gkm.generate([], n_max=3, rng=rng)
         assert gkm.derive(header, (b"anything",)) != key
 
-    def test_auto_z_bytes_follows_paper_rule(self):
-        """tau * N > 160 bits (Section V-C)."""
-        for n in (1, 2, 10, 100, 1000):
-            assert _auto_z_bytes(n) * 8 * n >= 160
-
-    def test_explicit_z_bytes(self, gkm, rng):
-        rows = make_rows(rng, 3)
-        _, header = gkm.generate(rows, rng=rng, z_bytes=16)
-        assert all(len(z) == 16 for z in header.zs)
+    def test_seed_follows_paper_rule(self, gkm, rng):
+        """tau * N > 160 bits (Section V-C), carried by the seed alone at
+        every N: nonce j is seed || u32(j)."""
+        assert SEED_BYTES * 8 >= 160
+        for n in (1, 2, 10, 100):
+            _, header = gkm.generate(make_rows(rng, 1), n_max=n, rng=rng)
+            assert len(header.seed) == SEED_BYTES and header.capacity == n
+            assert header.zs == tuple(
+                header.seed + struct.pack(">I", j) for j in range(n)
+            )
 
     def test_compress_terms_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -114,7 +115,7 @@ class TestCapacityAndParameters:
         k1, h1 = gkm.generate(rows, rng=rng)
         k2, h2 = gkm.generate(rows, rng=rng)
         assert k1 != k2
-        assert h1.zs != h2.zs
+        assert h1.seed != h2.seed
 
     def test_system_rng_path(self, gkm):
         rows = make_rows(random.Random(0), 2)
@@ -178,7 +179,7 @@ class TestKevMemo:
         h, calls = counting_hash
         gkm = AcvBgkm(FAST_FIELD, h, compress_terms=1)
         rows = make_rows(rng, 2)
-        fact = gkm.factorize(rows, [bytes([j]) * 4 for j in range(12)])
+        fact = gkm.factorize(rows, bytes(SEED_BYTES), 12)
         memo = [None] * 12
         seen = set()
         for _ in range(6):  # same nonces, a different sparse X each time
@@ -211,10 +212,10 @@ class TestKevMemo:
 
     def test_hostile_header_fails_before_touching_the_memo(self, gkm):
         memo = [None, None]
-        short = AcvHeader(q=FAST_FIELD.p, x=(1,), zs=(b"aaaa", b"bbbb"))
+        short = AcvHeader(q=FAST_FIELD.p, x=(1,), seed=_SEED, capacity=2)
         with pytest.raises(KeyDerivationError, match="arity"):
             gkm.derive(short, [b"css"], memo)
-        bad_q = AcvHeader(q=1, x=(1, 2, 3), zs=(b"aaaa", b"bbbb"))
+        bad_q = AcvHeader(q=1, x=(1, 2, 3), seed=_SEED, capacity=2)
         with pytest.raises(KeyDerivationError, match="modulus"):
             gkm.derive(bad_q, [b"css"], memo)
         assert memo == [None, None]
@@ -222,13 +223,15 @@ class TestKevMemo:
 
 #: SHA-256 over a seeded generate / generate_with_factorization / extend /
 #: rekey_from_factorization / build_matrix transcript (header bytes, keys,
-#: matrix entries), computed at the commit before the row-hashing kernel
-#: replaced the per-entry ``hash_concat`` calls.
+#: matrix entries).  First computed with per-entry ``hash_concat`` calls
+#: before the row-hashing kernel replaced them; re-pinned when the header
+#: moved to seeded nonces, with the same values from ``row_hasher`` and
+#: from a per-entry ``hash_concat`` over ``seed || u32(j)``.
 _TRANSCRIPTS = {
-    ("fast", "sha256"): "397e3342f89a1342263b2886f81eebb17629c38e4f17493a6fb64de7e0d5a498",
-    ("fast", "sha1"): "60260de3d6b3583e0824ee21bfbc9a4e250026ec0582d9507c45e3ccf64dd3d0",
-    ("paper", "sha256"): "45b150265da1652cfd25366f12ab7ba530a5a72b6c82cf95ab325a75dcd3daad",
-    ("paper", "sha1"): "4ca54b4cbdfb84c2efaf412b774baa5924eab9ff7575be66946ab35921242c24",
+    ("fast", "sha256"): "655cb3bea1b0772be86efed7ed0fa2d4dbfa40afa2774bd18e108bc913cb58ce",
+    ("fast", "sha1"): "372fd125be7a5ea9beb6715edfa8898a0b7a89a362059c7b78e4fd72ae01daff",
+    ("paper", "sha256"): "810052f96e1946824fa2223fd1202fe410e8293d10cc2e12f7187106098ad2cd",
+    ("paper", "sha1"): "2bdb41aa34e1b12449bf009f30895f6408cfc0367bb87e626c41cff249534c8d",
 }
 
 
@@ -248,10 +251,10 @@ def test_publisher_side_bytes_unchanged_by_the_row_kernel(field_name, h):
     out.update(header.to_bytes() + b"%d" % key)
     key, header, fact = gkm.generate_with_factorization(rows[:8], n_max=10, rng=rng)
     out.update(header.to_bytes() + b"%d" % key)
-    fact.extend(rows[8:], added_capacity=3, rng=rng)
+    fact.extend(rows[8:], added_capacity=3)
     key, header = gkm.rekey_from_factorization(fact, rng=rng)
     out.update(header.to_bytes() + b"%d" % key)
-    matrix = gkm.build_matrix(rows, header.zs)
+    matrix = gkm.build_matrix(rows, header.seed, header.capacity)
     out.update(repr([list(map(int, r)) for r in matrix.rows]).encode())
     assert out.hexdigest() == _TRANSCRIPTS[field_name, h.name]
 
@@ -260,9 +263,11 @@ def test_publisher_side_bytes_unchanged_by_the_row_kernel(field_name, h):
 #: (+4 rows, +4 columns) / rekey_from_factorization headers, keys and the
 #: extended null basis at row counts on both sides of the elimination
 #: kernel's 32-column panels, computed with the per-pivot elimination loop
-#: (``tests/mathx/reference.py``) before the panel kernel replaced it.
+#: (``tests/mathx/reference.py``) before the panel kernel replaced it, and
+#: re-pinned under seeded nonces with that loop and the panel kernel
+#: agreeing.
 _MULTI_PANEL_TRANSCRIPT = (
-    "869fdc6abbd0126ca467767e6762cc128fd6f32896d6b9e9968fbdf0ef3c5a2c"
+    "c09d3bf4c5aa1f625d7e3d69d7e3cf7e0e3e42d23bcd9bb7b471d4428b2ab1da"
 )
 
 
@@ -281,15 +286,15 @@ def test_multi_panel_bytes_match_the_scalar_kernel():
         out.update(header.to_bytes() + b"%d" % key)
         key, header, fact = gkm.generate_with_factorization(rows[:m], rng=rng)
         out.update(header.to_bytes() + b"%d" % key)
-        fact.extend(rows[m:], added_capacity=4, rng=rng)
+        fact.extend(rows[m:], added_capacity=4)
         key, header = gkm.rekey_from_factorization(fact, rng=rng)
         out.update(header.to_bytes() + b"%d" % key)
         out.update(repr(fact.null_basis()).encode())
     assert out.hexdigest() == _MULTI_PANEL_TRANSCRIPT
 
 
-def _nonces(count):
-    return tuple(b"z%03d" % j for j in range(count))
+#: A fixed nonce seed for the tests that build headers by hand.
+_SEED = bytes(range(SEED_BYTES))
 
 
 class TestRowRemoval:
@@ -300,11 +305,13 @@ class TestRowRemoval:
         core = AcvBgkm(field)
         rows = make_rows(rng, 12)
         rows[7] = rows[2]  # a duplicate row: one of the pair is dependent
-        fact = core.factorize(rows, _nonces(14))
+        fact = core.factorize(rows, _SEED, 14)
         assert fact.remove([11, 0, 7], 10) is True
         survivors = [row for i, row in enumerate(rows) if i not in (0, 7, 11)]
-        rebuilt = core.factorize(survivors, _nonces(10))
-        assert (fact.rows, fact.zs) == (rebuilt.rows, rebuilt.zs)
+        rebuilt = core.factorize(survivors, _SEED, 10)
+        assert (fact.rows, fact.seed, fact.capacity) == (
+            rebuilt.rows, rebuilt.seed, rebuilt.capacity
+        )
         assert fact.null_basis() == rebuilt.null_basis()
         one = core.rekey_from_factorization(fact, rng=random.Random(5))
         other = core.rekey_from_factorization(rebuilt, rng=random.Random(5))
@@ -313,30 +320,32 @@ class TestRowRemoval:
         for row in survivors:
             assert core.derive(one[1], row) == one[0]
 
-    def test_a_narrower_nonce_than_a_fresh_solve_draws_is_refused(self, gkm, rng):
-        """At N = 5 a fresh solve draws 5-byte nonces (tau * N > 160): a cut
-        from 8 four-byte nonces would fall short, so nothing changes."""
+    def test_a_cut_to_a_small_capacity_keeps_the_seed(self, gkm, rng):
+        """The seed carries the 160 bits at every N, so a cut from N = 8 to
+        N = 5 keeps it (explicit nonces needed 5 bytes each at N = 5 and
+        refused this cut) and equals a factorization at N = 5."""
         rows = make_rows(rng, 8)
-        fact = gkm.factorize(rows, _nonces(8))
-        assert _auto_z_bytes(5) == 5
-        assert fact.remove([0, 1, 2], 5) is False
-        assert (len(fact.rows), fact.capacity) == (8, 8)
+        fact = gkm.factorize(rows, _SEED, 8)
+        assert fact.remove([0, 1, 2], 5) is True
+        rebuilt = gkm.factorize(rows[3:], _SEED, 5)
+        assert (fact.seed, fact.capacity) == (_SEED, 5)
+        assert fact.null_basis() == rebuilt.null_basis()
 
     def test_cutting_a_pivot_column_is_refused(self, rng):
         """A hash blind to the CSS on the first six nonces makes every row
         equal there, so the surviving rows need pivots among the nonces a
         cut back to N = 6 would drop."""
-        blind = set(_nonces(6))
+        blind = {struct.pack(">I", j) for j in range(6)}
 
         def digest(data):
             return hashlib.sha256(data[-4:] if data[-4:] in blind else data).digest()
 
         core = AcvBgkm(FAST_FIELD, HashFunction("blind", 32, digest))
-        fact = core.factorize(make_rows(rng, 8), _nonces(10))
+        fact = core.factorize(make_rows(rng, 8), _SEED, 10)
         assert fact.remove([0, 1], 6) is False
 
     def test_capacity_bounds(self, gkm, rng):
-        fact = gkm.factorize(make_rows(rng, 8), _nonces(10))
+        fact = gkm.factorize(make_rows(rng, 8), _SEED, 10)
         with pytest.raises(CapacityError):
             fact.remove([0], 6)
         with pytest.raises(InvalidParameterError):
@@ -395,11 +404,20 @@ def _rewrite_modulus(raw: bytes, q: int) -> bytes:
     return raw[:6] + q_raw + raw[6 + q_len :]
 
 
-def _rewrite_nonce_counts(raw: bytes, n_z: int, z_len: int) -> bytes:
-    """Byte-surgically replace the ``(n_z, z_len)`` fields of a wire header."""
+def _rewrite_seed(raw: bytes, seed: bytes) -> bytes:
+    """Byte-surgically replace the seed field of a wire header."""
     (q_len,) = struct.unpack_from(">H", raw, 4)
     offset = 6 + q_len
-    return raw[:offset] + struct.pack(">IH", n_z, z_len) + raw[offset + 6 :]
+    end = offset + 1 + raw[offset]
+    return raw[:offset] + bytes([len(seed)]) + seed + raw[end:]
+
+
+def _rewrite_counts(raw: bytes, count: int, n_x: int) -> bytes:
+    """Byte-surgically replace the nonce count and the X arity of a wire
+    header."""
+    (q_len,) = struct.unpack_from(">H", raw, 4)
+    offset = 6 + q_len + 1 + raw[6 + q_len]
+    return raw[:offset] + struct.pack(">II", count, n_x) + raw[offset + 8 :]
 
 
 class TestHostileHeaders:
@@ -422,24 +440,25 @@ class TestHostileHeaders:
             AcvHeader.from_bytes(hostile)
 
     def test_zero_width_nonces_rejected_at_parse(self, raw_header):
-        hostile = _rewrite_nonce_counts(raw_header, 3, 0)
+        # An empty seed leaves only the index in every nonce.
+        hostile = _rewrite_seed(raw_header, b"")
         with pytest.raises(SerializationError, match="nonce"):
             AcvHeader.from_bytes(hostile)
 
     def test_zero_nonce_count_rejected_at_parse(self, raw_header):
-        hostile = _rewrite_nonce_counts(raw_header, 0, 8)
+        hostile = _rewrite_counts(raw_header, 0, 6)
         with pytest.raises(SerializationError, match="nonce"):
             AcvHeader.from_bytes(hostile)
 
     def test_short_x_fails_typed_in_kev(self, gkm):
         # len(x) must be capacity + 1; a short X used to escape as a bare
         # IndexError from key_extraction_vector's header.x[j + 1] access.
-        header = AcvHeader(q=FAST_FIELD.p, x=(1,), zs=(b"aaaa", b"bbbb"))
+        header = AcvHeader(q=FAST_FIELD.p, x=(1,), seed=_SEED, capacity=2)
         with pytest.raises(KeyDerivationError, match="arity"):
             gkm.key_extraction_vector(header, [b"css"])
 
     def test_short_x_fails_typed_in_derive(self, gkm):
-        header = AcvHeader(q=FAST_FIELD.p, x=(1, 2), zs=(b"aa", b"bb", b"cc"))
+        header = AcvHeader(q=FAST_FIELD.p, x=(1, 2), seed=_SEED, capacity=3)
         with pytest.raises(KeyDerivationError, match="arity"):
             gkm.derive(header, [b"css"])
 
@@ -447,7 +466,7 @@ class TestHostileHeaders:
     def test_degenerate_modulus_fails_typed_in_kev(self, gkm, bad_q):
         # Defense in depth for headers built in-process (bypassing
         # from_bytes), e.g. by the bucketed candidate scan.
-        header = AcvHeader(q=bad_q, x=(1, 2, 3), zs=(b"aaaa", b"bbbb"))
+        header = AcvHeader(q=bad_q, x=(1, 2, 3), seed=_SEED, capacity=2)
         with pytest.raises(KeyDerivationError, match="modulus"):
             gkm.key_extraction_vector(header, [b"css"])
 
@@ -456,8 +475,8 @@ class TestHostileHeaders:
         # their *original* values must leave the header parseable.
         header = AcvHeader.from_bytes(raw_header)
         same_q = _rewrite_modulus(raw_header, header.q)
-        same_z = _rewrite_nonce_counts(
-            raw_header, len(header.zs), len(header.zs[0])
-        )
+        same_seed = _rewrite_seed(raw_header, header.seed)
+        same_counts = _rewrite_counts(raw_header, 5, 6)
         assert AcvHeader.from_bytes(same_q) == header
-        assert AcvHeader.from_bytes(same_z) == header
+        assert AcvHeader.from_bytes(same_seed) == header
+        assert AcvHeader.from_bytes(same_counts) == header

@@ -105,7 +105,7 @@ def test_empty_bucket_rejected():
     # An ACV header with zero nonces (capacity 0) can only be forged; a
     # real bucket always covers at least one column.  Since the hostile
     # header hardening it is refused one layer down, at ACV parse time.
-    empty = AcvHeader(q=FAST_FIELD.p, x=(1,), zs=())
+    empty = AcvHeader(q=FAST_FIELD.p, x=(1,), seed=bytes(20), capacity=0)
     with pytest.raises(SerializationError, match="nonce"):
         BucketedHeader.from_bytes(_wrap([empty.to_bytes()]))
 
@@ -116,8 +116,8 @@ def _acv_blob(header, runs, q_raw=None, tail=b""):
     if q_raw is None:
         q_raw = header.q.to_bytes((header.q.bit_length() + 7) // 8, "big")
     out = bytearray(b"ACV1" + struct.pack(">H", len(q_raw)) + q_raw)
-    out += struct.pack(">IH", len(header.zs), len(header.zs[0]))
-    out += b"".join(header.zs)
+    out += struct.pack(">B", len(header.seed)) + header.seed
+    out += struct.pack(">I", header.capacity)
     out += struct.pack(">I", sum(
         n if kind == "zero" else len(n) for kind, n in runs
     ))
@@ -166,7 +166,7 @@ def test_non_canonical_runs_rejected(runs, reason, field):
     # Each decodes (at the parent) to the same X as some canonical
     # encoding; the literal check covers the one-call widths and the
     # per-element path (PAPER_FIELD's 10-byte elements) alike.
-    header = AcvHeader(q=field.p, x=(), zs=(b"\x01\x02\x03\x04",) * 2)
+    header = AcvHeader(q=field.p, x=(), seed=bytes(range(20)), capacity=2)
     with pytest.raises(SerializationError, match=reason):
         AcvHeader.from_bytes(_acv_blob(header, runs))
     with pytest.raises(SerializationError, match=reason):
@@ -187,7 +187,7 @@ def test_full_literal_run_may_continue():
     # to_bytes splits a literal run at 0xFFFF elements: the continuation
     # is canonical and round-trips byte for byte.
     header = AcvHeader(
-        q=FAST_FIELD.p, x=tuple(range(1, 0x10003)), zs=(b"zzzz",) * 0x10001
+        q=FAST_FIELD.p, x=tuple(range(1, 0x10003)), seed=b"z" * 20, capacity=0x10001
     )
     raw = header.to_bytes()
     assert [kind for kind, _ in _canonical_runs(header.x)] == ["literal"] * 2

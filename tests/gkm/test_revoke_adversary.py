@@ -15,7 +15,13 @@ epochs it is not entitled to:
   checks whether a post-revoke ``X`` lies in the span of the vectors
   ``Y = X - K e_0`` it knows, coordinates matched by nonce;
 * members who joined through an incremental extension check the same of
-  the headers from before their join.
+  the headers from before their join;
+* a dense revoked coalition checks the same after joins regrow the nonce
+  count over indices it already hashed (nonce ``j`` is ``seed || u32(j)``,
+  and the seed survives both the cut and the growth);
+* a member revoked at an epoch boundary adds every public ``X'[0] - X[0]``
+  to the keys it holds -- within an epoch a cache hit repeats
+  ``(seed, Y)``, so that difference is ``K' - K``.
 """
 
 import random
@@ -186,3 +192,73 @@ def test_incremental_joiners_learn_no_earlier_key(capacity):
         for row in joiners:
             assert CORE.derive(acv, row) != key
         assert not _in_span(_tail(acv), [_without_one(y) for y in after])
+
+
+@pytest.mark.parametrize("slack", [0, 2])
+def test_a_count_regrown_over_hashed_indices_gives_the_coalition_no_later_key(slack):
+    """Nonce ``j`` is ``seed || u32(j)``: a revoke cuts the count, and a
+    join grows it back under the same seed, so the regrown columns are
+    nonces the revoked coalition already hashed -- its Eq. 2 values there
+    are exactly the ones it computed before.  Three cycles of two revokes
+    then two joins at m = 12: no row of the coalition derives a later key,
+    and no later ``X`` tail lies in the span of the ``Y`` tails it knows,
+    coordinates matched by nonce."""
+    feed = _Feed("dense", members=12, slack=slack)
+    schedule = random.Random(11)
+    (first,), key, entitled = feed.publish()
+    coalition, epochs = [], [(first, key, entitled)]
+    for _ in range(3):
+        for nym in schedule.sample(sorted(feed.rows), 2):
+            coalition.append(feed.revoke(nym))
+        (cut,), cut_key, entitled = feed.publish()
+        epochs.append((cut, cut_key, entitled))
+        for _ in range(2):
+            feed.join()
+        (grown,), grown_key, entitled = feed.publish()
+        epochs.append((grown, grown_key, entitled))
+        # One seed throughout; the two top indices went and came back.
+        assert (cut.seed, cut.capacity) == (first.seed, first.capacity - 2)
+        assert (grown.seed, grown.zs) == (first.seed, first.zs)
+        known = [
+            _without_one(_y(acv, k))
+            for acv, k, rows in epochs
+            if rows.intersection(coalition)
+        ]
+        for acv, k in ((cut, cut_key), (grown, grown_key)):
+            for row in coalition:
+                assert CORE.derive(acv, row) != k
+            assert not _in_span(_tail(acv), known)
+    stats = feed.publisher.acv_cache_stats()
+    assert (feed.publisher._acv_cache.downdates, stats["extends"]) == (3, 3)
+
+
+@pytest.mark.parametrize("gkm", ["dense", "bucketed"])
+def test_a_cache_hit_exposes_only_k_prime_minus_k_within_its_epoch(gkm):
+    """Two publishes with no membership change between them are one cache
+    entry: the same ``(seed, Y)`` under two keys, so ``X'[0] - X[0] =
+    K' - K`` is public.  The envelope: the difference turns a key only
+    into another key of the same epoch, which every holder of the first
+    is entitled to anyway.  The attacker is a member revoked at the epoch
+    boundary, holding both keys of the epoch before it: it adds every
+    public ``X[0]`` difference it can form, across all four headers, to
+    every key it holds, and reaches no key of the new epoch."""
+    feed = _Feed(gkm, members=9)
+    old = [feed.publish() for _ in range(2)]  # a rekey, then a cache hit
+    (acvs, key, _), (hit_acvs, hit_key, _) = old
+    for acv, hit in zip(acvs, hit_acvs):
+        assert (hit.seed, hit.x[1:]) == (acv.seed, acv.x[1:])
+        assert (hit.x[0] - acv.x[0]) % P == (hit_key - key) % P
+    victim = feed.revoke(sorted(feed.rows)[-1])
+    new = [feed.publish() for _ in range(2)]
+    headers = [acv for acvs, _, _ in old + new for acv in acvs]
+    differences = {(b.x[0] - a.x[0]) % P for a in headers for b in headers}
+    guesses = {(k + d) % P for _, k, _ in old for d in differences}
+    for acvs, key, _ in new:
+        assert key not in guesses
+        for acv in acvs:
+            assert CORE.derive(acv, victim) != key
+    # The new epoch repeats its own (seed, Y), not the old one's.
+    (acvs, _, _), (hit_acvs, _, _) = new
+    for acv, hit in zip(acvs, hit_acvs):
+        assert (hit.seed, hit.x[1:]) == (acv.seed, acv.x[1:])
+        assert all(acv.x[1:] != before.x[1:] for before in old[0][0])

@@ -1,7 +1,11 @@
 """The publish-path strategy layer: caching, invalidation, dispatch."""
 
+import hashlib
+import struct
+
 import pytest
 
+from repro.crypto.hashes import HashFunction
 from repro.errors import InvalidParameterError, SerializationError
 from repro.gkm.acv import FAST_FIELD, AcvBgkm, AcvHeader
 from repro.gkm.buckets import BucketedHeader, auto_bucket_size
@@ -259,17 +263,25 @@ def test_revoke_and_join_before_one_build(core, rng):
         assert core.derive(header, row) == key
 
 
-def test_refused_downdate_resolves_under_fresh_nonces(core, rng):
-    """At N = 4 a fresh solve draws 6-byte nonces: the cut from 4-byte
-    ones is refused and the build re-solves."""
+def test_refused_downdate_resolves_under_fresh_nonces(rng):
+    """A hash blind to the CSS on the first four nonces makes every row
+    equal there, so the survivors of a revoke need pivots among the
+    nonces the cut back to N = 4 drops: the cut is refused and the build
+    re-solves under a fresh seed."""
+    blind = {struct.pack(">I", j) for j in range(4)}
+
+    def digest(data):
+        return hashlib.sha256(data[-4:] if data[-4:] in blind else data).digest()
+
+    core = AcvBgkm(FAST_FIELD, HashFunction("blind", 32, digest))
     cache = AcvBuildCache()
     strategy = DenseGkmStrategy(core, cache)
     rows = make_css_rows(6, rng=rng)
     _, header1 = strategy.build(rows, capacity=None, slack=0, rng=rng)
     cache.note_revoke(rows[0] + rows[1])
     key, header = strategy.build(rows[2:], capacity=None, slack=0, rng=rng)
+    assert cache.downdates == 1 and header.seed != header1.seed
     assert set(header.zs).isdisjoint(header1.zs)
-    assert {len(z) for z in header.zs} == {6}
     for row in rows[2:]:
         assert core.derive(header, row) == key
 

@@ -105,13 +105,13 @@ def test_cli_report_carries_phases_and_pins_smoke_bytes(tmp_path, capsys):
         assert phase["rekey_publish_s"] >= 0
         assert sum(phase["bytes_by_kind"].values()) == phase["bytes_total"]
     per_phase = [phase["bytes_total"] for phase in payload["phases"]]
-    assert per_phase == [31890, 725, 2993, 13263, 1610]
-    assert sum(per_phase) == 50_481
+    assert per_phase == [31866, 705, 2953, 13195, 1474]
+    assert sum(per_phase) == 50_193
 
 
 def test_smoke_bucketed_bytes_pinned():
     report = run_scenario(builtin_scenario("smoke-bucketed"), driver="memory")
-    assert sum(phase.bytes_total for phase in report.phases) == 52_213
+    assert sum(phase.bytes_total for phase in report.phases) == 51_929
 
 
 def test_tcp_run_matches_memory_traffic(memory_engine):

@@ -500,9 +500,10 @@ def test_keying_headers_materialized_are_the_headers_derived_from(
 
 
 def test_hostile_prefix_sharing_buckets_leave_the_memo_bounded():
-    """Bucket ``i`` of one hostile header extends bucket ``i`` of the
-    previous one and a prefix of every other bucket: matching by index
-    keeps the memo one list per bucket, never larger than the header."""
+    """Every bucket of one hostile header and of the previous one shares
+    one seed at a different count, so each one's nonces are a prefix of
+    every longer bucket's: the memo stays one list per bucket, never
+    larger than the header."""
     world = _World("dense", AesCtrHmacCipher(), members=2)
     service, clients = world.service, world.clients
     good = service.publish(_document(1))
@@ -510,12 +511,12 @@ def test_hostile_prefix_sharing_buckets_leave_the_memo_bounded():
     subscriber = clients[0].subscriber
     template = good.headers[0]
     q = template.acv.q
-    nonces = [b"%04d" % i for i in range(402)]
+    seed = bytes(range(20))
 
     def nested(first, count):
         return BucketedHeader(
             buckets=tuple(
-                AcvHeader(q=q, x=(1,) + (0,) * (n - 1) + (1,), zs=tuple(nonces[:n]))
+                AcvHeader(q=q, x=(1,) + (0,) * (n - 1) + (1,), seed=seed, capacity=n)
                 for n in range(first, first + count)
             )
         )
@@ -537,7 +538,7 @@ def test_hostile_prefix_sharing_buckets_leave_the_memo_bounded():
 
 
 def _remembered(subscriber):
-    """``[(CSS tuple, (q, nonces), values)]``: a copy of everything in the
+    """``[(CSS tuple, (q, seed), values)]``: a copy of everything in the
     subscriber's KEV memo."""
     return [
         (css, nonces, list(values))
@@ -551,8 +552,8 @@ def _remembered(subscriber):
 )
 def test_revoked_subscriber_with_a_warm_memo_is_locked_out(gkm, cached):
     """The adversary keeps everything it ever computed: CSSs *and* the KEV
-    entries of every header it saw.  Post-revoke headers carry fresh
-    nonces (bucketed, from scratch) or a strict prefix of the old ones
+    entries of every header it saw.  Post-revoke headers carry a fresh
+    seed (bucketed, from scratch) or the old seed at a smaller count
     (dense: the row removal cuts the capacity back), so none of it
     applies -- on the dense, bucketed and from-scratch paths, and for a
     colluding pair."""
@@ -587,8 +588,9 @@ def _revoked_subscriber_with_a_warm_memo_is_locked_out(gkm):
             real = service.publisher.last_keys["feed", header.config_id]
             for acv in _acvs(header):
                 for css, nonces, values in loot:
-                    # Nothing remembered is addressed by the new header ...
-                    assert nonces != (acv.q, acv.zs)
+                    # Nothing remembered is addressed by the new header
+                    # but a longer memo under a kept seed ...
+                    assert nonces != (acv.q, acv.seed) or len(values) > acv.capacity
                     # ... and replaying it by force derives no current key.
                     if len(values) >= acv.capacity:
                         replay = values[: acv.capacity]
@@ -686,9 +688,8 @@ def test_wrong_arity_header_is_refused_at_decode_and_keeps_the_memo():
     assert remembered
     template = good.headers[0]
     acv = template.acv
-    fresh = tuple(bytes(reversed(z)) for z in acv.zs)
     hostile = replace(
-        template, acv=AcvHeader(q=acv.q, x=acv.x + (7,), zs=fresh)
+        template, acv=replace(acv, x=acv.x + (7,), seed=bytes(reversed(acv.seed)))
     )
     frame = BroadcastMessage(
         package=replace(good, headers=(hostile,) + good.headers[1:])
@@ -712,9 +713,9 @@ def test_hostile_headers_fail_typed_and_leave_the_memo_bounded():
     acv = template.acv
 
     for bad in (
-        AcvHeader(q=acv.q, x=acv.x[:-1], zs=acv.zs),
-        AcvHeader(q=1, x=acv.x, zs=acv.zs),
-        BucketedHeader(buckets=(acv, AcvHeader(q=acv.q, x=(1,), zs=acv.zs))),
+        replace(acv, x=acv.x[:-1]),
+        replace(acv, q=1),
+        BucketedHeader(buckets=(acv, replace(acv, x=(1,)))),
     ):
         hostile = ConfigHeader(
             config_id=template.config_id, policies=template.policies, acv=bad

@@ -1,5 +1,6 @@
 """Tests for the registration phase (Section V-B)."""
 
+from dataclasses import replace
 
 import pytest
 
@@ -103,6 +104,51 @@ class TestRegistration:
         condition = pub.conditions_for_attribute("role")[0]
         with pytest.raises(SignatureError):
             pub.open_registration(forged, condition)
+
+    def test_a_token_is_verified_once_for_all_its_conditions(
+        self, world, rng, monkeypatch
+    ):
+        """A two-condition grant costs one signature verification."""
+        import repro.crypto.schnorr_sig as schnorr_sig
+
+        idp, idmgr, pub = world
+        sub = make_sub(idp, idmgr, pub, "kid", {"level": 20}, rng)
+        calls = []
+        real = schnorr_sig.verify
+        monkeypatch.setattr(
+            schnorr_sig, "verify", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        token = sub.wallet_for("level").token
+        for condition in pub.conditions_for_attribute("level"):
+            pub.open_registration(token, condition)
+        assert len(pub.conditions_for_attribute("level")) == 2
+        assert len(calls) == 1
+
+    def test_a_verified_token_tampered_in_any_signed_field_is_refused(
+        self, world, rng
+    ):
+        """Once a token has verified, a copy changed in its nym, tag,
+        commitment or either signature scalar is verified afresh and
+        refused."""
+        idp, idmgr, pub = world
+        sub = make_sub(idp, idmgr, pub, "dd", {"role": "doc", "level": 61}, rng)
+        token = sub.wallet_for("role").token
+        other = sub.wallet_for("level").token
+        role = pub.conditions_for_attribute("role")[0]
+        level = pub.conditions_for_attribute("level")[0]
+        pub.open_registration(token, role)
+        signature = token.signature
+        tampered = [
+            (replace(token, nym="pn-9999"), role),
+            (replace(token, tag="level"), level),
+            (replace(token, commitment=other.commitment), role),
+            (replace(token, signature=replace(signature, e=signature.e ^ 1)), role),
+            (replace(token, signature=replace(signature, s=signature.s ^ 1)), role),
+        ]
+        for forged, condition in tampered:
+            with pytest.raises(SignatureError):
+                pub.open_registration(forged, condition)
+        pub.open_registration(token, role)  # the genuine one still passes
 
     def test_missing_token(self, world, rng):
         idp, idmgr, pub = world

@@ -3,7 +3,10 @@
 A dense package, a bucketed one, one that carries only the empty
 configuration (no keying header, Example 4), one with several
 configurations -- empty, dense over both fields, bucketed -- and several
-subdocuments, and a bucketed keying header with a single bucket.  Shared
+subdocuments, a bucketed keying header with a single bucket, and two
+dense keying headers at the edges of the seeded-nonce checks: capacity 1
+(one flip from a zero count) and a capacity equal to the header's byte
+length (one more is refused).  Shared
 by the package-level pin and fuzzer in ``test_record_codec.py``;
 everything is drawn from one seeded RNG, so the table is the same bytes
 on every run.
@@ -16,12 +19,12 @@ from repro.documents.package import (
     ConfigHeader,
     EncryptedSubdocument,
 )
-from repro.gkm.acv import FAST_FIELD, PAPER_FIELD, AcvBgkm
+from repro.gkm.acv import FAST_FIELD, PAPER_FIELD, AcvBgkm, AcvHeader
 from repro.gkm.strategy import AcvBuildCache, BucketedGkmStrategy
 
 
 def build_packages():
-    """The table, in a fixed order: four packages, then one header."""
+    """The table, in a fixed order: four packages, then three headers."""
     rng = random.Random(0xB9C1)
     fast, paper = AcvBgkm(FAST_FIELD), AcvBgkm(PAPER_FIELD)
 
@@ -74,4 +77,12 @@ def build_packages():
             ),
         ),
         bucketed(2, 4),
+        dense(fast, 1, 1),
+        # Two literal runs around one zero run: 58 bytes in all.
+        AcvHeader(
+            q=FAST_FIELD.p,
+            x=(rng.randrange(1, FAST_FIELD.p),) + (0,) * 57 + (1,),
+            seed=rng.randbytes(20),
+            capacity=58,
+        ),
     ]

@@ -82,9 +82,11 @@ VALUE_TYPES = (
 )
 
 #: SHA-256 over the package table (``tests/wire/packages.py``), in order,
-#: computed with the hand-written package and keying-header codecs.
+#: computed with the hand-written package and keying-header codecs, and
+#: re-pinned once, from 4196f057..., when keying headers moved to seeded
+#: nonces and the table gained its two edge headers.
 PACKAGE_TABLE_SHA256 = (
-    "4196f057959975626a4959a294a77b354d139d85a767fece6fc51c4503fd3ea6"
+    "a489717a0728a0bf9fc16bfdc717cabcb67783e1c29f686ddc8a4c04a2e0009b"
 )
 #: The broadcast package's records and the two keying header formats.
 PACKAGE_TYPES = (
@@ -148,7 +150,9 @@ def test_sample_tables_cover_every_type(wire_samples, value_samples, package_sam
     assert {type(s) for s in wire_samples} == set(MESSAGE_TYPES.values())
     assert {type(s) for s in STORE_SAMPLES} == set(STORE_RECORD_TYPES.values())
     assert {type(s) for s in value_samples} == set(VALUE_TYPES)
-    assert {type(s) for s in package_samples} == {BroadcastPackage, BucketedHeader}
+    assert {type(s) for s in package_samples} == {
+        BroadcastPackage, BucketedHeader, AcvHeader
+    }
 
 
 def _named_digest(values) -> str:
